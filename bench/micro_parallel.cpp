@@ -11,21 +11,15 @@
 #include <cstdint>
 
 #include "common/micro_report.hpp"
+#include "common/spin.hpp"
 #include "core/random_search.hpp"
 #include "parallel/thread_pool.hpp"
-#include "stats/rng.hpp"
 #include "testbed/testbed_objective.hpp"
 
 namespace {
 
 using namespace hp;
-
-/// CPU-bound unit of work: a splitmix64 chain, unoptimizable-away.
-std::uint64_t spin(std::uint64_t seed, std::size_t iters) {
-  std::uint64_t x = seed;
-  for (std::size_t i = 0; i < iters; ++i) x = stats::splitmix64(x);
-  return x;
-}
+using bench::spin;
 
 void BM_ParallelForSpin(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));

@@ -118,7 +118,10 @@ class AcquisitionFunction {
   /// override it with allocation-free loops over the span-based GP predict.
   /// Per-candidate arithmetic is identical either way: for any candidate,
   /// score_block()[i] == score(unit_xs[i], configs[i], ctx) bit-for-bit.
-  /// Matching span sizes are an HP_REQUIRE contract.
+  /// Matching span sizes are an HP_REQUIRE contract. CandidatePool may call
+  /// this concurrently for disjoint blocks, each with its own scratch, so
+  /// an implementation may only read shared state (the context, its GPs and
+  /// models, and its own members).
   virtual void score_block(std::span<const std::vector<double>> unit_xs,
                            std::span<const Configuration> configs,
                            const AcquisitionContext& ctx,

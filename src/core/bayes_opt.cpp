@@ -98,7 +98,7 @@ Configuration BayesOptProposer::propose(stats::Rng& rng) {
   timer.trace_arg({"pool", bo_options_.pool.lattice_points +
                                bo_options_.pool.random_points});
   timer.trace_arg({"score_block", bo_options_.pool.score_block_size});
-  return pool_.maximize(*acquisition_, ctx, rng).config;
+  return pool_.maximize(*acquisition_, ctx, rng, thread_pool()).config;
 }
 
 std::vector<Configuration> BayesOptProposer::propose_batch(

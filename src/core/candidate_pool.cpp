@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "parallel/thread_pool.hpp"
 #include "stats/halton.hpp"
 
 namespace hp::core {
@@ -24,7 +25,7 @@ CandidatePool::CandidatePool(const HyperParameterSpace& space,
 
 CandidatePool::Maximizer CandidatePool::maximize(
     const AcquisitionFunction& acquisition, const AcquisitionContext& ctx,
-    stats::Rng& rng) {
+    stats::Rng& rng, parallel::ThreadPool* workers) {
   const std::size_t num_lattice = lattice_.size();
   const std::size_t total = num_lattice + options_.random_points;
 
@@ -37,33 +38,40 @@ CandidatePool::Maximizer CandidatePool::maximize(
     for (double& u : unit) u = rng.uniform();
   }
 
-  // Decode all candidates, then score them block by block through the
-  // batched acquisition path (one virtual call per block instead of per
-  // candidate, with shared GP-prediction scratch).
+  // Decode and score block by block through the batched acquisition path:
+  // lattice blocks first, then random ones. A block writes only its own
+  // configs_/scores_ slots and uses its own scratch, so blocks may run in
+  // any order on any thread; a candidate's score does not depend on its
+  // block (the score_block contract), so neither do the scores nor the
+  // in-order selection below.
+  const std::size_t block_size = options_.score_block_size;
+  const std::size_t lattice_blocks =
+      (num_lattice + block_size - 1) / block_size;
+  const std::size_t num_blocks =
+      lattice_blocks + (options_.random_points + block_size - 1) / block_size;
   configs_.resize(total);
   scores_.resize(total);
-  for (std::size_t i = 0; i < num_lattice; ++i) {
-    configs_[i] = space_.decode(lattice_[i]);
-  }
-  for (std::size_t i = 0; i < options_.random_points; ++i) {
-    configs_[num_lattice + i] = space_.decode(random_units_[i]);
-  }
-  const auto score_range = [&](std::span<const std::vector<double>> units,
-                               std::size_t offset) {
-    for (std::size_t begin = 0; begin < units.size();
-         begin += options_.score_block_size) {
-      const std::size_t count =
-          std::min(options_.score_block_size, units.size() - begin);
-      acquisition.score_block(
-          units.subspan(begin, count),
-          std::span<const Configuration>(configs_).subspan(offset + begin,
-                                                           count),
-          ctx, scratch_,
-          std::span<double>(scores_).subspan(offset + begin, count));
+  scratch_.resize(num_blocks);
+  const auto score_block = [&](std::size_t b) {
+    const bool lattice = b < lattice_blocks;
+    const std::vector<std::vector<double>>& units =
+        lattice ? lattice_ : random_units_;
+    const std::size_t begin = (lattice ? b : b - lattice_blocks) * block_size;
+    const std::size_t count = std::min(block_size, units.size() - begin);
+    const std::size_t offset = (lattice ? 0 : num_lattice) + begin;
+    for (std::size_t i = 0; i < count; ++i) {
+      configs_[offset + i] = space_.decode(units[begin + i]);
     }
+    acquisition.score_block(
+        std::span<const std::vector<double>>(units).subspan(begin, count),
+        std::span<const Configuration>(configs_).subspan(offset, count), ctx,
+        scratch_[b], std::span<double>(scores_).subspan(offset, count));
   };
-  score_range(lattice_, 0);
-  score_range(random_units_, num_lattice);
+  if (workers != nullptr) {
+    workers->parallel_for(num_blocks, score_block);
+  } else {
+    for (std::size_t b = 0; b < num_blocks; ++b) score_block(b);
+  }
 
   // Selection replays candidates strictly in index order with the exact
   // historical state machine. Strict > means equal scores keep the earlier

@@ -11,6 +11,10 @@
 #include "core/search_space.hpp"
 #include "stats/rng.hpp"
 
+namespace hp::parallel {
+class ThreadPool;
+}  // namespace hp::parallel
+
 namespace hp::core {
 
 /// Pool generation options.
@@ -49,19 +53,24 @@ class CandidatePool {
   /// highest-feasibility random candidate instead, so the optimizer always
   /// has a next point.
   ///
-  /// Candidates are scored through AcquisitionFunction::score_block in
-  /// chunks of options.score_block_size, reusing round-scoped buffers, but
-  /// the selection itself replays the candidates strictly in order: lattice
-  /// first, then random candidates in generation order. Equal scores break
-  /// toward the LOWEST candidate index — a pinned tie-breaking contract
-  /// (see tests/core/acquisition_test.cpp) that keeps traces reproducible
-  /// across the scalar and blocked scoring paths.
+  /// Every random candidate is drawn from @p rng first. Candidates are then
+  /// decoded and scored through AcquisitionFunction::score_block in blocks
+  /// of options.score_block_size, each block with its own round-scoped
+  /// scratch. With @p workers (an idle pool), the blocks fan out over its
+  /// workers and the calling thread; without, they run in order on the
+  /// calling thread. Either way the selection replays the candidates
+  /// strictly in order: lattice first, then random candidates in generation
+  /// order. Equal scores break toward the LOWEST candidate index — a pinned
+  /// tie-breaking contract (see tests/core/acquisition_test.cpp) that keeps
+  /// traces reproducible across the scalar and blocked scoring paths — so
+  /// the result is bit-identical at any worker count.
   ///
   /// Non-const: reuses internal scratch buffers across rounds. Results are
   /// independent of any prior call.
   [[nodiscard]] Maximizer maximize(const AcquisitionFunction& acquisition,
                                    const AcquisitionContext& ctx,
-                                   stats::Rng& rng);
+                                   stats::Rng& rng,
+                                   parallel::ThreadPool* workers = nullptr);
 
  private:
   const HyperParameterSpace& space_;
@@ -70,12 +79,12 @@ class CandidatePool {
 
   // Round-scoped buffers reused across maximize() calls: fresh random
   // units, decoded configurations (lattice + random), per-candidate scores,
-  // and GP-prediction scratch. Sized once per round; inner vectors keep
-  // their capacity between rounds.
+  // and one GP-prediction scratch per block. Sized once per round; inner
+  // vectors keep their capacity between rounds.
   std::vector<std::vector<double>> random_units_;
   std::vector<Configuration> configs_;
   std::vector<double> scores_;
-  AcquisitionScratch scratch_;
+  std::vector<AcquisitionScratch> scratch_;
 };
 
 }  // namespace hp::core

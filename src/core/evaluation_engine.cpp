@@ -113,7 +113,16 @@ RunResult EvaluationEngine::run_impl(
   run_span.trace_arg({"seed", options_.seed});
   run_span.trace_arg({"batch_size", options_.batch_size});
   run_span.trace_arg({"num_threads", options_.num_threads});
-  replay != nullptr ? study_.resume(*replay) : study_.begin();
+
+  // The run's one thread pool. num_threads counts the threads doing work
+  // and the calling thread joins every parallel_for, so K threads = K-1
+  // workers (none: everything runs inline). The pool serves both halves of
+  // a round: the proposer borrows it while the study asks (acquisition
+  // scoring), and in-process evaluation runs on it afterwards. It exists
+  // before the study starts, so the proposals a resume replays are scored
+  // on it too.
+  parallel::ThreadPool pool(options_.num_threads - 1);
+  replay != nullptr ? study_.resume(*replay, &pool) : study_.begin(&pool);
 
   ResilientEvaluator evaluator(objective_, options_.retry, options_.seed);
   const bool batched = options_.batch_size > 1;
@@ -122,21 +131,14 @@ RunResult EvaluationEngine::run_impl(
       options_.use_early_termination ? &options_.early_termination : nullptr;
 
   // One dispatcher per concurrent execution mode: the fleet's, or the
-  // internal pool-backed one. num_threads counts the threads doing work;
-  // the calling thread participates in every round, so K threads = K-1
-  // pool workers. No concurrent path (sequential mode, or an objective
-  // driving real hardware) leaves the dispatcher null and evaluates
-  // during the tell loop, in sample order — still deterministic, just not
-  // overlapped.
-  const bool concurrent_eval =
-      batched && objective_.supports_concurrent_evaluation();
-  std::optional<parallel::ThreadPool> pool;
+  // internal pool-backed one. No concurrent path (sequential mode, or an
+  // objective driving real hardware) leaves the dispatcher null and
+  // evaluates during the tell loop, in sample order — still deterministic,
+  // just not overlapped.
   std::optional<PoolDispatcher> pool_dispatcher;
   RoundDispatcher* dispatcher = options_.dispatcher;
-  if (concurrent_eval && !fleet) {
-    pool.emplace(options_.num_threads - 1);
-    pool_dispatcher.emplace(*pool, evaluator, rule);
-    dispatcher = &*pool_dispatcher;
+  if (batched && objective_.supports_concurrent_evaluation() && !fleet) {
+    dispatcher = &pool_dispatcher.emplace(pool, evaluator, rule);
   }
 
   while (!study_.finished()) {

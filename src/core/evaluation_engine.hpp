@@ -27,7 +27,9 @@
 // own — deliberately. A round fans out over disjoint indexed jobs (one
 // writer per job slot, by construction), the dispatcher's barrier
 // publishes them, and the tell loop reads them single-threaded in
-// canonical order afterwards. Concurrency primitives live one layer down,
+// canonical order afterwards. The run's one ThreadPool is also lent to
+// the proposer (ProposerRunContext::pool), which fans acquisition scoring
+// out over it the same way while the study asks and the pool is idle. Concurrency primitives live one layer down,
 // in the annotated ThreadPool / ResilientEvaluator / obs types
 // (core/thread_annotations.hpp), so there is no guarded state here for
 // Clang TSA to check — keep it that way: new round-scoped engine state

@@ -25,6 +25,10 @@
 #include "core/search_space.hpp"
 #include "stats/rng.hpp"
 
+namespace hp::parallel {
+class ThreadPool;
+}  // namespace hp::parallel
+
 namespace hp::core {
 
 /// Run-scoped state the engine hands its proposer at the start of every
@@ -38,6 +42,12 @@ struct ProposerRunContext {
   /// Best feasible record observed so far (recorder-owned; may be empty).
   const std::optional<EvaluationRecord>* incumbent = nullptr;
   std::uint64_t seed = 1;
+  /// The run's thread pool, lent by the driver (zero workers on a
+  /// one-thread run; null when the driver has none). Proposals run while
+  /// the pool is idle, so a strategy may fan work out over it inside
+  /// propose()/propose_batch(), provided the result does not depend on the
+  /// worker count.
+  parallel::ThreadPool* pool = nullptr;
 };
 
 /// Candidate-selection strategy interface.
@@ -118,6 +128,10 @@ class Proposer {
   }
   [[nodiscard]] std::uint64_t run_seed() const noexcept {
     return context_.seed;
+  }
+  /// The run's idle thread pool (ProposerRunContext::pool), or null.
+  [[nodiscard]] parallel::ThreadPool* thread_pool() const noexcept {
+    return context_.pool;
   }
   /// The per-sample RNG stream of global sample @p sample_index (batched
   /// mode; stateless split of the run seed).

@@ -21,14 +21,6 @@ void KernelParams::validate() const {
   }
 }
 
-double KernelParams::length_scale(std::size_t d) const {
-  if (length_scales.size() == 1) return length_scales[0];
-  if (d >= length_scales.size()) {
-    throw std::out_of_range("KernelParams::length_scale: dimension out of range");
-  }
-  return length_scales[d];
-}
-
 double ard_distance(std::span<const double> a, std::span<const double> b,
                     const KernelParams& params) {
   if (a.size() != b.size()) {

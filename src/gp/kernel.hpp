@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -24,8 +25,17 @@ struct KernelParams {
 
   /// Validates positivity; throws std::invalid_argument on violation.
   void validate() const;
-  /// Length-scale for dimension @p d (handles the broadcast case).
-  [[nodiscard]] double length_scale(std::size_t d) const;
+  /// Length-scale for dimension @p d (handles the broadcast case); throws
+  /// std::out_of_range past the last ARD dimension. Defined here so every
+  /// ard_distance term inlines it.
+  [[nodiscard]] double length_scale(std::size_t d) const {
+    if (length_scales.size() == 1) return length_scales[0];
+    if (d >= length_scales.size()) {
+      throw std::out_of_range(
+          "KernelParams::length_scale: dimension out of range");
+    }
+    return length_scales[d];
+  }
 };
 
 /// Abstract stationary covariance function k(x, x').

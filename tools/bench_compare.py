@@ -15,9 +15,10 @@ Checks, in order:
    relative-shape comparison that transfers across machines.
 2. Tracked invariants: <baseline-dir>/tracked.json pins machine-independent
    ratios, evaluated on the *current* files only. Each invariant carries
-   min_ratio and/or max_ratio bounds — a floor pins a speedup that must
-   persist (e.g. full GP refit over incremental refit >= 5x at n=200), a
-   ceiling caps an overhead (e.g. fleet round over in-process round).
+   min_ratio and/or max_ratio bounds — a floor pins a ratio that must
+   persist (e.g. traced-off span overhead within 2%), a ceiling caps a cost
+   (e.g. fleet round over in-process round, or the incremental GP refit
+   over a fixed calibration run).
 
 Exit codes:
   0  no regression (missing baseline files only produce warnings)
