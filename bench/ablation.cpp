@@ -9,17 +9,33 @@
 //      failed exhaustive Rand-Walk runs).
 
 #include <cstdio>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/experiment.hpp"
 #include "common/report.hpp"
 #include "common/table.hpp"
+#include "core/random_search.hpp"
 #include "core/random_walk.hpp"
 #include "stats/descriptive.hpp"
 
 namespace {
 
 using namespace hp;
+
+/// The pair's budgets with the trained power/memory models, for studies
+/// that build their core::Optimizer directly to set the enhancement
+/// switches themselves.
+core::HardwareConstraints constraints_of(const bench::PairSetup& pair,
+                                         const bench::TrainedModels& models) {
+  return core::HardwareConstraints(
+      pair.budgets,
+      models.power ? std::optional<core::HardwareModel>(models.power->model)
+                   : std::nullopt,
+      models.memory ? std::optional<core::HardwareModel>(models.memory->model)
+                    : std::nullopt);
+}
 
 void ablation_enhancements(bench::BenchReport& report,
                            const bench::PairSetup& pair,
@@ -35,21 +51,16 @@ void ablation_enhancements(bench::BenchReport& report,
       opt.run_seed = 5;
       testbed::TestbedObjective objective(pair.problem, pair.landscape,
                                           pair.device, opt);
-      core::HyperPowerFramework fw(pair.problem, objective, pair.budgets);
-      fw.set_hardware_models(
-          models.power ? std::optional<core::HardwareModel>(models.power->model)
-                       : std::nullopt,
-          models.memory
-              ? std::optional<core::HardwareModel>(models.memory->model)
-              : std::nullopt);
-      core::FrameworkOptions fo;
-      fo.method = core::Method::Rand;
-      fo.manual_enhancements = true;  // toggle the two independently
-      fo.optimizer.use_hardware_models = filter;
-      fo.optimizer.use_early_termination = early;
-      fo.optimizer.max_runtime_s = pair.time_budget_s;
-      fo.optimizer.seed = 5;
-      const auto result = fw.make_optimizer(fo)->run();
+      const auto constraints = constraints_of(pair, models);
+      core::OptimizerOptions oo;
+      oo.use_hardware_models = filter;  // toggle the two independently
+      oo.use_early_termination = early;
+      oo.max_runtime_s = pair.time_budget_s;
+      oo.seed = 5;
+      core::Optimizer rand(
+          pair.problem.space(), objective, pair.budgets, &constraints, oo,
+          std::make_unique<core::RandomSearchProposer>(pair.problem.space()));
+      const auto result = rand.run();
       t.add_row({filter ? "on" : "off", early ? "on" : "off",
                  std::to_string(result.trace.size()),
                  std::to_string(result.trace.function_evaluations()),
@@ -139,13 +150,7 @@ void ablation_randwalk_sigma(bench::BenchReport& report,
       opt.run_seed = 60 + static_cast<std::uint64_t>(run);
       testbed::TestbedObjective objective(pair.problem, pair.landscape,
                                           pair.device, opt);
-      core::HardwareConstraints constraints(
-          pair.budgets,
-          models.power ? std::optional<core::HardwareModel>(models.power->model)
-                       : std::nullopt,
-          models.memory
-              ? std::optional<core::HardwareModel>(models.memory->model)
-              : std::nullopt);
+      const auto constraints = constraints_of(pair, models);
       core::OptimizerOptions oo;
       oo.use_hardware_models = false;  // exhaustive default mode
       oo.use_early_termination = false;
@@ -153,8 +158,10 @@ void ablation_randwalk_sigma(bench::BenchReport& report,
       oo.seed = 60 + static_cast<std::uint64_t>(run);
       core::RandomWalkOptions walk;
       walk.sigma0 = sigma;
-      core::RandomWalkOptimizer rw(pair.problem.space(), objective,
-                                   pair.budgets, &constraints, oo, walk);
+      core::Optimizer rw(
+          pair.problem.space(), objective, pair.budgets, &constraints, oo,
+          std::make_unique<core::RandomWalkProposer>(pair.problem.space(),
+                                                     walk));
       const auto result = rw.run();
       if (result.best) {
         ++found;

@@ -20,7 +20,6 @@
 #include "core/grid_search.hpp"
 #include "core/layerwise_models.hpp"
 #include "core/pareto.hpp"
-#include "core/random_search.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/metrics.hpp"
 
@@ -111,9 +110,10 @@ void extension_acquisitions(bench::BenchReport& report) {
       core::OptimizerOptions oo;
       oo.max_runtime_s = 2 * 3600.0;
       oo.seed = seed;
-      core::BayesOptOptimizer optimizer(pair.problem.space(), objective,
-                                        pair.budgets, &constraints, oo,
-                                        entry.make());
+      core::Optimizer optimizer(pair.problem.space(), objective,
+                                pair.budgets, &constraints, oo,
+                                std::make_unique<core::BayesOptProposer>(
+                                    pair.problem.space(), entry.make()));
       const auto result = optimizer.run();
       errors.push_back(result.best ? result.best->test_error : 1.0);
       violations.push_back(
@@ -156,8 +156,9 @@ void extension_grid(bench::BenchReport& report) {
     core::OptimizerOptions oo;
     oo.max_runtime_s = pair.time_budget_s;
     oo.seed = 3;
-    core::GridSearchOptimizer grid(pair.problem.space(), objective,
-                                   pair.budgets, &constraints, oo);
+    core::Optimizer grid(
+        pair.problem.space(), objective, pair.budgets, &constraints, oo,
+        std::make_unique<core::GridSearchProposer>(pair.problem.space()));
     run_and_row(grid);
   }
   {
@@ -167,8 +168,9 @@ void extension_grid(bench::BenchReport& report) {
     core::OptimizerOptions oo;
     oo.max_runtime_s = pair.time_budget_s;
     oo.seed = 3;
-    core::RandomSearchOptimizer rand(pair.problem.space(), objective,
-                                     pair.budgets, &constraints, oo);
+    core::Optimizer rand(
+        pair.problem.space(), objective, pair.budgets, &constraints, oo,
+        core::make_proposer(core::Method::Rand, pair.problem.space()));
     run_and_row(rand);
   }
   {
@@ -178,9 +180,9 @@ void extension_grid(bench::BenchReport& report) {
     core::OptimizerOptions oo;
     oo.max_runtime_s = pair.time_budget_s;
     oo.seed = 3;
-    core::BayesOptOptimizer ieci(pair.problem.space(), objective,
-                                 pair.budgets, &constraints, oo,
-                                 std::make_unique<core::HwIeciAcquisition>());
+    core::Optimizer ieci(
+        pair.problem.space(), objective, pair.budgets, &constraints, oo,
+        core::make_proposer(core::Method::HwIeci, pair.problem.space()));
     run_and_row(ieci);
   }
   report.add_table("grid_baseline", t);

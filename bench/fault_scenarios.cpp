@@ -15,10 +15,7 @@
 #include "common/experiment.hpp"
 #include "common/report.hpp"
 #include "common/table.hpp"
-#include "core/acquisition.hpp"
-#include "core/bayes_opt.hpp"
 #include "core/fault_injection.hpp"
-#include "core/random_search.hpp"
 #include "core/trace_io.hpp"
 
 namespace {
@@ -29,13 +26,11 @@ std::unique_ptr<core::Optimizer> make_method(
     const std::string& method, const bench::PairSetup& pair,
     core::Objective& objective, const core::HardwareConstraints* constraints,
     const core::OptimizerOptions& options) {
-  if (method == "Rand") {
-    return std::make_unique<core::RandomSearchOptimizer>(
-        pair.problem.space(), objective, pair.budgets, constraints, options);
-  }
-  return std::make_unique<core::BayesOptOptimizer>(
+  return std::make_unique<core::Optimizer>(
       pair.problem.space(), objective, pair.budgets, constraints, options,
-      std::make_unique<core::HwIeciAcquisition>());
+      core::make_proposer(
+          method == "Rand" ? core::Method::Rand : core::Method::HwIeci,
+          pair.problem.space()));
 }
 
 core::HardwareConstraints make_constraints(const bench::PairSetup& pair,
@@ -118,8 +113,9 @@ void scenario_sensor_faults(bench::BenchReport& report,
     core::OptimizerOptions oo;
     oo.max_function_evaluations = 30;
     oo.seed = 8;
-    core::RandomSearchOptimizer optimizer(pair.problem.space(), objective,
-                                          pair.budgets, nullptr, oo);
+    core::Optimizer optimizer(
+        pair.problem.space(), objective, pair.budgets, nullptr, oo,
+        core::make_proposer(core::Method::Rand, pair.problem.space()));
     const auto result = optimizer.run();
     // Unfiltered random search rarely hits the budgets, so report the best
     // completed error instead of the best *feasible* one: the claim under
@@ -158,8 +154,9 @@ void scenario_crash_resume(bench::BenchReport& report,
     opt.run_seed = 9;
     testbed::TestbedObjective objective(pair.problem, pair.landscape,
                                         pair.device, opt);
-    core::RandomSearchOptimizer optimizer(pair.problem.space(), objective,
-                                          pair.budgets, nullptr, oo);
+    core::Optimizer optimizer(
+        pair.problem.space(), objective, pair.budgets, nullptr, oo,
+        core::make_proposer(core::Method::Rand, pair.problem.space()));
     return optimizer.run();
   };
   const auto reference = run_full();
@@ -177,9 +174,10 @@ void scenario_crash_resume(bench::BenchReport& report,
                                         pair.device, opt);
     core::OptimizerOptions resumed_options = oo;
     resumed_options.journal_path = journal_path + ".resumed";
-    core::RandomSearchOptimizer optimizer(pair.problem.space(), objective,
-                                          pair.budgets, nullptr,
-                                          resumed_options);
+    core::Optimizer optimizer(
+        pair.problem.space(), objective, pair.budgets, nullptr,
+        resumed_options,
+        core::make_proposer(core::Method::Rand, pair.problem.space()));
     const auto resumed = optimizer.resume(records);
     std::ostringstream resumed_csv;
     resumed.trace.write_csv(resumed_csv);

@@ -1,10 +1,12 @@
-// Google-benchmark timings of the parallel-evaluation engine: raw
-// ThreadPool parallel_for dispatch/speedup over a CPU-bound body, and the
-// EvaluationEngine's batched rounds end to end at varying thread counts. On a
-// multi-core host the *_Threads counters show near-linear scaling of the
-// evaluation phase; on a single-core CI box they degenerate to overhead
-// measurements (the determinism tests, not these timings, are the
-// correctness gate).
+// Google-benchmark timings of parallel evaluation: raw ThreadPool
+// parallel_for dispatch/speedup over a CPU-bound body, and the Optimizer's
+// batched rounds end to end at varying thread counts. Every bench here is
+// threaded, so all of them time wall clock (UseRealTime): items_per_second
+// then counts work done per real second, not per second of the calling
+// thread's CPU. On a multi-core host the thread counters show near-linear
+// scaling of the evaluation phase; on a single-core CI box they
+// degenerate to overhead measurements (the determinism tests, not these
+// timings, are the correctness gate).
 
 #include <benchmark/benchmark.h>
 
@@ -12,7 +14,7 @@
 
 #include "common/micro_report.hpp"
 #include "common/spin.hpp"
-#include "core/random_search.hpp"
+#include "core/framework.hpp"
 #include "parallel/thread_pool.hpp"
 #include "testbed/testbed_objective.hpp"
 
@@ -37,7 +39,7 @@ void BM_ParallelForSpin(benchmark::State& state) {
   state.counters["threads"] = static_cast<double>(threads);
 }
 BENCHMARK(BM_ParallelForSpin)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_ParallelForDispatchOverhead(benchmark::State& state) {
   // Empty bodies: isolates the per-batch wakeup/merge cost.
@@ -49,7 +51,7 @@ void BM_ParallelForDispatchOverhead(benchmark::State& state) {
   state.counters["threads"] = static_cast<double>(threads);
 }
 BENCHMARK(BM_ParallelForDispatchOverhead)->Arg(1)->Arg(4)
-    ->Unit(benchmark::kMicrosecond);
+    ->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 void BM_BatchedOptimizerRun(benchmark::State& state) {
   // End-to-end batched random search on the mnist testbed (the objective
@@ -71,15 +73,17 @@ void BM_BatchedOptimizerRun(benchmark::State& state) {
     opt.batch_size = 8;
     opt.num_threads = threads;
     opt.use_hardware_models = false;
-    core::RandomSearchOptimizer optimizer(problem.space(), objective, budgets,
-                                          nullptr, opt);
+    core::Optimizer optimizer(problem.space(), objective, budgets, nullptr,
+                              opt,
+                              core::make_proposer(core::Method::Rand,
+                                                  problem.space()));
     const auto result = optimizer.run();
     benchmark::DoNotOptimize(result.trace.size());
   }
   state.counters["threads"] = static_cast<double>(threads);
 }
 BENCHMARK(BM_BatchedOptimizerRun)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

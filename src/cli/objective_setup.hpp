@@ -44,7 +44,7 @@ struct EvaluationStack {
   bool trained_models = false;
   std::size_t profiled_configs = 0;
 
-  /// The objective the engine/worker must evaluate through (the fault
+  /// The objective the optimizer/worker must evaluate through (the fault
   /// decorator when present, else the testbed objective).
   [[nodiscard]] core::Objective& search_objective() {
     return faulty != nullptr ? static_cast<core::Objective&>(*faulty)
@@ -53,7 +53,7 @@ struct EvaluationStack {
 };
 
 /// Retry/seed/early-termination settings shared verbatim between the
-/// engine's OptimizerOptions and the worker's ResilientEvaluator — split
+/// optimizer's OptimizerOptions and the worker's ResilientEvaluator — split
 /// out so both sides parse them once, identically.
 struct EvaluationPolicy {
   std::uint64_t seed = 1;

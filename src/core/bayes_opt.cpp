@@ -56,7 +56,7 @@ BayesOptProposer::BayesOptProposer(
       bo_options_(bo_options),
       pool_(space, bo_options.pool) {
   if (!acquisition_) {
-    throw std::invalid_argument("BayesOptOptimizer: null acquisition");
+    throw std::invalid_argument("BayesOptProposer: null acquisition");
   }
 }
 

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "core/candidate_pool.hpp"
-#include "core/optimizer.hpp"
+#include "core/proposer.hpp"
 #include "gp/kernel_fit.hpp"
 
 namespace hp::core {
@@ -42,7 +42,7 @@ class BayesOptProposer final : public Proposer {
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] Configuration propose(stats::Rng& rng) override;
   /// BO proposals mutate sequential state (the constant-liar GP refits), so
-  /// batched rounds are produced up front on the engine thread.
+  /// batched rounds are produced up front on the driver thread.
   [[nodiscard]] bool supports_parallel_proposals() const override {
     return false;
   }
@@ -82,21 +82,6 @@ class BayesOptProposer final : public Proposer {
   std::unique_ptr<gp::GaussianProcess> objective_gp_;
   std::unique_ptr<gp::GaussianProcess> power_gp_;
   std::unique_ptr<gp::GaussianProcess> memory_gp_;
-};
-
-/// Facade preserving the historic subclass-per-method construction.
-class BayesOptOptimizer final : public Optimizer {
- public:
-  BayesOptOptimizer(const HyperParameterSpace& space, Objective& objective,
-                    ConstraintBudgets budgets,
-                    const HardwareConstraints* apriori_constraints,
-                    OptimizerOptions options,
-                    std::unique_ptr<AcquisitionFunction> acquisition,
-                    BayesOptOptions bo_options = {})
-      : Optimizer(space, objective, budgets, apriori_constraints,
-                  std::move(options),
-                  std::make_unique<BayesOptProposer>(
-                      space, std::move(acquisition), bo_options)) {}
 };
 
 }  // namespace hp::core

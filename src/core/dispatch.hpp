@@ -1,9 +1,9 @@
 #pragma once
-// Round-dispatch seam between the evaluation engine and the process fleet
-// (DESIGN.md §15). The engine's driver loop normally executes a
+// Round-dispatch seam between the Optimizer and the process fleet
+// (DESIGN.md §15). The Optimizer's driver loop normally executes a
 // Study-asked round (DESIGN.md §16) on its thread pool; when
 // OptimizerOptions.dispatcher is set, the prepared (asked + admitted)
-// candidates are handed to a RoundDispatcher instead and the engine
+// candidates are handed to a RoundDispatcher instead and the Optimizer
 // blocks until the round's records come back, then tells them to the
 // Study in sample order. core cannot depend on dist, so the interface
 // lives here and the fleet scheduler (src/dist/job_scheduler.hpp)
@@ -33,8 +33,8 @@ struct RoundJob {
   Configuration config;
 };
 
-/// Evaluates whole rounds on behalf of the engine. Implementations own
-/// their workers' lifecycle; evaluate_round is called from the engine
+/// Evaluates whole rounds on behalf of the Optimizer. Implementations own
+/// their workers' lifecycle; evaluate_round is called from the driver
 /// thread and must not return until every job has a record (possibly a
 /// Failed record after retries are exhausted). Throwing aborts the run —
 /// reserved for "the fleet itself is dead", not for evaluation failures,

@@ -1,6 +1,7 @@
 #include "core/framework.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "core/random_search.hpp"
 #include "obs/obs.hpp"
@@ -23,6 +24,25 @@ std::string to_string(Method method) {
 
 bool is_bayesian(Method method) noexcept {
   return method == Method::HwCwei || method == Method::HwIeci;
+}
+
+std::unique_ptr<Proposer> make_proposer(Method method,
+                                        const HyperParameterSpace& space,
+                                        RandomWalkOptions walk,
+                                        BayesOptOptions bo) {
+  switch (method) {
+    case Method::Rand:
+      return std::make_unique<RandomSearchProposer>(space);
+    case Method::RandWalk:
+      return std::make_unique<RandomWalkProposer>(space, walk);
+    case Method::HwCwei:
+      return std::make_unique<BayesOptProposer>(
+          space, std::make_unique<HwCweiAcquisition>(), std::move(bo));
+    case Method::HwIeci:
+      return std::make_unique<BayesOptProposer>(
+          space, std::make_unique<HwIeciAcquisition>(), std::move(bo));
+  }
+  throw std::invalid_argument("make_proposer: unknown method");
 }
 
 HyperPowerFramework::HyperPowerFramework(const BenchmarkProblem& problem,
@@ -97,10 +117,8 @@ void HyperPowerFramework::rebuild_constraints() {
 std::unique_ptr<Optimizer> HyperPowerFramework::make_optimizer(
     const FrameworkOptions& options) {
   OptimizerOptions opt = options.optimizer;
-  if (!options.manual_enhancements) {
-    opt.use_hardware_models = options.hyperpower_mode;
-    opt.use_early_termination = options.hyperpower_mode;
-  }
+  opt.use_hardware_models = options.hyperpower_mode;
+  opt.use_early_termination = options.hyperpower_mode;
 
   if (opt.use_hardware_models && budgets_.any() && !constraints_.has_value()) {
     throw std::logic_error(
@@ -110,24 +128,10 @@ std::unique_ptr<Optimizer> HyperPowerFramework::make_optimizer(
   const HardwareConstraints* constraints =
       constraints_.has_value() ? &*constraints_ : nullptr;
 
-  switch (options.method) {
-    case Method::Rand:
-      return std::make_unique<RandomSearchOptimizer>(
-          problem_.space(), objective_, budgets_, constraints, opt);
-    case Method::RandWalk:
-      return std::make_unique<RandomWalkOptimizer>(
-          problem_.space(), objective_, budgets_, constraints, opt,
-          options.walk);
-    case Method::HwCwei:
-      return std::make_unique<BayesOptOptimizer>(
-          problem_.space(), objective_, budgets_, constraints, opt,
-          std::make_unique<HwCweiAcquisition>(), options.bo);
-    case Method::HwIeci:
-      return std::make_unique<BayesOptOptimizer>(
-          problem_.space(), objective_, budgets_, constraints, opt,
-          std::make_unique<HwIeciAcquisition>(), options.bo);
-  }
-  throw std::invalid_argument("HyperPowerFramework: unknown method");
+  return std::make_unique<Optimizer>(
+      problem_.space(), objective_, budgets_, constraints, std::move(opt),
+      make_proposer(options.method, problem_.space(), options.walk,
+                    options.bo));
 }
 
 FrameworkResult HyperPowerFramework::optimize(const FrameworkOptions& options) {

@@ -6,7 +6,9 @@
 // the constraints. All four methods — Rand, Rand-Walk, HW-CWEI, HW-IECI —
 // are available, each in HyperPower mode (a-priori models + early
 // termination) or "default" mode (the constraint-unaware exhaustive
-// counterpart used as the paper's baseline).
+// counterpart used as the paper's baseline). The methods differ only in
+// their Proposer; make_proposer builds it, and one core::Optimizer runs
+// every method.
 
 #include <memory>
 #include <optional>
@@ -28,16 +30,22 @@ enum class Method { Rand, RandWalk, HwCwei, HwIeci };
 [[nodiscard]] std::string to_string(Method method);
 [[nodiscard]] bool is_bayesian(Method method) noexcept;
 
+/// The proposal strategy of @p method over @p space: RandomSearchProposer,
+/// RandomWalkProposer (@p walk), or BayesOptProposer (@p bo) with the
+/// HW-CWEI / HW-IECI acquisition. Options a method does not use are
+/// ignored. Throws std::invalid_argument when the strategy rejects its
+/// options (e.g. a non-positive walk.sigma0).
+[[nodiscard]] std::unique_ptr<Proposer> make_proposer(
+    Method method, const HyperParameterSpace& space,
+    RandomWalkOptions walk = {}, BayesOptOptions bo = {});
+
 /// Per-run options.
 struct FrameworkOptions {
   Method method = Method::HwIeci;
   /// true = HyperPower (a-priori models + early termination);
-  /// false = the paper's "default" exhaustive counterpart.
+  /// false = the paper's "default" exhaustive counterpart. Overrides
+  /// optimizer.use_hardware_models / use_early_termination.
   bool hyperpower_mode = true;
-  /// When true, optimizer.use_hardware_models / use_early_termination are
-  /// taken as-is instead of being derived from hyperpower_mode — used by
-  /// the enhancement ablation to toggle the two independently.
-  bool manual_enhancements = false;
   OptimizerOptions optimizer{};
   RandomWalkOptions walk{};
   BayesOptOptions bo{};
@@ -47,7 +55,7 @@ struct FrameworkOptions {
 struct FrameworkResult {
   std::string method_name;
   bool hyperpower_mode = true;
-  Optimizer::Result run;
+  RunResult run;
 };
 
 /// Facade wiring problem + objective + hardware models + method.

@@ -34,7 +34,7 @@ Configuration GridSearchProposer::propose(stats::Rng& rng) {
   }
   // Advance the lexicographic cursor. Past the last point the cursor wraps
   // to the start either way; exhausted() decides (from the wrap_around
-  // policy) whether the engine ever asks again.
+  // policy) whether the study ever asks again.
   for (std::size_t d = cursor_.size(); d-- > 0;) {
     if (++cursor_[d] < levels) break;
     cursor_[d] = 0;

@@ -4,12 +4,12 @@
 // performance and training time" — this proposer makes that comparison
 // runnable. The grid enumerates a fixed number of levels per dimension in
 // lexicographic order (the standard practice the paper argues against);
-// HyperPower's enhancements still apply through the evaluation engine.
+// HyperPower's enhancements still apply through the Study.
 
-#include <memory>
+#include <string>
 #include <vector>
 
-#include "core/optimizer.hpp"
+#include "core/proposer.hpp"
 
 namespace hp::core {
 
@@ -22,7 +22,7 @@ struct GridSearchOptions {
   /// When true the cursor wraps past the last grid point and re-proposes
   /// from the start, so a large budget revisits points (historic
   /// behavior). When false (the default) the strategy reports exhausted()
-  /// after its last point and the engine stops the run — a final short
+  /// after its last point and the study stops the run — a final short
   /// batch is truncated to the remaining points, never padded with
   /// wrapped-around repeats.
   bool wrap_around = false;
@@ -30,7 +30,7 @@ struct GridSearchOptions {
 
 /// Exhaustive lexicographic grid enumeration. The cursor is sequential
 /// state, so grid search is a non-parallel proposer: batched rounds are
-/// produced up front on the engine thread (which also makes journal
+/// produced up front on the driver thread (which also makes journal
 /// replay re-advance the cursor correctly).
 class GridSearchProposer final : public Proposer {
  public:
@@ -45,7 +45,7 @@ class GridSearchProposer final : public Proposer {
   }
   [[nodiscard]] double proposal_overhead_s() const override { return 0.1; }
   /// Without wrap-around, true once the final grid point has been
-  /// proposed; the engine stops the run (and truncates a partial batch)
+  /// proposed; the study stops the run (and truncates a partial batch)
   /// instead of repeating points. Always false with wrap-around.
   [[nodiscard]] bool exhausted() const override {
     return !grid_options_.wrap_around && visited_all_;
@@ -61,32 +61,6 @@ class GridSearchProposer final : public Proposer {
   GridSearchOptions grid_options_;
   std::vector<std::size_t> cursor_;  ///< per-dimension level index
   bool visited_all_ = false;
-};
-
-/// Facade preserving the historic subclass-per-method construction.
-class GridSearchOptimizer final : public Optimizer {
- public:
-  GridSearchOptimizer(const HyperParameterSpace& space, Objective& objective,
-                      ConstraintBudgets budgets,
-                      const HardwareConstraints* apriori_constraints,
-                      OptimizerOptions options,
-                      GridSearchOptions grid_options = {})
-      : Optimizer(space, objective, budgets, apriori_constraints,
-                  std::move(options),
-                  std::make_unique<GridSearchProposer>(space, grid_options)),
-        grid_(static_cast<const GridSearchProposer*>(&proposer())) {}
-
-  /// Total number of grid points.
-  [[nodiscard]] std::size_t grid_size() const noexcept {
-    return grid_->grid_size();
-  }
-  /// True once every grid point has been proposed at least once.
-  [[nodiscard]] bool exhausted() const noexcept {
-    return grid_->visited_all();
-  }
-
- private:
-  const GridSearchProposer* grid_;  ///< owned by the base facade
 };
 
 }  // namespace hp::core

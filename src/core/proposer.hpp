@@ -6,7 +6,7 @@
 // next configuration(s) to try. It owns no loop — batching, journaling,
 // replay, and stopping rules live in the ask/tell Study
 // (core/study.hpp, DESIGN.md §16), retries and execution in the
-// EvaluationEngine driver (core/evaluation_engine.hpp), and
+// Optimizer's driver loop (core/optimizer.hpp), and
 // trace/incumbent bookkeeping in RunRecorder (core/run_recorder.hpp).
 // Only the Study mutates a Proposer (lint rule `study-ask-tell`); drivers
 // see proposals as Trials from Study::ask. The four methods of the paper
@@ -31,9 +31,9 @@ class ThreadPool;
 
 namespace hp::core {
 
-/// Run-scoped state the engine hands its proposer at the start of every
+/// Run-scoped state the Study hands its proposer at the start of every
 /// run/resume. All pointers outlive the run: budgets/constraints belong to
-/// the engine, the incumbent points at RunRecorder's (stable) member so
+/// the Study, the incumbent points at RunRecorder's (stable) member so
 /// incumbent-relative strategies (Rand-Walk) always see the latest best.
 struct ProposerRunContext {
   const ConstraintBudgets* budgets = nullptr;
@@ -62,14 +62,14 @@ class Proposer {
   /// Method name as reported in traces/journals ("Rand", "HW-IECI", ...).
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Called once by the engine before any proposal of a run/resume.
+  /// Called once by the Study before any proposal of a run/resume.
   /// Overrides must call the base.
   virtual void begin_run(const ProposerRunContext& context) {
     context_ = context;
   }
 
   /// Proposes the next candidate configuration drawing from @p rng (the
-  /// engine's shared stream in sequential mode, a per-sample stream in
+  /// study's shared stream in sequential mode, a per-sample stream in
   /// batched mode).
   [[nodiscard]] virtual Configuration propose(stats::Rng& rng) = 0;
 
@@ -85,7 +85,7 @@ class Proposer {
   /// first_sample_index + count) on the calling thread. Only used when
   /// supports_parallel_proposals() is false. May return fewer than
   /// @p count when the strategy runs out of candidates mid-batch (a finite
-  /// grid); the engine truncates the round instead of padding it. The
+  /// grid); the study truncates the round instead of padding it. The
   /// default loops propose() with each sample's own RNG stream.
   [[nodiscard]] virtual std::vector<Configuration> propose_batch(
       std::size_t first_sample_index, std::size_t count);
@@ -99,7 +99,7 @@ class Proposer {
   /// fit cost.
   [[nodiscard]] virtual double proposal_overhead_s() const { return 0.5; }
 
-  /// True when the strategy can produce no further candidates; the engine
+  /// True when the strategy can produce no further candidates; the study
   /// stops the run before the next proposal. Infinite strategies (every
   /// randomized method) keep the default false; finite ones (GridSearch
   /// without wrap-around) flip it after their last point.

@@ -1,11 +1,10 @@
 #pragma once
 // Rand (Section 3.5): uniform random search [Bergstra & Bengio 2012], with
-// the HyperPower enhancements applied by the evaluation engine when
-// enabled.
+// the HyperPower enhancements applied by the Study when enabled.
 
-#include <memory>
+#include <string>
 
-#include "core/optimizer.hpp"
+#include "core/proposer.hpp"
 
 namespace hp::core {
 
@@ -19,18 +18,6 @@ class RandomSearchProposer final : public Proposer {
     return space().sample(rng);
   }
   [[nodiscard]] double proposal_overhead_s() const override { return 0.5; }
-};
-
-/// Facade preserving the historic subclass-per-method construction.
-class RandomSearchOptimizer final : public Optimizer {
- public:
-  RandomSearchOptimizer(const HyperParameterSpace& space, Objective& objective,
-                        ConstraintBudgets budgets,
-                        const HardwareConstraints* apriori_constraints,
-                        OptimizerOptions options)
-      : Optimizer(space, objective, budgets, apriori_constraints,
-                  std::move(options),
-                  std::make_unique<RandomSearchProposer>(space)) {}
 };
 
 }  // namespace hp::core

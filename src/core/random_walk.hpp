@@ -5,9 +5,9 @@
 // that performance is sensitive to the choice of sigma_0 — exposed here as
 // an option (and swept by the ablation bench).
 
-#include <memory>
+#include <string>
 
-#include "core/optimizer.hpp"
+#include "core/proposer.hpp"
 
 namespace hp::core {
 
@@ -33,19 +33,6 @@ class RandomWalkProposer final : public Proposer {
 
  private:
   RandomWalkOptions walk_options_;
-};
-
-/// Facade preserving the historic subclass-per-method construction.
-class RandomWalkOptimizer final : public Optimizer {
- public:
-  RandomWalkOptimizer(const HyperParameterSpace& space, Objective& objective,
-                      ConstraintBudgets budgets,
-                      const HardwareConstraints* apriori_constraints,
-                      OptimizerOptions options,
-                      RandomWalkOptions walk_options = {})
-      : Optimizer(space, objective, budgets, apriori_constraints,
-                  std::move(options),
-                  std::make_unique<RandomWalkProposer>(space, walk_options)) {}
 };
 
 }  // namespace hp::core

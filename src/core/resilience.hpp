@@ -9,9 +9,9 @@
 //     seeded jitter, a per-attempt wall-clock deadline, and the
 //     consecutive-failure budget after which a run aborts;
 //   - ResilientEvaluator: the retry/timeout wrapper around
-//     Objective::evaluate / evaluate_detached used by the EvaluationEngine
-//     loop (the only production caller of the raw objective; enforced by
-//     tools/lint.py rule raw-objective-evaluate).
+//     Objective::evaluate / evaluate_detached used by the Optimizer's
+//     driver loop (the only production caller of the raw objective;
+//     enforced by tools/lint.py rule raw-objective-evaluate).
 //     A candidate whose attempts are exhausted becomes a Failed record
 //     (recorded and skipped) instead of killing the run.
 //

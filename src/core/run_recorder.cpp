@@ -5,7 +5,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/evaluation_engine.hpp"
+#include "core/study.hpp"
 #include "obs/obs.hpp"
 
 namespace hp::core {
@@ -14,7 +14,7 @@ namespace {
 
 /// Per-sample instruments; process-global, fetched once. Wall-time
 /// histograms measure real phase durations — the virtual clock is charged
-/// by the engine and is never read here except as an event field.
+/// by the Study and is never read here except as an event field.
 struct SampleMetrics {
   obs::Counter& samples;
   obs::Counter& function_evaluations;

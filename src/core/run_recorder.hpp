@@ -57,14 +57,14 @@ class RunRecorder {
 
   /// Books a finalized sample: stamps record.index, counts the function
   /// evaluation (trained statuses), updates the incumbent, tallies, and —
-  /// live only — emits the per-sample metrics and log events. The engine
+  /// live only — emits the per-sample metrics and log events. The Study
   /// calls this before the proposer observes the record, matching the
   /// event order of the pre-pipeline optimizer.
   void observe_sample(EvaluationRecord& record, SampleMode mode);
 
   /// Appends the sample to the trace and — live only — advances the
   /// consecutive-failure streak. Returns the stored record (stable until
-  /// the next commit) so the engine can journal exactly what the trace
+  /// the next commit) so the Study can journal exactly what the trace
   /// holds.
   const EvaluationRecord& commit(EvaluationRecord record, SampleMode mode);
 

@@ -11,9 +11,9 @@
 //   tell(result)  -> books one finished trial (classify, timestamp,
 //                    record, observe, journal, failure streak)
 //
-// The Study never executes anything: *drivers* do. EvaluationEngine
-// (core/evaluation_engine.hpp) is the in-process driver; the process
-// fleet (src/dist) plugs into the same driver through the RoundDispatcher
+// The Study never executes anything: *drivers* do. core::Optimizer
+// (core/optimizer.hpp) is the in-process driver; the process fleet
+// (src/dist) plugs into the same driver through the RoundDispatcher
 // seam, so in-process and multi-process execution share this one state
 // machine. Because every propose/observe/commit flows through here (lint
 // rule `study-ask-tell`), a trace remains a pure function of
@@ -109,7 +109,7 @@ struct OptimizerOptions {
   /// in-process thread pool. Non-owning; must outlive the run. Requires
   /// batch_size > 1 and an objective that supports concurrent evaluation
   /// (jobs must be index-pure for redispatch after a worker loss to be
-  /// safe) — the engine constructor throws otherwise. Proposal, filtering,
+  /// safe) — the Optimizer constructor throws otherwise. Proposal, filtering,
   /// and merge stay on the Study's thread, so the trace remains a pure
   /// function of (seed, batch_size) — never of worker count or scheduling.
   RoundDispatcher* dispatcher = nullptr;

@@ -2,7 +2,7 @@
 // FleetScheduler: the RoundDispatcher implementation behind `--workers N`
 // (DESIGN.md §15). It owns a WorkerSupervisor (the process fleet) and a
 // JobTable per round, and runs a single-threaded poll(2) event loop on the
-// engine thread: dispatch queued jobs to idle ready workers, drain worker
+// driver thread: dispatch queued jobs to idle ready workers, drain worker
 // frames, transition the table on results/heartbeats, and enforce wall-
 // clock deadlines and missed-beat detection by SIGKILL + reap — the
 // process-fleet replacement for DeadlineRunner's detached-watchdog hack
@@ -18,7 +18,7 @@
 // of (seed, batch_size).
 //
 // Concurrency (§14 TSA regime): the event loop, supervisor, and job table
-// are confined to the engine thread and hold no locks. The one mutex here
+// are confined to the driver thread and hold no locks. The one mutex here
 // is stats_mutex_ — a leaf-ranked hp::Mutex guarding the Stats snapshot
 // so tests and progress reporters may read counters from other threads.
 // It is never held across supervisor calls, waits, or any other lock.

@@ -235,19 +235,6 @@ double GaussianProcess::log_marginal_likelihood() const {
   return data_fit + complexity + norm;
 }
 
-linalg::Vector GaussianProcess::loo_means() const {
-  if (!fitted()) {
-    throw std::logic_error("GaussianProcess::loo_means before fit");
-  }
-  // mu_i = y_i - alpha_i / (K^{-1})_{ii}   (R&W 5.12)
-  const linalg::Matrix kinv = chol_->inverse();
-  linalg::Vector out(y_.size());
-  for (std::size_t i = 0; i < y_.size(); ++i) {
-    out[i] = y_[i] - alpha_[i] / kinv(i, i);
-  }
-  return out;
-}
-
 std::size_t GaussianProcess::num_observations() const noexcept {
   return x_.rows();
 }

@@ -109,10 +109,6 @@ class GaussianProcess {
   /// kernel/noise; the objective maximized by kernel fitting.
   [[nodiscard]] double log_marginal_likelihood() const;
 
-  /// Leave-one-out predictive means (Rasmussen & Williams Eq. 5.12), a
-  /// cheap internal cross-validation diagnostic.
-  [[nodiscard]] linalg::Vector loo_means() const;
-
   [[nodiscard]] const Kernel& kernel() const noexcept { return *kernel_; }
   [[nodiscard]] double noise_variance() const noexcept { return noise_variance_; }
   [[nodiscard]] std::size_t num_observations() const noexcept;

@@ -45,54 +45,6 @@ double ard_distance(const linalg::Vector& a, const linalg::Vector& b,
                       std::span<const double>(b.raw()), params);
 }
 
-SquaredExponentialKernel::SquaredExponentialKernel(KernelParams params)
-    : params_(std::move(params)) {
-  params_.validate();
-}
-
-double SquaredExponentialKernel::eval(std::span<const double> a,
-                                      std::span<const double> b) const {
-  const double r = ard_distance(a, b, params_);
-  return params_.signal_variance * std::exp(-0.5 * r * r);
-}
-
-double SquaredExponentialKernel::diagonal_value() const {
-  return params_.signal_variance;
-}
-
-std::unique_ptr<Kernel> SquaredExponentialKernel::with_params(
-    KernelParams params) const {
-  return std::make_unique<SquaredExponentialKernel>(std::move(params));
-}
-
-std::unique_ptr<Kernel> SquaredExponentialKernel::clone() const {
-  return std::make_unique<SquaredExponentialKernel>(*this);
-}
-
-Matern32Kernel::Matern32Kernel(KernelParams params)
-    : params_(std::move(params)) {
-  params_.validate();
-}
-
-double Matern32Kernel::eval(std::span<const double> a,
-                            std::span<const double> b) const {
-  const double r = ard_distance(a, b, params_);
-  const double s = std::sqrt(3.0) * r;
-  return params_.signal_variance * (1.0 + s) * std::exp(-s);
-}
-
-double Matern32Kernel::diagonal_value() const {
-  return params_.signal_variance;
-}
-
-std::unique_ptr<Kernel> Matern32Kernel::with_params(KernelParams params) const {
-  return std::make_unique<Matern32Kernel>(std::move(params));
-}
-
-std::unique_ptr<Kernel> Matern32Kernel::clone() const {
-  return std::make_unique<Matern32Kernel>(*this);
-}
-
 Matern52Kernel::Matern52Kernel(KernelParams params)
     : params_(std::move(params)) {
   params_.validate();

@@ -1,8 +1,8 @@
 #pragma once
 // Covariance kernels for Gaussian-process regression. Spearmint (the tool
 // HyperPower builds on) defaults to a Matern 5/2 kernel with automatic
-// relevance determination (ARD) length-scales; we provide that plus
-// squared-exponential and Matern 3/2 for comparison/ablation.
+// relevance determination (ARD) length-scales, which is the one kernel
+// provided; the Kernel interface is the seam for another functional form.
 
 #include <memory>
 #include <span>
@@ -67,38 +67,6 @@ class Kernel {
   [[nodiscard]] virtual std::unique_ptr<Kernel> clone() const = 0;
 };
 
-/// k(a,b) = sigma_f^2 * exp(-0.5 * r^2), r^2 = sum ((a_d-b_d)/l_d)^2.
-class SquaredExponentialKernel final : public Kernel {
- public:
-  explicit SquaredExponentialKernel(KernelParams params);
-  [[nodiscard]] double eval(std::span<const double> a,
-                            std::span<const double> b) const override;
-  [[nodiscard]] double diagonal_value() const override;
-  [[nodiscard]] std::string name() const override { return "squared_exponential"; }
-  [[nodiscard]] const KernelParams& params() const override { return params_; }
-  [[nodiscard]] std::unique_ptr<Kernel> with_params(KernelParams params) const override;
-  [[nodiscard]] std::unique_ptr<Kernel> clone() const override;
-
- private:
-  KernelParams params_;
-};
-
-/// Matern nu=3/2: sigma_f^2 * (1 + sqrt(3) r) exp(-sqrt(3) r).
-class Matern32Kernel final : public Kernel {
- public:
-  explicit Matern32Kernel(KernelParams params);
-  [[nodiscard]] double eval(std::span<const double> a,
-                            std::span<const double> b) const override;
-  [[nodiscard]] double diagonal_value() const override;
-  [[nodiscard]] std::string name() const override { return "matern32"; }
-  [[nodiscard]] const KernelParams& params() const override { return params_; }
-  [[nodiscard]] std::unique_ptr<Kernel> with_params(KernelParams params) const override;
-  [[nodiscard]] std::unique_ptr<Kernel> clone() const override;
-
- private:
-  KernelParams params_;
-};
-
 /// Matern nu=5/2 (Spearmint's default):
 /// sigma_f^2 * (1 + sqrt(5) r + 5 r^2 / 3) exp(-sqrt(5) r).
 class Matern52Kernel final : public Kernel {
@@ -116,7 +84,7 @@ class Matern52Kernel final : public Kernel {
   KernelParams params_;
 };
 
-/// Scaled Euclidean distance r used by all ARD kernels above.
+/// Scaled Euclidean distance r used by the ARD kernel above.
 [[nodiscard]] double ard_distance(std::span<const double> a,
                                   std::span<const double> b,
                                   const KernelParams& params);

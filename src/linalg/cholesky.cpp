@@ -141,15 +141,4 @@ double Cholesky::log_det() const noexcept {
   return 2.0 * acc;
 }
 
-Matrix Cholesky::inverse() const {
-  const std::size_t n = l_.rows();
-  Matrix inv(n, n);
-  for (std::size_t c = 0; c < n; ++c) {
-    Vector e(n);
-    e[c] = 1.0;
-    inv.set_col(c, solve(e));
-  }
-  return inv;
-}
-
 }  // namespace hp::linalg

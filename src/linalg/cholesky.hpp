@@ -71,9 +71,6 @@ class Cholesky {
   /// log(det A) = 2 * sum(log(L_ii)).
   [[nodiscard]] double log_det() const noexcept;
 
-  /// Reconstructs the inverse of A; O(n^3). For n up to a few hundred only.
-  [[nodiscard]] Matrix inverse() const;
-
  private:
   struct FromFactor {};
   Cholesky(FromFactor, Matrix l, double jitter)

@@ -70,12 +70,6 @@ void Matrix::set_row(std::size_t r, const Vector& v) {
   for (std::size_t c = 0; c < cols_; ++c) data_[r * cols_ + c] = v[c];
 }
 
-void Matrix::set_col(std::size_t c, const Vector& v) {
-  HP_BOUNDS(c, cols_);
-  HP_REQUIRE(v.size() == rows_, "Matrix::set_col: dimension mismatch");
-  for (std::size_t r = 0; r < rows_; ++r) data_[r * cols_ + c] = v[r];
-}
-
 Matrix& Matrix::operator+=(const Matrix& rhs) {
   HP_REQUIRE(same_shape(*this, rhs), shape_mismatch("+=", *this, rhs));
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += rhs.data_[i];

@@ -65,7 +65,6 @@ class Matrix {
   /// Copy of column @p c as a Vector.
   [[nodiscard]] Vector col(std::size_t c) const;
   void set_row(std::size_t r, const Vector& v);
-  void set_col(std::size_t c, const Vector& v);
 
   Matrix& operator+=(const Matrix& rhs);
   Matrix& operator-=(const Matrix& rhs);

@@ -1,7 +1,7 @@
 #pragma once
 // Fixed-size thread pool with a caller-participating parallel_for — the
-// concurrency substrate of the EvaluationEngine's batched rounds
-// (core/evaluation_engine.hpp). Design constraints:
+// concurrency substrate of the Optimizer's batched rounds and of BO
+// acquisition scoring (core/optimizer.hpp). Design constraints:
 //  - deterministic clients: the pool never decides *what* work happens, only
 //    *where*; callers index tasks explicitly and merge results in canonical
 //    order, so a run is bit-identical at any worker count;

@@ -7,7 +7,7 @@
 //    candidate's computational workload;
 //  - early-terminated candidates pay only the observed epochs;
 //  - model-filtered candidates never reach this objective at all (the
-//    EvaluationEngine records them without calling evaluate);
+//    Study records them without calling evaluate);
 //  - every trained candidate is then profiled for power/memory through the
 //    simulated NVML path (measurement also costs time).
 

@@ -178,7 +178,7 @@ TEST(Contracts, HardwareModelRejectsNonFiniteWeights) {
 // --- GP: non-PSD covariance must be reported, not silently mis-predicted --
 
 TEST(Contracts, GpFitRejectsNaNTargets) {
-  gp::SquaredExponentialKernel kernel({1.0, {0.5}});
+  gp::Matern52Kernel kernel({1.0, {0.5}});
   gp::GaussianProcess gp(kernel, 1e-6);
   linalg::Matrix x(3, 1);
   x(0, 0) = 0.0;
@@ -194,7 +194,7 @@ TEST(Contracts, GpFitRejectsNaNTargets) {
 // non-PSD through the whole jitter ladder (NaN kernel entries) must
 // surface as a ContractViolation (HP_ENFORCE), never as garbage output.
 TEST(Contracts, GpNonPsdCovarianceIsReportedAsContractViolation) {
-  gp::SquaredExponentialKernel kernel({1.0, {0.5}});
+  gp::Matern52Kernel kernel({1.0, {0.5}});
   gp::GaussianProcess gp(kernel, 1e-6);
   linalg::Matrix x(2, 1);
   x(0, 0) = 0.0;

@@ -1,8 +1,8 @@
 // Golden-trace regression suite (ISSUE 5). The CSV traces under
 // tests/data/golden/ were captured from the pre-refactor Optimizer loops
 // (run()/run_batched()/resume() as separate code paths); the refactored
-// Proposer / EvaluationEngine / RunRecorder pipeline must reproduce every
-// one of them byte-for-byte:
+// Proposer / Study / Optimizer pipeline must reproduce every one of them
+// byte-for-byte:
 //   - every method (Rand, Rand-Walk, HW-IECI, HW-CWEI, Grid)
 //   - batch_size 1 and 4, num_threads 1 and 4 (thread-count invariance
 //     means both thread counts compare against the SAME golden file)
@@ -26,12 +26,10 @@
 #include <string>
 #include <vector>
 
-#include "core/bayes_opt.hpp"
 #include "core/fault_injection.hpp"
+#include "core/framework.hpp"
 #include "core/grid_search.hpp"
 #include "core/optimizer.hpp"
-#include "core/random_search.hpp"
-#include "core/random_walk.hpp"
 #include "core/trace_io.hpp"
 #include "fake_objective.hpp"
 #include "obs/trace.hpp"
@@ -130,44 +128,40 @@ OptimizerOptions golden_options(const std::string& key, std::size_t batch,
   return opt;
 }
 
+/// The paper method behind a golden key other than "grid".
+Method method_of(const std::string& key) {
+  if (key == "rand") return Method::Rand;
+  if (key == "rand_walk") return Method::RandWalk;
+  if (key.rfind("hw_cwei", 0) == 0) return Method::HwCwei;
+  if (key.rfind("hw_ieci", 0) != 0) {
+    ADD_FAILURE() << "unknown method key " << key;
+  }
+  return Method::HwIeci;
+}
+
 std::unique_ptr<Optimizer> make_optimizer(const std::string& key,
                                           const HyperParameterSpace& space,
                                           Objective& objective,
                                           const HardwareConstraints& constraints,
                                           OptimizerOptions opt) {
-  const ConstraintBudgets budgets = constraints.budgets();
-  if (key == "rand") {
-    return std::make_unique<RandomSearchOptimizer>(space, objective, budgets,
-                                                   &constraints, opt);
-  }
-  if (key == "rand_walk") {
-    return std::make_unique<RandomWalkOptimizer>(space, objective, budgets,
-                                                 &constraints, opt);
-  }
+  std::unique_ptr<Proposer> proposer;
   if (key == "grid") {
     GridSearchOptions grid;
     grid.levels_per_dimension = 3;
-    return std::make_unique<GridSearchOptimizer>(space, objective, budgets,
-                                                 &constraints, opt, grid);
-  }
-  BayesOptOptions bo;
-  bo.initial_design = 3;
-  bo.pool.lattice_points = 120;
-  bo.pool.random_points = 60;
-  // The long scenario stretches the posterior-only stretch between ML
-  // kernel fits so most of its ~70 refits take the incremental path.
-  if (is_long_key(key)) bo.kernel_refit_interval = 12;
-  std::unique_ptr<AcquisitionFunction> acquisition;
-  if (key.rfind("hw_ieci", 0) == 0) {
-    acquisition = std::make_unique<HwIeciAcquisition>();
-  } else if (key.rfind("hw_cwei", 0) == 0) {
-    acquisition = std::make_unique<HwCweiAcquisition>();
+    proposer = std::make_unique<GridSearchProposer>(space, grid);
   } else {
-    ADD_FAILURE() << "unknown method key " << key;
+    BayesOptOptions bo;
+    bo.initial_design = 3;
+    bo.pool.lattice_points = 120;
+    bo.pool.random_points = 60;
+    // The long scenario stretches the posterior-only stretch between ML
+    // kernel fits so most of its ~70 refits take the incremental path.
+    if (is_long_key(key)) bo.kernel_refit_interval = 12;
+    proposer = make_proposer(method_of(key), space, {}, bo);
   }
-  return std::make_unique<BayesOptOptimizer>(space, objective, budgets,
-                                             &constraints, opt,
-                                             std::move(acquisition), bo);
+  return std::make_unique<Optimizer>(space, objective, constraints.budgets(),
+                                     &constraints, std::move(opt),
+                                     std::move(proposer));
 }
 
 FaultSpec golden_faults() {
@@ -178,7 +172,7 @@ FaultSpec golden_faults() {
 }
 
 /// One full fresh-stack run; returns the result (objective torn down after).
-Optimizer::Result run_once(const std::string& key, std::size_t batch,
+RunResult run_once(const std::string& key, std::size_t batch,
                            std::size_t threads,
                            const std::string& journal_path = "") {
   const HyperParameterSpace space = fake_space();
@@ -195,7 +189,7 @@ Optimizer::Result run_once(const std::string& key, std::size_t batch,
 void check_or_regen(const std::string& key, std::size_t batch) {
   const std::string path = golden_path(key, batch);
   if (regen_mode()) {
-    const Optimizer::Result result = run_once(key, batch, /*threads=*/1);
+    const RunResult result = run_once(key, batch, /*threads=*/1);
     write_file(path, trace_csv(result.trace));
     SUCCEED() << "regenerated " << path;
     return;
@@ -205,7 +199,7 @@ void check_or_regen(const std::string& key, std::size_t batch) {
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     SCOPED_TRACE(key + " batch=" + std::to_string(batch) +
                  " threads=" + std::to_string(threads));
-    const Optimizer::Result result = run_once(key, batch, threads);
+    const RunResult result = run_once(key, batch, threads);
     EXPECT_EQ(trace_csv(result.trace), golden);
   }
 }
@@ -222,7 +216,7 @@ void check_resume(const std::string& key, std::size_t batch,
   const std::string golden = read_file(golden_path(key, batch));
   const std::string full_journal =
       temp_path("golden_" + key + "_b" + std::to_string(batch) + "_full.hpj");
-  const Optimizer::Result full = run_once(key, batch, threads, full_journal);
+  const RunResult full = run_once(key, batch, threads, full_journal);
   ASSERT_EQ(trace_csv(full.trace), golden);
   ASSERT_GT(full.trace.size(), keep);
 
@@ -240,7 +234,7 @@ void check_resume(const std::string& key, std::size_t batch,
   OptimizerOptions opt = golden_options(key, batch, threads);
   opt.journal_path = resumed_journal;
   auto optimizer = make_optimizer(key, space, faulty, constraints, opt);
-  const Optimizer::Result resumed = optimizer->resume(crashed.records);
+  const RunResult resumed = optimizer->resume(crashed.records);
   EXPECT_EQ(trace_csv(resumed.trace), golden);
 
   std::remove(full_journal.c_str());

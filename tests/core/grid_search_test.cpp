@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <utility>
 
+#include "core/optimizer.hpp"
 #include "fake_objective.hpp"
 
 namespace hp::core {
@@ -21,20 +24,16 @@ OptimizerOptions fixed_evals(std::size_t n) {
 
 TEST(GridSearch, ValidatesLevels) {
   auto space = fake_space();
-  FakeObjective obj(space);
   GridSearchOptions grid;
   grid.levels_per_dimension = 1;
-  EXPECT_THROW(GridSearchOptimizer(space, obj, {}, nullptr, fixed_evals(4),
-                                   grid),
-               std::invalid_argument);
+  EXPECT_THROW(GridSearchProposer(space, grid), std::invalid_argument);
 }
 
 TEST(GridSearch, GridSizeIsLevelsToTheD) {
   auto space = fake_space();
-  FakeObjective obj(space);
   GridSearchOptions grid;
   grid.levels_per_dimension = 4;
-  GridSearchOptimizer gs(space, obj, {}, nullptr, fixed_evals(1), grid);
+  const GridSearchProposer gs(space, grid);
   EXPECT_EQ(gs.grid_size(), 16u);
   EXPECT_EQ(gs.name(), "Grid");
 }
@@ -44,7 +43,8 @@ TEST(GridSearch, VisitsEveryGridPointExactlyOnce) {
   FakeObjective obj(space, 1.0);
   GridSearchOptions grid;
   grid.levels_per_dimension = 3;
-  GridSearchOptimizer gs(space, obj, {}, nullptr, fixed_evals(9), grid);
+  Optimizer gs(space, obj, {}, nullptr, fixed_evals(9),
+               std::make_unique<GridSearchProposer>(space, grid));
   const auto result = gs.run();
   std::set<std::pair<double, double>> visited;
   for (const auto& r : result.trace.records()) {
@@ -65,8 +65,10 @@ TEST(GridSearch, DeterministicAcrossRuns) {
   auto space = fake_space();
   FakeObjective obj1(space), obj2(space);
   GridSearchOptions grid;
-  GridSearchOptimizer a(space, obj1, {}, nullptr, fixed_evals(6), grid);
-  GridSearchOptimizer b(space, obj2, {}, nullptr, fixed_evals(6), grid);
+  Optimizer a(space, obj1, {}, nullptr, fixed_evals(6),
+              std::make_unique<GridSearchProposer>(space, grid));
+  Optimizer b(space, obj2, {}, nullptr, fixed_evals(6),
+              std::make_unique<GridSearchProposer>(space, grid));
   const auto ra = a.run();
   const auto rb = b.run();
   for (std::size_t i = 0; i < ra.trace.size(); ++i) {
@@ -80,7 +82,8 @@ TEST(GridSearch, WrapsAroundWhenBudgetOutlastsGrid) {
   GridSearchOptions grid;
   grid.levels_per_dimension = 2;  // 4 points
   grid.wrap_around = true;        // opt back into the historic revisiting
-  GridSearchOptimizer gs(space, obj, {}, nullptr, fixed_evals(10), grid);
+  Optimizer gs(space, obj, {}, nullptr, fixed_evals(10),
+               std::make_unique<GridSearchProposer>(space, grid));
   const auto result = gs.run();
   EXPECT_EQ(result.trace.size(), 10u);
   // Points 0 and 4 coincide (wrap-around).
@@ -93,12 +96,14 @@ TEST(GridSearch, StopsAtExhaustionByDefault) {
   FakeObjective obj(space, 1.0);
   GridSearchOptions grid;
   grid.levels_per_dimension = 2;  // 4 points
-  GridSearchOptimizer gs(space, obj, {}, nullptr, fixed_evals(10), grid);
+  auto proposer = std::make_unique<GridSearchProposer>(space, grid);
+  const GridSearchProposer& cursor = *proposer;
+  Optimizer gs(space, obj, {}, nullptr, fixed_evals(10), std::move(proposer));
   const auto result = gs.run();
   // Budget allows 10 evaluations, but the grid only has 4 distinct points:
   // the proposer reports exhausted() and the run ends without repeats.
   EXPECT_EQ(result.trace.size(), 4u);
-  EXPECT_TRUE(gs.exhausted());
+  EXPECT_TRUE(cursor.exhausted());
   std::set<std::pair<double, double>> visited;
   for (const auto& r : result.trace.records()) {
     visited.insert({r.config[0], r.config[1]});
@@ -113,7 +118,8 @@ TEST(GridSearch, FinalShortBatchIsTruncatedNotPadded) {
   grid.levels_per_dimension = 3;  // 9 points
   OptimizerOptions opt = fixed_evals(20);
   opt.batch_size = 4;  // rounds of 4: 4 + 4 + (short) 1
-  GridSearchOptimizer gs(space, obj, {}, nullptr, opt, grid);
+  Optimizer gs(space, obj, {}, nullptr, opt,
+               std::make_unique<GridSearchProposer>(space, grid));
   const auto result = gs.run();
   // Previously the 3rd round was padded to 4 by wrapping the cursor and
   // re-proposing already-visited points; now it is truncated to the one
@@ -133,7 +139,8 @@ TEST(GridSearch, CoarseGridMissesSharpOptimum) {
   FakeObjective obj(space, 1.0);
   GridSearchOptions grid;
   grid.levels_per_dimension = 2;  // points at 0.25 / 0.75 only
-  GridSearchOptimizer gs(space, obj, {}, nullptr, fixed_evals(4), grid);
+  Optimizer gs(space, obj, {}, nullptr, fixed_evals(4),
+               std::make_unique<GridSearchProposer>(space, grid));
   const auto result = gs.run();
   ASSERT_TRUE(result.best.has_value());
   // Best grid point (0.25, 0.75): error = 0.0025 + 0.5*0.0025 = 0.00375 —
@@ -153,7 +160,8 @@ TEST(GridSearch, RespectsModelFilter) {
   opt.max_samples = 9;
   GridSearchOptions grid;
   grid.levels_per_dimension = 3;
-  GridSearchOptimizer gs(space, obj, budgets, &constraints, opt, grid);
+  Optimizer gs(space, obj, budgets, &constraints, opt,
+               std::make_unique<GridSearchProposer>(space, grid));
   const auto result = gs.run();
   // Grid levels for a: 1/6 (~17W), 3/6 (50W), 5/6 (83W): 6 of 9 filtered.
   EXPECT_EQ(result.trace.model_filtered_count(), 6u);

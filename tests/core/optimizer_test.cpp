@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/bayes_opt.hpp"
+#include "core/framework.hpp"
 #include "core/random_search.hpp"
 #include "core/random_walk.hpp"
 #include "fake_objective.hpp"
@@ -34,7 +41,8 @@ OptimizerOptions fixed_evals(std::size_t n, std::uint64_t seed = 1) {
 TEST(RandomSearch, StopsAtMaxFunctionEvaluations) {
   auto space = fake_space();
   FakeObjective obj(space);
-  RandomSearchOptimizer rand(space, obj, {}, nullptr, fixed_evals(12));
+  Optimizer rand(space, obj, {}, nullptr, fixed_evals(12),
+                 std::make_unique<RandomSearchProposer>(space));
   const auto result = rand.run();
   EXPECT_EQ(result.trace.function_evaluations(), 12u);
   EXPECT_EQ(obj.evaluations(), 12u);
@@ -48,7 +56,8 @@ TEST(RandomSearch, StopsAtTimeBudgetAllowingLastSample) {
   OptimizerOptions opt;
   opt.max_runtime_s = 95.0;
   opt.seed = 2;
-  RandomSearchOptimizer rand(space, obj, {}, nullptr, opt);
+  Optimizer rand(space, obj, {}, nullptr, opt,
+                 std::make_unique<RandomSearchProposer>(space));
   const auto result = rand.run();
   // Each sample costs 10s + 0.5s proposal overhead: the run crosses 95s
   // mid-sample and finishes it (like the paper's wall-clock runs).
@@ -64,8 +73,8 @@ TEST(RandomSearch, ModelFilterPreventsObjectiveCalls) {
   opt.max_samples = 50;
   opt.max_function_evaluations = 1000;
   opt.seed = 3;
-  RandomSearchOptimizer rand(space, obj, constraints.budgets(), &constraints,
-                             opt);
+  Optimizer rand(space, obj, constraints.budgets(), &constraints, opt,
+                 std::make_unique<RandomSearchProposer>(space));
   const auto result = rand.run();
   // About 40% of the space is predicted-infeasible: those samples never
   // reach the objective.
@@ -87,8 +96,8 @@ TEST(RandomSearch, DefaultModeIgnoresModelsButDetectsViolations) {
   const auto constraints = make_constraints(60.0);
   OptimizerOptions opt = fixed_evals(30, 4);
   opt.use_hardware_models = false;  // "default" exhaustive mode
-  RandomSearchOptimizer rand(space, obj, constraints.budgets(), &constraints,
-                             opt);
+  Optimizer rand(space, obj, constraints.budgets(), &constraints, opt,
+                 std::make_unique<RandomSearchProposer>(space));
   const auto result = rand.run();
   EXPECT_EQ(result.trace.model_filtered_count(), 0u);
   EXPECT_EQ(result.trace.function_evaluations(), 30u);
@@ -105,7 +114,8 @@ TEST(RandomSearch, EarlyTerminationShortensDivergingRuns) {
   obj.set_diverge_above(0.5);  // half the b-range diverges
   OptimizerOptions opt = fixed_evals(40, 5);
   opt.use_early_termination = true;
-  RandomSearchOptimizer rand(space, obj, {}, nullptr, opt);
+  Optimizer rand(space, obj, {}, nullptr, opt,
+                 std::make_unique<RandomSearchProposer>(space));
   const auto result = rand.run();
   EXPECT_GT(result.trace.early_terminated_count(), 5u);
   for (const auto& r : result.trace.records()) {
@@ -121,7 +131,8 @@ TEST(RandomWalk, CentersProposalsOnIncumbent) {
   FakeObjective obj(space, 1.0);
   RandomWalkOptions walk;
   walk.sigma0 = 0.05;
-  RandomWalkOptimizer rw(space, obj, {}, nullptr, fixed_evals(60, 6), walk);
+  Optimizer rw(space, obj, {}, nullptr, fixed_evals(60, 6),
+               std::make_unique<RandomWalkProposer>(space, walk));
   const auto result = rw.run();
   ASSERT_TRUE(result.best.has_value());
   // With a tight walk the method should have drifted toward the optimum.
@@ -142,9 +153,7 @@ TEST(RandomWalk, InvalidSigmaThrows) {
   FakeObjective obj(space);
   RandomWalkOptions walk;
   walk.sigma0 = 0.0;
-  EXPECT_THROW(RandomWalkOptimizer(space, obj, {}, nullptr, fixed_evals(5),
-                                   walk),
-               std::invalid_argument);
+  EXPECT_THROW(RandomWalkProposer(space, walk), std::invalid_argument);
 }
 
 TEST(BayesOpt, FindsOptimumFasterThanItsInitialDesign) {
@@ -154,9 +163,10 @@ TEST(BayesOpt, FindsOptimumFasterThanItsInitialDesign) {
   bo.initial_design = 4;
   bo.pool.lattice_points = 150;
   bo.pool.random_points = 50;
-  BayesOptOptimizer opt(space, obj, {}, nullptr, fixed_evals(20, 7),
-                        std::make_unique<ExpectedImprovementAcquisition>(),
-                        bo);
+  Optimizer opt(space, obj, {}, nullptr, fixed_evals(20, 7),
+                std::make_unique<BayesOptProposer>(
+                    space, std::make_unique<ExpectedImprovementAcquisition>(),
+                    bo));
   const auto result = opt.run();
   ASSERT_TRUE(result.best.has_value());
   EXPECT_LT(result.best->test_error, 0.02);
@@ -173,8 +183,9 @@ TEST(BayesOpt, HwIeciNeverProposesPredictedViolations) {
   opt.max_function_evaluations = 15;
   opt.max_samples = 500;
   opt.seed = 8;
-  BayesOptOptimizer ieci(space, obj, constraints.budgets(), &constraints, opt,
-                         std::make_unique<HwIeciAcquisition>(), bo);
+  Optimizer ieci(space, obj, constraints.budgets(), &constraints, opt,
+                 std::make_unique<BayesOptProposer>(
+                     space, std::make_unique<HwIeciAcquisition>(), bo));
   const auto result = ieci.run();
   EXPECT_EQ(ieci.name(), "HW-IECI");
   // Once past the random initial design, every *trained* sample was
@@ -192,18 +203,17 @@ TEST(BayesOpt, HwIeciNeverProposesPredictedViolations) {
 TEST(BayesOpt, NullAcquisitionThrows) {
   auto space = fake_space();
   FakeObjective obj(space);
-  EXPECT_THROW(BayesOptOptimizer(space, obj, {}, nullptr, fixed_evals(5),
-                                 nullptr),
-               std::invalid_argument);
+  EXPECT_THROW(BayesOptProposer(space, nullptr), std::invalid_argument);
 }
 
 TEST(BayesOpt, OverheadGrowsWithObservations) {
   auto space = fake_space();
   FakeObjective obj(space, 1.0);
   BayesOptOptions bo;
-  BayesOptOptimizer opt(space, obj, {}, nullptr, fixed_evals(10, 9),
-                        std::make_unique<ExpectedImprovementAcquisition>(),
-                        bo);
+  Optimizer opt(space, obj, {}, nullptr, fixed_evals(10, 9),
+                std::make_unique<BayesOptProposer>(
+                    space, std::make_unique<ExpectedImprovementAcquisition>(),
+                    bo));
   const auto result = opt.run();
   const auto& rec = result.trace.records();
   // Timestamps spacing grows: later proposals pay larger model-fit cost.
@@ -221,8 +231,8 @@ TEST(Optimizer, MaxSamplesGuardsAgainstFilterLoops) {
   OptimizerOptions opt;
   opt.max_samples = 25;
   opt.seed = 10;
-  RandomSearchOptimizer rand(space, obj, constraints.budgets(), &constraints,
-                             opt);
+  Optimizer rand(space, obj, constraints.budgets(), &constraints, opt,
+                 std::make_unique<RandomSearchProposer>(space));
   const auto result = rand.run();
   EXPECT_EQ(result.trace.size(), 25u);
   EXPECT_EQ(obj.evaluations(), 0u);
@@ -232,7 +242,8 @@ TEST(Optimizer, MaxSamplesGuardsAgainstFilterLoops) {
 TEST(Optimizer, TimestampsAreMonotone) {
   auto space = fake_space();
   FakeObjective obj(space, 3.0);
-  RandomSearchOptimizer rand(space, obj, {}, nullptr, fixed_evals(15, 11));
+  Optimizer rand(space, obj, {}, nullptr, fixed_evals(15, 11),
+                 std::make_unique<RandomSearchProposer>(space));
   const auto result = rand.run();
   double prev = -1.0;
   for (const auto& r : result.trace.records()) {
@@ -244,18 +255,103 @@ TEST(Optimizer, TimestampsAreMonotone) {
 TEST(Optimizer, IndicesAreSequential) {
   auto space = fake_space();
   FakeObjective obj(space);
-  RandomSearchOptimizer rand(space, obj, {}, nullptr, fixed_evals(8, 12));
+  Optimizer rand(space, obj, {}, nullptr, fixed_evals(8, 12),
+                 std::make_unique<RandomSearchProposer>(space));
   const auto result = rand.run();
   for (std::size_t i = 0; i < result.trace.size(); ++i) {
     EXPECT_EQ(result.trace.records()[i].index, i);
   }
 }
 
+/// A fleet stand-in that loses the last record of every round.
+class ShortDispatcher final : public RoundDispatcher {
+ public:
+  [[nodiscard]] std::vector<EvaluationRecord> evaluate_round(
+      std::vector<RoundJob> jobs) override {
+    return std::vector<EvaluationRecord>(jobs.size() - 1);
+  }
+};
+
+TEST(Optimizer, RejectsInvalidArguments) {
+  const HyperParameterSpace space = fake_space();
+  ShortDispatcher dispatcher;
+  struct Case {
+    const char* name;
+    std::function<void(OptimizerOptions&, FakeObjective&)> edit;
+    bool null_proposer = false;
+    /// The constructor accepts the arguments and run() throws
+    /// std::runtime_error; otherwise the constructor throws
+    /// std::invalid_argument.
+    bool throws_at_run = false;
+  };
+  const std::vector<Case> cases{
+      {"zero max_samples",
+       [](OptimizerOptions& o, FakeObjective&) { o.max_samples = 0; }},
+      {"zero batch_size",
+       [](OptimizerOptions& o, FakeObjective&) { o.batch_size = 0; }},
+      {"zero num_threads",
+       [](OptimizerOptions& o, FakeObjective&) { o.num_threads = 0; }},
+      {"null proposer", [](OptimizerOptions&, FakeObjective&) {}, true},
+      {"dispatcher with batch_size 1",
+       [&](OptimizerOptions& o, FakeObjective&) {
+         o.dispatcher = &dispatcher;
+       }},
+      {"dispatcher over a serial objective",
+       [&](OptimizerOptions& o, FakeObjective& objective) {
+         o.dispatcher = &dispatcher;
+         o.batch_size = 4;
+         objective.set_supports_concurrent(false);
+       }},
+      {"dispatcher returning fewer records than jobs",
+       [&](OptimizerOptions& o, FakeObjective&) {
+         o.dispatcher = &dispatcher;
+         o.batch_size = 4;
+       },
+       false, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    FakeObjective objective(space);
+    OptimizerOptions options = fixed_evals(8);
+    c.edit(options, objective);
+    std::unique_ptr<Proposer> proposer;
+    if (!c.null_proposer) {
+      proposer = std::make_unique<RandomSearchProposer>(space);
+    }
+    if (c.throws_at_run) {
+      Optimizer optimizer(space, objective, {}, nullptr, options,
+                          std::move(proposer));
+      EXPECT_THROW((void)optimizer.run(), std::runtime_error);
+    } else {
+      EXPECT_THROW((void)Optimizer(space, objective, {}, nullptr, options,
+                                   std::move(proposer)),
+                   std::invalid_argument);
+    }
+  }
+
+  // make_proposer: the paper's name for each method, and the strategy's
+  // own option checks pass through.
+  const std::vector<std::pair<Method, std::string>> names{
+      {Method::Rand, "Rand"},
+      {Method::RandWalk, "Rand-Walk"},
+      {Method::HwCwei, "HW-CWEI"},
+      {Method::HwIeci, "HW-IECI"}};
+  for (const auto& [method, name] : names) {
+    EXPECT_EQ(make_proposer(method, space)->name(), name);
+  }
+  RandomWalkOptions walk;
+  walk.sigma0 = 0.0;
+  EXPECT_THROW((void)make_proposer(Method::RandWalk, space, walk),
+               std::invalid_argument);
+}
+
 TEST(Optimizer, DeterministicForSeed) {
   auto space = fake_space();
   FakeObjective obj1(space), obj2(space);
-  RandomSearchOptimizer a(space, obj1, {}, nullptr, fixed_evals(10, 77));
-  RandomSearchOptimizer b(space, obj2, {}, nullptr, fixed_evals(10, 77));
+  Optimizer a(space, obj1, {}, nullptr, fixed_evals(10, 77),
+              std::make_unique<RandomSearchProposer>(space));
+  Optimizer b(space, obj2, {}, nullptr, fixed_evals(10, 77),
+              std::make_unique<RandomSearchProposer>(space));
   const auto ra = a.run();
   const auto rb = b.run();
   ASSERT_EQ(ra.trace.size(), rb.trace.size());

@@ -1,5 +1,5 @@
 // Study-layer tests: the ask/tell state machine in isolation, driven by
-// hand instead of by EvaluationEngine. The engine-level behavior (golden
+// hand instead of by the Optimizer. The driver-level behavior (golden
 // traces, resume, fleet) is pinned elsewhere; this file covers the
 // contract of the interface itself — batch shortening on exhaustion,
 // lifecycle ordering, tail dropping, and the config re-stamp.

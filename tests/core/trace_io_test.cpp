@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <sstream>
 
+#include "core/optimizer.hpp"
 #include "core/random_search.hpp"
 #include "fake_objective.hpp"
 
@@ -135,8 +137,9 @@ TEST(TraceIo, BatchedRunTraceRoundTrips) {
   opt.batch_size = 4;
   opt.num_threads = 2;
   opt.use_hardware_models = false;
-  RandomSearchOptimizer optimizer(space, objective, budgets, nullptr, opt);
-  const Optimizer::Result result = optimizer.run();
+  Optimizer optimizer(space, objective, budgets, nullptr, opt,
+                      std::make_unique<RandomSearchProposer>(space));
+  const RunResult result = optimizer.run();
   const RunTrace& original = result.trace;
 
   std::stringstream buffer;

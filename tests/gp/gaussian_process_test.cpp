@@ -38,7 +38,6 @@ TEST(GaussianProcess, PredictBeforeFitThrows) {
   EXPECT_FALSE(gp.fitted());
   EXPECT_THROW((void)gp.predict(Vector{0.0}), std::logic_error);
   EXPECT_THROW((void)gp.log_marginal_likelihood(), std::logic_error);
-  EXPECT_THROW((void)gp.loo_means(), std::logic_error);
 }
 
 TEST(GaussianProcess, FitValidatesShapes) {
@@ -129,24 +128,6 @@ TEST(GaussianProcess, HigherNoiseWidensPredictiveBand) {
   high.fit(x, y);
   EXPECT_LT(low.predict(Vector{0.5}).variance,
             high.predict(Vector{0.5}).variance);
-}
-
-TEST(GaussianProcess, LooMeansReasonableOnSmoothData) {
-  stats::Rng rng(11);
-  Matrix x(30, 1);
-  Vector y(30);
-  for (std::size_t i = 0; i < 30; ++i) {
-    x(i, 0) = static_cast<double>(i) / 29.0;
-    y[i] = std::sin(3.0 * x(i, 0));
-  }
-  auto gp = make_gp(1e-6);
-  gp.fit(x, y);
-  const Vector loo = gp.loo_means();
-  double max_err = 0.0;
-  for (std::size_t i = 1; i + 1 < 30; ++i) {  // interior points
-    max_err = std::max(max_err, std::abs(loo[i] - y[i]));
-  }
-  EXPECT_LT(max_err, 0.05);
 }
 
 TEST(GaussianProcess, SetKernelRefits) {

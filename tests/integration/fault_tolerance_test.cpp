@@ -12,14 +12,13 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "core/acquisition.hpp"
-#include "core/bayes_opt.hpp"
 #include "core/fault_injection.hpp"
+#include "core/framework.hpp"
 #include "core/hw_models.hpp"
 #include "core/optimizer.hpp"
-#include "core/random_search.hpp"
 #include "core/spaces.hpp"
 #include "core/trace_io.hpp"
 #include "hw/device.hpp"
@@ -90,9 +89,9 @@ TEST(FaultTolerance, FaultyTestbedRunRecordsEveryCandidateExactlyOnce) {
   options.max_function_evaluations = 25;
   options.seed = 5;
   options.retry = fast_retries();
-  RandomSearchOptimizer optimizer(problem.space(), faulty, {}, nullptr,
-                                  options);
-  const Optimizer::Result result = optimizer.run();
+  Optimizer optimizer(problem.space(), faulty, {}, nullptr, options,
+                      make_proposer(Method::Rand, problem.space()));
+  const RunResult result = optimizer.run();
 
   EXPECT_FALSE(result.aborted);
   EXPECT_EQ(result.trace.function_evaluations(), 25u);
@@ -127,8 +126,9 @@ TEST(FaultTolerance, PersistentlyBrokenEnvironmentAbortsInsteadOfSpinning) {
   options.max_function_evaluations = 50;
   options.seed = 6;
   options.retry.max_consecutive_failed_samples = 5;
-  RandomSearchOptimizer optimizer(space, faulty, {}, nullptr, options);
-  const Optimizer::Result result = optimizer.run();
+  Optimizer optimizer(space, faulty, {}, nullptr, options,
+                      make_proposer(Method::Rand, space));
+  const RunResult result = optimizer.run();
   EXPECT_TRUE(result.aborted);
   EXPECT_FALSE(result.abort_reason.empty());
   EXPECT_FALSE(result.best.has_value());
@@ -156,7 +156,7 @@ void expect_resume_bit_identical(const HyperParameterSpace& space,
   FakeObjective reference_inner(space);
   FaultInjectingObjective reference_faulty(reference_inner, faults);
   auto reference = make_optimizer(reference_faulty, options);
-  const Optimizer::Result uninterrupted = reference->run();
+  const RunResult uninterrupted = reference->run();
   ASSERT_GT(uninterrupted.trace.size(), keep);
 
   // "Crash": keep only the first @p keep journaled records.
@@ -169,7 +169,7 @@ void expect_resume_bit_identical(const HyperParameterSpace& space,
   FakeObjective resumed_inner(space);
   FaultInjectingObjective resumed_faulty(resumed_inner, faults);
   auto fresh = make_optimizer(resumed_faulty, options);
-  const Optimizer::Result resumed = fresh->resume(crashed.records);
+  const RunResult resumed = fresh->resume(crashed.records);
 
   EXPECT_EQ(trace_csv(resumed.trace), trace_csv(uninterrupted.trace))
       << tag << ": resumed trace differs from uninterrupted run";
@@ -185,6 +185,16 @@ void expect_resume_bit_identical(const HyperParameterSpace& space,
   std::remove(resumed_journal.c_str());
 }
 
+/// The optimizer factory expect_resume_bit_identical takes: @p method over
+/// @p space, without budgets or a-priori models.
+auto optimizer_for(const HyperParameterSpace& space, Method method) {
+  return [&space, method](Objective& objective, OptimizerOptions options) {
+    return std::make_unique<Optimizer>(space, objective, ConstraintBudgets{},
+                                       nullptr, std::move(options),
+                                       make_proposer(method, space));
+  };
+}
+
 OptimizerOptions base_options(std::uint64_t seed, std::size_t evals) {
   OptimizerOptions options;
   options.max_function_evaluations = evals;
@@ -195,59 +205,45 @@ OptimizerOptions base_options(std::uint64_t seed, std::size_t evals) {
 
 TEST(FaultTolerance, ResumeIsBitIdentical_RandSequential) {
   auto space = fake_space();
-  const auto make = [&space](Objective& objective, OptimizerOptions options) {
-    return std::make_unique<RandomSearchOptimizer>(space, objective, ConstraintBudgets{},
-                                                   nullptr, options);
-  };
-  expect_resume_bit_identical(space, make, base_options(11, 20), 7,
-                              "rand_seq");
+  expect_resume_bit_identical(space, optimizer_for(space, Method::Rand),
+                              base_options(11, 20), 7, "rand_seq");
 }
 
 TEST(FaultTolerance, ResumeIsBitIdentical_RandBatchedParallel) {
   auto space = fake_space();
-  const auto make = [&space](Objective& objective, OptimizerOptions options) {
-    return std::make_unique<RandomSearchOptimizer>(space, objective, ConstraintBudgets{},
-                                                   nullptr, options);
-  };
   OptimizerOptions options = base_options(12, 20);
   options.batch_size = 4;
   options.num_threads = 4;
   // 6 is mid-round for batch 4: the partial round must be dropped and
   // re-evaluated identically.
-  expect_resume_bit_identical(space, make, options, 6, "rand_batched");
+  expect_resume_bit_identical(space, optimizer_for(space, Method::Rand),
+                              options, 6, "rand_batched");
 }
 
 TEST(FaultTolerance, ResumeIsBitIdentical_HwIeciSequential) {
   auto space = fake_space();
-  const auto make = [&space](Objective& objective, OptimizerOptions options) {
-    return std::make_unique<BayesOptOptimizer>(
-        space, objective, ConstraintBudgets{}, nullptr, options,
-        std::make_unique<HwIeciAcquisition>());
-  };
-  expect_resume_bit_identical(space, make, base_options(13, 10), 5,
-                              "ieci_seq");
+  expect_resume_bit_identical(space, optimizer_for(space, Method::HwIeci),
+                              base_options(13, 10), 5, "ieci_seq");
 }
 
 TEST(FaultTolerance, ResumeIsBitIdentical_HwIeciBatched) {
   auto space = fake_space();
-  const auto make = [&space](Objective& objective, OptimizerOptions options) {
-    return std::make_unique<BayesOptOptimizer>(
-        space, objective, ConstraintBudgets{}, nullptr, options,
-        std::make_unique<HwIeciAcquisition>());
-  };
   OptimizerOptions options = base_options(14, 10);
   options.batch_size = 3;
   options.num_threads = 2;
-  expect_resume_bit_identical(space, make, options, 4, "ieci_batched");
+  expect_resume_bit_identical(space, optimizer_for(space, Method::HwIeci),
+                              options, 4, "ieci_batched");
 }
 
 TEST(FaultTolerance, ResumeFromEmptyJournalEqualsFreshRun) {
   auto space = fake_space();
   FakeObjective a_inner(space);
-  RandomSearchOptimizer a(space, a_inner, {}, nullptr, base_options(15, 10));
+  Optimizer a(space, a_inner, {}, nullptr, base_options(15, 10),
+              make_proposer(Method::Rand, space));
   const auto reference = a.run();
   FakeObjective b_inner(space);
-  RandomSearchOptimizer b(space, b_inner, {}, nullptr, base_options(15, 10));
+  Optimizer b(space, b_inner, {}, nullptr, base_options(15, 10),
+              make_proposer(Method::Rand, space));
   const auto resumed = b.resume({});
   EXPECT_EQ(trace_csv(resumed.trace), trace_csv(reference.trace));
 }
@@ -255,11 +251,13 @@ TEST(FaultTolerance, ResumeFromEmptyJournalEqualsFreshRun) {
 TEST(FaultTolerance, ResumeRejectsMismatchedRecords) {
   auto space = fake_space();
   FakeObjective a_inner(space);
-  RandomSearchOptimizer a(space, a_inner, {}, nullptr, base_options(16, 8));
+  Optimizer a(space, a_inner, {}, nullptr, base_options(16, 8),
+              make_proposer(Method::Rand, space));
   const auto reference = a.run();
   // Same method, different seed: the replayed proposals cannot match.
   FakeObjective b_inner(space);
-  RandomSearchOptimizer b(space, b_inner, {}, nullptr, base_options(17, 8));
+  Optimizer b(space, b_inner, {}, nullptr, base_options(17, 8),
+              make_proposer(Method::Rand, space));
   EXPECT_THROW((void)b.resume(reference.trace.records()), std::runtime_error);
 }
 

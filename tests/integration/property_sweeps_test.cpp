@@ -3,10 +3,26 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "core/framework.hpp"
 #include "testbed/testbed_objective.hpp"
 
 namespace hp::core {
+
+// gtest prints a parameter without a PrintTo as its raw bytes, and ctest
+// registers that printout as part of the test's name. These overloads give
+// every parameterized test below a readable name that is the same in
+// every build ("HW_IECI", "Rand_Walk_def_2").
+void PrintTo(Method method, std::ostream* os) {
+  std::string name = to_string(method);
+  for (char& c : name) {
+    if (c == '-') c = '_';
+  }
+  *os << name;
+}
+
 namespace {
 
 struct SweepCase {
@@ -15,13 +31,9 @@ struct SweepCase {
   std::uint64_t seed;
 };
 
-std::string sweep_name(const ::testing::TestParamInfo<SweepCase>& info) {
-  std::string name = to_string(info.param.method);
-  for (char& c : name) {
-    if (c == '-') c = '_';
-  }
-  return name + (info.param.hyperpower ? "_hp_" : "_def_") +
-         std::to_string(info.param.seed);
+void PrintTo(const SweepCase& sweep, std::ostream* os) {
+  PrintTo(sweep.method, os);
+  *os << (sweep.hyperpower ? "_hp_" : "_def_") << sweep.seed;
 }
 
 class RunInvariants : public ::testing::TestWithParam<SweepCase> {};
@@ -119,8 +131,7 @@ INSTANTIATE_TEST_SUITE_P(
         SweepCase{Method::HwCwei, false, 1},
         SweepCase{Method::HwIeci, true, 1},
         SweepCase{Method::HwIeci, true, 2},
-        SweepCase{Method::HwIeci, false, 1}),
-    sweep_name);
+        SweepCase{Method::HwIeci, false, 1}));
 
 class SeedDeterminism : public ::testing::TestWithParam<Method> {};
 
@@ -159,14 +170,7 @@ TEST_P(SeedDeterminism, IdenticalRunsForIdenticalSeeds) {
 
 INSTANTIATE_TEST_SUITE_P(AllMethods, SeedDeterminism,
                          ::testing::Values(Method::Rand, Method::RandWalk,
-                                           Method::HwCwei, Method::HwIeci),
-                         [](const ::testing::TestParamInfo<Method>& param) {
-                           std::string name = to_string(param.param);
-                           for (char& c : name) {
-                             if (c == '-') c = '_';
-                           }
-                           return name;
-                         });
+                                           Method::HwCwei, Method::HwIeci));
 
 }  // namespace
 }  // namespace hp::core

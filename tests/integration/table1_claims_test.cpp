@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
+#include <string>
+
 #include "core/hw_models.hpp"
 #include "core/spaces.hpp"
 #include "hw/profiler.hpp"
@@ -19,12 +23,15 @@ struct PairCase {
   bool expect_memory_model;
 };
 
-std::string case_name(const ::testing::TestParamInfo<PairCase>& info) {
-  std::string name = std::string(info.param.problem) + "_" + info.param.device;
+// Without it gtest prints the case as raw bytes (pointers and padding
+// included), and ctest would register that printout as part of the test's
+// name; this gives a readable name that is the same in every build.
+void PrintTo(const PairCase& pair, std::ostream* os) {
+  std::string name = std::string(pair.problem) + "_" + pair.device;
   for (char& c : name) {
     if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
   }
-  return name;
+  *os << name;
 }
 
 class Table1Claims : public ::testing::TestWithParam<PairCase> {
@@ -97,8 +104,7 @@ INSTANTIATE_TEST_SUITE_P(
                       PairCase{"mnist", "Tegra TX1", false},
                       PairCase{"cifar10", "Tegra TX1", false},
                       PairCase{"mnist", "GTX 1080 Ti", true},
-                      PairCase{"cifar10", "Jetson Nano", false}),
-    case_name);
+                      PairCase{"cifar10", "Jetson Nano", false}));
 
 }  // namespace
 }  // namespace hp::core

@@ -54,13 +54,6 @@ TEST(Cholesky, LogDetMatchesTwoByTwo) {
   EXPECT_NEAR(chol.log_det(), std::log(8.0), 1e-12);
 }
 
-TEST(Cholesky, InverseTimesMatrixIsIdentity) {
-  const Matrix a = random_spd(4, 4);
-  const Cholesky chol(a);
-  const Matrix inv = chol.inverse();
-  EXPECT_LT(max_abs_diff(a * inv, Matrix::identity(4)), 1e-8);
-}
-
 TEST(Cholesky, NonSquareThrows) {
   Matrix a(2, 3);
   EXPECT_THROW(Cholesky{a}, std::invalid_argument);

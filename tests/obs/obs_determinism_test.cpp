@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 
+#include "core/optimizer.hpp"
 #include "core/random_search.hpp"
 #include "obs/obs.hpp"
 #include "../core/fake_objective.hpp"
@@ -40,7 +41,7 @@ class GlobalObsOn {
   std::shared_ptr<obs::JsonlSink> sink_;
 };
 
-Optimizer::Result run_batched(std::size_t threads) {
+RunResult run_batched(std::size_t threads) {
   const HyperParameterSpace space = testing::fake_space();
   ConstraintBudgets budgets;
   budgets.power_w = 60.0;
@@ -51,12 +52,12 @@ Optimizer::Result run_batched(std::size_t threads) {
   opt.batch_size = 5;
   opt.num_threads = threads;
   opt.use_hardware_models = false;
-  RandomSearchOptimizer optimizer(space, objective, budgets, nullptr, opt);
+  Optimizer optimizer(space, objective, budgets, nullptr, opt,
+                      std::make_unique<RandomSearchProposer>(space));
   return optimizer.run();
 }
 
-void expect_same_trace(const Optimizer::Result& a,
-                       const Optimizer::Result& b) {
+void expect_same_trace(const RunResult& a, const RunResult& b) {
   ASSERT_EQ(a.trace.size(), b.trace.size());
   for (std::size_t i = 0; i < a.trace.size(); ++i) {
     const EvaluationRecord& ra = a.trace.records()[i];

@@ -11,12 +11,10 @@
 #include <sstream>
 #include <string>
 
-#include "core/bayes_opt.hpp"
 #include "core/fault_injection.hpp"
+#include "core/framework.hpp"
 #include "core/grid_search.hpp"
 #include "core/optimizer.hpp"
-#include "core/random_search.hpp"
-#include "core/random_walk.hpp"
 #include "obs/trace.hpp"
 #include "../core/fake_objective.hpp"
 
@@ -60,34 +58,24 @@ std::unique_ptr<Optimizer> make_optimizer(
     const std::string& key, const HyperParameterSpace& space,
     Objective& objective, const HardwareConstraints& constraints,
     const OptimizerOptions& opt) {
-  const ConstraintBudgets budgets = constraints.budgets();
-  if (key == "rand") {
-    return std::make_unique<RandomSearchOptimizer>(space, objective, budgets,
-                                                   &constraints, opt);
-  }
-  if (key == "rand_walk") {
-    return std::make_unique<RandomWalkOptimizer>(space, objective, budgets,
-                                                 &constraints, opt);
-  }
+  std::unique_ptr<Proposer> proposer;
   if (key == "grid") {
     GridSearchOptions grid;
     grid.levels_per_dimension = 3;
-    return std::make_unique<GridSearchOptimizer>(space, objective, budgets,
-                                                 &constraints, opt, grid);
-  }
-  BayesOptOptions bo;
-  bo.initial_design = 3;
-  bo.pool.lattice_points = 120;
-  bo.pool.random_points = 60;
-  std::unique_ptr<AcquisitionFunction> acquisition;
-  if (key == "hw_ieci") {
-    acquisition = std::make_unique<HwIeciAcquisition>();
+    proposer = std::make_unique<GridSearchProposer>(space, grid);
   } else {
-    acquisition = std::make_unique<HwCweiAcquisition>();
+    BayesOptOptions bo;
+    bo.initial_design = 3;
+    bo.pool.lattice_points = 120;
+    bo.pool.random_points = 60;
+    const Method method = key == "rand"        ? Method::Rand
+                          : key == "rand_walk" ? Method::RandWalk
+                          : key == "hw_ieci"   ? Method::HwIeci
+                                               : Method::HwCwei;
+    proposer = make_proposer(method, space, {}, bo);
   }
-  return std::make_unique<BayesOptOptimizer>(space, objective, budgets,
-                                             &constraints, opt,
-                                             std::move(acquisition), bo);
+  return std::make_unique<Optimizer>(space, objective, constraints.budgets(),
+                                     &constraints, opt, std::move(proposer));
 }
 
 /// One fresh-stack faulty run; the scenario mirrors the golden-trace
@@ -119,7 +107,7 @@ std::string run_trace_csv(const std::string& key, std::size_t batch) {
     opt.max_samples = 60;
   }
   auto optimizer = make_optimizer(key, space, faulty, constraints, opt);
-  const Optimizer::Result result = optimizer->run();
+  const RunResult result = optimizer->run();
   std::ostringstream os;
   result.trace.write_csv(os);
   return os.str();

@@ -39,7 +39,7 @@ void expect_same_record(const EvaluationRecord& a, const EvaluationRecord& b,
   EXPECT_EQ(a.index, b.index);
 }
 
-void expect_same_result(const Optimizer::Result& a, const Optimizer::Result& b,
+void expect_same_result(const RunResult& a, const RunResult& b,
                         const std::string& label) {
   ASSERT_EQ(a.trace.size(), b.trace.size()) << label;
   for (std::size_t i = 0; i < a.trace.size(); ++i) {
@@ -65,7 +65,8 @@ TEST(ParallelDeterminismTest, FakeObjectiveBatchedRunIsThreadCountInvariant) {
     opt.batch_size = 5;
     opt.num_threads = threads;
     opt.use_hardware_models = false;
-    RandomSearchOptimizer optimizer(space, objective, budgets, nullptr, opt);
+    Optimizer optimizer(space, objective, budgets, nullptr, opt,
+                        std::make_unique<RandomSearchProposer>(space));
     return optimizer.run();
   };
 
@@ -91,7 +92,8 @@ TEST(ParallelDeterminismTest, SerialObjectiveFallbackIsThreadCountInvariant) {
     opt.batch_size = 4;
     opt.num_threads = threads;
     opt.use_hardware_models = false;
-    RandomSearchOptimizer optimizer(space, objective, budgets, nullptr, opt);
+    Optimizer optimizer(space, objective, budgets, nullptr, opt,
+                        std::make_unique<RandomSearchProposer>(space));
     return optimizer.run();
   };
 
@@ -107,7 +109,7 @@ class TestbedDeterminismTest : public ::testing::Test {
 
   /// One full framework run (fresh objective each time: the virtual clock
   /// and sensor streams start from scratch, like a real experiment).
-  Optimizer::Result run(Method method, std::size_t threads) {
+  RunResult run(Method method, std::size_t threads) {
     testbed::TestbedObjective objective(
         problem_, testbed::mnist_landscape(), hw::gtx1070(),
         testbed::calibrated_options("mnist", hw::gtx1070()));

@@ -141,7 +141,7 @@ class RawObjectiveEvaluateTest(unittest.TestCase):
 
     def test_pipeline_and_cost_model_callers_pass(self):
         findings = run_checks({
-            "src/core/evaluation_engine.cpp":
+            "src/core/optimizer.cpp":
                 "auto r = objective->evaluate(x);\n",
             "src/core/b.cpp": "auto c = device.cost_model().evaluate(net);\n",
         })
@@ -151,7 +151,7 @@ class RawObjectiveEvaluateTest(unittest.TestCase):
 class StudyAskTellTest(unittest.TestCase):
     def test_fires_on_proposer_and_recorder_mutation_outside_study(self):
         findings = run_checks({
-            "src/core/evaluation_engine.cpp":
+            "src/core/optimizer.cpp":
                 "void f() { auto c = proposer_.propose(rng);\n"
                 "  auto batch = proposer.propose_batch(base, count);\n"
                 "  recorder_.observe_sample(record, mode);\n"

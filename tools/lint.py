@@ -23,18 +23,18 @@ Rules (see DESIGN.md §10 for rationale and how to add one):
   raw-objective-evaluate
                         In library code (src/), Objective::evaluate /
                         evaluate_detached may only be invoked by the
-                        evaluation pipeline (EvaluationEngine through
-                        ResilientEvaluator) and the objective decorators —
-                        every production evaluation must pass through the
-                        retry/journal/recording path (DESIGN.md §12).
-                        Hardware cost-model evaluate() calls and tests are
-                        exempt.
+                        evaluation pipeline (the Optimizer's driver loop
+                        through ResilientEvaluator) and the objective
+                        decorators — every production evaluation must
+                        pass through the retry/journal/recording path
+                        (DESIGN.md §12). Hardware cost-model evaluate()
+                        calls and tests are exempt.
   study-ask-tell        In library code (src/), direct mutation of a run's
                         proposal strategy or books — Proposer::propose /
                         propose_batch / begin_run / observe and
                         RunRecorder::begin_run / observe_sample / commit /
                         take_trace — is reserved for core::Study
-                        (src/core/study.cpp). Engine, dist, and cli layers
+                        (src/core/study.cpp). Optimizer, dist, and cli layers
                         must go through ask()/tell(): the ask/tell
                         confinement is what guarantees a trace stays a
                         pure function of (seed, batch_size) no matter
@@ -93,7 +93,7 @@ RANDOMNESS = [
      "std::random_device breaks run reproducibility; derive streams from "
      "stats::Rng / stats::stream_seed instead"),
     # rand() is nullary and srand() unary, which keeps locals that happen
-    # to be named `rand` (e.g. a RandomSearchOptimizer) out of scope.
+    # to be named `rand` (e.g. a random-search Optimizer) out of scope.
     (re.compile(r"(?<![\w:.])rand\s*\(\s*\)|(?<![\w:.])srand\s*\("),
      "C rand()/srand() is non-deterministic across platforms; use "
      "stats::Rng"),
@@ -223,12 +223,12 @@ def check_failure_recording(path, root, lines, findings):
 # Member calls to evaluate()/evaluate_detached() — the raw objective entry
 # points. Declarations/overrides don't match (no receiver).
 OBJECTIVE_EVALUATE_RE = re.compile(r"(?:\.|->)\s*evaluate(?:_detached)?\s*\(")
-# The sanctioned callers: the engine (through ResilientEvaluator), the
+# The sanctioned callers: the Optimizer (through ResilientEvaluator), the
 # retry wrapper itself, the fault-injection decorator, Objective's own
 # default-method implementations, and the fleet worker loop (which runs
-# the same ResilientEvaluator path on behalf of a remote engine).
+# the same ResilientEvaluator path on behalf of a remote Optimizer).
 OBJECTIVE_EVALUATE_ALLOWLIST = (
-    ("src", "core", "evaluation_engine.cpp"),
+    ("src", "core", "optimizer.cpp"),
     ("src", "core", "resilience.cpp"),
     ("src", "core", "fault_injection.cpp"),
     ("src", "core", "objective.cpp"),
@@ -253,7 +253,7 @@ def check_raw_objective_evaluate(path, root, lines, findings):
         findings.append(Finding(
             path, lineno, "raw-objective-evaluate",
             "Objective::evaluate/evaluate_detached must go through the "
-            "EvaluationEngine pipeline (ResilientEvaluator) so every "
+            "Optimizer's driver loop (ResilientEvaluator) so every "
             "evaluation is retried, journaled, and recorded"))
 
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Tier-1 verification wrapper, six phases (see tests/README.md):
-#   1. default build + full ctest suite
+#   1. default build + full ctest suite, after checking that every ctest
+#      name is free of raw parameter dumps
 #   2. ThreadSanitizer rebuild of the concurrency + resilience suites
 #      (test_parallel, test_obs, test_resilience, test_integration), run
 #      directly
@@ -67,6 +68,15 @@ python3 tools/lint.py
 echo "== tier 1: default build =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$jobs"
+# A parameterized test whose parameter type has no PrintTo overload is
+# listed with a raw byte dump ("# GetParam() = 24-byte object <...>"),
+# and that dump becomes part of its ctest name. Pointers and struct
+# padding in it make the name differ from build to build.
+if ctest --test-dir build -N | grep -F 'GetParam() ='; then
+  echo "ERROR: the ctest names above embed a raw parameter dump; give the" >&2
+  echo "       parameter type a PrintTo overload" >&2
+  exit 1
+fi
 ctest --test-dir build --output-on-failure -j "$jobs"
 
 echo "== tier 1: ThreadSanitizer pass (parallel/obs/resilience suites) =="
