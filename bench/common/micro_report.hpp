@@ -40,6 +40,11 @@ inline obs::JsonValue micro_run_to_json(
   out["real_time"] = run.GetAdjustedRealTime();
   out["cpu_time"] = run.GetAdjustedCPUTime();
   out["time_unit"] = benchmark::GetTimeUnitString(run.time_unit);
+  // Rows that --benchmark_repetitions adds (mean, median, stddev, cv) are
+  // statistics, not runs; tools/bench_compare.py skips them.
+  if (run.run_type == benchmark::BenchmarkReporter::Run::RT_Aggregate) {
+    out["aggregate"] = run.aggregate_name;
+  }
   if (run.error_occurred) out["error"] = run.error_message;
   if (!run.counters.empty()) {
     obs::JsonValue counters = obs::JsonValue::object();

@@ -66,7 +66,9 @@ void BM_InProcessRound(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kJobsPerRound));
 }
-BENCHMARK(BM_InProcessRound)->Unit(benchmark::kMillisecond);
+// Real time: a fleet round's cost is wall time spent waiting on worker
+// processes, which the main thread's CPU clock does not see.
+BENCHMARK(BM_InProcessRound)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_FleetRound(benchmark::State& state) {
   const auto workers = static_cast<std::size_t>(state.range(0));
@@ -89,7 +91,11 @@ void BM_FleetRound(benchmark::State& state) {
                           static_cast<std::int64_t>(kJobsPerRound));
   state.counters["workers"] = static_cast<double>(workers);
 }
-BENCHMARK(BM_FleetRound)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FleetRound)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

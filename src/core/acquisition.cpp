@@ -1,6 +1,6 @@
 #include "core/acquisition.hpp"
 
-#include <stdexcept>
+#include <algorithm>
 
 #include "core/contracts.hpp"
 #include "stats/distributions.hpp"
@@ -53,79 +53,84 @@ bool HardwareConstraints::measured_feasible(
 
 namespace {
 
-/// Closed-form EI under the objective GP; 0 without a model (callers use a
-/// separate initial design, so this is defensive). The scratch-based GP
-/// predict keeps the whole term allocation-free inside block scoring.
-double ei_term(const std::vector<double>& unit_x, const AcquisitionContext& ctx,
-               gp::PredictScratch& scratch) {
-  if (ctx.objective_gp == nullptr || !ctx.objective_gp->fitted()) return 0.0;
-  const gp::Prediction p =
-      ctx.objective_gp->predict(std::span<const double>(unit_x), scratch);
-  return stats::expected_improvement(p.mean, p.stddev(), ctx.best_observed);
+bool usable(const gp::GaussianProcess* model) {
+  return model != nullptr && model->fitted();
 }
 
-/// Probability that the measured-constraint GP predicts the metric within
-/// budget; 1.0 when the GP or the budget is absent.
-double gp_constraint_probability(const gp::GaussianProcess* gp_model,
-                                 std::optional<double> budget,
-                                 const std::vector<double>& unit_x,
-                                 gp::PredictScratch& scratch) {
-  if (gp_model == nullptr || !gp_model->fitted() || !budget) return 1.0;
-  const gp::Prediction p =
-      gp_model->predict(std::span<const double>(unit_x), scratch);
-  return stats::probability_below(p.mean, p.stddev(), *budget);
-}
-
-/// Per-candidate HW-IECI core shared by the scalar and blocked entry points
-/// so the two paths cannot drift apart.
-double hw_ieci_score(const std::vector<double>& unit_x,
-                     const Configuration& config,
-                     const AcquisitionContext& ctx,
-                     AcquisitionScratch& scratch) {
-  if (ctx.constraints != nullptr) {
-    // A-priori models: hard indicator, zero acquisition in violating
-    // regions (Eq. 3) — evaluated before the (costlier) EI term.
-    const std::vector<double> z = ctx.space.structural_vector(config);
-    if (!ctx.constraints->predicted_feasible(z)) return 0.0;
-  } else {
-    // Default (unknown constraints) mode: a hard indicator over the
-    // measured-metric GPs strands the search whenever every early sample
-    // violates (the GP mean is then above budget everywhere and nothing
-    // scores). Following the probabilistic replacement of the indicator
-    // the paper points to (Gramacy & Lee [17], supported by Spearmint),
-    // we gate EI by the *squared* satisfaction probability — sharper than
-    // HW-CWEI's linear weighting, approaching the indicator as the GPs
-    // become confident, while still providing a search gradient.
-    const double prob =
-        gp_constraint_probability(ctx.measured_power_gp, ctx.budgets.power_w,
-                                  unit_x, scratch.power) *
-        gp_constraint_probability(ctx.measured_memory_gp,
-                                  ctx.budgets.memory_mb, unit_x,
-                                  scratch.memory);
-    return prob * prob * ei_term(unit_x, ctx, scratch.objective);
+/// Gathers the block's candidates for which @p pass(i) holds, in block
+/// order, into scratch.passing and scratch.queries.
+template <typename Pass>
+void gather(std::span<const std::vector<double>> unit_xs,
+            AcquisitionScratch& scratch, Pass pass) {
+  scratch.passing.clear();
+  scratch.queries.clear();
+  for (std::size_t i = 0; i < unit_xs.size(); ++i) {
+    if (!pass(i)) continue;
+    scratch.passing.push_back(i);
+    scratch.queries.emplace_back(unit_xs[i]);
   }
-  return ei_term(unit_x, ctx, scratch.objective);
 }
 
-/// Per-candidate HW-CWEI core shared by the scalar and blocked entry points.
-double hw_cwei_score(const std::vector<double>& unit_x,
-                     const Configuration& config,
-                     const AcquisitionContext& ctx,
-                     AcquisitionScratch& scratch) {
-  double prob = 1.0;
-  if (ctx.constraints != nullptr) {
-    const std::vector<double> z = ctx.space.structural_vector(config);
-    prob = ctx.constraints->feasibility_probability(z);
-  } else {
-    prob = gp_constraint_probability(ctx.measured_power_gp,
-                                     ctx.budgets.power_w, unit_x,
-                                     scratch.power) *
-           gp_constraint_probability(ctx.measured_memory_gp,
-                                     ctx.budgets.memory_mb, unit_x,
-                                     scratch.memory);
+/// One predict_block() of @p model over every gathered query.
+void predict_gathered(const gp::GaussianProcess& model,
+                      AcquisitionScratch& scratch) {
+  scratch.predictions.resize(scratch.queries.size());
+  model.predict_block(scratch.queries, scratch.gp, scratch.predictions);
+}
+
+/// Multiplies into scratch.prob[j] the probability that the
+/// measured-constraint GP predicts the metric within budget at gathered
+/// query j (the whole block is gathered, so j is the block index); no
+/// factor, i.e. 1.0, when the GP or the budget is absent.
+void multiply_constraint_probability(const gp::GaussianProcess* model,
+                                     std::optional<double> budget,
+                                     AcquisitionScratch& scratch) {
+  if (!usable(model) || !budget) return;
+  predict_gathered(*model, scratch);
+  for (std::size_t j = 0; j < scratch.queries.size(); ++j) {
+    const gp::Prediction& p = scratch.predictions[j];
+    scratch.prob[j] *= stats::probability_below(p.mean, p.stddev(), *budget);
   }
-  if (prob <= 0.0) return 0.0;
-  return prob * ei_term(unit_x, ctx, scratch.objective);
+}
+
+/// Closed-form EI at every gathered query into scratch.ei; zero without a
+/// model (callers use a separate initial design, so this is defensive).
+void gathered_ei(const AcquisitionContext& ctx, AcquisitionScratch& scratch) {
+  scratch.ei.assign(scratch.queries.size(), 0.0);
+  if (!usable(ctx.objective_gp)) return;
+  predict_gathered(*ctx.objective_gp, scratch);
+  for (std::size_t j = 0; j < scratch.queries.size(); ++j) {
+    const gp::Prediction& p = scratch.predictions[j];
+    scratch.ei[j] =
+        stats::expected_improvement(p.mean, p.stddev(), ctx.best_observed);
+  }
+}
+
+/// Default (unknown constraints) mode: every candidate is gathered and
+/// scratch.prob[i] = Pr(power within budget) * Pr(memory within budget)
+/// under the measured-metric GPs.
+void measured_constraint_probabilities(
+    std::span<const std::vector<double>> unit_xs,
+    const AcquisitionContext& ctx, AcquisitionScratch& scratch) {
+  gather(unit_xs, scratch, [](std::size_t) { return true; });
+  scratch.prob.assign(unit_xs.size(), 1.0);
+  multiply_constraint_probability(ctx.measured_power_gp, ctx.budgets.power_w,
+                                  scratch);
+  multiply_constraint_probability(ctx.measured_memory_gp,
+                                  ctx.budgets.memory_mb, scratch);
+}
+
+/// The scalar score() of a block-native acquisition: its score_block() on
+/// one candidate.
+double score_one(const AcquisitionFunction& acquisition,
+                 const std::vector<double>& unit_x, const Configuration& config,
+                 const AcquisitionContext& ctx) {
+  AcquisitionScratch scratch;
+  double out = 0.0;
+  acquisition.score_block(std::span<const std::vector<double>>(&unit_x, 1),
+                          std::span<const Configuration>(&config, 1), ctx,
+                          scratch, std::span<double>(&out, 1));
+  return out;
 }
 
 /// Contract shared by every score_block implementation.
@@ -152,9 +157,7 @@ void AcquisitionFunction::score_block(
 double ExpectedImprovementAcquisition::score(
     const std::vector<double>& unit_x, const Configuration& config,
     const AcquisitionContext& ctx) const {
-  (void)config;
-  gp::PredictScratch scratch;
-  return ei_term(unit_x, ctx, scratch);
+  return score_one(*this, unit_x, config, ctx);
 }
 
 void ExpectedImprovementAcquisition::score_block(
@@ -162,16 +165,15 @@ void ExpectedImprovementAcquisition::score_block(
     std::span<const Configuration> configs, const AcquisitionContext& ctx,
     AcquisitionScratch& scratch, std::span<double> out) const {
   check_block_shapes(unit_xs, configs, out);
-  for (std::size_t i = 0; i < unit_xs.size(); ++i) {
-    out[i] = ei_term(unit_xs[i], ctx, scratch.objective);
-  }
+  gather(unit_xs, scratch, [](std::size_t) { return true; });
+  gathered_ei(ctx, scratch);
+  std::copy(scratch.ei.begin(), scratch.ei.end(), out.begin());
 }
 
 double HwIeciAcquisition::score(const std::vector<double>& unit_x,
                                 const Configuration& config,
                                 const AcquisitionContext& ctx) const {
-  AcquisitionScratch scratch;
-  return hw_ieci_score(unit_x, config, ctx, scratch);
+  return score_one(*this, unit_x, config, ctx);
 }
 
 void HwIeciAcquisition::score_block(
@@ -179,16 +181,41 @@ void HwIeciAcquisition::score_block(
     std::span<const Configuration> configs, const AcquisitionContext& ctx,
     AcquisitionScratch& scratch, std::span<double> out) const {
   check_block_shapes(unit_xs, configs, out);
+  if (ctx.constraints != nullptr) {
+    // A-priori models: hard indicator, zero acquisition in violating
+    // regions (Eq. 3) — evaluated first, so only the candidates that pass
+    // reach the (costlier) objective GP.
+    gather(unit_xs, scratch, [&](std::size_t i) {
+      return ctx.constraints->predicted_feasible(
+          ctx.space.structural_vector(configs[i]));
+    });
+    gathered_ei(ctx, scratch);
+    std::fill(out.begin(), out.end(), 0.0);
+    for (std::size_t j = 0; j < scratch.passing.size(); ++j) {
+      out[scratch.passing[j]] = scratch.ei[j];
+    }
+    return;
+  }
+  // Default (unknown constraints) mode: a hard indicator over the
+  // measured-metric GPs strands the search whenever every early sample
+  // violates (the GP mean is then above budget everywhere and nothing
+  // scores). Following the probabilistic replacement of the indicator
+  // the paper points to (Gramacy & Lee [17], supported by Spearmint),
+  // we gate EI by the *squared* satisfaction probability — sharper than
+  // HW-CWEI's linear weighting, approaching the indicator as the GPs
+  // become confident, while still providing a search gradient.
+  measured_constraint_probabilities(unit_xs, ctx, scratch);
+  gathered_ei(ctx, scratch);
   for (std::size_t i = 0; i < unit_xs.size(); ++i) {
-    out[i] = hw_ieci_score(unit_xs[i], configs[i], ctx, scratch);
+    const double prob = scratch.prob[i];
+    out[i] = prob * prob * scratch.ei[i];
   }
 }
 
 double HwCweiAcquisition::score(const std::vector<double>& unit_x,
                                 const Configuration& config,
                                 const AcquisitionContext& ctx) const {
-  AcquisitionScratch scratch;
-  return hw_cwei_score(unit_x, config, ctx, scratch);
+  return score_one(*this, unit_x, config, ctx);
 }
 
 void HwCweiAcquisition::score_block(
@@ -196,8 +223,24 @@ void HwCweiAcquisition::score_block(
     std::span<const Configuration> configs, const AcquisitionContext& ctx,
     AcquisitionScratch& scratch, std::span<double> out) const {
   check_block_shapes(unit_xs, configs, out);
-  for (std::size_t i = 0; i < unit_xs.size(); ++i) {
-    out[i] = hw_cwei_score(unit_xs[i], configs[i], ctx, scratch);
+  if (ctx.constraints != nullptr) {
+    scratch.prob.resize(unit_xs.size());
+    for (std::size_t i = 0; i < unit_xs.size(); ++i) {
+      scratch.prob[i] = ctx.constraints->feasibility_probability(
+          ctx.space.structural_vector(configs[i]));
+    }
+  } else {
+    measured_constraint_probabilities(unit_xs, ctx, scratch);
+  }
+  // Zero where the constraints cannot be met; only the rest reach the
+  // objective GP.
+  gather(unit_xs, scratch,
+         [&](std::size_t i) { return !(scratch.prob[i] <= 0.0); });
+  gathered_ei(ctx, scratch);
+  std::fill(out.begin(), out.end(), 0.0);
+  for (std::size_t j = 0; j < scratch.passing.size(); ++j) {
+    const std::size_t i = scratch.passing[j];
+    out[i] = scratch.prob[i] * scratch.ei[j];
   }
 }
 

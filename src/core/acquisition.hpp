@@ -94,13 +94,20 @@ struct AcquisitionContext {
   const gp::GaussianProcess* measured_memory_gp = nullptr;
 };
 
-/// Reusable GP-prediction buffers for block scoring: one scratch per GP the
-/// acquisition may consult. Owned by the caller (one per maximization round)
-/// so a whole candidate block amortizes every allocation.
+/// Reusable block-scoring buffers, owned by the caller (one per block in
+/// flight) so every allocation is amortized across rounds.
 struct AcquisitionScratch {
-  gp::PredictScratch objective;
-  gp::PredictScratch power;
-  gp::PredictScratch memory;
+  /// Block indices of the candidates that passed the gate, and their unit
+  /// points: the queries handed to GaussianProcess::predict_block().
+  std::vector<std::size_t> passing;
+  std::vector<std::span<const double>> queries;
+  /// Per-candidate constraint probability and EI, and the predictions of
+  /// the GP consulted last.
+  std::vector<double> prob;
+  std::vector<double> ei;
+  std::vector<gp::Prediction> predictions;
+  /// predict_block() working memory, shared by the GPs of one block.
+  std::vector<double> gp;
 };
 
 /// Acquisition function interface: score a candidate in unit coordinates
@@ -114,10 +121,12 @@ class AcquisitionFunction {
 
   /// Scores a whole candidate block into @p out (out[i] = score of
   /// candidate i), reusing @p scratch buffers across candidates. The base
-  /// implementation is a scalar loop over score(); the built-in acquisitions
-  /// override it with allocation-free loops over the span-based GP predict.
-  /// Per-candidate arithmetic is identical either way: for any candidate,
-  /// score_block()[i] == score(unit_xs[i], configs[i], ctx) bit-for-bit.
+  /// implementation is a scalar loop over score(). The built-in
+  /// acquisitions are block-native instead: they gate every candidate, then
+  /// predict all that pass with one GaussianProcess::predict_block() per
+  /// GP, and their score() is score_block() on one candidate. Either way,
+  /// for any candidate, score_block()[i] == score(unit_xs[i], configs[i],
+  /// ctx) bit-for-bit.
   /// Matching span sizes are an HP_REQUIRE contract. CandidatePool may call
   /// this concurrently for disjoint blocks, each with its own scratch, so
   /// an implementation may only read shared state (the context, its GPs and

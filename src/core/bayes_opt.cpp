@@ -222,14 +222,8 @@ void refit_metric_gp(std::unique_ptr<gp::GaussianProcess>& gp_model,
   // parameters; longer length scales let a few observations extrapolate
   // the low-power direction toward unexplored corners.
   params.length_scales.assign(dimension, 0.6);
-  const double noise = 0.05 * variance;
-  if (gp_model == nullptr) {
-    gp_model = std::make_unique<gp::GaussianProcess>(
-        gp::Matern52Kernel(params), noise);
-  } else {
-    gp_model->set_noise_variance(noise);
-    gp_model->set_kernel(gp::Matern52Kernel(params));
-  }
+  gp_model = std::make_unique<gp::GaussianProcess>(gp::Matern52Kernel(params),
+                                                   0.05 * variance);
   gp_model->fit(rows_to_matrix(xs),
                 linalg::Vector{std::vector<double>(ys)});
 }

@@ -23,9 +23,9 @@ struct CandidatePoolOptions {
   std::size_t random_points = 400;   ///< fresh uniform candidates per call
   std::uint64_t lattice_seed = 99;
   /// Candidates handed to AcquisitionFunction::score_block per call. Purely
-  /// a performance knob (cache-sized chunks); any value >= 1 produces
-  /// identical results.
-  std::size_t score_block_size = 128;
+  /// a performance knob (cache-sized chunks, and enough blocks to spread
+  /// over a pool); any value >= 1 produces identical results.
+  std::size_t score_block_size = 32;
 };
 
 /// Generates candidate unit-cube points for acquisition maximization.
@@ -53,17 +53,20 @@ class CandidatePool {
   /// highest-feasibility random candidate instead, so the optimizer always
   /// has a next point.
   ///
-  /// Every random candidate is drawn from @p rng first. Candidates are then
-  /// decoded and scored through AcquisitionFunction::score_block in blocks
-  /// of options.score_block_size, each block with its own round-scoped
-  /// scratch. With @p workers (an idle pool), the blocks fan out over its
-  /// workers and the calling thread; without, they run in order on the
-  /// calling thread. Either way the selection replays the candidates
-  /// strictly in order: lattice first, then random candidates in generation
-  /// order. Equal scores break toward the LOWEST candidate index — a pinned
-  /// tie-breaking contract (see tests/core/acquisition_test.cpp) that keeps
-  /// traces reproducible across the scalar and blocked scoring paths — so
-  /// the result is bit-identical at any worker count.
+  /// Candidates are scored through AcquisitionFunction::score_block in
+  /// blocks of options.score_block_size, each block with its own scratch.
+  /// Task 0 draws every random candidate from @p rng, in order; tasks 1..
+  /// score the lattice blocks (decoded once, at construction) and then the
+  /// random blocks, each of which waits until its own candidates are drawn
+  /// and decodes them. With @p workers (an idle pool), the tasks fan out
+  /// over its workers and the calling thread, so the draw overlaps lattice
+  /// scoring; without, they run in order on the calling thread. Either way
+  /// the selection replays the candidates strictly in order: lattice
+  /// first, then random candidates in generation order. Equal scores break
+  /// toward the LOWEST candidate index — a pinned tie-breaking contract
+  /// (see tests/core/acquisition_test.cpp) that keeps traces reproducible
+  /// across the scalar and blocked scoring paths — so the result is
+  /// bit-identical at any worker count.
   ///
   /// Non-const: reuses internal scratch buffers across rounds. Results are
   /// independent of any prior call.
@@ -76,11 +79,12 @@ class CandidatePool {
   const HyperParameterSpace& space_;
   CandidatePoolOptions options_;
   std::vector<std::vector<double>> lattice_;
+  std::size_t lattice_blocks_ = 0;
 
-  // Round-scoped buffers reused across maximize() calls: fresh random
-  // units, decoded configurations (lattice + random), per-candidate scores,
-  // and one GP-prediction scratch per block. Sized once per round; inner
-  // vectors keep their capacity between rounds.
+  // Buffers sized at construction and reused by every maximize() call:
+  // fresh random units, decoded configurations (the lattice's decoded once,
+  // then the random ones, rewritten each round), per-candidate scores, and
+  // one scoring scratch per block.
   std::vector<std::vector<double>> random_units_;
   std::vector<Configuration> configs_;
   std::vector<double> scores_;

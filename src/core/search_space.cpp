@@ -60,10 +60,17 @@ std::vector<double> HyperParameterSpace::structural_vector(
 
 Configuration HyperParameterSpace::decode(
     const std::vector<double>& unit) const {
+  Configuration config;
+  decode_into(unit, config);
+  return config;
+}
+
+void HyperParameterSpace::decode_into(const std::vector<double>& unit,
+                                      Configuration& config) const {
   if (unit.size() != parameters_.size()) {
     throw std::invalid_argument("HyperParameterSpace::decode: size mismatch");
   }
-  Configuration config(parameters_.size());
+  config.resize(parameters_.size());
   for (std::size_t i = 0; i < parameters_.size(); ++i) {
     const ParameterDef& p = parameters_[i];
     // std::clamp passes NaN straight through, so a poisoned unit
@@ -89,7 +96,6 @@ Configuration HyperParameterSpace::decode(
         break;
     }
   }
-  return config;
 }
 
 std::vector<double> HyperParameterSpace::encode(

@@ -71,6 +71,9 @@ class HyperParameterSpace {
   /// Maps a unit-cube point to a native configuration (integers rounded,
   /// log parameters exponentiated). Unit coordinates are clamped to [0,1].
   [[nodiscard]] Configuration decode(const std::vector<double>& unit) const;
+  /// decode() into @p out, reusing its capacity (the candidate pool decodes
+  /// into the same slots every round).
+  void decode_into(const std::vector<double>& unit, Configuration& out) const;
   /// Inverse of decode (integers map to the center of their cell).
   [[nodiscard]] std::vector<double> encode(const Configuration& config) const;
 

@@ -32,6 +32,30 @@ struct GpMetrics {
   }
 };
 
+/// Columns [b, b + kLanes) of column_sums(), in register accumulators.
+template <std::size_t kLanes, typename Term>
+void column_sums_of(const double* block, std::size_t n, std::size_t width,
+                    std::size_t b, const Term& term, double* sums) {
+  double acc[kLanes] = {};
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* row = block + i * width + b;
+    for (std::size_t j = 0; j < kLanes; ++j) acc[j] += term(i, row[j]);
+  }
+  for (std::size_t j = 0; j < kLanes; ++j) sums[b + j] = acc[j];
+}
+
+/// sums[b] = sum over rows i of term(i, block(i, b)) for an n x width
+/// block, accumulated from 0.0 over ascending i as linalg::dot() does.
+template <typename Term>
+void column_sums(const double* block, std::size_t n, std::size_t width,
+                 const Term& term, double* sums) {
+  std::size_t b = 0;
+  for (; b + 8 <= width; b += 8) {
+    column_sums_of<8>(block, n, width, b, term, sums);
+  }
+  for (; b < width; ++b) column_sums_of<1>(block, n, width, b, term, sums);
+}
+
 }  // namespace
 
 double Prediction::stddev() const noexcept {
@@ -194,32 +218,55 @@ void GaussianProcess::shrink_factor() {
 }
 
 Prediction GaussianProcess::predict(const linalg::Vector& x_star) const {
-  PredictScratch scratch;
-  return predict(std::span<const double>(x_star.raw()), scratch);
+  const std::span<const double> query(x_star.raw());
+  std::vector<double> scratch;
+  Prediction p;
+  predict_block(std::span<const std::span<const double>>(&query, 1), scratch,
+                std::span<Prediction>(&p, 1));
+  return p;
 }
 
-Prediction GaussianProcess::predict(std::span<const double> x_star,
-                                    PredictScratch& scratch) const {
+void GaussianProcess::predict_block(
+    std::span<const std::span<const double>> queries,
+    std::vector<double>& scratch, std::span<Prediction> out) const {
   if (!fitted()) {
     throw std::logic_error("GaussianProcess::predict before fit");
   }
+  HP_REQUIRE(out.size() == queries.size(),
+             "GaussianProcess::predict_block: one output per query");
   const std::size_t n = x_.rows();
-  scratch.k_star.resize(n);
-  scratch.v.resize(n);
-  const std::span<double> k_star(scratch.k_star);
-  const std::span<double> v(scratch.v);
-  kernel_cross_into(*kernel_, x_, x_star, k_star);
-  Prediction p;
-  p.mean = y_mean_ + linalg::dot(std::span<const double>(k_star),
-                                 std::span<const double>(alpha_.raw()));
-  // var = k(x*,x*) - v^T v with v = L^{-1} k_star.
-  chol_->solve_lower_into(k_star, v);
-  const double reduction = linalg::dot(std::span<const double>(v),
-                                       std::span<const double>(v));
-  p.variance = std::max(0.0, kernel_->diagonal_value() - reduction);
-  HP_CHECK_FINITE(p.mean, "GaussianProcess::predict mean");
-  HP_CHECK_FINITE(p.variance, "GaussianProcess::predict variance");
-  return p;
+  const std::size_t dim = x_.cols();
+  const std::size_t width = queries.size();
+  // Working memory: the queries dimension-major (dim x width), the n x width
+  // cross-covariance block, and one accumulator per query.
+  scratch.resize((dim + n + 1) * width);
+  const std::span<double> qt(scratch.data(), dim * width);
+  const std::span<double> block(scratch.data() + dim * width, n * width);
+  double* acc = scratch.data() + (dim + n) * width;
+  for (std::size_t b = 0; b < width; ++b) {
+    if (queries[b].size() != dim) {
+      throw std::invalid_argument(
+          "GaussianProcess::predict: query dimension mismatch");
+    }
+    for (std::size_t d = 0; d < dim; ++d) qt[d * width + b] = queries[b][d];
+  }
+  kernel_->eval_block(x_, qt, width, block);
+  // mean = y_mean + k*^T alpha and var = k(x*,x*) - v^T v with
+  // v = L^{-1} k*, the forward substitution done for every query at once.
+  column_sums(
+      block.data(), n, width,
+      [&](std::size_t i, double k) { return k * alpha_[i]; }, acc);
+  for (std::size_t b = 0; b < width; ++b) out[b].mean = y_mean_ + acc[b];
+  chol_->solve_lower_block(block, width);
+  column_sums(
+      block.data(), n, width, [](std::size_t, double v) { return v * v; },
+      acc);
+  const double prior = kernel_->diagonal_value();
+  for (std::size_t b = 0; b < width; ++b) {
+    out[b].variance = std::max(0.0, prior - acc[b]);
+    HP_CHECK_FINITE(out[b].mean, "GaussianProcess::predict mean");
+    HP_CHECK_FINITE(out[b].variance, "GaussianProcess::predict variance");
+  }
 }
 
 double GaussianProcess::log_marginal_likelihood() const {
@@ -237,21 +284,6 @@ double GaussianProcess::log_marginal_likelihood() const {
 
 std::size_t GaussianProcess::num_observations() const noexcept {
   return x_.rows();
-}
-
-void GaussianProcess::set_kernel(const Kernel& kernel) {
-  kernel_ = kernel.clone();
-  cache_valid_ = false;  // every cached Gram entry depends on the kernel
-  if (x_.rows() > 0) refit(RefitKind::kFull);
-}
-
-void GaussianProcess::set_noise_variance(double noise_variance) {
-  if (noise_variance < 0.0) {
-    throw std::invalid_argument("GaussianProcess: negative noise variance");
-  }
-  noise_variance_ = noise_variance;
-  cache_valid_ = false;  // the factor bakes in the old noisy diagonal
-  if (x_.rows() > 0) refit(RefitKind::kFull);
 }
 
 }  // namespace hp::gp

@@ -54,14 +54,6 @@ enum class RefitKind {
   return "unknown";
 }
 
-/// Reusable buffers for the allocation-free predict() overload. One scratch
-/// per caller; reuse across calls to amortize allocations over a whole
-/// candidate block.
-struct PredictScratch {
-  std::vector<double> k_star;
-  std::vector<double> v;
-};
-
 /// Exact GP regressor. Construct once per dataset (refits on every
 /// observation update, matching the sequential BO loop sizes of tens to a
 /// few hundred points).
@@ -95,15 +87,22 @@ class GaussianProcess {
     return last_refit_kind_;
   }
 
-  /// Posterior predictive mean/variance at @p x_star.
-  /// Throws std::logic_error if not fitted.
+  /// Posterior predictive mean/variance at @p x_star: predict_block() on
+  /// one query. Throws std::logic_error if not fitted.
   [[nodiscard]] Prediction predict(const linalg::Vector& x_star) const;
 
-  /// Allocation-free predict() over a raw coordinate span, reusing
-  /// caller-owned @p scratch buffers — the core of the batched acquisition
-  /// scoring path. Bit-identical to the Vector overload.
-  [[nodiscard]] Prediction predict(std::span<const double> x_star,
-                                   PredictScratch& scratch) const;
+  /// Posterior predictive mean/variance at every query: out[b] for
+  /// queries[b]. Works on the whole block at once (cross-covariance block,
+  /// means, one forward substitution over all queries, variances), with
+  /// each query taking exactly the operations of a lone prediction, so the
+  /// result does not depend on the block it was predicted in. @p scratch is
+  /// caller-owned working memory, reused across calls. Throws
+  /// std::logic_error if not fitted and std::invalid_argument on a query of
+  /// the wrong dimension; out.size() == queries.size() is an HP_REQUIRE
+  /// contract.
+  void predict_block(std::span<const std::span<const double>> queries,
+                     std::vector<double>& scratch,
+                     std::span<Prediction> out) const;
 
   /// Log marginal likelihood of the training targets under the current
   /// kernel/noise; the objective maximized by kernel fitting.
@@ -113,13 +112,6 @@ class GaussianProcess {
   [[nodiscard]] double noise_variance() const noexcept { return noise_variance_; }
   [[nodiscard]] std::size_t num_observations() const noexcept;
   [[nodiscard]] double target_mean() const noexcept { return y_mean_; }
-
-  /// Replaces the kernel (e.g. after hyper-parameter fitting) and refits if
-  /// data is present. Invalidates the Gram cache: the next refit is full.
-  void set_kernel(const Kernel& kernel);
-  /// Replaces the noise variance and refits if data is present.
-  /// Invalidates the Gram cache: the next refit is full.
-  void set_noise_variance(double noise_variance);
 
  private:
   /// Classifies how @p x relates to the currently fitted inputs; kFull

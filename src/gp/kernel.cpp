@@ -57,6 +57,60 @@ double Matern52Kernel::eval(std::span<const double> a,
   return params_.signal_variance * (1.0 + s + s * s / 3.0) * std::exp(-s);
 }
 
+namespace {
+
+/// Columns [b, b + kLanes) of a Matern 5/2 cross-covariance block: row i
+/// holds k(x_i, q_b). Each entry's r^2 is summed in a register from 0.0
+/// over ascending d, exactly as ard_distance() sums one pair's, and then
+/// takes Matern52Kernel::eval()'s closed form.
+template <std::size_t kLanes>
+void matern52_columns(const linalg::Matrix& x, const KernelParams& params,
+                      const double* qt, std::size_t width, std::size_t b,
+                      double* out) {
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    const std::span<const double> xi = x.row_span(i);
+    double r2[kLanes] = {};
+    for (std::size_t d = 0; d < xi.size(); ++d) {
+      const double xd = xi[d];
+      const double l = params.length_scale(d);
+      const double* qd = qt + d * width + b;
+      for (std::size_t j = 0; j < kLanes; ++j) {
+        const double diff = (xd - qd[j]) / l;
+        r2[j] += diff * diff;
+      }
+    }
+    double* row = out + i * width + b;
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      const double s = std::sqrt(5.0) * std::sqrt(r2[j]);
+      row[j] = params.signal_variance * (1.0 + s + s * s / 3.0) * std::exp(-s);
+    }
+  }
+}
+
+}  // namespace
+
+void Matern52Kernel::eval_block(const linalg::Matrix& x,
+                                std::span<const double> qt, std::size_t width,
+                                std::span<double> out) const {
+  const std::size_t dim = x.cols();
+  HP_REQUIRE(qt.size() == dim * width && out.size() == x.rows() * width,
+             "Matern52Kernel::eval_block: buffer sizes must match the shapes");
+  if (params_.length_scales.size() != 1 &&
+      params_.length_scales.size() != dim) {
+    throw std::invalid_argument(
+        "Matern52Kernel::eval_block: length-scale count must be 1 or match "
+        "the dimension");
+  }
+  // Eight queries side by side, then the rest one by one.
+  std::size_t b = 0;
+  for (; b + 8 <= width; b += 8) {
+    matern52_columns<8>(x, params_, qt.data(), width, b, out.data());
+  }
+  for (; b < width; ++b) {
+    matern52_columns<1>(x, params_, qt.data(), width, b, out.data());
+  }
+}
+
 double Matern52Kernel::diagonal_value() const {
   return params_.signal_variance;
 }
@@ -82,23 +136,6 @@ linalg::Matrix kernel_matrix(const Kernel& k, const linalg::Matrix& x) {
     }
   }
   return out;
-}
-
-linalg::Vector kernel_cross(const Kernel& k, const linalg::Matrix& x,
-                            const linalg::Vector& x_star) {
-  linalg::Vector out(x.rows());
-  kernel_cross_into(k, x, std::span<const double>(x_star.raw()),
-                    std::span<double>(out.raw()));
-  return out;
-}
-
-void kernel_cross_into(const Kernel& k, const linalg::Matrix& x,
-                       std::span<const double> x_star, std::span<double> out) {
-  HP_REQUIRE(out.size() == x.rows(),
-             "kernel_cross_into: output size must match the row count");
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    out[i] = k.eval(x.row_span(i), x_star);
-  }
 }
 
 }  // namespace hp::gp

@@ -49,6 +49,14 @@ class Kernel {
   [[nodiscard]] virtual double eval(std::span<const double> a,
                                     std::span<const double> b) const = 0;
 
+  /// Cross-covariance block: out[i * width + b] = k(x_i, q_b) for the rows
+  /// x_i of @p x (n x D) and @p width queries stored dimension-major in
+  /// @p qt (qt[d * width + b] = q_b[d]). Every entry matches eval(x_i, q_b)
+  /// bit for bit. Throws std::invalid_argument when the ARD length scales
+  /// do not fit D; buffer sizes are an HP_REQUIRE contract.
+  virtual void eval_block(const linalg::Matrix& x, std::span<const double> qt,
+                          std::size_t width, std::span<double> out) const = 0;
+
   /// Covariance between two points; forwards to eval().
   [[nodiscard]] double operator()(const linalg::Vector& a,
                                   const linalg::Vector& b) const {
@@ -74,6 +82,8 @@ class Matern52Kernel final : public Kernel {
   explicit Matern52Kernel(KernelParams params);
   [[nodiscard]] double eval(std::span<const double> a,
                             std::span<const double> b) const override;
+  void eval_block(const linalg::Matrix& x, std::span<const double> qt,
+                  std::size_t width, std::span<double> out) const override;
   [[nodiscard]] double diagonal_value() const override;
   [[nodiscard]] std::string name() const override { return "matern52"; }
   [[nodiscard]] const KernelParams& params() const override { return params_; }
@@ -97,16 +107,5 @@ class Matern52Kernel final : public Kernel {
 /// Builds the symmetric Gram matrix K(X, X) for rows of @p x.
 [[nodiscard]] linalg::Matrix kernel_matrix(const Kernel& k,
                                            const linalg::Matrix& x);
-
-/// Builds the cross-covariance vector k(X, x_star).
-[[nodiscard]] linalg::Vector kernel_cross(const Kernel& k,
-                                          const linalg::Matrix& x,
-                                          const linalg::Vector& x_star);
-
-/// Fills @p out with the cross-covariance k(X, x_star) without allocating —
-/// the core of kernel_cross(), used by the batched prediction path.
-/// Dimension agreement is an HP_REQUIRE contract.
-void kernel_cross_into(const Kernel& k, const linalg::Matrix& x,
-                       std::span<const double> x_star, std::span<double> out);
 
 }  // namespace hp::gp

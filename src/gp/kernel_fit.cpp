@@ -131,9 +131,9 @@ KernelFitResult fit_kernel_by_ml(GaussianProcess& gp, const linalg::Matrix& x,
   result.log_marginal_likelihood = best_lml;
   result.evaluations = evaluations;
 
-  auto kernel = gp.kernel().with_params(result.params);
-  gp.set_kernel(*kernel);
-  gp.set_noise_variance(result.noise_variance);
+  // A fresh GP with the fitted kernel and noise: one full factorization.
+  gp = GaussianProcess(*gp.kernel().with_params(result.params),
+                       result.noise_variance);
   gp.fit(x, y);
   return result;
 }

@@ -61,9 +61,16 @@ class Cholesky {
   [[nodiscard]] Vector solve_lower(const Vector& b) const;
 
   /// Forward substitution into caller-owned storage (@p out may not alias
-  /// @p b) — the allocation-free core of solve_lower() for the batched
-  /// prediction path.
+  /// @p b) — the allocation-free core of solve_lower().
   void solve_lower_into(std::span<const double> b, std::span<double> out) const;
+
+  /// Forward substitution over many right-hand sides at once, in place:
+  /// @p block is n x @p width row-major, row i holding entry i of every
+  /// right-hand side. Each column goes through exactly the operations of
+  /// solve_lower_into(), in the same order, so it matches solve_lower() bit
+  /// for bit; the innermost loop runs across eight columns at a time. Sizes
+  /// are an HP_REQUIRE contract.
+  void solve_lower_block(std::span<double> block, std::size_t width) const;
 
   /// Solves L^T x = y (backward substitution).
   [[nodiscard]] Vector solve_upper(const Vector& y) const;

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
+#include <span>
+#include <string>
+#include <vector>
 
+#include "linalg/cholesky.hpp"
 #include "stats/rng.hpp"
 
 namespace hp::gp {
@@ -128,27 +134,6 @@ TEST(GaussianProcess, HigherNoiseWidensPredictiveBand) {
   high.fit(x, y);
   EXPECT_LT(low.predict(Vector{0.5}).variance,
             high.predict(Vector{0.5}).variance);
-}
-
-TEST(GaussianProcess, SetKernelRefits) {
-  auto gp = make_gp(1e-6);
-  gp.fit(column({0.0, 1.0}), Vector{0.0, 1.0});
-  const double before = gp.predict(Vector{0.5}).mean;
-  KernelParams wide;
-  wide.length_scales = {10.0};
-  gp.set_kernel(Matern52Kernel(wide));
-  EXPECT_TRUE(gp.fitted());
-  const double after = gp.predict(Vector{0.5}).mean;
-  EXPECT_NE(before, after);
-}
-
-TEST(GaussianProcess, SetNoiseVarianceValidatesAndRefits) {
-  auto gp = make_gp(1e-6);
-  gp.fit(column({0.0, 1.0}), Vector{0.0, 1.0});
-  EXPECT_THROW(gp.set_noise_variance(-0.1), std::invalid_argument);
-  gp.set_noise_variance(0.3);
-  EXPECT_DOUBLE_EQ(gp.noise_variance(), 0.3);
-  EXPECT_TRUE(gp.fitted());
 }
 
 TEST(GaussianProcess, NumObservations) {
@@ -308,26 +293,6 @@ TEST(GaussianProcessIncremental, ChangedRowForcesFullRefit) {
   EXPECT_EQ(gp.last_refit_kind(), RefitKind::kFull);
 }
 
-TEST(GaussianProcessIncremental, KernelOrNoiseChangeInvalidatesCache) {
-  Matrix x;
-  Vector y;
-  random_dataset(14, 2, 75, x, y);
-  auto gp = make_gp2d();
-  gp.fit(x, y);
-  gp.fit(x, y);
-  ASSERT_EQ(gp.last_refit_kind(), RefitKind::kReused);
-  // The kernel-ML refit path replaces kernel + noise: both setters must
-  // force a full factorization (the cached Gram is stale).
-  KernelParams p;
-  p.length_scales = {0.5, 0.5};
-  gp.set_kernel(Matern52Kernel(p));
-  EXPECT_EQ(gp.last_refit_kind(), RefitKind::kFull);
-  gp.fit(x, y);
-  EXPECT_EQ(gp.last_refit_kind(), RefitKind::kReused);
-  gp.set_noise_variance(2e-4);
-  EXPECT_EQ(gp.last_refit_kind(), RefitKind::kFull);
-}
-
 TEST(GaussianProcessIncremental, JitteredFactorDisablesIncrementalReuse) {
   // Duplicate rows with zero noise make the Gram singular, so the factor
   // carries jitter; a jittered factor has no bit-identical incremental
@@ -348,20 +313,122 @@ TEST(GaussianProcessIncremental, JitteredFactorDisablesIncrementalReuse) {
   EXPECT_EQ(gp.last_refit_kind(), RefitKind::kFull);
 }
 
-TEST(GaussianProcessIncremental, SpanPredictMatchesVectorPredict) {
+// ---------------------------------------------------------------------------
+// Block prediction: predict_block() must match, bit for bit, a reference
+// assembled from public pieces — the Gram matrix, the jittered Cholesky
+// factor and alpha, then per query the kernel, dot products and a forward
+// substitution — whatever the block size and wherever the queries live.
+// ---------------------------------------------------------------------------
+
+/// One query at a time from public pieces, mirroring the GP's arithmetic.
+struct ReferencePosterior {
+  ReferencePosterior(const Kernel& kernel_in, double noise,
+                     const Matrix& x_in, const Vector& y)
+      : kernel(kernel_in), x(x_in) {
+    Matrix gram = kernel_matrix(kernel, x);
+    gram.add_to_diagonal(noise);
+    chol = linalg::Cholesky::with_jitter(std::move(gram));
+    y_mean = y.mean();
+    Vector centered = y;
+    for (std::size_t i = 0; i < centered.size(); ++i) centered[i] -= y_mean;
+    alpha = chol->solve(centered);
+  }
+
+  [[nodiscard]] Prediction predict(const Vector& q) const {
+    Vector k_star(x.rows());
+    for (std::size_t i = 0; i < x.rows(); ++i) k_star[i] = kernel(x.row(i), q);
+    Prediction p;
+    p.mean = y_mean + linalg::dot(k_star, alpha);
+    const Vector v = chol->solve_lower(k_star);
+    p.variance = std::max(0.0, kernel.diagonal_value() - linalg::dot(v, v));
+    return p;
+  }
+
+  const Kernel& kernel;
+  const Matrix& x;
+  std::optional<linalg::Cholesky> chol;
+  double y_mean = 0.0;
+  Vector alpha;
+};
+
+/// Fits @p params to (x, y), then predicts gathered blocks of B queries
+/// (every other point of a query pool, so the spans are not contiguous)
+/// and compares each with the reference.
+void expect_block_matches_reference(const KernelParams& params, double noise,
+                                    const Matrix& x, const Vector& y,
+                                    std::uint64_t seed) {
+  const Matern52Kernel kernel(params);
+  GaussianProcess gp(kernel, noise);
+  gp.fit(x, y);
+  const ReferencePosterior reference(kernel, noise, x, y);
+  stats::Rng rng(seed);
+  std::vector<Vector> pool(2 * 33, Vector(x.cols()));
+  for (Vector& q : pool) {
+    for (std::size_t d = 0; d < q.size(); ++d) q[d] = rng.uniform();
+  }
+  pool[1] = x.row(0);  // a training point: variance near zero
+  std::vector<double> scratch;  // reused across blocks, as in block scoring
+  for (std::size_t width :
+       {std::size_t{1}, std::size_t{3}, std::size_t{32}, std::size_t{33}}) {
+    std::vector<std::span<const double>> queries;
+    for (std::size_t b = 0; b < width; ++b) {
+      queries.emplace_back(pool[2 * b + 1].raw());
+    }
+    std::vector<Prediction> got(width);
+    gp.predict_block(queries, scratch, got);
+    for (std::size_t b = 0; b < width; ++b) {
+      const Prediction want = reference.predict(pool[2 * b + 1]);
+      EXPECT_EQ(got[b].mean, want.mean)
+          << "n " << x.rows() << " width " << width << " query " << b;
+      EXPECT_EQ(got[b].variance, want.variance)
+          << "n " << x.rows() << " width " << width << " query " << b;
+    }
+  }
+}
+
+TEST(GaussianProcessBlock, PredictBlockMatchesPublicPieceReference) {
+  KernelParams broadcast;
+  broadcast.signal_variance = 1.7;
+  broadcast.length_scales = {0.3};
+  KernelParams ard;
+  ard.signal_variance = 0.6;
+  ard.length_scales = {0.2, 0.45, 0.9};
+  const std::size_t sizes[] = {1, 2, 13, 51, 200};
+  for (const std::size_t n : sizes) {
+    Matrix x;
+    Vector y;
+    random_dataset(n, 3, 90 + n, x, y);
+    SCOPED_TRACE("n " + std::to_string(n));
+    expect_block_matches_reference(broadcast, 1e-4, x, y, 7 + n);
+    expect_block_matches_reference(ard, 1e-3, x, y, 8 + n);
+  }
+  // A query of the wrong dimension is rejected, as a lone predict() is.
   Matrix x;
   Vector y;
-  random_dataset(20, 2, 76, x, y);
-  auto gp = make_gp2d();
-  gp.fit(std::move(x), std::move(y));
-  PredictScratch scratch;  // reused across calls, as in block scoring
-  for (double u : {0.0, 0.33, 0.66, 1.0}) {
-    const Vector probe{u, u * 0.5};
-    const Prediction want = gp.predict(probe);
-    const Prediction got = gp.predict(probe.raw(), scratch);
-    EXPECT_EQ(got.mean, want.mean);
-    EXPECT_EQ(got.variance, want.variance);
+  random_dataset(5, 3, 93, x, y);
+  GaussianProcess gp(Matern52Kernel(ard), 1e-3);
+  gp.fit(x, y);
+  EXPECT_THROW((void)gp.predict(Vector{0.5, 0.5}), std::invalid_argument);
+}
+
+TEST(GaussianProcessBlock, PredictBlockMatchesReferenceWithJitteredFactor) {
+  // Duplicate rows with zero noise: the Gram is singular and the factor
+  // needs jitter, which the reference's with_jitter() reproduces.
+  Matrix x;
+  Vector y;
+  random_dataset(7, 3, 91, x, y);
+  Matrix doubled(14, 3);
+  Vector y2(14);
+  for (std::size_t i = 0; i < 14; ++i) {
+    for (std::size_t d = 0; d < 3; ++d) doubled(i, d) = x(i % 7, d);
+    y2[i] = y[i % 7];
   }
+  KernelParams params;
+  params.length_scales = {0.4};
+  const Matern52Kernel kernel(params);
+  const ReferencePosterior reference(kernel, 0.0, doubled, y2);
+  ASSERT_GT(reference.chol->jitter_used(), 0.0);
+  expect_block_matches_reference(params, 0.0, doubled, y2, 92);
 }
 
 }  // namespace

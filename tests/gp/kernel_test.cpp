@@ -140,13 +140,29 @@ TEST(ArdDistance, LengthScaleCountMismatchThrows) {
 
 TEST(KernelCross, MatchesElementwiseEvaluation) {
   KernelParams p;
+  p.length_scales = {0.7, 1.3};
   Matern52Kernel k(p);
   Matrix x{{0.0, 0.0}, {0.5, 0.5}, {1.0, 0.0}};
-  Vector q{0.25, 0.25};
-  const Vector cross = kernel_cross(k, x, q);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_DOUBLE_EQ(cross[i], k(x.row(i), q));
+  const std::vector<Vector> queries{{0.25, 0.25}, {0.5, 0.5}, {0.9, -0.2}};
+  // eval_block takes the queries dimension-major: qt[d * width + b].
+  std::vector<double> qt(2 * queries.size());
+  for (std::size_t b = 0; b < queries.size(); ++b) {
+    for (std::size_t d = 0; d < 2; ++d) {
+      qt[d * queries.size() + b] = queries[b][d];
+    }
   }
+  std::vector<double> cross(3 * queries.size(), -1.0);
+  k.eval_block(x, qt, queries.size(), cross);
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t b = 0; b < queries.size(); ++b) {
+      EXPECT_EQ(cross[i * queries.size() + b], k(x.row(i), queries[b]))
+          << "row " << i << " query " << b;
+    }
+  }
+  KernelParams three;
+  three.length_scales = {1.0, 1.0, 1.0};
+  EXPECT_THROW(Matern52Kernel(three).eval_block(x, qt, queries.size(), cross),
+               std::invalid_argument);
 }
 
 TEST(Matern52, MatchesClosedForm) {

@@ -165,5 +165,33 @@ TEST(CholeskyUpdate, SolveLowerIntoMatchesSolveLower) {
   for (std::size_t i = 0; i < 9; ++i) EXPECT_EQ(out[i], want[i]);
 }
 
+TEST(CholeskyUpdate, SolveLowerBlockMatchesColumnwiseSolveLower) {
+  // The GP's block prediction solves every query's forward substitution at
+  // once; each column must come out bit-identical to a lone solve_lower().
+  stats::Rng rng(31);
+  for (std::size_t n = 1; n <= 64; ++n) {
+    const Cholesky chol(random_spd(n, 100 + n));
+    for (std::size_t width : {std::size_t{1}, std::size_t{5}}) {
+      std::vector<Vector> columns(width, Vector(n));
+      std::vector<double> block(n * width);
+      for (std::size_t b = 0; b < width; ++b) {
+        for (std::size_t i = 0; i < n; ++i) {
+          columns[b][i] = rng.gaussian();
+          block[i * width + b] = columns[b][i];
+        }
+      }
+      chol.solve_lower_block(block, width);
+      for (std::size_t b = 0; b < width; ++b) {
+        const Vector want = chol.solve_lower(columns[b]);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(block[i * width + b], want[i])
+              << "n " << n << " width " << width << " column " << b
+              << " row " << i;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hp::linalg

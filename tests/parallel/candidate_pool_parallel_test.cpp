@@ -58,6 +58,10 @@ struct Maximum {
   Configuration config;
   double score = 0.0;
   std::size_t evaluated = 0;
+  /// The RNG's next uniform() after maximize(): the draw task and the
+  /// zero-score fallback must consume the stream identically at any worker
+  /// count.
+  double next_uniform = 0.0;
 };
 
 /// Maximizes with a fresh, identically seeded RNG, twice on one pool object
@@ -76,11 +80,14 @@ Maximum maximize(const AcquisitionFunction& acquisition,
     stats::Rng rng(77);
     const CandidatePool::Maximizer best =
         pool.maximize(acquisition, ctx, rng, workers);
+    const double next_uniform = rng.uniform();
     if (call == 1) {
       EXPECT_EQ(best.unit, result.unit);
       EXPECT_EQ(best.score, result.score);
+      EXPECT_EQ(next_uniform, result.next_uniform);
     }
-    result = {best.unit, best.config, best.score, best.evaluated};
+    result = {best.unit, best.config, best.score, best.evaluated,
+              next_uniform};
   }
   return result;
 }
@@ -97,9 +104,11 @@ class CandidatePoolWorkersTest : public ::testing::Test {
   }
 
   /// Every acquisition in @p ctx: no pool, then 1 and 3 workers, all
-  /// bitwise equal.
+  /// bitwise equal. @p evaluated is 350 candidates, plus one when the
+  /// maximizer has to draw a fresh point.
   void expect_worker_count_invariant(const AcquisitionContext& ctx,
-                                     const std::string& label) {
+                                     const std::string& label,
+                                     std::size_t evaluated = 350) {
     const ExpectedImprovementAcquisition ei;
     const HwIeciAcquisition ieci;
     const HwCweiAcquisition cwei;
@@ -109,7 +118,7 @@ class CandidatePoolWorkersTest : public ::testing::Test {
           static_cast<const AcquisitionFunction*>(&ei)}) {
       SCOPED_TRACE(label + " " + acquisition->name());
       const Maximum want = maximize(*acquisition, ctx, nullptr);
-      EXPECT_EQ(want.evaluated, 350u);
+      EXPECT_EQ(want.evaluated, evaluated);
       for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
         SCOPED_TRACE("workers " + std::to_string(workers));
         parallel::ThreadPool pool(workers);
@@ -118,6 +127,7 @@ class CandidatePoolWorkersTest : public ::testing::Test {
         EXPECT_EQ(got.config, want.config);
         EXPECT_EQ(got.score, want.score);
         EXPECT_EQ(got.evaluated, want.evaluated);
+        EXPECT_EQ(got.next_uniform, want.next_uniform);
       }
     }
   }
@@ -164,6 +174,23 @@ TEST_F(CandidatePoolWorkersTest, AllInfeasibleFallbackContext) {
   const Maximum fallback = maximize(ieci, ctx, nullptr);
   EXPECT_EQ(fallback.score, 0.0);
   expect_worker_count_invariant(ctx, "all infeasible");
+}
+
+TEST_F(CandidatePoolWorkersTest, ZeroScoresDrawAfterScoringContext) {
+  // An incumbent no candidate can improve on and no a-priori models: every
+  // acquisition scores zero, and maximize() draws a fresh random point
+  // from the RNG after scoring.
+  AcquisitionContext ctx{space_};
+  ctx.objective_gp = &objective_gp_;
+  ctx.best_observed = -1000.0;
+  ctx.budgets = budgets_;
+  ctx.measured_power_gp = &power_gp_;
+  ctx.measured_memory_gp = &memory_gp_;
+  const HwCweiAcquisition cwei;
+  const Maximum drawn = maximize(cwei, ctx, nullptr);
+  EXPECT_EQ(drawn.score, 0.0);
+  EXPECT_EQ(drawn.evaluated, 351u);  // 350 candidates + the fresh draw
+  expect_worker_count_invariant(ctx, "zero scores", 351);
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 
 Covers the perf-gate contract: regressions beyond threshold fail with exit 1,
 improvements are reported but pass, a missing baseline only warns (exit 0),
-malformed JSON is rejected with exit 2, and tracked.json ratio invariants are
-enforced on the current snapshots.
+malformed JSON is rejected with exit 2, repeated runs compare by median with
+aggregate rows skipped, and tracked.json ratio invariants are enforced on the
+current snapshots.
 """
 
 import contextlib
@@ -112,6 +113,38 @@ class BenchCompareTest(unittest.TestCase):
         code, _, err = run_compare(self.args())
         self.assertEqual(code, 2)
         self.assertIn("no BENCH_*.json", err)
+
+    def test_aggregate_rows_are_skipped(self):
+        # --benchmark_repetitions appends mean/median/stddev/cv rows; a cv
+        # row's "real_time" is a percentage and must never be compared.
+        write_bench(self.baseline, "BENCH_a.json", {"BM_X/10": 100.0})
+        runs = [{"name": "BM_X/10", "iterations": 10, "real_time": 101.0,
+                 "cpu_time": 101.0, "time_unit": "ns"},
+                {"name": "BM_X/10_cv", "iterations": 1, "real_time": 0.9,
+                 "cpu_time": 0.9, "time_unit": "ns", "aggregate": "cv"},
+                {"name": "BM_X/10_mean", "iterations": 1, "real_time": 500.0,
+                 "cpu_time": 500.0, "time_unit": "ns", "aggregate": "mean"}]
+        (self.current / "BENCH_a.json").write_text(
+            json.dumps({"bench": "a", "runs": runs}))
+        code, out, _ = run_compare(self.args())
+        self.assertEqual(code, 0)
+        self.assertNotIn("BM_X/10_cv", out)
+        self.assertNotIn("BM_X/10_mean", out)
+
+    def test_repeated_runs_compare_by_median(self):
+        # Five repetitions with two outliers: the median (101) is within
+        # 15% of the baseline although the mean (172) is not.
+        write_bench(self.baseline, "BENCH_a.json", {"BM_X/10": 100.0})
+        runs = [{"name": "BM_X/10", "iterations": 10, "real_time": t,
+                 "cpu_time": t, "time_unit": "ns"}
+                for t in (99.0, 400.0, 101.0, 250.0, 10.0)]
+        (self.current / "BENCH_a.json").write_text(
+            json.dumps({"bench": "a", "runs": runs}))
+        code, out, _ = run_compare(self.args())
+        self.assertEqual(code, 0)
+        self.assertIn("OK         BENCH_a.json:BM_X/10 1.01x", out)
+        self.assertEqual(bench_compare.load_runs(self.current / "BENCH_a.json"),
+                         {"BM_X/10": 101.0})
 
     def test_normalize_mode_ignores_uniform_machine_speed(self):
         # Current machine is 3x slower across the board: absolute comparison

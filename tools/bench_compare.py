@@ -5,6 +5,11 @@ The perf-trajectory gate for the BO hot path (DESIGN.md par.13): CI runs the
 micro benches, then this script compares the fresh BENCH_*.json files in
 --current-dir against the committed snapshots in --baseline-dir.
 
+Each file's runs are reduced to one time per run name first: aggregate rows
+(the mean/median/stddev/cv rows that --benchmark_repetitions adds, marked
+"aggregate" by bench/common/micro_report.hpp) are skipped, and the repeated
+runs of one name compare by their median real_time.
+
 Checks, in order:
 
 1. Per-run comparison: for every run name present in both files, the current
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -43,7 +49,7 @@ class CompareError(Exception):
 
 
 def load_runs(path: Path) -> dict[str, float]:
-    """Maps run name -> real_time for one BENCH_*.json file."""
+    """Maps run name -> median real_time for one BENCH_*.json file."""
     try:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -51,20 +57,22 @@ def load_runs(path: Path) -> dict[str, float]:
     runs = doc.get("runs")
     if not isinstance(runs, list):
         raise CompareError(f"{path}: missing 'runs' array")
-    out: dict[str, float] = {}
+    times: dict[str, list[float]] = {}
     for run in runs:
         if not isinstance(run, dict) or "name" not in run:
             raise CompareError(f"{path}: run entry without a name")
         if "error" in run:
             continue  # benchmark-level failures are not timing data
+        if "aggregate" in run:
+            continue  # statistics over repetitions, not a run
         time = run.get("real_time")
         if not isinstance(time, (int, float)) or time <= 0:
             raise CompareError(
                 f"{path}: run '{run['name']}' has no positive real_time")
-        out[str(run["name"])] = float(time)
-    if not out:
+        times.setdefault(str(run["name"]), []).append(float(time))
+    if not times:
         raise CompareError(f"{path}: no usable runs")
-    return out
+    return {name: statistics.median(values) for name, values in times.items()}
 
 
 def normalize(runs: dict[str, float], reference: str,
