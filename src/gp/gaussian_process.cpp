@@ -157,7 +157,7 @@ void GaussianProcess::refit_full() {
   linalg::Matrix noisy = k_;
   noisy.add_to_diagonal(noise_variance_);
   obs::ScopedTimer chol_timer("gp.cholesky", &GpMetrics::get().cholesky_s);
-  auto chol = linalg::Cholesky::with_jitter(std::move(noisy));
+  auto chol = linalg::Cholesky::with_jitter(noisy);
   chol_timer.stop();
   // HP_ENFORCE (never compiled out): proceeding without a factor would
   // read an empty chol_ and emit garbage predictions, so even Release

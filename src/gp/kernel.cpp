@@ -52,9 +52,7 @@ Matern52Kernel::Matern52Kernel(KernelParams params)
 
 double Matern52Kernel::eval(std::span<const double> a,
                             std::span<const double> b) const {
-  const double r = ard_distance(a, b, params_);
-  const double s = std::sqrt(5.0) * r;
-  return params_.signal_variance * (1.0 + s + s * s / 3.0) * std::exp(-s);
+  return matern52(params_.signal_variance, ard_distance(a, b, params_));
 }
 
 namespace {
@@ -62,7 +60,7 @@ namespace {
 /// Columns [b, b + kLanes) of a Matern 5/2 cross-covariance block: row i
 /// holds k(x_i, q_b). Each entry's r^2 is summed in a register from 0.0
 /// over ascending d, exactly as ard_distance() sums one pair's, and then
-/// takes Matern52Kernel::eval()'s closed form.
+/// takes the matern52() closed form.
 template <std::size_t kLanes>
 void matern52_columns(const linalg::Matrix& x, const KernelParams& params,
                       const double* qt, std::size_t width, std::size_t b,
@@ -81,8 +79,7 @@ void matern52_columns(const linalg::Matrix& x, const KernelParams& params,
     }
     double* row = out + i * width + b;
     for (std::size_t j = 0; j < kLanes; ++j) {
-      const double s = std::sqrt(5.0) * std::sqrt(r2[j]);
-      row[j] = params.signal_variance * (1.0 + s + s * s / 3.0) * std::exp(-s);
+      row[j] = matern52(params.signal_variance, std::sqrt(r2[j]));
     }
   }
 }

@@ -4,6 +4,7 @@
 // relevance determination (ARD) length-scales, which is the one kernel
 // provided; the Kernel interface is the seam for another functional form.
 
+#include <cmath>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -93,6 +94,15 @@ class Matern52Kernel final : public Kernel {
  private:
   KernelParams params_;
 };
+
+/// Matern 5/2 covariance at scaled distance @p r:
+/// sigma_f^2 * (1 + s + s^2 / 3) * exp(-s) with s = sqrt(5) r. The one
+/// closed form behind Matern52Kernel::eval(), eval_block() and the kernel
+/// ML fit's likelihood evaluator.
+[[nodiscard]] inline double matern52(double signal_variance, double r) {
+  const double s = std::sqrt(5.0) * r;
+  return signal_variance * (1.0 + s + s * s / 3.0) * std::exp(-s);
+}
 
 /// Scaled Euclidean distance r used by the ARD kernel above.
 [[nodiscard]] double ard_distance(std::span<const double> a,

@@ -7,23 +7,63 @@
 
 namespace hp::linalg {
 
-std::optional<Matrix> Cholesky::factorize(const Matrix& a) {
-  HP_ASSERT(a.square(), "Cholesky::factorize: callers pre-check squareness");
+namespace {
+
+/// The lower triangle of @p a, zeros above: the storage factorize() turns
+/// into a factor whose lower() has a zero upper triangle.
+Matrix lower_triangle(const Matrix& a) {
   const std::size_t n = a.rows();
   Matrix l(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    double diag = a(j, j);
-    for (std::size_t k = 0; k < j; ++k) diag -= l(j, k) * l(j, k);
-    if (diag <= 0.0 || !std::isfinite(diag)) return std::nullopt;
-    const double ljj = std::sqrt(diag);
-    l(j, j) = ljj;
-    for (std::size_t i = j + 1; i < n; ++i) {
-      double acc = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) acc -= l(i, k) * l(j, k);
-      l(i, j) = acc / ljj;
-    }
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c <= r; ++c) l(r, c) = a(r, c);
   }
   return l;
+}
+
+}  // namespace
+
+bool Cholesky::factorize(Matrix& a) {
+  HP_REQUIRE(a.square(), "Cholesky::factorize: matrix must be square");
+  const std::size_t n = a.rows();
+  if (n == 0) return true;
+  double* const base = &a(0, 0);
+  for (std::size_t j = 0; j < n; ++j) {
+    double* const lj = base + j * n;
+    double diag = lj[j];
+    for (std::size_t k = 0; k < j; ++k) diag -= lj[k] * lj[k];
+    if (diag <= 0.0 || !std::isfinite(diag)) return false;
+    const double ljj = std::sqrt(diag);
+    lj[j] = ljj;
+    std::size_t i = j + 1;
+    for (; i + 4 <= n; i += 4) {
+      double* const l0 = base + i * n;
+      double* const l1 = l0 + n;
+      double* const l2 = l1 + n;
+      double* const l3 = l2 + n;
+      double acc0 = l0[j];
+      double acc1 = l1[j];
+      double acc2 = l2[j];
+      double acc3 = l3[j];
+      for (std::size_t k = 0; k < j; ++k) {
+        const double ljk = lj[k];
+        acc0 -= l0[k] * ljk;
+        acc1 -= l1[k] * ljk;
+        acc2 -= l2[k] * ljk;
+        acc3 -= l3[k] * ljk;
+      }
+      l0[j] = acc0 / ljj;
+      l1[j] = acc1 / ljj;
+      l2[j] = acc2 / ljj;
+      l3[j] = acc3 / ljj;
+    }
+    for (; i < n; ++i) {
+      double* const li = base + i * n;
+      double acc = li[j];
+      for (std::size_t k = 0; k < j; ++k) acc -= li[k] * lj[k];
+      li[j] = acc / ljj;
+    }
+  }
+  return true;
 }
 
 Cholesky::Cholesky(const Matrix& a) {
@@ -33,28 +73,25 @@ Cholesky::Cholesky(const Matrix& a) {
   if (!a.is_symmetric(1e-8 * std::max(1.0, a.max_abs()))) {
     throw std::invalid_argument("Cholesky: matrix must be symmetric");
   }
-  auto l = factorize(a);
-  if (!l) {
+  l_ = lower_triangle(a);
+  if (!factorize(l_)) {
     throw std::runtime_error("Cholesky: matrix is not positive definite");
   }
-  l_ = std::move(*l);
 }
 
-std::optional<Cholesky> Cholesky::with_jitter(Matrix a, double initial_jitter,
+std::optional<Cholesky> Cholesky::with_jitter(const Matrix& a,
+                                              double initial_jitter,
                                               int max_attempts) {
   if (!a.square()) {
     throw std::invalid_argument("Cholesky::with_jitter: matrix must be square");
   }
-  if (auto l = factorize(a)) {
-    return Cholesky(FromFactor{}, std::move(*l), 0.0);
-  }
+  Matrix l = lower_triangle(a);
+  if (factorize(l)) return Cholesky(FromFactor{}, std::move(l), 0.0);
   double jitter = initial_jitter * std::max(1.0, a.max_abs());
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    Matrix jittered = a;
-    jittered.add_to_diagonal(jitter);
-    if (auto l = factorize(jittered)) {
-      return Cholesky(FromFactor{}, std::move(*l), jitter);
-    }
+    l = lower_triangle(a);
+    l.add_to_diagonal(jitter);
+    if (factorize(l)) return Cholesky(FromFactor{}, std::move(l), jitter);
     jitter *= 10.0;
   }
   return std::nullopt;
@@ -107,15 +144,15 @@ Vector Cholesky::solve_lower(const Vector& b) const {
   return y;
 }
 
-void Cholesky::solve_lower_into(std::span<const double> b,
-                                std::span<double> out) const {
-  const std::size_t n = l_.rows();
+void Cholesky::solve_lower_into(const Matrix& l, std::span<const double> b,
+                                std::span<double> out) {
+  const std::size_t n = l.rows();
   HP_REQUIRE(b.size() == n && out.size() == n,
              "Cholesky::solve_lower_into: dimension mismatch");
   for (std::size_t i = 0; i < n; ++i) {
     double acc = b[i];
-    for (std::size_t k = 0; k < i; ++k) acc -= l_(i, k) * out[k];
-    out[i] = acc / l_(i, i);
+    for (std::size_t k = 0; k < i; ++k) acc -= l(i, k) * out[k];
+    out[i] = acc / l(i, i);
   }
 }
 
@@ -157,24 +194,31 @@ void Cholesky::solve_lower_block(std::span<double> block,
 }
 
 Vector Cholesky::solve_upper(const Vector& y) const {
-  const std::size_t n = l_.rows();
-  HP_REQUIRE(y.size() == n, "Cholesky::solve_upper: dimension mismatch");
-  Vector x(n);
+  Vector x(l_.rows());
+  solve_upper_into(l_, std::span<const double>(y.raw()),
+                   std::span<double>(x.raw()));
+  return x;
+}
+
+void Cholesky::solve_upper_into(const Matrix& l, std::span<const double> y,
+                                std::span<double> out) {
+  const std::size_t n = l.rows();
+  HP_REQUIRE(y.size() == n && out.size() == n,
+             "Cholesky::solve_upper_into: dimension mismatch");
   for (std::size_t ii = n; ii-- > 0;) {
     double acc = y[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) acc -= l_(k, ii) * x[k];
-    x[ii] = acc / l_(ii, ii);
+    for (std::size_t k = ii + 1; k < n; ++k) acc -= l(k, ii) * out[k];
+    out[ii] = acc / l(ii, ii);
   }
-  return x;
 }
 
 Vector Cholesky::solve(const Vector& b) const {
   return solve_upper(solve_lower(b));
 }
 
-double Cholesky::log_det() const noexcept {
+double Cholesky::log_det(const Matrix& l) noexcept {
   double acc = 0.0;
-  for (std::size_t i = 0; i < l_.rows(); ++i) acc += std::log(l_(i, i));
+  for (std::size_t i = 0; i < l.rows(); ++i) acc += std::log(l(i, i));
   return 2.0 * acc;
 }
 

@@ -19,12 +19,41 @@ class Cholesky {
   /// not symmetric, std::runtime_error if it is not positive definite.
   explicit Cholesky(const Matrix& a);
 
+  /// with_jitter()'s defaults: the first jitter is kInitialJitter times
+  /// max(1, max|a_ij|), and each of kJitterAttempts retries multiplies it
+  /// by 10.
+  static constexpr double kInitialJitter = 1e-10;
+  static constexpr int kJitterAttempts = 8;
+
   /// Attempts to factorize @p a, adding exponentially increasing jitter to
-  /// the diagonal on failure (starting at @p initial_jitter, up to
-  /// @p max_attempts doublings-by-10). Returns std::nullopt if the matrix
-  /// stays indefinite. On success, jitter_used() reports what was added.
+  /// the diagonal on failure (starting at @p initial_jitter times
+  /// max(1, a.max_abs()), up to @p max_attempts multiplications by 10).
+  /// Returns std::nullopt if the matrix stays indefinite. On success,
+  /// jitter_used() reports what was added.
   [[nodiscard]] static std::optional<Cholesky> with_jitter(
-      Matrix a, double initial_jitter = 1e-10, int max_attempts = 8);
+      const Matrix& a, double initial_jitter = kInitialJitter,
+      int max_attempts = kJitterAttempts);
+
+  /// The one factorization routine, in place on caller storage: reads the
+  /// lower triangle of the square matrix @p a (A's entries on and below the
+  /// diagonal) and overwrites it with the factor L, leaving the strict upper
+  /// triangle untouched. Returns false at the first pivot that is <= 0 or
+  /// not finite, with @p a partly overwritten. Per column j, four rows i
+  /// advance together, each with its own accumulator doing the one-row
+  /// loop's operations in its order (acc = a(i,j); acc -= l(i,k) * l(j,k)
+  /// over ascending k; l(i,j) = acc / l(j,j)), so the factor is bit for bit
+  /// the one-row loop's while four add chains overlap. Squareness is an
+  /// HP_REQUIRE contract.
+  [[nodiscard]] static bool factorize(Matrix& a);
+
+  /// Triangular solves and log-determinant for a factor held in caller
+  /// storage: @p l's lower triangle, as factorize() leaves it. The member
+  /// functions of the same names run these on the owned factor.
+  static void solve_lower_into(const Matrix& l, std::span<const double> b,
+                               std::span<double> out);
+  static void solve_upper_into(const Matrix& l, std::span<const double> y,
+                               std::span<double> out);
+  [[nodiscard]] static double log_det(const Matrix& l) noexcept;
 
   /// Lower factor L.
   [[nodiscard]] const Matrix& lower() const noexcept { return l_; }
@@ -62,7 +91,10 @@ class Cholesky {
 
   /// Forward substitution into caller-owned storage (@p out may not alias
   /// @p b) — the allocation-free core of solve_lower().
-  void solve_lower_into(std::span<const double> b, std::span<double> out) const;
+  void solve_lower_into(std::span<const double> b,
+                        std::span<double> out) const {
+    solve_lower_into(l_, b, out);
+  }
 
   /// Forward substitution over many right-hand sides at once, in place:
   /// @p block is n x @p width row-major, row i holding entry i of every
@@ -76,15 +108,12 @@ class Cholesky {
   [[nodiscard]] Vector solve_upper(const Vector& y) const;
 
   /// log(det A) = 2 * sum(log(L_ii)).
-  [[nodiscard]] double log_det() const noexcept;
+  [[nodiscard]] double log_det() const noexcept { return log_det(l_); }
 
  private:
   struct FromFactor {};
   Cholesky(FromFactor, Matrix l, double jitter)
       : l_(std::move(l)), jitter_(jitter) {}
-
-  /// Core in-place factorization; returns the factor or nullopt.
-  [[nodiscard]] static std::optional<Matrix> factorize(const Matrix& a);
 
   Matrix l_;
   double jitter_ = 0.0;

@@ -1,18 +1,55 @@
 #include "stats/rng.hpp"
 
 #include <numeric>
+#include <random>
 #include <stdexcept>
 
 namespace hp::stats {
 
-double Rng::uniform() {
-  return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
+namespace {
+
+constexpr std::size_t kShift = 156;  // the standard's m
+constexpr std::uint64_t kMatrixA = 0xb5026f5aa96619e9ULL;
+constexpr std::uint64_t kUpperMask = ~std::uint64_t{0} << 31;
+constexpr std::uint64_t kLowerMask = ~kUpperMask;
+
+/// One word of the state transition: the upper bits of @p upper joined to
+/// the lower bits of @p lower, shifted, and xored with A when odd.
+inline std::uint64_t twist_word(std::uint64_t far, std::uint64_t upper,
+                                std::uint64_t lower) noexcept {
+  const std::uint64_t y = (upper & kUpperMask) | (lower & kLowerMask);
+  return far ^ (y >> 1) ^ ((std::uint64_t{0} - (y & 1U)) & kMatrixA);
+}
+
+}  // namespace
+
+Mt19937_64::Mt19937_64(std::uint64_t seed) noexcept {
+  state_[0] = seed;
+  for (std::size_t i = 1; i < kStateSize; ++i) {
+    const std::uint64_t prev = state_[i - 1];
+    state_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+  }
+}
+
+void Mt19937_64::twist() noexcept {
+  std::size_t k = 0;
+  for (; k < kStateSize - kShift; ++k) {
+    state_[k] = twist_word(state_[k + kShift], state_[k], state_[k + 1]);
+  }
+  for (; k < kStateSize - 1; ++k) {
+    state_[k] =
+        twist_word(state_[k + kShift - kStateSize], state_[k], state_[k + 1]);
+  }
+  state_[kStateSize - 1] =
+      twist_word(state_[kShift - 1], state_[kStateSize - 1], state_[0]);
+  index_ = 0;
 }
 
 double Rng::uniform(double lo, double hi) {
   if (lo > hi) throw std::invalid_argument("Rng::uniform: lo > hi");
   if (lo == hi) return lo;
-  return std::uniform_real_distribution<double>(lo, hi)(engine_);
+  // std::uniform_real_distribution<double>(lo, hi)'s formula.
+  return uniform() * (hi - lo) + lo;
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {

@@ -3,7 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "linalg/cholesky.hpp"
 #include "stats/rng.hpp"
 
 namespace hp::gp {
@@ -11,6 +17,42 @@ namespace {
 
 using linalg::Matrix;
 using linalg::Vector;
+
+constexpr double kMinusInf = -std::numeric_limits<double>::infinity();
+
+/// The kernel ML fit's objective before LmlEvaluator: a fresh GP per
+/// evaluation, -inf wherever it throws or the LML is not finite.
+double fresh_gp_lml(const Matrix& x, const Vector& y,
+                    const KernelParams& params, double noise) {
+  try {
+    GaussianProcess gp(Matern52Kernel(params), noise);
+    gp.fit(x, y);
+    const double lml = gp.log_marginal_likelihood();
+    return std::isfinite(lml) ? lml : kMinusInf;
+  } catch (const std::exception&) {
+    return kMinusInf;
+  }
+}
+
+/// Seeded inputs in the unit cube and a smooth target with a little noise.
+void seeded_dataset(std::size_t n, std::size_t dim, std::uint64_t seed,
+                    Matrix& x, Vector& y) {
+  stats::Rng rng(seed);
+  x = Matrix(n, dim);
+  y = Vector(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t d = 0; d < dim; ++d) x(i, d) = rng.uniform();
+    y[i] = x(i, 0) - 2.0 * x(i, (dim - 1) / 2) * x(i, dim / 3) +
+           x(i, dim - 1) * x(i, dim - 1) + 0.1 * rng.uniform();
+  }
+}
+
+/// Asserts the evaluator equals the fresh-GP path bit for bit.
+void expect_same_lml(LmlEvaluator& evaluator, const Matrix& x,
+                     const Vector& y, const KernelParams& params,
+                     double noise) {
+  EXPECT_EQ(evaluator.lml(params, noise), fresh_gp_lml(x, y, params, noise));
+}
 
 TEST(KernelFit, RejectsBadDataset) {
   KernelParams p;
@@ -112,6 +154,233 @@ TEST(KernelFit, DeterministicForSeed) {
   const auto r2 = fit_kernel_by_ml(gp2, x, y, opt);
   EXPECT_DOUBLE_EQ(r1.log_marginal_likelihood, r2.log_marginal_likelihood);
   EXPECT_EQ(r1.evaluations, r2.evaluations);
+}
+
+TEST(KernelFit, RejectsBadOptions) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    const char* name;
+    double min_log;
+    double max_log;
+    bool fit_noise;
+    double min_noise_variance;
+  };
+  const Case cases[] = {
+      {"min_log above max_log", 1.0, 0.0, true, 1e-8},
+      {"infinite min_log", -inf, 6.0, true, 1e-8},
+      {"infinite max_log", -6.0, inf, true, 1e-8},
+      {"NaN min_log", nan, 6.0, true, 1e-8},
+      {"NaN max_log", -6.0, nan, true, 1e-8},
+      {"exp(min_log) underflows to 0", -800.0, 6.0, true, 1e-8},
+      {"exp(max_log) overflows to inf", -6.0, 800.0, true, 1e-8},
+      {"negative noise floor, fixed noise", -6.0, 6.0, false, -1e-6},
+      {"negative noise floor, fitted noise", -6.0, 6.0, true, -1e-6},
+      {"NaN noise floor", -6.0, 6.0, true, nan},
+      {"infinite noise floor", -6.0, 6.0, true, inf},
+  };
+  Matrix x;
+  Vector y;
+  seeded_dataset(6, 2, 5, x, y);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    KernelFitOptions options;
+    options.min_log = c.min_log;
+    options.max_log = c.max_log;
+    options.fit_noise = c.fit_noise;
+    options.min_noise_variance = c.min_noise_variance;
+    EXPECT_THROW(options.validate(), std::invalid_argument);
+    GaussianProcess gp(Matern52Kernel(KernelParams{}), 1e-4);
+    EXPECT_THROW((void)fit_kernel_by_ml(gp, x, y, options),
+                 std::invalid_argument);
+  }
+  // The defaults and equal bounds are valid.
+  KernelFitOptions options;
+  EXPECT_NO_THROW(options.validate());
+  options.min_log = options.max_log = 0.0;
+  options.min_noise_variance = 0.0;
+  EXPECT_NO_THROW(options.validate());
+}
+
+TEST(KernelFit, RejectsMismatchedLengthScaleCount) {
+  Matrix x;
+  Vector y;
+  seeded_dataset(5, 3, 6, x, y);
+  KernelParams start;
+  start.length_scales = {0.5, 0.5};  // neither 1 nor 3
+  GaussianProcess gp(Matern52Kernel(start), 1e-4);
+  EXPECT_THROW((void)fit_kernel_by_ml(gp, x, y), std::invalid_argument);
+  LmlEvaluator evaluator(x, y);
+  EXPECT_THROW((void)evaluator.lml(start, 1e-4), std::invalid_argument);
+}
+
+TEST(LmlEvaluator, RejectsBadDataset) {
+  EXPECT_THROW((void)LmlEvaluator(Matrix(), Vector()), std::invalid_argument);
+  EXPECT_THROW((void)LmlEvaluator(Matrix(3, 1), Vector(2)),
+               std::invalid_argument);
+}
+
+TEST(LmlEvaluator, MatchesFreshGpPathOneCoordinateAtATime) {
+  for (const std::size_t dim : {std::size_t{1}, std::size_t{13}}) {
+    for (const std::size_t n : {1, 2, 3, 13, 52}) {
+      SCOPED_TRACE("n = " + std::to_string(n) +
+                   ", D = " + std::to_string(dim));
+      Matrix x;
+      Vector y;
+      seeded_dataset(n, dim, 100 + n + dim, x, y);
+      LmlEvaluator evaluator(x, y);
+      KernelParams params;
+      params.signal_variance = 0.8;
+      params.length_scales.assign(dim, 0.4);
+      double noise = 1e-3;
+      expect_same_lml(evaluator, x, y, params, noise);
+      // Each coordinate moves up, down and back, and repeats a value, as
+      // the coordinate search moves it: the signal variance, every length
+      // scale, then the noise.
+      const std::vector<double> steps = {1.7, 1.0 / 1.7, 1.0, 1.0 / 1.3};
+      for (const double step : steps) {
+        params.signal_variance *= step;
+        expect_same_lml(evaluator, x, y, params, noise);
+      }
+      for (std::size_t d = 0; d < dim; ++d) {
+        for (const double step : steps) {
+          params.length_scales[d] *= step;
+          expect_same_lml(evaluator, x, y, params, noise);
+        }
+      }
+      for (const double step : steps) {
+        noise *= step;
+        expect_same_lml(evaluator, x, y, params, noise);
+      }
+      // Then a full random change, and the isotropic broadcast form.
+      stats::Rng rng(n * 31 + dim);
+      params.signal_variance = std::exp(rng.uniform(-3.0, 3.0));
+      for (double& l : params.length_scales) {
+        l = std::exp(rng.uniform(-3.0, 3.0));
+      }
+      noise = std::exp(rng.uniform(-9.0, 0.0));
+      expect_same_lml(evaluator, x, y, params, noise);
+      const KernelParams isotropic{params.signal_variance, {0.25}};
+      expect_same_lml(evaluator, x, y, isotropic, noise);
+      expect_same_lml(evaluator, x, y, params, noise);
+    }
+  }
+}
+
+TEST(LmlEvaluator, DuplicatedRowsTakeTheJitterPath) {
+  Matrix x;
+  Vector y;
+  seeded_dataset(8, 3, 17, x, y);
+  for (std::size_t d = 0; d < 3; ++d) {
+    x(1, d) = x(0, d);
+    x(5, d) = x(2, d);
+  }
+  KernelParams params;  // signal variance 1: the second pivot is exactly 0
+  params.length_scales = {0.7, 0.2, 1.5};
+  // Without noise the Gram is singular: the plain factorization fails, and
+  // the reference GP only fits through with_jitter()'s retry.
+  const Matrix gram = kernel_matrix(Matern52Kernel(params), x);
+  Matrix plain = gram;
+  ASSERT_FALSE(linalg::Cholesky::factorize(plain));
+  const auto jittered = linalg::Cholesky::with_jitter(gram);
+  ASSERT_TRUE(jittered.has_value());
+  ASSERT_GT(jittered->jitter_used(), 0.0);
+  LmlEvaluator evaluator(x, y);
+  expect_same_lml(evaluator, x, y, params, 0.0);
+  EXPECT_TRUE(std::isfinite(evaluator.lml(params, 0.0)));
+  params.length_scales[1] = 0.3;
+  expect_same_lml(evaluator, x, y, params, 0.0);
+  expect_same_lml(evaluator, x, y, params, 1e-6);
+}
+
+TEST(LmlEvaluator, UnfactorableGramScoresMinusInfinity) {
+  // A NaN input coordinate makes Gram entries NaN, which no jitter can
+  // factor: both paths score -inf.
+  Matrix x;
+  Vector y;
+  seeded_dataset(6, 2, 23, x, y);
+  x(3, 1) = std::numeric_limits<double>::quiet_NaN();
+  KernelParams params;
+  params.length_scales = {0.5, 0.5};
+  LmlEvaluator evaluator(x, y);
+  EXPECT_EQ(evaluator.lml(params, 1e-4), kMinusInf);
+  EXPECT_EQ(fresh_gp_lml(x, y, params, 1e-4), kMinusInf);
+}
+
+TEST(LmlEvaluator, InvalidParametersScoreMinusInfinity) {
+  Matrix x;
+  Vector y;
+  seeded_dataset(5, 2, 29, x, y);
+  LmlEvaluator evaluator(x, y);
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<KernelParams, double>> cases = {
+      {KernelParams{0.0, {0.5}}, 1e-4},
+      {KernelParams{-1.0, {0.5}}, 1e-4},
+      {KernelParams{inf, {0.5}}, 1e-4},
+      {KernelParams{1.0, {0.5, 0.0}}, 1e-4},
+      {KernelParams{1.0, {inf, 0.5}}, 1e-4},
+      {KernelParams{1.0, {0.5}}, -1e-4},
+  };
+  for (const auto& [params, noise] : cases) {
+    EXPECT_EQ(evaluator.lml(params, noise), kMinusInf);
+    EXPECT_EQ(fresh_gp_lml(x, y, params, noise), kMinusInf);
+  }
+  // A valid setting still matches after the rejected ones.
+  expect_same_lml(evaluator, x, y, KernelParams{1.0, {0.5, 0.9}}, 1e-4);
+}
+
+TEST(KernelFit, PinnedResultOnSeeded13DimensionalData) {
+  // Captured from the fresh-GP-per-evaluation fit, before LmlEvaluator:
+  // every parameter, the noise, the LML and the evaluation count.
+  struct Pinned {
+    std::size_t n;
+    double signal_variance;
+    std::vector<double> length_scales;
+    double noise_variance;
+    double lml;
+    int evaluations;
+  };
+  const std::vector<Pinned> pinned = {
+      {2,
+       0x1.d76aa7f199b1cp-5,
+       {0x1.e51bf0b4a7b85p-1, 0x1.25a90105e9b18p+0, 0x1.a1de215e47d5p+1,
+        0x1.1f79fa72ed628p-5, 0x1.ac4f393cf2a5dp+3, 0x1.6148992584bf9p-4,
+        0x1.842393f82ec2p+1, 0x1.c5608e78a47f8p+3, 0x1.3c6f2d5628514p-6,
+        0x1.bc19e40c2c2e9p+3, 0x1.7e5cde85f2bdap+1, 0x1.7fba9c9dd0063p-2,
+        0x1.100ef86a2ac67p+1},
+       0x1.f95e477fb14aap-6,
+       -0x1.a470fb5d5769p-2,
+       1787},
+      {40,
+       0x1.78b56362cef38p-2,
+       {0x1.a18730d4b9c17p-1, 0x1.583197ac61fe7p+0, 0x1.81a46e5b93ad3p+2,
+        0x1.583197ac61fe7p+0, 0x1.a18730d4b9c17p-1, 0x1.a18730d4b9c17p-1,
+        0x1.a18730d4b9c17p-1, 0x1.1bbd6087fb834p+1, 0x1.1bbd6087fb834p+1,
+        0x1.583197ac61fe7p+0, 0x1.fa7cb77573b2p-2, 0x1.fa7cb77573b2p-2,
+        0x1.fa7cb77573b2p-2},
+       0x1.44e51f113d4d6p-9,
+       -0x1.3e0bb9171d546p+4,
+       233},
+  };
+  for (const Pinned& p : pinned) {
+    SCOPED_TRACE("n = " + std::to_string(p.n));
+    Matrix x;
+    Vector y;
+    seeded_dataset(p.n, 13, 2018 + p.n, x, y);
+    KernelParams start;
+    start.length_scales.assign(13, 0.3);
+    GaussianProcess gp(Matern52Kernel(start), 1e-4);
+    KernelFitOptions options;
+    options.min_noise_variance = 1e-4;
+    const KernelFitResult result = fit_kernel_by_ml(gp, x, y, options);
+    EXPECT_EQ(result.params.signal_variance, p.signal_variance);
+    EXPECT_EQ(result.params.length_scales, p.length_scales);
+    EXPECT_EQ(result.noise_variance, p.noise_variance);
+    EXPECT_EQ(result.log_marginal_likelihood, p.lml);
+    EXPECT_EQ(result.evaluations, p.evaluations);
+    // The installed GP reports the same likelihood.
+    EXPECT_EQ(gp.log_marginal_likelihood(), p.lml);
+  }
 }
 
 }  // namespace

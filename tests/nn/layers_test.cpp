@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/pooling.hpp"

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "stats/rng.hpp"
 
 namespace hp::nn {

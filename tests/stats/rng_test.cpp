@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <random>
 #include <set>
+#include <vector>
 
 namespace hp::stats {
 namespace {
@@ -153,6 +158,129 @@ TEST(Rng, PermutationShuffles) {
   const auto a = rng.permutation(50);
   const auto b = rng.permutation(50);
   EXPECT_NE(a, b);
+}
+
+/// The Rng this one replaced, backed by std::mt19937_64 and the std
+/// distributions: the reference every draw must match bit for bit.
+class StdRng {
+ public:
+  explicit StdRng(std::uint64_t seed) : engine_(seed) {}
+  double uniform() {
+    return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
+  }
+  double uniform(double lo, double hi) {
+    if (lo == hi) return lo;
+    return std::uniform_real_distribution<double>(lo, hi)(engine_);
+  }
+  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
+  }
+  double gaussian(double mean, double sd) {
+    if (sd == 0.0) return mean;
+    return std::normal_distribution<double>(mean, sd)(engine_);
+  }
+  bool bernoulli(double p) { return std::bernoulli_distribution(p)(engine_); }
+  StdRng child(std::uint64_t stream_id) {
+    const std::uint64_t base = engine_();
+    return StdRng(
+        splitmix64(base ^ splitmix64(stream_id + 0x9e3779b97f4a7c15ULL)));
+  }
+  std::vector<std::size_t> permutation(std::size_t n) {
+    std::vector<std::size_t> idx(n);
+    std::iota(idx.begin(), idx.end(), std::size_t{0});
+    for (std::size_t i = n; i > 1; --i) {
+      const auto j = static_cast<std::size_t>(
+          uniform_int(0, static_cast<std::int64_t>(i) - 1));
+      std::swap(idx[i - 1], idx[j]);
+    }
+    return idx;
+  }
+
+ private:
+  std::mt19937_64 engine_;
+};
+
+TEST(Mt19937_64, MatchesStdEngineWordForWord) {
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{42},
+        std::uint64_t{5489}, ~std::uint64_t{0}}) {
+    Mt19937_64 ours(seed);
+    std::mt19937_64 theirs(seed);
+    for (int i = 0; i < 1'000'000; ++i) {
+      const std::uint64_t want = theirs();
+      ASSERT_EQ(ours(), want) << "seed " << seed << ", word " << i;
+    }
+  }
+}
+
+TEST(Mt19937_64, StandardTenThousandthOutput) {
+  // [rand.predef]: the 10000th consecutive invocation of a
+  // default-constructed mt19937_64 produces 9981545732273789042.
+  Mt19937_64 engine;
+  std::uint64_t word = 0;
+  for (int i = 0; i < 10000; ++i) word = engine();
+  EXPECT_EQ(word, 9981545732273789042ULL);
+}
+
+TEST(Rng, UniformMatchesStdUniformRealDistribution) {
+  Rng ours(2018);
+  std::mt19937_64 engine(2018);
+  std::uniform_real_distribution<double> theirs(0.0, 1.0);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double want = theirs(engine);
+    ASSERT_EQ(ours.uniform(), want) << "draw " << i;
+  }
+}
+
+/// A generator that returns one fixed word, to feed a chosen word to
+/// std::generate_canonical.
+struct FixedWord {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~std::uint64_t{0}; }
+  result_type operator()() const { return word; }
+  std::uint64_t word;
+};
+
+TEST(Rng, UnitIntervalAtEdgeWords) {
+  const std::uint64_t two53 = std::uint64_t{1} << 53;
+  const std::vector<std::uint64_t> words = {
+      0,         1,         two53 - 1,           two53,
+      two53 + 1, two53 + 3, std::uint64_t{1} << 63,
+      ~std::uint64_t{0} - 1024, ~std::uint64_t{0} - 1025,
+      ~std::uint64_t{0}};
+  for (const std::uint64_t word : words) {
+    FixedWord engine{word};
+    EXPECT_EQ(unit_interval(word),
+              (std::generate_canonical<double, 53>(engine)))
+        << "word " << word;
+  }
+  EXPECT_EQ(unit_interval(0), 0.0);
+  EXPECT_EQ(unit_interval(1), 0x1p-64);
+  EXPECT_EQ(unit_interval(std::uint64_t{1} << 63), 0.5);
+  EXPECT_EQ(unit_interval(~std::uint64_t{0}), std::nextafter(1.0, 0.0));
+}
+
+TEST(Rng, MixedDrawSequenceMatchesStdReference) {
+  Rng ours(77);
+  StdRng theirs(77);
+  for (int round = 0; round < 2000; ++round) {
+    ASSERT_EQ(ours.uniform(), theirs.uniform());
+    ASSERT_EQ(ours.uniform(-3.5, 11.25), theirs.uniform(-3.5, 11.25));
+    ASSERT_EQ(ours.uniform(2.0, 2.0), theirs.uniform(2.0, 2.0));
+    ASSERT_EQ(ours.uniform_int(-5, 1000), theirs.uniform_int(-5, 1000));
+    ASSERT_EQ(ours.gaussian(), theirs.gaussian(0.0, 1.0));
+    ASSERT_EQ(ours.gaussian(3.0, 0.5), theirs.gaussian(3.0, 0.5));
+    ASSERT_EQ(ours.bernoulli(0.3), theirs.bernoulli(0.3));
+    ASSERT_EQ(ours.permutation(13), theirs.permutation(13));
+    if (round % 100 == 0) {
+      Rng ours_child = ours.child(static_cast<std::uint64_t>(round));
+      StdRng theirs_child = theirs.child(static_cast<std::uint64_t>(round));
+      for (int i = 0; i < 400; ++i) {
+        ASSERT_EQ(ours_child.uniform(), theirs_child.uniform());
+      }
+    }
+  }
 }
 
 TEST(Splitmix64, DeterministicAndMixing) {
