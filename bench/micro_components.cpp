@@ -276,7 +276,7 @@ BENCHMARK(BM_RealCnnTrainingEpoch);
 // The same small Cholesky workload at three instrumentation levels. The
 // committed tracked.json invariant pins Baseline/SpansOff >= 0.98: a
 // ScopedTimer with every backend disabled may cost at most ~2% on a
-// microsecond-scale workload (in practice it is three relaxed loads).
+// microsecond-scale workload (in practice it is two relaxed loads).
 
 linalg::Matrix trace_bench_matrix() {
   linalg::Matrix b = random_inputs(32, 32, 7);
@@ -295,7 +295,7 @@ void BM_TraceOverheadBaseline(benchmark::State& state) {
 BENCHMARK(BM_TraceOverheadBaseline);
 
 void BM_TraceOverheadSpansOff(benchmark::State& state) {
-  // Metrics, logging and tracing all disabled: the span is a no-op guard.
+  // Metrics and tracing both disabled: the span is a no-op guard.
   const linalg::Matrix a = trace_bench_matrix();
   for (auto _ : state) {
     obs::ScopedTimer span("bench.trace_overhead");
@@ -329,7 +329,6 @@ void BM_TraceExport(benchmark::State& state) {
   obs::tracer().start(config);
   for (int i = 0; i < 4096; ++i) {
     obs::ScopedTimer span("bench.trace_overhead", nullptr,
-                          obs::LogLevel::kTrace,
                           static_cast<std::uint64_t>(i));
     span.trace_arg({"index", i});
     benchmark::DoNotOptimize(i);

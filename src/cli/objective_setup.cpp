@@ -37,12 +37,12 @@ hw::DeviceSpec device_by_name(const std::string& name) {
 }
 
 std::vector<std::string> evaluation_stack_flags() {
-  return {"problem",        "device",         "power-budget",
-          "memory-budget",  "default-mode",   "seed",
-          "retries",        "eval-timeout",   "fault-rate",
-          "fault-seed",     "sensor-fault-rate", "worker-kill-rate",
-          "worker-hang-rate", "reply-corrupt-rate", "power-model",
-          "memory-model",   "profile-samples"};
+  return {"problem",            "device",             "power-budget",
+          "memory-budget",      "default-mode",       "seed",
+          "retries",            "fault-rate",         "fault-seed",
+          "sensor-fault-rate",  "worker-kill-rate",   "worker-hang-rate",
+          "reply-corrupt-rate", "power-model",        "memory-model",
+          "profile-samples"};
 }
 
 std::unique_ptr<EvaluationStack> build_evaluation_stack(const Args& args) {
@@ -124,9 +124,6 @@ EvaluationPolicy evaluation_policy(const Args& args) {
   policy.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 1));
   if (const auto retries = args.get_uint("retries")) {
     policy.retry.max_attempts = *retries + 1;
-  }
-  if (const auto timeout = args.get_double("eval-timeout")) {
-    policy.retry.eval_timeout_s = *timeout;
   }
   policy.use_early_termination = !args.has("default-mode");
   return policy;

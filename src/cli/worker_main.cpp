@@ -5,8 +5,10 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -127,13 +129,18 @@ std::vector<std::string> worker_flags() {
 }
 
 int serve(const Args& args) {
+  const double heartbeat_s = args.get_double_or("heartbeat-interval", 0.5);
+  if (!(std::isfinite(heartbeat_s) && heartbeat_s > 0.0)) {
+    // A NaN or non-positive period would spin the heartbeat thread.
+    throw std::invalid_argument(
+        "--heartbeat-interval must be a finite number of seconds > 0");
+  }
   auto stack = build_evaluation_stack(args);
   const EvaluationPolicy policy = evaluation_policy(args);
   const core::EarlyTerminationRule* rule =
       policy.use_early_termination ? &policy.early_termination : nullptr;
   core::ResilientEvaluator evaluator(stack->search_objective(), policy.retry,
                                      policy.seed);
-  const double heartbeat_s = args.get_double_or("heartbeat-interval", 0.5);
 
   HeartbeatThread heartbeat(STDOUT_FILENO, heartbeat_s);
   if (!heartbeat.write_frame_line(
@@ -159,8 +166,8 @@ int serve(const Args& args) {
     }
     heartbeat.set_job(job->job_id);
     if (fault == core::WorkerFault::Hang) {
-      // Chaos: wedge silently. Beats stop, the scheduler's missed-beat
-      // detector declares us lost and SIGKILLs the process.
+      // Chaos: wedge silently. Beats stop; the scheduler's job deadline or
+      // missed-beat detector, whichever fires first, SIGKILLs the process.
       heartbeat.suspend();
       std::this_thread::sleep_for(std::chrono::hours(1));
       return 1;  // unreachable in practice: the scheduler kills us first

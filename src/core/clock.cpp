@@ -6,8 +6,9 @@
 namespace hp::core {
 
 void VirtualClock::advance(double seconds) {
-  if (seconds < 0.0) {
-    throw std::invalid_argument("VirtualClock::advance: negative duration");
+  if (!(seconds >= 0.0)) {  // also catches NaN
+    throw std::invalid_argument(
+        "VirtualClock::advance: negative or NaN duration");
   }
   now_ += seconds;
 }

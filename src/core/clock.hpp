@@ -14,9 +14,9 @@ class Clock {
   virtual ~Clock() = default;
   /// Current time in seconds since the clock's epoch.
   [[nodiscard]] virtual double now_s() const = 0;
-  /// Advances the clock by @p seconds (>= 0). A wall clock implements this
-  /// as an actual sleep-free no-op cost accounting or throws; the virtual
-  /// clock simply adds.
+  /// Advances the clock by @p seconds (>= 0, not NaN). A wall clock
+  /// implements this as an actual sleep-free no-op cost accounting or
+  /// throws; the virtual clock simply adds.
   virtual void advance(double seconds) = 0;
 };
 

@@ -1,9 +1,7 @@
 #include "core/fault_injection.hpp"
 
-#include <chrono>
 #include <cstring>
 #include <string>
-#include <thread>
 
 #include "obs/trace.hpp"
 
@@ -73,10 +71,6 @@ void FaultInjectingObjective::maybe_fail(const Configuration& config) {
     obs::tracer().instant(
         "fault.injected",
         {{"kind", failure_kind_name(*kind)}, {"attempt", attempt}});
-  }
-  if (*kind == FailureKind::Timeout && spec_.hang_s > 0.0) {
-    // Simulated hang: real sleep so the watchdog deadline can fire first.
-    std::this_thread::sleep_for(std::chrono::duration<double>(spec_.hang_s));
   }
   throw EvalFailure(*kind, "injected " + to_string(*kind) + " fault",
                     spec_.failed_attempt_cost_s);

@@ -30,10 +30,6 @@ struct FaultSpec {
   double persistent_weight = 0.0;
   double timeout_weight = 0.0;
   double diverged_weight = 0.0;
-  /// Real seconds an injected Timeout fault sleeps before throwing —
-  /// lets tests arm a shorter wall-clock deadline and watch the
-  /// DeadlineRunner fire first. 0 = throw immediately.
-  double hang_s = 0.0;
   /// Virtual cost charged for each injected failed attempt (a crashed
   /// training run still burned GPU time before dying).
   double failed_attempt_cost_s = 5.0;

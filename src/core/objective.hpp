@@ -44,8 +44,9 @@ enum class FailureKind {
   /// Deterministic defect (bad spec, model too large): retrying cannot
   /// help.
   Persistent,
-  /// The attempt blew its wall-clock deadline (hung candidate); retried,
-  /// since hangs are usually environmental.
+  /// The attempt blew its wall-clock deadline (hung candidate): the fleet
+  /// killed its worker at --job-deadline. Retried, since hangs are usually
+  /// environmental.
   Timeout,
   /// Training reported an unrecoverable numeric blow-up (NaN loss) before
   /// the early-termination rule could catch it; not retried.

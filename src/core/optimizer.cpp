@@ -118,8 +118,7 @@ RunResult Optimizer::resume(
 
 RunResult Optimizer::run_impl(
     const std::vector<EvaluationRecord>* replay) {
-  obs::ScopedTimer run_span("optimizer.run", nullptr, obs::LogLevel::kTrace,
-                            options_.seed);
+  obs::ScopedTimer run_span("optimizer.run", nullptr, options_.seed);
   run_span.trace_arg({"seed", options_.seed});
   run_span.trace_arg({"batch_size", options_.batch_size});
   run_span.trace_arg({"num_threads", options_.num_threads});
@@ -156,8 +155,7 @@ RunResult Optimizer::run_impl(
     // not of scheduling) so the round's span id — and the ids of
     // everything beneath it — is identical at any thread count.
     const std::size_t round_base = study_.next_sample_index();
-    obs::ScopedTimer round_span("optimizer.round", nullptr,
-                                obs::LogLevel::kTrace, round_base);
+    obs::ScopedTimer round_span("optimizer.round", nullptr, round_base);
     round_span.trace_arg({"round_base", round_base});
     if (batched && obs::metrics().enabled()) DriverMetrics::get().rounds.add(1);
 
@@ -179,7 +177,7 @@ RunResult Optimizer::run_impl(
       if (!jobs.empty()) {
         obs::ScopedTimer evaluate_timer("optimize.round_evaluate",
                                         &DriverMetrics::get().round_evaluate_s,
-                                        obs::LogLevel::kTrace, round_base);
+                                        round_base);
         const std::size_t expected = jobs.size();
         records = dispatcher->evaluate_round(std::move(jobs));
         if (records.size() != expected) {
@@ -198,7 +196,7 @@ RunResult Optimizer::run_impl(
     std::optional<obs::ScopedTimer> merge_timer;
     if (batched) {
       merge_timer.emplace("optimize.merge", &DriverMetrics::get().merge_s,
-                          obs::LogLevel::kTrace, round_base);
+                          round_base);
     }
     for (std::size_t i = 0; i < trials.size(); ++i) {
       Trial& trial = trials[i];

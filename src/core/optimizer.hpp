@@ -37,11 +37,11 @@
 // afterwards. The run's one ThreadPool is also lent to the proposer
 // (ProposerRunContext::pool), which fans acquisition scoring out over it
 // the same way while the study asks and the pool is idle. Concurrency
-// primitives live one layer down, in the annotated ThreadPool /
-// ResilientEvaluator / obs types (core/thread_annotations.hpp), so there
-// is no guarded state here for Clang TSA to check — keep it that way: new
-// round-scoped driver state should be per-job or round-constant, not
-// lock-guarded.
+// primitives live one layer down, in the annotated ThreadPool and obs
+// types (core/thread_annotations.hpp); the ResilientEvaluator holds no
+// mutable state at all. So there is no guarded state here for Clang TSA
+// to check — keep it that way: new round-scoped driver state should be
+// per-job or round-constant, not lock-guarded.
 
 #include <memory>
 #include <string>

@@ -1,10 +1,6 @@
 #include "core/resilience.hpp"
 
-#include <atomic>
-#include <chrono>
 #include <cmath>
-#include <future>
-#include <thread>
 #include <utility>
 
 #include "hw/sensor.hpp"
@@ -51,22 +47,27 @@ FailureKind classify_failure(const std::exception& e) noexcept {
   return FailureKind::Persistent;
 }
 
+void RetryPolicy::validate() const {
+  // Written so that NaN fails every comparison and lands in the throw.
+  if (!(std::isfinite(backoff_initial_s) && backoff_initial_s >= 0.0)) {
+    throw std::invalid_argument(
+        "RetryPolicy: backoff_initial_s must be finite and >= 0");
+  }
+  if (!(std::isfinite(backoff_multiplier) && backoff_multiplier > 0.0)) {
+    throw std::invalid_argument(
+        "RetryPolicy: backoff_multiplier must be finite and > 0");
+  }
+  if (!(backoff_jitter >= 0.0 && backoff_jitter < 1.0)) {
+    throw std::invalid_argument(
+        "RetryPolicy: backoff_jitter must be in [0, 1)");
+  }
+}
+
 double RetryPolicy::backoff_s(std::size_t retry_index, stats::Rng& rng) const {
   if (retry_index == 0) {
     throw std::invalid_argument("RetryPolicy::backoff_s: retry_index is 1-based");
   }
-  if (backoff_initial_s < 0.0) {
-    throw std::invalid_argument(
-        "RetryPolicy::backoff_s: backoff_initial_s must be >= 0");
-  }
-  if (backoff_multiplier <= 0.0) {
-    throw std::invalid_argument(
-        "RetryPolicy::backoff_s: backoff_multiplier must be > 0");
-  }
-  if (backoff_jitter < 0.0 || backoff_jitter >= 1.0) {
-    throw std::invalid_argument(
-        "RetryPolicy::backoff_s: backoff_jitter must be in [0, 1)");
-  }
+  validate();
   const double base =
       backoff_initial_s *
       std::pow(backoff_multiplier, static_cast<double>(retry_index - 1));
@@ -76,123 +77,10 @@ double RetryPolicy::backoff_s(std::size_t retry_index, stats::Rng& rng) const {
 
 std::size_t current_attempt() noexcept { return tls_current_attempt; }
 
-struct DeadlineRunner::Zombie {
-  std::thread thread;
-  std::atomic<bool> done{false};
-};
-
-DeadlineRunner::DeadlineRunner() = default;
-
-DeadlineRunner::~DeadlineRunner() {
-  // Block until every abandoned attempt actually returned; joining without
-  // this would terminate(). Simulated hangs are short sleeps, so this is a
-  // bounded wait in practice.
-  MutexLock lock(mutex_);
-  for (auto& zombie : zombies_) {
-    if (zombie->thread.joinable()) zombie->thread.join();
-  }
-  zombies_.clear();
-}
-
-void DeadlineRunner::reap_finished_locked() {
-  auto it = zombies_.begin();
-  while (it != zombies_.end()) {
-    if ((*it)->done.load(std::memory_order_acquire)) {
-      if ((*it)->thread.joinable()) (*it)->thread.join();
-      it = zombies_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-std::size_t DeadlineRunner::zombie_count() {
-  MutexLock lock(mutex_);
-  reap_finished_locked();
-  return zombies_.size();
-}
-
-bool DeadlineRunner::run(const std::function<EvaluationRecord()>& attempt,
-                         double deadline_s, EvaluationRecord* out) {
-  {
-    MutexLock lock(mutex_);
-    reap_finished_locked();
-  }
-  auto zombie = std::make_unique<Zombie>();
-  auto promise = std::make_shared<std::promise<EvaluationRecord>>();
-  auto future = promise->get_future();
-  Zombie* raw = zombie.get();
-  // The Zombie's address is stable (heap-allocated): it is either joined
-  // below before `zombie` dies, or moved into zombies_ which outlives the
-  // thread.
-  zombie->thread = std::thread([attempt, promise, raw]() {
-    try {
-      promise->set_value(attempt());
-    } catch (...) {
-      promise->set_exception(std::current_exception());
-    }
-    raw->done.store(true, std::memory_order_release);
-  });
-  if (future.wait_for(std::chrono::duration<double>(deadline_s)) ==
-      std::future_status::ready) {
-    zombie->thread.join();
-    *out = future.get();  // rethrows the attempt's exception, if any
-    return true;
-  }
-  MutexLock lock(mutex_);
-  zombies_.push_back(std::move(zombie));
-  return false;
-}
-
 ResilientEvaluator::ResilientEvaluator(Objective& objective, RetryPolicy policy,
                                        std::uint64_t run_seed)
-    : objective_(objective),
-      policy_(policy),
-      run_seed_(run_seed),
-      deadline_armed_(std::isfinite(policy.eval_timeout_s) &&
-                      objective.supports_concurrent_evaluation()) {
-  if (std::isfinite(policy_.eval_timeout_s) && policy_.eval_timeout_s <= 0.0) {
-    throw std::invalid_argument(
-        "ResilientEvaluator: eval_timeout_s must be positive");
-  }
-  if (std::isfinite(policy_.eval_timeout_s) && !deadline_armed_) {
-    obs::logger().warn(
-        "eval.deadline_unsupported",
-        {{"reason",
-          obs::JsonValue("objective does not support concurrent evaluation; "
-                         "wall-clock deadline disabled")}});
-  }
-}
-
-EvaluationRecord ResilientEvaluator::attempt(const Configuration& config,
-                                             const EarlyTerminationRule* rule,
-                                             std::size_t attempt_index,
-                                             bool detached) {
-  if (!deadline_armed_) {
-    AttemptScope scope(attempt_index);
-    return detached ? objective_.evaluate_detached(config, rule)
-                    : objective_.evaluate(config, rule);
-  }
-  // Deadline enforcement always uses the detached path, even for a
-  // sequential caller: a timed-out attempt keeps running on its zombie
-  // thread, and evaluate() would keep mutating the shared clock underneath
-  // the run. For the same reason the closure must own copies of everything
-  // it touches — a zombie outlives this stack frame.
-  // The watchdog body runs on its own thread; carry the attempt span over
-  // so anything it records still hangs off the right sample.
-  auto body = [this, config, rule, attempt_index,
-               trace_parent =
-                   obs::tracer().current_span()]() -> EvaluationRecord {
-    const obs::ScopedParent trace_scope(trace_parent);
-    AttemptScope scope(attempt_index);
-    return objective_.evaluate_detached(config, rule);
-  };
-  EvaluationRecord record;
-  if (!deadline_runner_.run(body, policy_.eval_timeout_s, &record)) {
-    throw EvalFailure(FailureKind::Timeout,
-                      "evaluation exceeded wall-clock deadline");
-  }
-  return record;
+    : objective_(objective), policy_(policy), run_seed_(run_seed) {
+  policy_.validate();
 }
 
 ResilientOutcome ResilientEvaluator::evaluate(const Configuration& config,
@@ -207,27 +95,23 @@ ResilientOutcome ResilientEvaluator::evaluate(const Configuration& config,
   auto& log = obs::logger();
 
   obs::ScopedTimer sample_span("optimizer.sample.evaluate", nullptr,
-                               obs::LogLevel::kTrace, sample_index);
+                               sample_index);
   sample_span.trace_arg({"sample", sample_index});
 
   double extra_cost_s = 0.0;  // failed attempts + backoff, in virtual seconds
   FailureKind last_kind = FailureKind::Persistent;
   for (std::size_t attempt_index = 1;; ++attempt_index) {
     obs::ScopedTimer attempt_span("optimizer.sample.attempt", nullptr,
-                                  obs::LogLevel::kTrace, attempt_index);
+                                  attempt_index);
     attempt_span.trace_arg({"attempt", attempt_index});
     try {
-      EvaluationRecord record = attempt(config, rule, attempt_index, detached);
+      EvaluationRecord record = [&] {
+        const AttemptScope scope(attempt_index);
+        return detached ? objective_.evaluate_detached(config, rule)
+                        : objective_.evaluate(config, rule);
+      }();
       attempt_span.stop();
       record.attempts = attempt_index;
-      if (!detached && deadline_armed_) {
-        // Failed attempts and backoff were charged to the clock as they
-        // happened (catch block below); under an armed deadline the
-        // successful attempt itself ran through the detached path, so its
-        // own cost is still unpaid. Without a deadline, evaluate() already
-        // advanced the clock itself and nothing more is owed.
-        objective_.clock().advance(record.cost_s);
-      }
       record.cost_s += extra_cost_s;
       ResilientOutcome outcome;
       outcome.record = std::move(record);

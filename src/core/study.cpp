@@ -208,7 +208,7 @@ std::vector<Trial> Study::ask(std::size_t k) {
     std::optional<obs::ScopedTimer> timer;
     if (!batched || !proposer_.supports_parallel_proposals()) {
       timer.emplace("optimize.propose", &StudyMetrics::get().propose_s,
-                    obs::LogLevel::kTrace, round_base);
+                    round_base);
     }
     if (!batched) {
       proposals.push_back(proposer_.propose(shared_rng_));
@@ -310,7 +310,6 @@ void Study::tell(TrialResult result) {
 
 void Study::book(EvaluationRecord& record) {
   obs::ScopedTimer finalize_span("optimizer.sample.finalize", nullptr,
-                                 obs::LogLevel::kTrace,
                                  recorder_.trace().size());
   // Classify against the *measured* metrics (both modes measure after
   // training; the default mode just could not avoid the cost).

@@ -418,16 +418,14 @@ JournalLoadResult EvalJournal::load(const std::string& path) {
 
 void EvalJournal::append(const EvaluationRecord& record) {
   if (!active()) return;
-  obs::ScopedTimer fsync_span("journal.fsync", nullptr, obs::LogLevel::kTrace,
-                              record.index);
+  obs::ScopedTimer fsync_span("journal.fsync", nullptr, record.index);
   write_journal_line(file_.get(), path_, checksummed_record_line(record));
 }
 
 void EvalJournal::finalize(const std::string& state, std::size_t records) {
   if (!active()) return;
   if (state.empty()) fail_journal("finalize requires a non-empty state");
-  obs::ScopedTimer fsync_span("journal.fsync", nullptr, obs::LogLevel::kTrace,
-                              records);
+  obs::ScopedTimer fsync_span("journal.fsync", nullptr, records);
   write_journal_line(file_.get(), path_,
                      checksummed_line(epilogue_body(state, records)));
   file_.reset();

@@ -1,6 +1,7 @@
 #include "dist/job_scheduler.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -32,17 +33,22 @@ constexpr int kPollTimeoutMs = 50;
 
 FleetScheduler::FleetScheduler(FleetOptions options)
     : options_(std::move(options)) {
-  if (options_.heartbeat_interval_s <= 0.0) {
+  // Negated comparisons so NaN lands in the throw: a NaN heartbeat spins
+  // the event loop, and a NaN deadline silently never fires.
+  if (!(std::isfinite(options_.heartbeat_interval_s) &&
+        options_.heartbeat_interval_s > 0.0)) {
     throw std::invalid_argument(
-        "FleetScheduler: heartbeat_interval_s must be > 0");
+        "FleetScheduler: heartbeat_interval_s must be finite and > 0");
   }
-  if (options_.job_deadline_s <= 0.0) {
-    throw std::invalid_argument("FleetScheduler: job_deadline_s must be > 0");
+  if (!(options_.job_deadline_s > 0.0)) {
+    throw std::invalid_argument(
+        "FleetScheduler: job_deadline_s must be > 0 (not NaN)");
   }
   if (options_.missed_beat_limit == 0) {
     throw std::invalid_argument(
         "FleetScheduler: missed_beat_limit must be > 0");
   }
+  options_.dispatch_retry.validate();
 }
 
 FleetScheduler::~FleetScheduler() { shutdown(); }
@@ -272,8 +278,8 @@ void FleetScheduler::check_deadlines(JobTable& table) {
     WorkerState& state = workers_[slot];
     if (state.job) {
       if (now - state.dispatch_s > options_.job_deadline_s) {
-        // Kill + reap replaces DeadlineRunner's detached-thread hack for
-        // this path: the process is gone, nothing keeps running.
+        // The run's one wall-clock deadline. Kill + reap: the process is
+        // gone, so nothing of the hung attempt keeps running.
         handle_worker_death(table, slot, core::FailureKind::Timeout,
                             "job deadline exceeded");
       } else if (now - state.last_activity_s > beat_budget_s) {

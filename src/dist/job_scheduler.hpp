@@ -4,9 +4,10 @@
 // JobTable per round, and runs a single-threaded poll(2) event loop on the
 // driver thread: dispatch queued jobs to idle ready workers, drain worker
 // frames, transition the table on results/heartbeats, and enforce wall-
-// clock deadlines and missed-beat detection by SIGKILL + reap — the
-// process-fleet replacement for DeadlineRunner's detached-watchdog hack
-// (the killed worker is *gone*; nothing keeps running past the deadline).
+// clock deadlines and missed-beat detection by SIGKILL + reap. The job
+// deadline is the system's only wall-clock deadline on an evaluation (the
+// in-process path has none): the killed worker is *gone*, so nothing
+// keeps running past it.
 //
 // Failure handling routes through the EvalFailure taxonomy: a worker
 // death, missed heartbeat, blown deadline, or corrupt reply marks the
@@ -42,10 +43,11 @@ struct FleetOptions {
   /// respawn budget).
   WorkerSupervisor::Options supervisor;
   /// Wall-clock seconds a dispatched job may take before its worker is
-  /// killed and the job goes Lost (also the grace for worker startup).
+  /// killed and the job goes Lost with FailureKind::Timeout (also the
+  /// grace for worker startup). Must be > 0; +infinity disables it.
   double job_deadline_s = 120.0;
   /// The workers' heartbeat period (must match the --heartbeat-interval
-  /// the workers were launched with).
+  /// the workers were launched with). Must be finite and > 0.
   double heartbeat_interval_s = 0.5;
   /// Missed consecutive beats before an in-flight worker is declared lost.
   std::size_t missed_beat_limit = 8;
@@ -55,7 +57,7 @@ struct FleetOptions {
   /// Requeue policy for Lost/errored jobs: max_attempts bounds dispatches
   /// per job, backoff_* shape the real-seconds requeue delay. Backoff here
   /// is waited for real (scheduling hygiene), never charged to the
-  /// virtual clock.
+  /// virtual clock. Validated at construction (RetryPolicy::validate).
   core::RetryPolicy dispatch_retry{};
   /// Seeds the requeue-backoff jitter streams (pure per sample/attempt).
   std::uint64_t run_seed = 1;
@@ -63,6 +65,8 @@ struct FleetOptions {
 
 class FleetScheduler final : public core::RoundDispatcher {
  public:
+  /// Throws std::invalid_argument on an out-of-range or NaN timing option
+  /// or an invalid dispatch_retry.
   explicit FleetScheduler(FleetOptions options);
   ~FleetScheduler() override;
 

@@ -1,43 +1,37 @@
 #pragma once
 // RAII span timing keyed by run phase. A ScopedTimer samples the steady
 // clock only when some backend wants the result (metrics enabled with a
-// target histogram, the logger enabled at the span level, or the tracer
-// recording), so an idle observability layer costs three relaxed atomic
-// loads per span. When several backends are armed they all share the same
-// two clock samples — one timing source, no double reads — which keeps the
-// histogram/log output bitwise-identical whether or not tracing is on.
+// target histogram, or the tracer recording), so an idle observability
+// layer costs two relaxed atomic loads per span. When both backends are
+// armed they share the same two clock samples — one timing source, no
+// double reads — which keeps the histogram output bitwise-identical
+// whether or not tracing is on.
 
 #include <chrono>
 #include <cstdint>
 
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace hp::obs {
 
 /// Times a scope; on destruction records the elapsed wall time into an
-/// optional histogram, emits a "span" log event with the phase name,
-/// and/or records a trace span under the thread's current span.
-/// Wall time is observability output only — it never feeds back into the
-/// run (the virtual clock is charged from modelled costs, not from spans).
+/// optional histogram and/or records a trace span under the thread's
+/// current span. Wall time is observability output only — it never feeds
+/// back into the run (the virtual clock is charged from modelled costs,
+/// not from spans).
 class ScopedTimer {
  public:
   /// @param phase stable dotted phase name, e.g. "optimize.merge"; must be
   ///   a literal (not copied; the tracer ring stores the pointer).
-  /// @param hist target histogram (may be nullptr for log/trace-only
-  ///   spans).
-  /// @param span_level level of the emitted span event.
+  /// @param hist target histogram (may be nullptr for trace-only spans).
   /// @param trace_key deterministic discriminator for same-named sibling
   ///   spans (sample index, attempt number, round base) so span IDs are
   ///   stable across thread counts.
   explicit ScopedTimer(const char* phase, Histogram* hist = nullptr,
-                       LogLevel span_level = LogLevel::kTrace,
                        std::uint64_t trace_key = 0) noexcept
       : phase_(phase),
         hist_(metrics().enabled() ? hist : nullptr),
-        span_level_(span_level),
-        log_on_(logger().enabled(span_level)),
         trace_on_(tracer().enabled()) {
     if (trace_on_) {
       parent_ = tracer().current_span();
@@ -52,7 +46,7 @@ class ScopedTimer {
   ~ScopedTimer() { stop(); }
 
   /// Attaches a typed annotation to the trace span (no-op unless tracing
-  /// armed this timer; histogram/log output never sees args).
+  /// armed this timer; histogram output never sees args).
   void trace_arg(TraceArg arg) noexcept {
     if (!trace_on_ || num_args_ >= kMaxTraceArgs) return;
     args_[num_args_++] = arg;
@@ -71,24 +65,16 @@ class ScopedTimer {
       trace_on_ = false;
     }
     if (hist_ != nullptr) hist_->observe(elapsed);
-    if (log_on_) {
-      logger().log(span_level_, "span",
-                   {{"phase", JsonValue(phase_)},
-                    {"elapsed_s", JsonValue(elapsed)}});
-    }
     hist_ = nullptr;
-    log_on_ = false;
   }
 
  private:
   [[nodiscard]] bool armed() const noexcept {
-    return hist_ != nullptr || log_on_ || trace_on_;
+    return hist_ != nullptr || trace_on_;
   }
 
   const char* phase_;
   Histogram* hist_;
-  LogLevel span_level_;
-  bool log_on_;
   bool trace_on_;
   std::uint64_t span_id_ = 0;
   std::uint64_t parent_ = 0;

@@ -231,9 +231,9 @@ class Tracer {
 [[nodiscard]] Tracer& tracer();
 
 /// RAII span-context setter for work executing on behalf of a span opened
-/// on another thread (ThreadPool jobs, watchdog attempts): makes @p span
-/// the calling thread's current span and restores the previous one on
-/// scope exit. Cheap enough to apply unconditionally (two TLS exchanges).
+/// on another thread (ThreadPool jobs): makes @p span the calling thread's
+/// current span and restores the previous one on scope exit. Cheap enough
+/// to apply unconditionally (two TLS exchanges).
 class ScopedParent {
  public:
   explicit ScopedParent(std::uint64_t span) noexcept

@@ -160,11 +160,10 @@ TEST(ObjectiveSetup, UnknownProblemAndDeviceThrow) {
 }
 
 TEST(ObjectiveSetup, EvaluationPolicyParsesRetrySettings) {
-  const EvaluationPolicy policy = evaluation_policy(
-      parse({"--seed", "17", "--retries", "3", "--eval-timeout", "45.5"}));
+  const EvaluationPolicy policy =
+      evaluation_policy(parse({"--seed", "17", "--retries", "3"}));
   EXPECT_EQ(policy.seed, 17u);
   EXPECT_EQ(policy.retry.max_attempts, 4u);  // retries + the first attempt
-  EXPECT_DOUBLE_EQ(policy.retry.eval_timeout_s, 45.5);
 
   const EvaluationPolicy defaults = evaluation_policy(parse({}));
   EXPECT_EQ(defaults.seed, 1u);
@@ -178,7 +177,7 @@ TEST(ObjectiveSetup, EvaluationStackFlagsCoverEveryConsumedFlag) {
   const Args args = parse(
       {"--problem", "tiny_mnist", "--device", "GTX 1070", "--power-budget",
        "60", "--memory-budget", "900", "--default-mode", "--seed", "3",
-       "--retries", "1", "--eval-timeout", "30", "--fault-rate", "0.1",
+       "--retries", "1", "--fault-rate", "0.1",
        "--fault-seed", "5", "--sensor-fault-rate", "0.1",
        "--worker-kill-rate", "0.1", "--worker-hang-rate", "0.1",
        "--reply-corrupt-rate", "0.1", "--power-model", "p.hpm",

@@ -2,11 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "fake_objective.hpp"
@@ -15,9 +14,9 @@
 namespace hp::core {
 namespace {
 
-/// FakeObjective wrapper whose before_attempt hook can throw or sleep,
-/// keyed by current_attempt() — the same channel the real fault-injection
-/// decorator uses.
+/// FakeObjective wrapper whose before_attempt hook can throw, keyed by
+/// current_attempt() — the same channel the real fault-injection decorator
+/// uses.
 class FlakyObjective final : public Objective {
  public:
   explicit FlakyObjective(double cost_s = 10.0)
@@ -32,7 +31,7 @@ class FlakyObjective final : public Objective {
     return inner_.evaluate(config, early_termination);
   }
   [[nodiscard]] bool supports_concurrent_evaluation() const noexcept override {
-    return concurrent_;
+    return inner_.supports_concurrent_evaluation();
   }
   [[nodiscard]] EvaluationRecord evaluate_detached(
       const Configuration& config,
@@ -42,10 +41,6 @@ class FlakyObjective final : public Objective {
   }
   [[nodiscard]] Clock& clock() override { return inner_.clock(); }
 
-  void set_concurrent(bool on) {
-    concurrent_ = on;
-    inner_.set_supports_concurrent(on);
-  }
   [[nodiscard]] VirtualClock& virtual_clock() noexcept {
     return inner_.virtual_clock();
   }
@@ -55,7 +50,6 @@ class FlakyObjective final : public Objective {
 
  private:
   testing::FakeObjective inner_;
-  bool concurrent_ = true;
 };
 
 Configuration some_config() { return {0.4, 0.6}; }
@@ -97,6 +91,50 @@ TEST(RetryPolicy, BackoffValidatesParameters) {
   policy = RetryPolicy{};
   policy.backoff_initial_s = -1.0;
   EXPECT_THROW((void)policy.backoff_s(1, rng), std::invalid_argument);
+}
+
+TEST(RetryPolicy, ValidateRejectsBadValues) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* name;
+    double initial_s, multiplier, jitter;
+    bool valid;
+  };
+  const Case cases[] = {
+      {"defaults", 30.0, 2.0, 0.1, true},
+      {"zero initial, zero jitter", 0.0, 0.5, 0.0, true},
+      {"negative initial", -1.0, 2.0, 0.1, false},
+      {"NaN initial", kNaN, 2.0, 0.1, false},
+      {"infinite initial", kInf, 2.0, 0.1, false},
+      {"zero multiplier", 30.0, 0.0, 0.1, false},
+      {"negative multiplier", 30.0, -2.0, 0.1, false},
+      {"NaN multiplier", 30.0, kNaN, 0.1, false},
+      {"infinite multiplier", 30.0, kInf, 0.1, false},
+      {"negative jitter", 30.0, 2.0, -0.1, false},
+      {"jitter of one", 30.0, 2.0, 1.0, false},
+      {"NaN jitter", 30.0, 2.0, kNaN, false},
+  };
+  for (const Case& c : cases) {
+    RetryPolicy policy;
+    policy.backoff_initial_s = c.initial_s;
+    policy.backoff_multiplier = c.multiplier;
+    policy.backoff_jitter = c.jitter;
+    if (c.valid) {
+      EXPECT_NO_THROW(policy.validate()) << c.name;
+    } else {
+      EXPECT_THROW(policy.validate(), std::invalid_argument) << c.name;
+    }
+  }
+}
+
+TEST(VirtualClock, AdvanceRejectsNegativeAndNaNDurations) {
+  VirtualClock clock;
+  clock.advance(2.5);
+  EXPECT_THROW(clock.advance(-1.0), std::invalid_argument);
+  EXPECT_THROW(clock.advance(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_DOUBLE_EQ(clock.now_s(), 2.5);
 }
 
 TEST(RetryPolicy, OnlyTransientAndTimeoutAreRetryable) {
@@ -248,24 +286,17 @@ TEST(ResilientEvaluator, ZeroMaxAttemptsMeansOneAttempt) {
   EXPECT_EQ(outcome.record.attempts, 1u);
 }
 
-TEST(ResilientEvaluator, RejectsNonPositiveTimeout) {
-  FlakyObjective objective;
-  RetryPolicy policy;
-  policy.eval_timeout_s = 0.0;
-  EXPECT_THROW(ResilientEvaluator(objective, policy, 1),
-               std::invalid_argument);
-}
-
+// A Timeout-kind failure — what the fleet reports for a job it killed at
+// its --job-deadline — is retried like a Transient one.
 TEST(ResilientEvaluator, DeadlineTimesOutHungAttemptAndRetries) {
   FlakyObjective objective;
   objective.before_attempt = [](std::size_t attempt) {
     if (attempt == 1) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      throw EvalFailure(FailureKind::Timeout, "job deadline exceeded", 0.0);
     }
   };
   RetryPolicy policy = jitterless_policy();
   policy.backoff_initial_s = 1.0;
-  policy.eval_timeout_s = 0.02;  // wall-clock seconds
   ResilientEvaluator evaluator(objective, policy, 1);
   const ResilientOutcome outcome =
       evaluator.evaluate(some_config(), nullptr, 0, /*detached=*/false);
@@ -280,12 +311,11 @@ TEST(ResilientEvaluator, DeadlineTimesOutHungAttemptAndRetries) {
 TEST(ResilientEvaluator, ExhaustedTimeoutsYieldTimeoutFailedRecord) {
   FlakyObjective objective;
   objective.before_attempt = [](std::size_t) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    throw EvalFailure(FailureKind::Timeout, "job deadline exceeded", 0.0);
   };
   RetryPolicy policy = jitterless_policy();
   policy.max_attempts = 2;
   policy.backoff_initial_s = 1.0;
-  policy.eval_timeout_s = 0.02;
   ResilientEvaluator evaluator(objective, policy, 1);
   const ResilientOutcome outcome =
       evaluator.evaluate(some_config(), nullptr, 0, false);
@@ -295,55 +325,11 @@ TEST(ResilientEvaluator, ExhaustedTimeoutsYieldTimeoutFailedRecord) {
   EXPECT_EQ(outcome.record.attempts, 2u);
 }
 
-TEST(ResilientEvaluator, DeadlineIgnoredForSerialObjectives) {
-  // A serial objective cannot run on the watchdog thread (a timed-out
-  // zombie would keep mutating the shared clock), so the deadline is
-  // disabled with a warning and a slow attempt completes normally.
+TEST(ResilientEvaluator, ConstructorRejectsAnInvalidPolicy) {
   FlakyObjective objective;
-  objective.set_concurrent(false);
-  objective.before_attempt = [](std::size_t) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  };
-  RetryPolicy policy = jitterless_policy();
-  policy.eval_timeout_s = 0.005;
-  ResilientEvaluator evaluator(objective, policy, 1);
-  const ResilientOutcome outcome =
-      evaluator.evaluate(some_config(), nullptr, 0, false);
-  EXPECT_FALSE(outcome.failed);
-  EXPECT_EQ(outcome.record.attempts, 1u);
-}
-
-TEST(DeadlineRunner, CompletesFastAttemptsAndRethrowsTheirExceptions) {
-  DeadlineRunner runner;
-  EvaluationRecord out;
-  EXPECT_TRUE(runner.run(
-      [] {
-        EvaluationRecord r;
-        r.test_error = 0.25;
-        return r;
-      },
-      1.0, &out));
-  EXPECT_DOUBLE_EQ(out.test_error, 0.25);
-  EXPECT_THROW(
-      (void)runner.run(
-          []() -> EvaluationRecord { throw std::runtime_error("boom"); }, 1.0,
-          &out),
-      std::runtime_error);
-  EXPECT_EQ(runner.zombie_count(), 0u);
-}
-
-TEST(DeadlineRunner, AbandonsTimedOutAttemptsAndReapsThemLater) {
-  DeadlineRunner runner;
-  EvaluationRecord out;
-  EXPECT_FALSE(runner.run(
-      [] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        return EvaluationRecord{};
-      },
-      0.005, &out));
-  EXPECT_EQ(runner.zombie_count(), 1u);
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  EXPECT_EQ(runner.zombie_count(), 0u);
+  RetryPolicy policy;
+  policy.backoff_initial_s = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(ResilientEvaluator(objective, policy, 1), std::invalid_argument);
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 #include <sys/wait.h>
 
 #include <cerrno>
+#include <cstdlib>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -20,6 +22,7 @@
 #include "core/framework.hpp"
 #include "dist/job_scheduler.hpp"
 #include "dist/worker_supervisor.hpp"
+#include "obs/log.hpp"
 
 namespace hp::dist {
 namespace {
@@ -122,6 +125,18 @@ void expect_no_zombie_children() {
   EXPECT_EQ(errno, ECHILD);
 }
 
+/// Keeps the reason field of every fleet.worker_death event.
+class WorkerDeathSink final : public obs::LogSink {
+ public:
+  void write(const obs::LogEvent& event) override {
+    if (event.name != "fleet.worker_death") return;
+    for (const obs::LogField& field : event.fields) {
+      if (field.key == "reason") reasons.push_back(field.value.dump());
+    }
+  }
+  std::vector<std::string> reasons;  ///< JSON-quoted strings
+};
+
 TEST(FleetScheduler, MatchesInProcessTraceBitExactly) {
   const std::string reference = reference_trace();
   const FleetRun fleet = fleet_run(3, {});
@@ -166,6 +181,59 @@ TEST(FleetScheduler, SurvivesHangingWorkersViaMissedBeats) {
   EXPECT_GE(fleet.stats.requeued, 1u);
   EXPECT_GE(fleet.stats.completed, 10u);
   expect_no_zombie_children();
+}
+
+TEST(FleetScheduler, KillsHungJobsAtTheJobDeadline) {
+  const std::string reference = reference_trace();
+  auto sink = std::make_shared<WorkerDeathSink>();
+  obs::logger().add_sink(sink, obs::LogLevel::kWarn);
+  // 100 missed beats at 0.1 s is a 10 s beat budget, so the 1 s job
+  // deadline is what must kill every wedged worker.
+  const FleetRun fleet = fleet_run(3, {"--worker-hang-rate", "0.25"},
+                                   [](FleetOptions options) {
+                                     options.job_deadline_s = 1.0;
+                                     options.missed_beat_limit = 100;
+                                     return options;
+                                   });
+  obs::logger().remove_sink(sink);
+  EXPECT_EQ(fleet.trace, reference);
+  EXPECT_GE(fleet.stats.worker_deaths, 1u);
+  EXPECT_GE(fleet.stats.requeued, 1u);
+  EXPECT_EQ(sink->reasons.size(), fleet.stats.worker_deaths);
+  for (const std::string& reason : sink->reasons) {
+    EXPECT_EQ(reason, "\"job deadline exceeded\"");
+  }
+  expect_no_zombie_children();
+}
+
+TEST(FleetScheduler, RejectsBadTimingAndRetryOptionsAtConstruction) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* name;
+    void (*tweak)(FleetOptions&);
+  };
+  const Case cases[] = {
+      {"NaN job deadline", [](FleetOptions& o) { o.job_deadline_s = kNaN; }},
+      {"zero job deadline", [](FleetOptions& o) { o.job_deadline_s = 0.0; }},
+      {"NaN heartbeat",
+       [](FleetOptions& o) { o.heartbeat_interval_s = kNaN; }},
+      {"infinite heartbeat",
+       [](FleetOptions& o) { o.heartbeat_interval_s = kInf; }},
+      {"zero heartbeat",
+       [](FleetOptions& o) { o.heartbeat_interval_s = 0.0; }},
+      {"NaN requeue backoff",
+       [](FleetOptions& o) { o.dispatch_retry.backoff_initial_s = kNaN; }},
+  };
+  for (const Case& c : cases) {
+    FleetOptions options;
+    c.tweak(options);
+    EXPECT_THROW(FleetScheduler{std::move(options)}, std::invalid_argument)
+        << c.name;
+  }
+  FleetOptions no_deadline;  // +infinity switches the job deadline off
+  no_deadline.job_deadline_s = kInf;
+  EXPECT_NO_THROW(FleetScheduler{std::move(no_deadline)});
 }
 
 TEST(FleetScheduler, MissingWorkerBinaryThrows) {
@@ -217,6 +285,21 @@ TEST(WorkerSupervisor, KilledWorkerRespawnsWithinBudget) {
 
   supervisor.shutdown();
   EXPECT_TRUE(supervisor.all_reaped());
+  expect_no_zombie_children();
+}
+
+TEST(HpoWorker, BadHeartbeatIntervalExitsTwo) {
+  // A NaN or non-positive period would spin the heartbeat thread; the
+  // worker must refuse it as a bad argument before serving anything.
+  for (const char* interval : {"nan", "0", "-0.5", "inf"}) {
+    const std::string command = std::string("'") + HYPERPOWER_WORKER_BIN +
+                                "' --problem tiny_mnist "
+                                "--heartbeat-interval " +
+                                interval + " </dev/null >/dev/null 2>&1";
+    const int status = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << interval;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << interval;
+  }
   expect_no_zombie_children();
 }
 

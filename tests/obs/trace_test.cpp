@@ -103,7 +103,7 @@ TEST(ScopedTimerTest, NestedTimersRecordParentLinkedSpans) {
   {
     ScopedTimer outer("test.outer");
     {
-      ScopedTimer inner("test.inner", nullptr, LogLevel::kTrace, 7);
+      ScopedTimer inner("test.inner", nullptr, 7);
       inner.trace_arg({"sample", 7});
     }
   }

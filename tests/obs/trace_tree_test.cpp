@@ -32,10 +32,10 @@ std::multiset<SpanKey> run_fanout(std::size_t num_threads) {
   tracer().start(config);
   {
     parallel::ThreadPool pool(num_threads);
-    ScopedTimer round("tree.round", nullptr, LogLevel::kTrace, 1);
+    ScopedTimer round("tree.round", nullptr, 1);
     pool.parallel_for(8, [](std::size_t i) {
-      ScopedTimer eval("tree.evaluate", nullptr, LogLevel::kTrace, i);
-      ScopedTimer attempt("tree.attempt", nullptr, LogLevel::kTrace, 0);
+      ScopedTimer eval("tree.evaluate", nullptr, i);
+      ScopedTimer attempt("tree.attempt", nullptr, 0);
       tracer().instant("tree.ping", {{"index", i}});
     });
   }
@@ -55,10 +55,10 @@ TEST(TraceTreeTest, ParallelForChildrenLinkToSubmittingSpan) {
   std::uint64_t round_id = 0;
   {
     parallel::ThreadPool pool(4);
-    ScopedTimer round("tree.round", nullptr, LogLevel::kTrace, 1);
+    ScopedTimer round("tree.round", nullptr, 1);
     round_id = tracer().current_span();
     pool.parallel_for(8, [](std::size_t i) {
-      ScopedTimer eval("tree.evaluate", nullptr, LogLevel::kTrace, i);
+      ScopedTimer eval("tree.evaluate", nullptr, i);
     });
   }
   tracer().stop();
@@ -88,7 +88,7 @@ TEST(TraceTreeTest, SubmitPropagatesCurrentSpanToWorker) {
   std::uint64_t outer_id = 0;
   {
     parallel::ThreadPool pool(2);
-    ScopedTimer outer("tree.submit", nullptr, LogLevel::kTrace, 0);
+    ScopedTimer outer("tree.submit", nullptr, 0);
     outer_id = tracer().current_span();
     pool.submit([&job_parent] { job_parent = tracer().current_span(); })
         .get();
@@ -112,9 +112,9 @@ TEST(TraceTreeTest, InstantsAttachToTheWorkerSideSpan) {
   tracer().start(config);
   {
     parallel::ThreadPool pool(4);
-    ScopedTimer round("tree.round", nullptr, LogLevel::kTrace, 1);
+    ScopedTimer round("tree.round", nullptr, 1);
     pool.parallel_for(4, [](std::size_t i) {
-      ScopedTimer eval("tree.evaluate", nullptr, LogLevel::kTrace, i);
+      ScopedTimer eval("tree.evaluate", nullptr, i);
       tracer().instant("tree.ping", {{"index", i}});
     });
   }

@@ -3,7 +3,8 @@
 
 Every lint rule gets at least one firing fixture and one passing fixture
 (including the sanctioned exemptions: src/stats for randomness, src/obs
-for stdio, core/thread_annotations.hpp for raw synchronization), built in
+for stdio, core/thread_annotations.hpp for raw synchronization,
+src/parallel and the worker heartbeat for threads), built in
 throwaway source trees so the tests pin the rules themselves rather than
 the current state of the repo. The CLI contract (exit 0 clean / 1
 findings / 2 usage error, relative paths in findings) and the invariant
@@ -288,6 +289,47 @@ class RawMutexTest(unittest.TestCase):
             "src/core/doc.cpp": "// prefer hp::Mutex over std::mutex\n",
         })
         self.assertEqual(rules(findings), set())
+
+
+class RawThreadTest(unittest.TestCase):
+    def test_fires_on_each_thread_creation_primitive(self):
+        findings = run_checks({
+            "src/core/watchdog.cpp":
+                "#include <future>\n"
+                "#include <thread>\n"
+                "void f() {\n"
+                "  std::thread t([] {});\n"
+                "  std::jthread j([] {});\n"
+                "  auto fut = std::async(std::launch::async, [] {});\n"
+                "  std::promise<int> p;\n"
+                "  std::packaged_task<int()> task([] { return 1; });\n"
+                "}\n",
+        })
+        self.assertEqual(rules(findings), {"raw-thread"})
+        self.assertEqual(len(findings), 5)
+
+    def test_pool_worker_heartbeat_queries_tests_and_comments_are_exempt(self):
+        findings = run_checks({
+            # The two sanctioned owners of library threads.
+            "src/parallel/pool.cpp":
+                "std::vector<std::thread> workers_;\n"
+                "auto task = std::make_shared<std::packaged_task<void()>>();\n",
+            "src/cli/worker_main.cpp": "std::thread thread_;\n",
+            # Sleeping, yielding, and querying create no thread.
+            "src/dist/a.cpp":
+                "void g() {\n"
+                "  std::this_thread::sleep_for(delay);\n"
+                "  const auto n = std::thread::hardware_concurrency();\n"
+                "  std::thread::id owner;\n"
+                "}\n",
+            # Tests may spawn threads to race the code under test.
+            "tests/core/a_test.cpp": "std::thread prober([] {});\n",
+            "src/core/doc.cpp": "// a std::thread watchdog belongs nowhere\n",
+            # Other cli sources get no exemption.
+            "src/cli/other.cpp": "std::thread helper;\n",
+        })
+        self.assertEqual([(f.path.name, f.rule) for f in findings],
+                         [("other.cpp", "raw-thread")])
 
 
 class PragmaOnceTest(unittest.TestCase):

@@ -56,7 +56,7 @@ commands:
             [--default-mode] [--seed S] [--trace PATH]
             [--batch K] [--threads T]   (batched parallel evaluation;
             T threads also score BO acquisition candidates)
-            [--retries N] [--eval-timeout S]   (fault tolerance)
+            [--retries N]                      (fault tolerance)
             [--journal PATH] [--resume]        (crash-safe checkpointing)
             [--fault-rate R] [--fault-seed S] [--sensor-fault-rate R]
             [--workers N] [--worker-bin PATH]  (multi-process fleet;

@@ -64,6 +64,16 @@ Rules (see DESIGN.md §10 for rationale and how to add one):
                         (DESIGN.md §14). The annotation header itself is
                         the one sanctioned exception: it wraps the std
                         primitives.
+  raw-thread            Thread creation (std::thread, std::jthread,
+                        std::async, std::promise, std::packaged_task) may
+                        appear in library code (src/) only in src/parallel
+                        (parallel::ThreadPool) and src/cli/worker_main.cpp
+                        (the fleet worker's heartbeat). Concurrent work
+                        runs on the pool, and a hung evaluation is killed
+                        by the fleet's job deadline, so an ad-hoc watchdog
+                        or helper thread needs a reviewed exemption
+                        (DESIGN.md §14, §15). std::this_thread and
+                        std::thread::hardware_concurrency stay legal.
   pragma-once           Every header starts with #pragma once.
   self-include-first    A library .cpp includes its own header first, so
                         each header proves it is self-contained.
@@ -405,6 +415,34 @@ def check_raw_mutex(path, root, lines, findings):
                 "core/thread_annotations.hpp (DESIGN.md §14)"))
 
 
+# Thread creation and the promise/future plumbing of hand-rolled workers.
+# std::thread's static hardware_concurrency() and its id type create
+# nothing; std::this_thread is a different name and never matches.
+RAW_THREAD_RE = re.compile(
+    r"std::j?thread\b(?!\s*::\s*(?:hardware_concurrency|id)\b)|"
+    r"std::(?:async|promise|packaged_task)\b")
+RAW_THREAD_ALLOWLIST = (
+    ("src", "parallel"),
+    ("src", "cli", "worker_main.cpp"),
+)
+
+
+def check_raw_thread(path, root, lines, findings):
+    if not in_dir(path, root, "src"):
+        return
+    if any(in_dir(path, root, *parts) for parts in RAW_THREAD_ALLOWLIST):
+        return
+    for lineno, raw in enumerate(lines, 1):
+        if RAW_THREAD_RE.search(strip_noise(raw)):
+            findings.append(Finding(
+                path, lineno, "raw-thread",
+                "thread creation in library code is reserved for "
+                "parallel::ThreadPool (src/parallel) and the fleet worker's "
+                "heartbeat (src/cli/worker_main.cpp); run concurrent work "
+                "on the pool and bound a hung evaluation with the fleet's "
+                "job deadline (DESIGN.md §14, §15)"))
+
+
 def check_pragma_once(path, root, lines, findings):
     if path.suffix not in {".hpp", ".h"}:
         return
@@ -476,6 +514,7 @@ CHECKS = (
     check_trace_name_literal,
     check_raw_process_control,
     check_raw_mutex,
+    check_raw_thread,
     check_pragma_once,
     check_includes,
 )

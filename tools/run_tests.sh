@@ -88,8 +88,8 @@ cmake --build build-tsan -j "$jobs" \
 # Run the freshly built binaries directly. ctest-ing build-tsan would run
 # discovery over every registered test target, most of which this phase
 # deliberately never builds. test_resilience and test_integration join the
-# concurrency suites because retries, deadline zombie threads, and batched
-# crash/resume all cross thread boundaries.
+# concurrency suites because retries, fault injection, the journal, and
+# batched crash/resume all cross thread boundaries.
 ./build-tsan/tests/test_parallel
 ./build-tsan/tests/test_obs
 ./build-tsan/tests/test_resilience
