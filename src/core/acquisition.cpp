@@ -73,9 +73,9 @@ void gather(std::span<const std::vector<double>> unit_xs,
 
 /// One predict_block() of @p model over every gathered query.
 void predict_gathered(const gp::GaussianProcess& model,
-                      AcquisitionScratch& scratch) {
+                      gp::PredictionCache& cache, AcquisitionScratch& scratch) {
   scratch.predictions.resize(scratch.queries.size());
-  model.predict_block(scratch.queries, scratch.gp, scratch.predictions);
+  model.predict_block(scratch.queries, cache, scratch.predictions);
 }
 
 /// Multiplies into scratch.prob[j] the probability that the
@@ -86,7 +86,7 @@ void multiply_constraint_probability(const gp::GaussianProcess* model,
                                      std::optional<double> budget,
                                      AcquisitionScratch& scratch) {
   if (!usable(model) || !budget) return;
-  predict_gathered(*model, scratch);
+  predict_gathered(*model, scratch.constraint_gp, scratch);
   for (std::size_t j = 0; j < scratch.queries.size(); ++j) {
     const gp::Prediction& p = scratch.predictions[j];
     scratch.prob[j] *= stats::probability_below(p.mean, p.stddev(), *budget);
@@ -98,7 +98,7 @@ void multiply_constraint_probability(const gp::GaussianProcess* model,
 void gathered_ei(const AcquisitionContext& ctx, AcquisitionScratch& scratch) {
   scratch.ei.assign(scratch.queries.size(), 0.0);
   if (!usable(ctx.objective_gp)) return;
-  predict_gathered(*ctx.objective_gp, scratch);
+  predict_gathered(*ctx.objective_gp, scratch.objective_gp, scratch);
   for (std::size_t j = 0; j < scratch.queries.size(); ++j) {
     const gp::Prediction& p = scratch.predictions[j];
     scratch.ei[j] =
@@ -186,8 +186,8 @@ void HwIeciAcquisition::score_block(
     // regions (Eq. 3) — evaluated first, so only the candidates that pass
     // reach the (costlier) objective GP.
     gather(unit_xs, scratch, [&](std::size_t i) {
-      return ctx.constraints->predicted_feasible(
-          ctx.space.structural_vector(configs[i]));
+      ctx.space.structural_into(configs[i], scratch.z);
+      return ctx.constraints->predicted_feasible(scratch.z);
     });
     gathered_ei(ctx, scratch);
     std::fill(out.begin(), out.end(), 0.0);
@@ -226,8 +226,8 @@ void HwCweiAcquisition::score_block(
   if (ctx.constraints != nullptr) {
     scratch.prob.resize(unit_xs.size());
     for (std::size_t i = 0; i < unit_xs.size(); ++i) {
-      scratch.prob[i] = ctx.constraints->feasibility_probability(
-          ctx.space.structural_vector(configs[i]));
+      ctx.space.structural_into(configs[i], scratch.z);
+      scratch.prob[i] = ctx.constraints->feasibility_probability(scratch.z);
     }
   } else {
     measured_constraint_probabilities(unit_xs, ctx, scratch);

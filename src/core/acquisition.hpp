@@ -101,13 +101,18 @@ struct AcquisitionScratch {
   /// points: the queries handed to GaussianProcess::predict_block().
   std::vector<std::size_t> passing;
   std::vector<std::span<const double>> queries;
+  /// The structural vector z of the candidate being gated.
+  std::vector<double> z;
   /// Per-candidate constraint probability and EI, and the predictions of
   /// the GP consulted last.
   std::vector<double> prob;
   std::vector<double> ei;
   std::vector<gp::Prediction> predictions;
-  /// predict_block() working memory, shared by the GPs of one block.
-  std::vector<double> gp;
+  /// predict_block() caches: one for the objective GP, which a block of
+  /// fixed candidates (the pool's lattice) finds mostly valid from one call
+  /// to the next, and one shared by the measured-constraint GPs.
+  gp::PredictionCache objective_gp;
+  gp::PredictionCache constraint_gp;
 };
 
 /// Acquisition function interface: score a candidate in unit coordinates

@@ -146,7 +146,9 @@ CandidatePool::Maximizer CandidatePool::maximize(
       // (Kept operation-for-operation equal to the pre-blocked scalar loop:
       // a candidate that *raises* the best score to 0 is deliberately not
       // considered as a fallback, exactly as before.)
-      const std::vector<double> z = ctx.space.structural_vector(configs_[i]);
+      // Scoring is over, so any block's z buffer is free.
+      std::vector<double>& z = scratch_.front().z;
+      ctx.space.structural_into(configs_[i], z);
       const double prob = ctx.constraints->feasibility_probability(z);
       if (prob > fallback_prob) {
         fallback_prob = prob;

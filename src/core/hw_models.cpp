@@ -86,13 +86,16 @@ double HardwareModel::predict(std::span<const double> z) const {
     throw std::logic_error("HardwareModel::predict on default-constructed model");
   }
   HP_CHECK_ALL_FINITE(z, "HardwareModel::predict input z");
-  const std::vector<double> features = expand_features(z, form_);
-  if (features.size() != weights_.size()) {
+  const std::size_t k = z.size();
+  if ((form_ == ModelForm::Quadratic ? 2 * k : k) != weights_.size()) {
     throw std::invalid_argument("HardwareModel::predict: dimension mismatch");
   }
+  // The dot product with expand_features(z), term by term in its order,
+  // without building the feature vector.
   double acc = intercept_;
-  for (std::size_t j = 0; j < features.size(); ++j) {
-    acc += weights_[j] * features[j];
+  for (std::size_t j = 0; j < k; ++j) acc += weights_[j] * z[j];
+  if (form_ == ModelForm::Quadratic) {
+    for (std::size_t j = 0; j < k; ++j) acc += weights_[k + j] * (z[j] * z[j]);
   }
   HP_CHECK_FINITE(acc, "HardwareModel::predict output");
   return acc;

@@ -31,9 +31,16 @@ HyperParameterSpace::HyperParameterSpace(std::vector<ParameterDef> parameters)
   if (parameters_.empty()) {
     throw std::invalid_argument("HyperParameterSpace: empty parameter list");
   }
-  for (const ParameterDef& p : parameters_) {
+  log_lo_.assign(parameters_.size(), 0.0);
+  log_hi_.assign(parameters_.size(), 0.0);
+  for (std::size_t i = 0; i < parameters_.size(); ++i) {
+    const ParameterDef& p = parameters_[i];
     p.validate();
     if (p.structural) ++structural_count_;
+    if (p.kind == ParameterKind::LogContinuous) {
+      log_lo_[i] = std::log(p.lo);
+      log_hi_[i] = std::log(p.hi);
+    }
   }
 }
 
@@ -47,15 +54,21 @@ std::optional<std::size_t> HyperParameterSpace::index_of(
 
 std::vector<double> HyperParameterSpace::structural_vector(
     const Configuration& config) const {
-  validate(config);
   std::vector<double> z;
+  structural_into(config, z);
+  return z;
+}
+
+void HyperParameterSpace::structural_into(const Configuration& config,
+                                          std::vector<double>& z) const {
+  validate(config);
+  z.clear();
   z.reserve(structural_count_);
   for (std::size_t i = 0; i < parameters_.size(); ++i) {
     if (parameters_[i].structural) z.push_back(config[i]);
   }
   HP_ASSERT(z.size() == structural_count_,
             "structural_vector: stale structural_count_");
-  return z;
 }
 
 Configuration HyperParameterSpace::decode(
@@ -90,9 +103,8 @@ void HyperParameterSpace::decode_into(const std::vector<double>& unit,
         break;
       case ParameterKind::LogContinuous:
         // clamp guards the 1-ulp overshoot of exp(log(hi)) at u == 1.
-        config[i] = std::clamp(std::exp(std::log(p.lo) +
-                                        u * (std::log(p.hi) - std::log(p.lo))),
-                               p.lo, p.hi);
+        config[i] = std::clamp(
+            std::exp(log_lo_[i] + u * (log_hi_[i] - log_lo_[i])), p.lo, p.hi);
         break;
     }
   }
@@ -114,8 +126,8 @@ std::vector<double> HyperParameterSpace::encode(
         unit[i] = (config[i] - p.lo) / (p.hi - p.lo);
         break;
       case ParameterKind::LogContinuous:
-        unit[i] = (std::log(config[i]) - std::log(p.lo)) /
-                  (std::log(p.hi) - std::log(p.lo));
+        unit[i] =
+            (std::log(config[i]) - log_lo_[i]) / (log_hi_[i] - log_lo_[i]);
         break;
     }
     unit[i] = std::clamp(unit[i], 0.0, 1.0);

@@ -64,9 +64,14 @@ class HyperParameterSpace {
   [[nodiscard]] std::size_t structural_dimension() const noexcept {
     return structural_count_;
   }
-  /// Extracts the structural sub-vector z from a configuration x.
+  /// Extracts the structural sub-vector z from a configuration x; throws
+  /// as validate() does on an invalid configuration.
   [[nodiscard]] std::vector<double> structural_vector(
       const Configuration& config) const;
+  /// structural_vector() into @p z, reusing its capacity (the acquisition
+  /// gates run it for every candidate).
+  void structural_into(const Configuration& config,
+                       std::vector<double>& z) const;
 
   /// Maps a unit-cube point to a native configuration (integers rounded,
   /// log parameters exponentiated). Unit coordinates are clamped to [0,1].
@@ -97,6 +102,10 @@ class HyperParameterSpace {
  private:
   std::vector<ParameterDef> parameters_;
   std::size_t structural_count_ = 0;
+  /// log(lo) and log(hi) per parameter, computed once (LogContinuous only;
+  /// 0 elsewhere): decode_into() and encode() use these exact doubles.
+  std::vector<double> log_lo_;
+  std::vector<double> log_hi_;
 };
 
 }  // namespace hp::core

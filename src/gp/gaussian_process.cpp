@@ -1,6 +1,7 @@
 #include "gp/gaussian_process.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -13,12 +14,15 @@ namespace hp::gp {
 
 namespace {
 
-/// Refit instruments, fetched once per process (registry-stable refs).
+/// Refit and prediction instruments, fetched once per process
+/// (registry-stable refs).
 struct GpMetrics {
   obs::Counter& refits;
   obs::Counter& refits_incremental;
   obs::Histogram& refit_n;
   obs::Histogram& cholesky_s;
+  obs::Counter& predict_rows;
+  obs::Counter& predict_rows_reused;
 
   static GpMetrics& get() {
     static GpMetrics m{
@@ -27,33 +31,40 @@ struct GpMetrics {
         obs::metrics().histogram("gp.refit_observations",
                                  obs::exponential_buckets(1.0, 2.0, 12)),
         obs::metrics().histogram("gp.cholesky_s"),
+        obs::metrics().counter("gp.predict_rows"),
+        obs::metrics().counter("gp.predict_rows_reused"),
     };
     return m;
   }
 };
 
+/// Source of factor-row stamps, shared by every GP in the process so that
+/// no two rows ever carry the same stamp.
+std::atomic<std::uint64_t> next_row_stamp{1};
+
 /// Columns [b, b + kLanes) of column_sums(), in register accumulators.
-template <std::size_t kLanes, typename Term>
+template <std::size_t kLanes, typename Term, typename Store>
 void column_sums_of(const double* block, std::size_t n, std::size_t width,
-                    std::size_t b, const Term& term, double* sums) {
+                    std::size_t b, const Term& term, const Store& store) {
   double acc[kLanes] = {};
   for (std::size_t i = 0; i < n; ++i) {
     const double* row = block + i * width + b;
     for (std::size_t j = 0; j < kLanes; ++j) acc[j] += term(i, row[j]);
   }
-  for (std::size_t j = 0; j < kLanes; ++j) sums[b + j] = acc[j];
+  for (std::size_t j = 0; j < kLanes; ++j) store(b + j, acc[j]);
 }
 
-/// sums[b] = sum over rows i of term(i, block(i, b)) for an n x width
-/// block, accumulated from 0.0 over ascending i as linalg::dot() does.
-template <typename Term>
+/// store(b, sum) with sum over rows i of term(i, block(i, b)), for every
+/// column b of an n x width block, accumulated from 0.0 over ascending i as
+/// linalg::dot() does.
+template <typename Term, typename Store>
 void column_sums(const double* block, std::size_t n, std::size_t width,
-                 const Term& term, double* sums) {
+                 const Term& term, const Store& store) {
   std::size_t b = 0;
   for (; b + 8 <= width; b += 8) {
-    column_sums_of<8>(block, n, width, b, term, sums);
+    column_sums_of<8>(block, n, width, b, term, store);
   }
-  for (; b < width; ++b) column_sums_of<1>(block, n, width, b, term, sums);
+  for (; b < width; ++b) column_sums_of<1>(block, n, width, b, term, store);
 }
 
 }  // namespace
@@ -86,7 +97,19 @@ void GaussianProcess::fit(linalg::Matrix x, linalg::Vector y) {
   const RefitKind kind = classify_refit(x);
   x_ = std::move(x);
   y_ = std::move(y);
-  refit(kind);
+  try {
+    refit(kind);
+  } catch (...) {
+    // No factor, alpha or stamps of the previous fit may outlive it beside
+    // the new inputs: predict_block() would read them as the new posterior.
+    x_ = linalg::Matrix();
+    y_ = linalg::Vector();
+    chol_.reset();
+    cache_valid_ = false;
+    row_stamps_.clear();
+    last_refit_kind_ = RefitKind::kNone;
+    throw;
+  }
 }
 
 RefitKind GaussianProcess::classify_refit(const linalg::Matrix& x) const {
@@ -145,6 +168,9 @@ void GaussianProcess::refit(RefitKind kind) {
       refit_full();
       break;
   }
+  // Every row whose factor row this refit computed gets a fresh stamp;
+  // the leading rows an incremental path kept keep theirs.
+  stamp_rows(kind == RefitKind::kFull ? 0 : row_stamps_.size());
   last_refit_kind_ = kind;
   cache_valid_ = true;
   linalg::Vector centered = y_;
@@ -217,53 +243,111 @@ void GaussianProcess::shrink_factor() {
   k_ = std::move(shrunk);
 }
 
+void GaussianProcess::stamp_rows(std::size_t first) {
+  const std::size_t n = x_.rows();
+  row_stamps_.resize(n);
+  if (first >= n) return;
+  const std::uint64_t base =
+      next_row_stamp.fetch_add(n - first, std::memory_order_relaxed);
+  for (std::size_t i = first; i < n; ++i) row_stamps_[i] = base + (i - first);
+}
+
 Prediction GaussianProcess::predict(const linalg::Vector& x_star) const {
-  const std::span<const double> query(x_star.raw());
-  std::vector<double> scratch;
+  if (!fitted()) {
+    throw std::logic_error("GaussianProcess::predict before fit");
+  }
+  if (x_star.size() != x_.cols()) {
+    throw std::invalid_argument(
+        "GaussianProcess::predict: query dimension mismatch");
+  }
+  // One query is its own dimension-major block; a lone prediction keeps
+  // nothing, so it needs no cache and solves in place.
+  std::vector<double> column(x_.rows());
   Prediction p;
-  predict_block(std::span<const std::span<const double>>(&query, 1), scratch,
-                std::span<Prediction>(&p, 1));
+  predict_rows(x_star.raw(), 1, column, column, 0,
+               std::span<Prediction>(&p, 1));
   return p;
 }
 
 void GaussianProcess::predict_block(
-    std::span<const std::span<const double>> queries,
-    std::vector<double>& scratch, std::span<Prediction> out) const {
+    std::span<const std::span<const double>> queries, PredictionCache& cache,
+    std::span<Prediction> out) const {
   if (!fitted()) {
     throw std::logic_error("GaussianProcess::predict before fit");
   }
   HP_REQUIRE(out.size() == queries.size(),
              "GaussianProcess::predict_block: one output per query");
+  if (queries.empty()) return;  // e.g. a block the a-priori gate emptied
   const std::size_t n = x_.rows();
   const std::size_t dim = x_.cols();
   const std::size_t width = queries.size();
-  // Working memory: the queries dimension-major (dim x width), the n x width
-  // cross-covariance block, and one accumulator per query.
-  scratch.resize((dim + n + 1) * width);
-  const std::span<double> qt(scratch.data(), dim * width);
-  const std::span<double> block(scratch.data() + dim * width, n * width);
-  double* acc = scratch.data() + (dim + n) * width;
-  for (std::size_t b = 0; b < width; ++b) {
-    if (queries[b].size() != dim) {
+  for (const std::span<const double> query : queries) {
+    if (query.size() != dim) {
       throw std::invalid_argument(
           "GaussianProcess::predict: query dimension mismatch");
     }
-    for (std::size_t d = 0; d < dim; ++d) qt[d * width + b] = queries[b][d];
   }
-  kernel_->eval_block(x_, qt, width, block);
-  // mean = y_mean + k*^T alpha and var = k(x*,x*) - v^T v with
-  // v = L^{-1} k*, the forward substitution done for every query at once.
-  column_sums(
-      block.data(), n, width,
-      [&](std::size_t i, double k) { return k * alpha_[i]; }, acc);
-  for (std::size_t b = 0; b < width; ++b) out[b].mean = y_mean_ + acc[b];
-  chol_->solve_lower_block(block, width);
-  column_sums(
-      block.data(), n, width, [](std::size_t, double v) { return v * v; },
-      acc);
-  const double prior = kernel_->diagonal_value();
+  // The queries dimension-major. Cached rows belong to the cached queries
+  // only; they are compared as classify_refit() compares inputs, since
+  // equal coordinates give equal kernel values.
+  bool same_queries =
+      cache.width_ == width && cache.queries_.size() == dim * width;
+  cache.width_ = width;
+  cache.queries_.resize(dim * width);
   for (std::size_t b = 0; b < width; ++b) {
-    out[b].variance = std::max(0.0, prior - acc[b]);
+    for (std::size_t d = 0; d < dim; ++d) {
+      double& slot = cache.queries_[d * width + b];
+      same_queries = same_queries && slot == queries[b][d];
+      slot = queries[b][d];
+    }
+  }
+  if (!same_queries) cache.stamps_.clear();
+  // Rows [0, reused) of K* and V were computed against the same x_ row,
+  // kernel and factor row as now, so they hold this call's values; V's row
+  // i reads only rows 0..i of K* and of the factor.
+  std::size_t reused = 0;
+  const std::size_t cached = std::min(cache.stamps_.size(), n);
+  while (reused < cached && cache.stamps_[reused] == row_stamps_[reused]) {
+    ++reused;
+  }
+  cache.stamps_.resize(reused);  // vouches for no row until all are filled
+  cache.cross_.resize(n * width);
+  cache.solved_.resize(n * width);
+  predict_rows(cache.queries_, width, cache.cross_, cache.solved_, reused,
+               out);
+  cache.stamps_ = row_stamps_;
+  if (obs::metrics().enabled()) {
+    GpMetrics::get().predict_rows.add(n);
+    GpMetrics::get().predict_rows_reused.add(reused);
+  }
+}
+
+void GaussianProcess::predict_rows(std::span<const double> qt,
+                                   std::size_t width, std::span<double> cross,
+                                   std::span<double> solved,
+                                   std::size_t first_row,
+                                   std::span<Prediction> out) const {
+  const std::size_t n = x_.rows();
+  // mean = y_mean + k*^T alpha and var = k(x*,x*) - v^T v with
+  // v = L^{-1} k*, both summed over every row. The means go first, so that
+  // @p solved may be @p cross itself.
+  kernel_->eval_block(x_, qt, width, cross, first_row);
+  column_sums(
+      cross.data(), n, width,
+      [&](std::size_t i, double k) { return k * alpha_[i]; },
+      [&](std::size_t b, double sum) { out[b].mean = y_mean_ + sum; });
+  if (solved.data() != cross.data()) {
+    const auto first = static_cast<std::ptrdiff_t>(first_row * width);
+    std::copy(cross.begin() + first, cross.end(), solved.begin() + first);
+  }
+  chol_->solve_lower_block(solved, width, first_row);
+  const double prior = kernel_->diagonal_value();
+  column_sums(
+      solved.data(), n, width, [](std::size_t, double v) { return v * v; },
+      [&](std::size_t b, double sum) {
+        out[b].variance = std::max(0.0, prior - sum);
+      });
+  for (std::size_t b = 0; b < width; ++b) {
     HP_CHECK_FINITE(out[b].mean, "GaussianProcess::predict mean");
     HP_CHECK_FINITE(out[b].variance, "GaussianProcess::predict variance");
   }

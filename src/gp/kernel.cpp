@@ -57,15 +57,15 @@ double Matern52Kernel::eval(std::span<const double> a,
 
 namespace {
 
-/// Columns [b, b + kLanes) of a Matern 5/2 cross-covariance block: row i
-/// holds k(x_i, q_b). Each entry's r^2 is summed in a register from 0.0
-/// over ascending d, exactly as ard_distance() sums one pair's, and then
-/// takes the matern52() closed form.
+/// Columns [b, b + kLanes) of a Matern 5/2 cross-covariance block, rows
+/// [first_row, n): row i holds k(x_i, q_b). Each entry's r^2 is summed in a
+/// register from 0.0 over ascending d, exactly as ard_distance() sums one
+/// pair's, and then takes the matern52() closed form.
 template <std::size_t kLanes>
 void matern52_columns(const linalg::Matrix& x, const KernelParams& params,
                       const double* qt, std::size_t width, std::size_t b,
-                      double* out) {
-  for (std::size_t i = 0; i < x.rows(); ++i) {
+                      std::size_t first_row, double* out) {
+  for (std::size_t i = first_row; i < x.rows(); ++i) {
     const std::span<const double> xi = x.row_span(i);
     double r2[kLanes] = {};
     for (std::size_t d = 0; d < xi.size(); ++d) {
@@ -88,9 +88,11 @@ void matern52_columns(const linalg::Matrix& x, const KernelParams& params,
 
 void Matern52Kernel::eval_block(const linalg::Matrix& x,
                                 std::span<const double> qt, std::size_t width,
-                                std::span<double> out) const {
+                                std::span<double> out,
+                                std::size_t first_row) const {
   const std::size_t dim = x.cols();
-  HP_REQUIRE(qt.size() == dim * width && out.size() == x.rows() * width,
+  HP_REQUIRE(qt.size() == dim * width && out.size() == x.rows() * width &&
+                 first_row <= x.rows(),
              "Matern52Kernel::eval_block: buffer sizes must match the shapes");
   if (params_.length_scales.size() != 1 &&
       params_.length_scales.size() != dim) {
@@ -101,10 +103,12 @@ void Matern52Kernel::eval_block(const linalg::Matrix& x,
   // Eight queries side by side, then the rest one by one.
   std::size_t b = 0;
   for (; b + 8 <= width; b += 8) {
-    matern52_columns<8>(x, params_, qt.data(), width, b, out.data());
+    matern52_columns<8>(x, params_, qt.data(), width, b, first_row,
+                        out.data());
   }
   for (; b < width; ++b) {
-    matern52_columns<1>(x, params_, qt.data(), width, b, out.data());
+    matern52_columns<1>(x, params_, qt.data(), width, b, first_row,
+                        out.data());
   }
 }
 

@@ -51,12 +51,15 @@ class Kernel {
                                     std::span<const double> b) const = 0;
 
   /// Cross-covariance block: out[i * width + b] = k(x_i, q_b) for the rows
-  /// x_i of @p x (n x D) and @p width queries stored dimension-major in
-  /// @p qt (qt[d * width + b] = q_b[d]). Every entry matches eval(x_i, q_b)
-  /// bit for bit. Throws std::invalid_argument when the ARD length scales
-  /// do not fit D; buffer sizes are an HP_REQUIRE contract.
+  /// x_i of @p x (n x D) from @p first_row on and @p width queries stored
+  /// dimension-major in @p qt (qt[d * width + b] = q_b[d]); @p out is the
+  /// whole n x width block, and its rows before @p first_row are left as
+  /// they are. Every entry matches eval(x_i, q_b) bit for bit. Throws
+  /// std::invalid_argument when the ARD length scales do not fit D; buffer
+  /// sizes and first_row <= n are an HP_REQUIRE contract.
   virtual void eval_block(const linalg::Matrix& x, std::span<const double> qt,
-                          std::size_t width, std::span<double> out) const = 0;
+                          std::size_t width, std::span<double> out,
+                          std::size_t first_row) const = 0;
 
   /// Covariance between two points; forwards to eval().
   [[nodiscard]] double operator()(const linalg::Vector& a,
@@ -84,7 +87,8 @@ class Matern52Kernel final : public Kernel {
   [[nodiscard]] double eval(std::span<const double> a,
                             std::span<const double> b) const override;
   void eval_block(const linalg::Matrix& x, std::span<const double> qt,
-                  std::size_t width, std::span<double> out) const override;
+                  std::size_t width, std::span<double> out,
+                  std::size_t first_row) const override;
   [[nodiscard]] double diagonal_value() const override;
   [[nodiscard]] std::string name() const override { return "matern52"; }
   [[nodiscard]] const KernelParams& params() const override { return params_; }

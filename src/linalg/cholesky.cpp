@@ -158,12 +158,13 @@ void Cholesky::solve_lower_into(const Matrix& l, std::span<const double> b,
 
 namespace {
 
-/// Forward substitution of columns [b, b + kLanes) of an n x width block.
-/// Each column keeps its accumulator in a register across k.
+/// Forward substitution of columns [b, b + kLanes) of an n x width block,
+/// rows [first_row, n). Each column keeps its accumulator in a register
+/// across k.
 template <std::size_t kLanes>
 void solve_lower_columns(const Matrix& l, double* block, std::size_t width,
-                         std::size_t b) {
-  for (std::size_t i = 0; i < l.rows(); ++i) {
+                         std::size_t b, std::size_t first_row) {
+  for (std::size_t i = first_row; i < l.rows(); ++i) {
     double* row = block + i * width + b;
     double acc[kLanes];
     for (std::size_t j = 0; j < kLanes; ++j) acc[j] = row[j];
@@ -179,18 +180,20 @@ void solve_lower_columns(const Matrix& l, double* block, std::size_t width,
 
 }  // namespace
 
-void Cholesky::solve_lower_block(std::span<double> block,
-                                 std::size_t width) const {
-  HP_REQUIRE(block.size() == l_.rows() * width,
+void Cholesky::solve_lower_block(std::span<double> block, std::size_t width,
+                                 std::size_t first_row) const {
+  HP_REQUIRE(block.size() == l_.rows() * width && first_row <= l_.rows(),
              "Cholesky::solve_lower_block: block must be n x width");
   // Per column: acc = b_i, acc -= L(i,k) * v_k over ascending k, then
   // v_i = acc / L(i,i) -- solve_lower_into()'s operations, eight columns
   // side by side, then the rest one by one.
   std::size_t b = 0;
   for (; b + 8 <= width; b += 8) {
-    solve_lower_columns<8>(l_, block.data(), width, b);
+    solve_lower_columns<8>(l_, block.data(), width, b, first_row);
   }
-  for (; b < width; ++b) solve_lower_columns<1>(l_, block.data(), width, b);
+  for (; b < width; ++b) {
+    solve_lower_columns<1>(l_, block.data(), width, b, first_row);
+  }
 }
 
 Vector Cholesky::solve_upper(const Vector& y) const {

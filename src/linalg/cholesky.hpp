@@ -98,11 +98,15 @@ class Cholesky {
 
   /// Forward substitution over many right-hand sides at once, in place:
   /// @p block is n x @p width row-major, row i holding entry i of every
-  /// right-hand side. Each column goes through exactly the operations of
-  /// solve_lower_into(), in the same order, so it matches solve_lower() bit
-  /// for bit; the innermost loop runs across eight columns at a time. Sizes
-  /// are an HP_REQUIRE contract.
-  void solve_lower_block(std::span<double> block, std::size_t width) const;
+  /// right-hand side. Rows before @p first_row must already hold their
+  /// solved entries (they are read, not written); rows from @p first_row on
+  /// hold right-hand-side entries and are solved. Each column goes through
+  /// exactly the operations of solve_lower_into(), in the same order, so it
+  /// matches solve_lower() bit for bit whatever @p first_row is; the
+  /// innermost loop runs across eight columns at a time. Sizes and
+  /// first_row <= n are an HP_REQUIRE contract.
+  void solve_lower_block(std::span<double> block, std::size_t width,
+                         std::size_t first_row) const;
 
   /// Solves L^T x = y (backward substitution).
   [[nodiscard]] Vector solve_upper(const Vector& y) const;

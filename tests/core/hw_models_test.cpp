@@ -51,6 +51,38 @@ TEST(HardwareModel, QuadraticFormExpandsFeatures) {
   EXPECT_EQ(model.input_dimension(), 2u);
 }
 
+TEST(HardwareModel, PredictSumsTheFeatureTermsInOrderBitwise) {
+  // intercept + w . [z, z^2], one term at a time from the intercept: the
+  // order the a-priori gates' predictions are pinned to.
+  stats::Rng rng(43);
+  for (const ModelForm form : {ModelForm::Linear, ModelForm::Quadratic}) {
+    const std::size_t k = 10;
+    linalg::Vector weights(form == ModelForm::Quadratic ? 2 * k : k);
+    for (std::size_t j = 0; j < weights.size(); ++j) {
+      weights[j] = rng.uniform(-2.0, 2.0);
+    }
+    const double intercept = rng.uniform(10.0, 90.0);
+    const HardwareModel model(form, weights, intercept, 1.0);
+    for (int trial = 0; trial < 100; ++trial) {
+      std::vector<double> z(k);
+      for (double& v : z) v = rng.uniform(1.0, 500.0);
+      double want = intercept;
+      for (std::size_t j = 0; j < k; ++j) want += weights[j] * z[j];
+      if (form == ModelForm::Quadratic) {
+        for (std::size_t j = 0; j < k; ++j) {
+          const double square = z[j] * z[j];
+          want += weights[k + j] * square;
+        }
+      }
+      EXPECT_EQ(model.predict(z), want);
+    }
+  }
+  const HardwareModel quadratic(ModelForm::Quadratic,
+                                linalg::Vector{1.0, 2.0, 3.0, 4.0}, 0.0, 0.0);
+  EXPECT_THROW((void)quadratic.predict(std::vector<double>{1.0}),
+               std::invalid_argument);
+}
+
 TEST(HardwareModel, DimensionMismatchThrows) {
   HardwareModel model(ModelForm::Linear, linalg::Vector{1.0, 2.0}, 0.0, 0.0);
   EXPECT_THROW((void)model.predict(std::vector<double>{1.0}),

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+
+#include "stats/rng.hpp"
 
 namespace hp::core {
 namespace {
@@ -50,6 +53,13 @@ TEST(HyperParameterSpace, StructuralVectorPicksFlaggedParams) {
   ASSERT_EQ(z.size(), 2u);
   EXPECT_EQ(z[0], 40.0);
   EXPECT_EQ(z[1], 3.0);
+  // structural_into() overwrites whatever its buffer held, and validates
+  // the configuration as structural_vector() does.
+  std::vector<double> buffer{7.0, 7.0, 7.0, 7.0, 7.0};
+  space.structural_into(config, buffer);
+  EXPECT_EQ(buffer, z);
+  EXPECT_THROW(space.structural_into({90.0, 3.0, 0.01, 0.9}, buffer),
+               std::invalid_argument);
 }
 
 TEST(HyperParameterSpace, DecodeRespectsKinds) {
@@ -64,6 +74,35 @@ TEST(HyperParameterSpace, DecodeRespectsKinds) {
   EXPECT_EQ(hi[1], 5.0);
   EXPECT_NEAR(hi[2], 0.1, 1e-12);
   EXPECT_NEAR(hi[3], 0.95, 1e-12);
+}
+
+TEST(HyperParameterSpace, LogScaleMapsMatchTheDirectFormulaBitwise) {
+  // decode_into() and encode() use log(lo) and log(hi) computed once per
+  // parameter; the bits must be those of the formula that takes the logs
+  // on every call.
+  const HyperParameterSpace space({
+      {"lr", ParameterKind::LogContinuous, 0.001, 0.1, false},
+      {"decay", ParameterKind::LogContinuous, 1e-6, 3e-3, false},
+  });
+  stats::Rng rng(41);
+  Configuration config;
+  for (int trial = 0; trial < 1000; ++trial) {
+    const std::vector<double> unit{rng.uniform(), rng.uniform()};
+    space.decode_into(unit, config);
+    for (std::size_t i = 0; i < 2; ++i) {
+      const ParameterDef& p = space.parameter(i);
+      const double log_lo = std::log(p.lo);
+      const double log_hi = std::log(p.hi);
+      EXPECT_EQ(config[i],
+                std::clamp(std::exp(log_lo + unit[i] * (log_hi - log_lo)),
+                           p.lo, p.hi))
+          << "parameter " << i << " u " << unit[i];
+      EXPECT_EQ(space.encode(config)[i],
+                std::clamp((std::log(config[i]) - log_lo) / (log_hi - log_lo),
+                           0.0, 1.0))
+          << "parameter " << i << " value " << config[i];
+    }
+  }
 }
 
 TEST(HyperParameterSpace, DecodeLogScaleMidpointIsGeometricMean) {

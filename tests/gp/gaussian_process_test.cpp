@@ -4,12 +4,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "core/contracts.hpp"
 #include "linalg/cholesky.hpp"
+#include "obs/metrics.hpp"
 #include "stats/rng.hpp"
 
 namespace hp::gp {
@@ -183,6 +187,20 @@ GaussianProcess make_gp2d(double noise = 1e-4) {
   return GaussianProcess(Matern52Kernel(p), noise);
 }
 
+/// The leading @p n rows of @p x and entries of @p y.
+Matrix head(const Matrix& x, std::size_t n) {
+  Matrix out(n, x.cols());
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t c = 0; c < x.cols(); ++c) out(i, c) = x(i, c);
+  }
+  return out;
+}
+Vector head(const Vector& y, std::size_t n) {
+  Vector out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = y[i];
+  return out;
+}
+
 /// Asserts identical posterior state via bitwise-equal predictions at a
 /// probe grid plus the log marginal likelihood.
 void expect_same_posterior(const GaussianProcess& a, const GaussianProcess& b) {
@@ -293,6 +311,42 @@ TEST(GaussianProcessIncremental, ChangedRowForcesFullRefit) {
   EXPECT_EQ(gp.last_refit_kind(), RefitKind::kFull);
 }
 
+TEST(GaussianProcess, FailedFitLeavesNoStaleFactor) {
+  // A NaN input row makes the kernel matrix unfactorable even with jitter,
+  // so the second fit throws. It must not leave the first fit's factor and
+  // alpha beside the new inputs, where a prediction would read them.
+  Matrix x;
+  Vector y;
+  random_dataset(40, 2, 97, x, y);
+  auto gp = make_gp2d();
+  gp.fit(head(x, 3), head(y, 3));
+  PredictionCache cache;
+  const Vector probe{0.3, 0.6};
+  const std::span<const double> query(probe.raw());
+  const std::span<const std::span<const double>> queries(&query, 1);
+  Prediction before;
+  gp.predict_block(queries, cache, std::span<Prediction>(&before, 1));
+  Matrix poisoned = x;
+  poisoned(17, 0) = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(gp.fit(poisoned, y), core::ContractViolation);
+  EXPECT_FALSE(gp.fitted());
+  EXPECT_EQ(gp.last_refit_kind(), RefitKind::kNone);
+  EXPECT_EQ(gp.num_observations(), 0u);
+  EXPECT_THROW((void)gp.predict(probe), std::logic_error);
+  // The next fit is a full one, equal to a fresh GP's, and the cache kept
+  // from before the failure serves it bit for bit.
+  gp.fit(head(x, 5), head(y, 5));
+  EXPECT_EQ(gp.last_refit_kind(), RefitKind::kFull);
+  auto fresh = make_gp2d();
+  fresh.fit(head(x, 5), head(y, 5));
+  expect_same_posterior(gp, fresh);
+  Prediction after;
+  gp.predict_block(queries, cache, std::span<Prediction>(&after, 1));
+  const Prediction want = fresh.predict(probe);
+  EXPECT_EQ(after.mean, want.mean);
+  EXPECT_EQ(after.variance, want.variance);
+}
+
 TEST(GaussianProcessIncremental, JitteredFactorDisablesIncrementalReuse) {
   // Duplicate rows with zero noise make the Gram singular, so the factor
   // carries jitter; a jittered factor has no bit-identical incremental
@@ -367,7 +421,7 @@ void expect_block_matches_reference(const KernelParams& params, double noise,
     for (std::size_t d = 0; d < q.size(); ++d) q[d] = rng.uniform();
   }
   pool[1] = x.row(0);  // a training point: variance near zero
-  std::vector<double> scratch;  // reused across blocks, as in block scoring
+  PredictionCache cache;  // reused across blocks, as in block scoring
   for (std::size_t width :
        {std::size_t{1}, std::size_t{3}, std::size_t{32}, std::size_t{33}}) {
     std::vector<std::span<const double>> queries;
@@ -375,13 +429,18 @@ void expect_block_matches_reference(const KernelParams& params, double noise,
       queries.emplace_back(pool[2 * b + 1].raw());
     }
     std::vector<Prediction> got(width);
-    gp.predict_block(queries, scratch, got);
+    gp.predict_block(queries, cache, got);
     for (std::size_t b = 0; b < width; ++b) {
       const Prediction want = reference.predict(pool[2 * b + 1]);
       EXPECT_EQ(got[b].mean, want.mean)
           << "n " << x.rows() << " width " << width << " query " << b;
       EXPECT_EQ(got[b].variance, want.variance)
           << "n " << x.rows() << " width " << width << " query " << b;
+      // A lone predict() takes the same arithmetic without a cache.
+      const Prediction lone = gp.predict(pool[2 * b + 1]);
+      EXPECT_EQ(lone.mean, want.mean) << "n " << x.rows() << " query " << b;
+      EXPECT_EQ(lone.variance, want.variance)
+          << "n " << x.rows() << " query " << b;
     }
   }
 }
@@ -429,6 +488,189 @@ TEST(GaussianProcessBlock, PredictBlockMatchesReferenceWithJitteredFactor) {
   const ReferencePosterior reference(kernel, 0.0, doubled, y2);
   ASSERT_GT(reference.chol->jitter_used(), 0.0);
   expect_block_matches_reference(params, 0.0, doubled, y2, 92);
+}
+
+// ---------------------------------------------------------------------------
+// The prediction cache (DESIGN.md par.13): a PredictionCache kept across
+// refits and query changes must never change a prediction, and it must
+// actually keep the rows whose factor-row stamps still hold.
+// ---------------------------------------------------------------------------
+
+/// Unit-cube query points, @p count of dimension @p d.
+std::vector<Vector> random_queries(std::size_t count, std::size_t d,
+                                   std::uint64_t seed) {
+  stats::Rng rng(seed);
+  std::vector<Vector> pool(count, Vector(d));
+  for (Vector& q : pool) {
+    for (std::size_t c = 0; c < d; ++c) q[c] = rng.uniform();
+  }
+  return pool;
+}
+
+/// Spans over pool[first, first + width).
+std::vector<std::span<const double>> spans_of(const std::vector<Vector>& pool,
+                                              std::size_t first,
+                                              std::size_t width) {
+  std::vector<std::span<const double>> out;
+  for (std::size_t b = 0; b < width; ++b) {
+    out.emplace_back(pool[first + b].raw());
+  }
+  return out;
+}
+
+/// Predicts @p queries through @p cache and through a fresh cache, and
+/// requires the two to agree bit for bit.
+void expect_cache_matches_fresh(
+    const GaussianProcess& gp, std::span<const std::span<const double>> queries,
+    PredictionCache& cache, const std::string& step) {
+  std::vector<Prediction> got(queries.size());
+  std::vector<Prediction> want(queries.size());
+  gp.predict_block(queries, cache, got);
+  PredictionCache fresh;
+  gp.predict_block(queries, fresh, want);
+  for (std::size_t b = 0; b < queries.size(); ++b) {
+    EXPECT_EQ(got[b].mean, want[b].mean) << step << ", query " << b;
+    EXPECT_EQ(got[b].variance, want[b].variance) << step << ", query " << b;
+  }
+}
+
+TEST(GaussianProcessBlock, PersistentCacheMatchesFreshCacheBitwise) {
+  Matrix x;
+  Vector y;
+  random_dataset(30, 3, 94, x, y);
+  const std::vector<Vector> pool = random_queries(40, 3, 95);
+  // 19 queries: two eight-query lanes and three single ones.
+  const std::vector<std::span<const double>> queries = spans_of(pool, 0, 19);
+  KernelParams params;
+  params.length_scales = {0.3, 0.5, 0.7};
+  GaussianProcess gp(Matern52Kernel(params), 1e-4);
+  PredictionCache cache;
+
+  gp.fit(head(x, 20), head(y, 20));
+  expect_cache_matches_fresh(gp, queries, cache, "full fit");
+  expect_cache_matches_fresh(gp, queries, cache, "unchanged");
+  gp.fit(head(x, 21), head(y, 21));
+  ASSERT_EQ(gp.last_refit_kind(), RefitKind::kExtended);
+  expect_cache_matches_fresh(gp, queries, cache, "extended by 1");
+  gp.fit(head(x, 24), head(y, 24));
+  ASSERT_EQ(gp.last_refit_kind(), RefitKind::kExtended);
+  expect_cache_matches_fresh(gp, queries, cache, "extended by 3");
+  gp.fit(head(x, 22), head(y, 22));
+  ASSERT_EQ(gp.last_refit_kind(), RefitKind::kTruncated);
+  expect_cache_matches_fresh(gp, queries, cache, "truncated");
+  Vector shifted_y = head(y, 22);
+  for (std::size_t i = 0; i < shifted_y.size(); ++i) shifted_y[i] += 0.25;
+  gp.fit(head(x, 22), shifted_y);
+  ASSERT_EQ(gp.last_refit_kind(), RefitKind::kReused);
+  expect_cache_matches_fresh(gp, queries, cache, "reused");
+  Matrix changed = head(x, 22);
+  changed(5, 1) += 1e-9;
+  gp.fit(changed, shifted_y);
+  ASSERT_EQ(gp.last_refit_kind(), RefitKind::kFull);
+  expect_cache_matches_fresh(gp, queries, cache, "changed row");
+
+  // Same inputs and queries under another kernel: only the stamps tell the
+  // cached rows apart.
+  KernelParams other;
+  other.signal_variance = 1.8;
+  other.length_scales = {0.45};
+  gp = GaussianProcess(Matern52Kernel(other), 1e-4);
+  gp.fit(changed, shifted_y);
+  expect_cache_matches_fresh(gp, queries, cache, "another kernel");
+
+  // Duplicated rows with zero noise: the factor needs jitter, and a
+  // jittered factor is always refit in full.
+  Matrix doubled(14, 3);
+  Vector doubled_y(14);
+  for (std::size_t i = 0; i < 14; ++i) {
+    for (std::size_t c = 0; c < 3; ++c) doubled(i, c) = x(i % 7, c);
+    doubled_y[i] = y[i % 7];
+  }
+  ASSERT_GT(linalg::Cholesky::with_jitter(
+                kernel_matrix(Matern52Kernel(other), doubled))
+                ->jitter_used(),
+            0.0);
+  gp = GaussianProcess(Matern52Kernel(other), 0.0);
+  gp.fit(doubled, doubled_y);
+  expect_cache_matches_fresh(gp, queries, cache, "jittered factor");
+  Matrix doubled_plus(15, 3);
+  Vector doubled_plus_y(15);
+  for (std::size_t i = 0; i < 15; ++i) {
+    for (std::size_t c = 0; c < 3; ++c) {
+      doubled_plus(i, c) = i < 14 ? doubled(i, c) : x(20, c);
+    }
+    doubled_plus_y[i] = i < 14 ? doubled_y[i] : y[20];
+  }
+  gp.fit(doubled_plus, doubled_plus_y);
+  ASSERT_EQ(gp.last_refit_kind(), RefitKind::kFull);
+  expect_cache_matches_fresh(gp, queries, cache, "jittered, one more row");
+
+  // Changed queries: one coordinate of one query, then other widths, then
+  // the original block again.
+  Vector moved = pool[3];
+  moved[1] += 1e-9;
+  std::vector<std::span<const double>> moved_queries = queries;
+  moved_queries[3] = moved.raw();
+  expect_cache_matches_fresh(gp, moved_queries, cache, "one query moved");
+  expect_cache_matches_fresh(gp, spans_of(pool, 0, 7), cache, "width 7");
+  expect_cache_matches_fresh(gp, spans_of(pool, 5, 33), cache, "width 33");
+  expect_cache_matches_fresh(gp, queries, cache, "original queries");
+}
+
+TEST(GaussianProcessBlock, CacheKeepsTheRowsARefitKeeps) {
+  // A cache that always missed would pass every bitwise test above; the
+  // gp.predict_rows/gp.predict_rows_reused counters show what it kept.
+  Matrix x;
+  Vector y;
+  random_dataset(13, 3, 96, x, y);
+  const std::vector<Vector> pool = random_queries(5, 3, 97);
+  const std::vector<std::span<const double>> queries = spans_of(pool, 0, 5);
+  KernelParams params;
+  params.length_scales = {0.4};
+  GaussianProcess gp(Matern52Kernel(params), 1e-4);
+  PredictionCache cache;
+  struct MetricsOn {
+    MetricsOn() { obs::metrics().set_enabled(true); }
+    ~MetricsOn() { obs::metrics().set_enabled(false); }
+  } metrics_on;
+  obs::Counter& rows = obs::metrics().counter("gp.predict_rows");
+  obs::Counter& reused = obs::metrics().counter("gp.predict_rows_reused");
+  struct Counts {
+    std::uint64_t rows;
+    std::uint64_t reused;
+  };
+  const auto predict_counting = [&] {
+    const Counts before{rows.value(), reused.value()};
+    std::vector<Prediction> out(queries.size());
+    gp.predict_block(queries, cache, out);
+    return Counts{rows.value() - before.rows, reused.value() - before.reused};
+  };
+
+  gp.fit(head(x, 12), head(y, 12));
+  Counts c = predict_counting();
+  EXPECT_EQ(c.rows, 12u);
+  EXPECT_EQ(c.reused, 0u);
+  c = predict_counting();
+  EXPECT_EQ(c.reused, 12u);
+  gp.fit(x, y);  // extension by one: n - 1 rows kept
+  ASSERT_EQ(gp.last_refit_kind(), RefitKind::kExtended);
+  c = predict_counting();
+  EXPECT_EQ(c.rows, 13u);
+  EXPECT_EQ(c.reused, 12u);
+  gp.fit(head(x, 10), head(y, 10));  // truncation: every remaining row kept
+  c = predict_counting();
+  EXPECT_EQ(c.rows, 10u);
+  EXPECT_EQ(c.reused, 10u);
+  Vector shifted_y = head(y, 10);
+  shifted_y[0] += 1.0;
+  gp.fit(head(x, 10), shifted_y);  // reuse: new targets, same factor
+  c = predict_counting();
+  EXPECT_EQ(c.reused, 10u);
+  Matrix changed = head(x, 10);
+  changed(0, 0) += 1e-9;
+  gp.fit(changed, shifted_y);  // full refit: nothing kept
+  c = predict_counting();
+  EXPECT_EQ(c.reused, 0u);
 }
 
 }  // namespace

@@ -151,18 +151,25 @@ TEST(KernelCross, MatchesElementwiseEvaluation) {
       qt[d * queries.size() + b] = queries[b][d];
     }
   }
-  std::vector<double> cross(3 * queries.size(), -1.0);
-  k.eval_block(x, qt, queries.size(), cross);
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t b = 0; b < queries.size(); ++b) {
-      EXPECT_EQ(cross[i * queries.size() + b], k(x.row(i), queries[b]))
-          << "row " << i << " query " << b;
+  // From row 0 every entry is filled; from row 2 the rows before it keep
+  // what they held.
+  for (std::size_t first_row : {std::size_t{0}, std::size_t{2}}) {
+    std::vector<double> cross(3 * queries.size(), -1.0);
+    k.eval_block(x, qt, queries.size(), cross, first_row);
+    for (std::size_t i = 0; i < 3; ++i) {
+      for (std::size_t b = 0; b < queries.size(); ++b) {
+        EXPECT_EQ(cross[i * queries.size() + b],
+                  i < first_row ? -1.0 : k(x.row(i), queries[b]))
+            << "first row " << first_row << " row " << i << " query " << b;
+      }
     }
   }
+  std::vector<double> cross(3 * queries.size());
   KernelParams three;
   three.length_scales = {1.0, 1.0, 1.0};
-  EXPECT_THROW(Matern52Kernel(three).eval_block(x, qt, queries.size(), cross),
-               std::invalid_argument);
+  EXPECT_THROW(
+      Matern52Kernel(three).eval_block(x, qt, queries.size(), cross, 0),
+      std::invalid_argument);
 }
 
 TEST(Matern52, MatchesClosedForm) {

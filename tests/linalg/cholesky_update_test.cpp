@@ -167,26 +167,34 @@ TEST(CholeskyUpdate, SolveLowerIntoMatchesSolveLower) {
 
 TEST(CholeskyUpdate, SolveLowerBlockMatchesColumnwiseSolveLower) {
   // The GP's block prediction solves every query's forward substitution at
-  // once; each column must come out bit-identical to a lone solve_lower().
+  // once, and a cached prediction resumes it at its first new row; each
+  // column must come out bit-identical to a lone solve_lower().
   stats::Rng rng(31);
   for (std::size_t n = 1; n <= 64; ++n) {
     const Cholesky chol(random_spd(n, 100 + n));
-    for (std::size_t width : {std::size_t{1}, std::size_t{5}}) {
+    for (std::size_t width : {std::size_t{1}, std::size_t{5}, std::size_t{9}}) {
       std::vector<Vector> columns(width, Vector(n));
-      std::vector<double> block(n * width);
+      std::vector<Vector> want(width);
       for (std::size_t b = 0; b < width; ++b) {
-        for (std::size_t i = 0; i < n; ++i) {
-          columns[b][i] = rng.gaussian();
-          block[i * width + b] = columns[b][i];
-        }
+        for (std::size_t i = 0; i < n; ++i) columns[b][i] = rng.gaussian();
+        want[b] = chol.solve_lower(columns[b]);
       }
-      chol.solve_lower_block(block, width);
-      for (std::size_t b = 0; b < width; ++b) {
-        const Vector want = chol.solve_lower(columns[b]);
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(block[i * width + b], want[i])
-              << "n " << n << " width " << width << " column " << b
-              << " row " << i;
+      for (std::size_t first_row : {std::size_t{0}, n / 2, n}) {
+        // Rows before first_row hold their solved entries, the rest the
+        // right-hand sides.
+        std::vector<double> block(n * width);
+        for (std::size_t b = 0; b < width; ++b) {
+          for (std::size_t i = 0; i < n; ++i) {
+            block[i * width + b] = i < first_row ? want[b][i] : columns[b][i];
+          }
+        }
+        chol.solve_lower_block(block, width, first_row);
+        for (std::size_t b = 0; b < width; ++b) {
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(block[i * width + b], want[b][i])
+                << "n " << n << " width " << width << " first row "
+                << first_row << " column " << b << " row " << i;
+          }
         }
       }
     }

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/acquisition.hpp"
@@ -25,21 +27,35 @@ HyperParameterSpace make_space() {
   });
 }
 
-/// A GP over @p n random unit points of the space, with targets
+/// @p n random unit points of the space, with targets
 /// offset + scale * (a smooth function of the point).
-gp::GaussianProcess fitted_gp(std::size_t n, double offset, double scale,
-                              std::uint64_t seed) {
+void smooth_data(std::size_t n, double offset, double scale,
+                 std::uint64_t seed, linalg::Matrix& x, linalg::Vector& y) {
   stats::Rng rng(seed);
-  linalg::Matrix x(n, 3);
-  linalg::Vector y(n);
+  x = linalg::Matrix(n, 3);
+  y = linalg::Vector(n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t d = 0; d < 3; ++d) x(i, d) = rng.uniform();
     y[i] = offset + scale * (x(i, 0) + 0.5 * x(i, 1) * x(i, 1) - 0.3 * x(i, 2));
   }
+}
+
+/// An unfitted GP with a kernel and noise scaled to targets of spread
+/// @p scale.
+gp::GaussianProcess scaled_gp(double scale) {
   gp::KernelParams params;
   params.signal_variance = scale * scale;
   params.length_scales = {0.4, 0.5, 0.6};
-  gp::GaussianProcess model(gp::Matern52Kernel(params), 1e-4 * scale * scale);
+  return gp::GaussianProcess(gp::Matern52Kernel(params), 1e-4 * scale * scale);
+}
+
+/// A GP fit to smooth_data(n, offset, scale, seed).
+gp::GaussianProcess fitted_gp(std::size_t n, double offset, double scale,
+                              std::uint64_t seed) {
+  linalg::Matrix x;
+  linalg::Vector y;
+  smooth_data(n, offset, scale, seed, x, y);
+  gp::GaussianProcess model = scaled_gp(scale);
   model.fit(std::move(x), std::move(y));
   return model;
 }
@@ -64,32 +80,106 @@ struct Maximum {
   double next_uniform = 0.0;
 };
 
+CandidatePoolOptions pool_options() {
+  CandidatePoolOptions options;
+  options.lattice_points = 200;
+  options.random_points = 150;
+  options.score_block_size = 16;  // many blocks, so workers interleave
+  return options;
+}
+
+/// One maximize() on @p pool with an RNG seeded @p seed.
+Maximum maximize_once(CandidatePool& pool,
+                      const AcquisitionFunction& acquisition,
+                      const AcquisitionContext& ctx,
+                      parallel::ThreadPool* workers, std::uint64_t seed) {
+  stats::Rng rng(seed);
+  const CandidatePool::Maximizer best =
+      pool.maximize(acquisition, ctx, rng, workers);
+  const double next_uniform = rng.uniform();
+  return {best.unit, best.config, best.score, best.evaluated, next_uniform};
+}
+
+void expect_same_maximum(const Maximum& got, const Maximum& want) {
+  EXPECT_EQ(got.unit, want.unit);
+  EXPECT_EQ(got.config, want.config);
+  EXPECT_EQ(got.score, want.score);
+  EXPECT_EQ(got.evaluated, want.evaluated);
+  EXPECT_EQ(got.next_uniform, want.next_uniform);
+}
+
 /// Maximizes with a fresh, identically seeded RNG, twice on one pool object
 /// (the second call reuses its buffers), and returns the second result
 /// after checking it equals the first.
 Maximum maximize(const AcquisitionFunction& acquisition,
                  const AcquisitionContext& ctx,
                  parallel::ThreadPool* workers) {
-  CandidatePoolOptions options;
-  options.lattice_points = 200;
-  options.random_points = 150;
-  options.score_block_size = 16;  // many blocks, so workers interleave
-  CandidatePool pool(ctx.space, options);
-  Maximum result;
-  for (int call = 0; call < 2; ++call) {
-    stats::Rng rng(77);
-    const CandidatePool::Maximizer best =
-        pool.maximize(acquisition, ctx, rng, workers);
-    const double next_uniform = rng.uniform();
-    if (call == 1) {
-      EXPECT_EQ(best.unit, result.unit);
-      EXPECT_EQ(best.score, result.score);
-      EXPECT_EQ(next_uniform, result.next_uniform);
+  CandidatePool pool(ctx.space, pool_options());
+  const Maximum first = maximize_once(pool, acquisition, ctx, workers, 77);
+  const Maximum second = maximize_once(pool, acquisition, ctx, workers, 77);
+  expect_same_maximum(second, first);
+  return second;
+}
+
+/// Two constant-liar rounds of four proposals on one pool, with the
+/// objective GP refit between calls as the BO proposer refits it: after
+/// each proposal but a round's last, a lie at the proposed point extends
+/// the GP by one row; the round ends with a truncation to the real
+/// observations, and two real observations then extend it. Every call must
+/// equal a fresh pool's, RNG included, however much of its prediction
+/// state the kept pool carries over. Returns the kept pool's results.
+std::vector<Maximum> liar_rounds(const AcquisitionFunction& acquisition,
+                                 AcquisitionContext ctx,
+                                 parallel::ThreadPool* workers) {
+  linalg::Matrix data_x;
+  linalg::Vector data_y;
+  smooth_data(18, 0.2, 0.3, 1, data_x, data_y);
+  std::vector<std::vector<double>> xs;
+  std::vector<double> ys;
+  const auto observe = [&](std::vector<double> x, double y) {
+    xs.push_back(std::move(x));
+    ys.push_back(y);
+  };
+  gp::GaussianProcess objective = scaled_gp(0.3);
+  const auto refit = [&] {
+    linalg::Matrix x(xs.size(), 3);
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      for (std::size_t d = 0; d < 3; ++d) x(i, d) = xs[i][d];
     }
-    result = {best.unit, best.config, best.score, best.evaluated,
-              next_uniform};
+    objective.fit(std::move(x), linalg::Vector{std::vector<double>(ys)});
+  };
+  for (std::size_t i = 0; i < 14; ++i) observe(data_x.row(i).raw(), data_y[i]);
+  refit();
+  ctx.objective_gp = &objective;
+  CandidatePool pool(ctx.space, pool_options());
+  std::vector<Maximum> results;
+  std::uint64_t seed = 500;
+  for (int round = 0; round < 2; ++round) {
+    const std::size_t real = ys.size();
+    for (int j = 0; j < 4; ++j) {
+      SCOPED_TRACE("round " + std::to_string(round) + " proposal " +
+                   std::to_string(j));
+      const Maximum kept =
+          maximize_once(pool, acquisition, ctx, workers, seed);
+      CandidatePool fresh_pool(ctx.space, pool_options());
+      expect_same_maximum(
+          kept, maximize_once(fresh_pool, acquisition, ctx, workers, seed));
+      ++seed;
+      results.push_back(kept);
+      if (j < 3) {
+        observe(kept.unit, ctx.best_observed);
+        refit();
+      }
+    }
+    xs.resize(real);
+    ys.resize(real);
+    refit();
+    for (std::size_t i = real; i < real + 2; ++i) {
+      observe(data_x.row(i).raw(), data_y[i]);
+    }
+    refit();
   }
-  return result;
+  return results;
 }
 
 class CandidatePoolWorkersTest : public ::testing::Test {
@@ -104,8 +194,9 @@ class CandidatePoolWorkersTest : public ::testing::Test {
   }
 
   /// Every acquisition in @p ctx: no pool, then 1 and 3 workers, all
-  /// bitwise equal. @p evaluated is 350 candidates, plus one when the
-  /// maximizer has to draw a fresh point.
+  /// bitwise equal, for one maximize() and for liar_rounds(). @p evaluated
+  /// is 350 candidates, plus one when the maximizer has to draw a fresh
+  /// point.
   void expect_worker_count_invariant(const AcquisitionContext& ctx,
                                      const std::string& label,
                                      std::size_t evaluated = 350) {
@@ -119,15 +210,19 @@ class CandidatePoolWorkersTest : public ::testing::Test {
       SCOPED_TRACE(label + " " + acquisition->name());
       const Maximum want = maximize(*acquisition, ctx, nullptr);
       EXPECT_EQ(want.evaluated, evaluated);
+      const std::vector<Maximum> want_rounds =
+          liar_rounds(*acquisition, ctx, nullptr);
       for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
         SCOPED_TRACE("workers " + std::to_string(workers));
         parallel::ThreadPool pool(workers);
-        const Maximum got = maximize(*acquisition, ctx, &pool);
-        EXPECT_EQ(got.unit, want.unit);
-        EXPECT_EQ(got.config, want.config);
-        EXPECT_EQ(got.score, want.score);
-        EXPECT_EQ(got.evaluated, want.evaluated);
-        EXPECT_EQ(got.next_uniform, want.next_uniform);
+        expect_same_maximum(maximize(*acquisition, ctx, &pool), want);
+        const std::vector<Maximum> got_rounds =
+            liar_rounds(*acquisition, ctx, &pool);
+        ASSERT_EQ(got_rounds.size(), want_rounds.size());
+        for (std::size_t call = 0; call < got_rounds.size(); ++call) {
+          SCOPED_TRACE("liar call " + std::to_string(call));
+          expect_same_maximum(got_rounds[call], want_rounds[call]);
+        }
       }
     }
   }
