@@ -16,7 +16,7 @@
 #include "common/experiment.hpp"
 #include "common/report.hpp"
 #include "common/table.hpp"
-#include "core/extra_acquisitions.hpp"
+#include "core/acquisition.hpp"
 #include "core/grid_search.hpp"
 #include "core/layerwise_models.hpp"
 #include "core/pareto.hpp"

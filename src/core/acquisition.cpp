@@ -1,6 +1,8 @@
 #include "core/acquisition.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 
 #include "core/contracts.hpp"
 #include "stats/distributions.hpp"
@@ -93,17 +95,25 @@ void multiply_constraint_probability(const gp::GaussianProcess* model,
   }
 }
 
-/// Closed-form EI at every gathered query into scratch.ei; zero without a
-/// model (callers use a separate initial design, so this is defensive).
-void gathered_ei(const AcquisitionContext& ctx, AcquisitionScratch& scratch) {
-  scratch.ei.assign(scratch.queries.size(), 0.0);
+/// gain(p) at every gathered query's objective-GP prediction p into
+/// scratch.gain; zero without a model (callers use a separate initial
+/// design, so this is defensive).
+template <typename Gain>
+void gathered_gain(const AcquisitionContext& ctx, AcquisitionScratch& scratch,
+                   Gain gain) {
+  scratch.gain.assign(scratch.queries.size(), 0.0);
   if (!usable(ctx.objective_gp)) return;
   predict_gathered(*ctx.objective_gp, scratch.objective_gp, scratch);
   for (std::size_t j = 0; j < scratch.queries.size(); ++j) {
-    const gp::Prediction& p = scratch.predictions[j];
-    scratch.ei[j] =
-        stats::expected_improvement(p.mean, p.stddev(), ctx.best_observed);
+    scratch.gain[j] = gain(scratch.predictions[j]);
   }
+}
+
+/// The closed-form EI gain of EI, HW-IECI and HW-CWEI.
+auto ei_gain(const AcquisitionContext& ctx) {
+  return [&ctx](const gp::Prediction& p) {
+    return stats::expected_improvement(p.mean, p.stddev(), ctx.best_observed);
+  };
 }
 
 /// Default (unknown constraints) mode: every candidate is gathered and
@@ -120,19 +130,6 @@ void measured_constraint_probabilities(
                                   ctx.budgets.memory_mb, scratch);
 }
 
-/// The scalar score() of a block-native acquisition: its score_block() on
-/// one candidate.
-double score_one(const AcquisitionFunction& acquisition,
-                 const std::vector<double>& unit_x, const Configuration& config,
-                 const AcquisitionContext& ctx) {
-  AcquisitionScratch scratch;
-  double out = 0.0;
-  acquisition.score_block(std::span<const std::vector<double>>(&unit_x, 1),
-                          std::span<const Configuration>(&config, 1), ctx,
-                          scratch, std::span<double>(&out, 1));
-  return out;
-}
-
 /// Contract shared by every score_block implementation.
 void check_block_shapes(std::span<const std::vector<double>> unit_xs,
                         std::span<const Configuration> configs,
@@ -141,45 +138,13 @@ void check_block_shapes(std::span<const std::vector<double>> unit_xs,
              "score_block: unit_xs/configs/out sizes must match");
 }
 
-}  // namespace
-
-void AcquisitionFunction::score_block(
-    std::span<const std::vector<double>> unit_xs,
-    std::span<const Configuration> configs, const AcquisitionContext& ctx,
-    AcquisitionScratch& scratch, std::span<double> out) const {
-  (void)scratch;
-  check_block_shapes(unit_xs, configs, out);
-  for (std::size_t i = 0; i < unit_xs.size(); ++i) {
-    out[i] = score(unit_xs[i], configs[i], ctx);
-  }
-}
-
-double ExpectedImprovementAcquisition::score(
-    const std::vector<double>& unit_x, const Configuration& config,
-    const AcquisitionContext& ctx) const {
-  return score_one(*this, unit_x, config, ctx);
-}
-
-void ExpectedImprovementAcquisition::score_block(
-    std::span<const std::vector<double>> unit_xs,
-    std::span<const Configuration> configs, const AcquisitionContext& ctx,
-    AcquisitionScratch& scratch, std::span<double> out) const {
-  check_block_shapes(unit_xs, configs, out);
-  gather(unit_xs, scratch, [](std::size_t) { return true; });
-  gathered_ei(ctx, scratch);
-  std::copy(scratch.ei.begin(), scratch.ei.end(), out.begin());
-}
-
-double HwIeciAcquisition::score(const std::vector<double>& unit_x,
-                                const Configuration& config,
-                                const AcquisitionContext& ctx) const {
-  return score_one(*this, unit_x, config, ctx);
-}
-
-void HwIeciAcquisition::score_block(
-    std::span<const std::vector<double>> unit_xs,
-    std::span<const Configuration> configs, const AcquisitionContext& ctx,
-    AcquisitionScratch& scratch, std::span<double> out) const {
+/// HW-IECI's constraint gate around @p gain, shared by HW-IECI, HW-PI and
+/// HW-LCB: out[i] = gate(candidate i) * gain(objective prediction i).
+template <typename Gain>
+void indicator_gated(std::span<const std::vector<double>> unit_xs,
+                     std::span<const Configuration> configs,
+                     const AcquisitionContext& ctx, AcquisitionScratch& scratch,
+                     std::span<double> out, Gain gain) {
   check_block_shapes(unit_xs, configs, out);
   if (ctx.constraints != nullptr) {
     // A-priori models: hard indicator, zero acquisition in violating
@@ -189,10 +154,10 @@ void HwIeciAcquisition::score_block(
       ctx.space.structural_into(configs[i], scratch.z);
       return ctx.constraints->predicted_feasible(scratch.z);
     });
-    gathered_ei(ctx, scratch);
+    gathered_gain(ctx, scratch, gain);
     std::fill(out.begin(), out.end(), 0.0);
     for (std::size_t j = 0; j < scratch.passing.size(); ++j) {
-      out[scratch.passing[j]] = scratch.ei[j];
+      out[scratch.passing[j]] = scratch.gain[j];
     }
     return;
   }
@@ -201,21 +166,54 @@ void HwIeciAcquisition::score_block(
   // violates (the GP mean is then above budget everywhere and nothing
   // scores). Following the probabilistic replacement of the indicator
   // the paper points to (Gramacy & Lee [17], supported by Spearmint),
-  // we gate EI by the *squared* satisfaction probability — sharper than
-  // HW-CWEI's linear weighting, approaching the indicator as the GPs
+  // we gate the gain by the *squared* satisfaction probability — sharper
+  // than HW-CWEI's linear weighting, approaching the indicator as the GPs
   // become confident, while still providing a search gradient.
   measured_constraint_probabilities(unit_xs, ctx, scratch);
-  gathered_ei(ctx, scratch);
+  gathered_gain(ctx, scratch, gain);
   for (std::size_t i = 0; i < unit_xs.size(); ++i) {
     const double prob = scratch.prob[i];
-    out[i] = prob * prob * scratch.ei[i];
+    out[i] = prob * prob * scratch.gain[i];
   }
 }
 
-double HwCweiAcquisition::score(const std::vector<double>& unit_x,
-                                const Configuration& config,
-                                const AcquisitionContext& ctx) const {
-  return score_one(*this, unit_x, config, ctx);
+/// @p value when it is finite and >= 0; throws std::invalid_argument with
+/// @p message otherwise.
+double finite_non_negative(double value, const char* message) {
+  if (!std::isfinite(value) || value < 0.0) {
+    throw std::invalid_argument(message);
+  }
+  return value;
+}
+
+}  // namespace
+
+double AcquisitionFunction::score(const std::vector<double>& unit_x,
+                                  const Configuration& config,
+                                  const AcquisitionContext& ctx) const {
+  AcquisitionScratch scratch;
+  double out = 0.0;
+  score_block(std::span<const std::vector<double>>(&unit_x, 1),
+              std::span<const Configuration>(&config, 1), ctx, scratch,
+              std::span<double>(&out, 1));
+  return out;
+}
+
+void ExpectedImprovementAcquisition::score_block(
+    std::span<const std::vector<double>> unit_xs,
+    std::span<const Configuration> configs, const AcquisitionContext& ctx,
+    AcquisitionScratch& scratch, std::span<double> out) const {
+  check_block_shapes(unit_xs, configs, out);
+  gather(unit_xs, scratch, [](std::size_t) { return true; });
+  gathered_gain(ctx, scratch, ei_gain(ctx));
+  std::copy(scratch.gain.begin(), scratch.gain.end(), out.begin());
+}
+
+void HwIeciAcquisition::score_block(
+    std::span<const std::vector<double>> unit_xs,
+    std::span<const Configuration> configs, const AcquisitionContext& ctx,
+    AcquisitionScratch& scratch, std::span<double> out) const {
+  indicator_gated(unit_xs, configs, ctx, scratch, out, ei_gain(ctx));
 }
 
 void HwCweiAcquisition::score_block(
@@ -236,12 +234,44 @@ void HwCweiAcquisition::score_block(
   // objective GP.
   gather(unit_xs, scratch,
          [&](std::size_t i) { return !(scratch.prob[i] <= 0.0); });
-  gathered_ei(ctx, scratch);
+  gathered_gain(ctx, scratch, ei_gain(ctx));
   std::fill(out.begin(), out.end(), 0.0);
   for (std::size_t j = 0; j < scratch.passing.size(); ++j) {
     const std::size_t i = scratch.passing[j];
-    out[i] = scratch.prob[i] * scratch.ei[j];
+    out[i] = scratch.prob[i] * scratch.gain[j];
   }
+}
+
+HwPiAcquisition::HwPiAcquisition(double xi)
+    : xi_(finite_non_negative(xi,
+                              "HwPiAcquisition: xi must be finite and >= 0")) {
+}
+
+void HwPiAcquisition::score_block(
+    std::span<const std::vector<double>> unit_xs,
+    std::span<const Configuration> configs, const AcquisitionContext& ctx,
+    AcquisitionScratch& scratch, std::span<double> out) const {
+  const double target = ctx.best_observed - xi_;
+  indicator_gated(unit_xs, configs, ctx, scratch, out,
+                  [target](const gp::Prediction& p) {
+                    return stats::probability_below(p.mean, p.stddev(),
+                                                    target);
+                  });
+}
+
+HwLcbAcquisition::HwLcbAcquisition(double kappa)
+    : kappa_(finite_non_negative(
+          kappa, "HwLcbAcquisition: kappa must be finite and >= 0")) {}
+
+void HwLcbAcquisition::score_block(
+    std::span<const std::vector<double>> unit_xs,
+    std::span<const Configuration> configs, const AcquisitionContext& ctx,
+    AcquisitionScratch& scratch, std::span<double> out) const {
+  indicator_gated(unit_xs, configs, ctx, scratch, out,
+                  [this, &ctx](const gp::Prediction& p) {
+                    const double bound = p.mean - kappa_ * p.stddev();
+                    return std::max(0.0, ctx.best_observed - bound);
+                  });
 }
 
 }  // namespace hp::core

@@ -9,6 +9,10 @@
 //  - HW-CWEI: EI weighted by the *probability* of constraint satisfaction,
 //    Pr(P(z) <= PB) * Pr(M(z) <= MB), with Gaussian uncertainty taken from
 //    the models' cross-validated residual spread.
+//  - HW-PI and HW-LCB: Probability of Improvement and GP Lower Confidence
+//    Bound behind HW-IECI's constraint gate — "we leave the systematic
+//    exploration of other acquisition functions for future work"
+//    (Section 3.4).
 
 #include <memory>
 #include <optional>
@@ -103,10 +107,10 @@ struct AcquisitionScratch {
   std::vector<std::span<const double>> queries;
   /// The structural vector z of the candidate being gated.
   std::vector<double> z;
-  /// Per-candidate constraint probability and EI, and the predictions of
-  /// the GP consulted last.
+  /// Per-candidate constraint probability and gain (EI, PI or the LCB's
+  /// improvement), and the predictions of the GP consulted last.
   std::vector<double> prob;
-  std::vector<double> ei;
+  std::vector<double> gain;
   std::vector<gp::Prediction> predictions;
   /// predict_block() caches: one for the objective GP, which a block of
   /// fixed candidates (the pool's lattice) finds mostly valid from one call
@@ -115,23 +119,17 @@ struct AcquisitionScratch {
   gp::PredictionCache constraint_gp;
 };
 
-/// Acquisition function interface: score a candidate in unit coordinates
+/// Acquisition function interface: score candidates in unit coordinates
 /// (higher is better; the maximizer is the next sample).
 class AcquisitionFunction {
  public:
   virtual ~AcquisitionFunction() = default;
-  [[nodiscard]] virtual double score(const std::vector<double>& unit_x,
-                                     const Configuration& config,
-                                     const AcquisitionContext& ctx) const = 0;
 
   /// Scores a whole candidate block into @p out (out[i] = score of
-  /// candidate i), reusing @p scratch buffers across candidates. The base
-  /// implementation is a scalar loop over score(). The built-in
-  /// acquisitions are block-native instead: they gate every candidate, then
-  /// predict all that pass with one GaussianProcess::predict_block() per
-  /// GP, and their score() is score_block() on one candidate. Either way,
-  /// for any candidate, score_block()[i] == score(unit_xs[i], configs[i],
-  /// ctx) bit-for-bit.
+  /// candidate i), reusing @p scratch buffers across candidates. The
+  /// built-in acquisitions gate every candidate, then predict all that pass
+  /// with one GaussianProcess::predict_block() per GP, so a candidate's
+  /// score does not depend on the block it was scored in.
   /// Matching span sizes are an HP_REQUIRE contract. CandidatePool may call
   /// this concurrently for disjoint blocks, each with its own scratch, so
   /// an implementation may only read shared state (the context, its GPs and
@@ -140,7 +138,12 @@ class AcquisitionFunction {
                            std::span<const Configuration> configs,
                            const AcquisitionContext& ctx,
                            AcquisitionScratch& scratch,
-                           std::span<double> out) const;
+                           std::span<double> out) const = 0;
+
+  /// score_block() on one candidate, with a scratch of its own.
+  [[nodiscard]] double score(const std::vector<double>& unit_x,
+                             const Configuration& config,
+                             const AcquisitionContext& ctx) const;
 
   [[nodiscard]] virtual std::string name() const = 0;
 };
@@ -148,9 +151,6 @@ class AcquisitionFunction {
 /// Plain Expected Improvement (constraint-unaware).
 class ExpectedImprovementAcquisition final : public AcquisitionFunction {
  public:
-  [[nodiscard]] double score(const std::vector<double>& unit_x,
-                             const Configuration& config,
-                             const AcquisitionContext& ctx) const override;
   void score_block(std::span<const std::vector<double>> unit_xs,
                    std::span<const Configuration> configs,
                    const AcquisitionContext& ctx, AcquisitionScratch& scratch,
@@ -163,9 +163,6 @@ class ExpectedImprovementAcquisition final : public AcquisitionFunction {
 /// (the "unknown constraints" default mode).
 class HwIeciAcquisition final : public AcquisitionFunction {
  public:
-  [[nodiscard]] double score(const std::vector<double>& unit_x,
-                             const Configuration& config,
-                             const AcquisitionContext& ctx) const override;
   void score_block(std::span<const std::vector<double>> unit_xs,
                    std::span<const Configuration> configs,
                    const AcquisitionContext& ctx, AcquisitionScratch& scratch,
@@ -178,14 +175,51 @@ class HwIeciAcquisition final : public AcquisitionFunction {
 /// from the measured-constraint GPs.
 class HwCweiAcquisition final : public AcquisitionFunction {
  public:
-  [[nodiscard]] double score(const std::vector<double>& unit_x,
-                             const Configuration& config,
-                             const AcquisitionContext& ctx) const override;
   void score_block(std::span<const std::vector<double>> unit_xs,
                    std::span<const Configuration> configs,
                    const AcquisitionContext& ctx, AcquisitionScratch& scratch,
                    std::span<double> out) const override;
   [[nodiscard]] std::string name() const override { return "HW-CWEI"; }
+};
+
+/// HW-PI: Probability of Improvement, P(Y < best - xi) under the objective
+/// GP, behind HW-IECI's constraint gate.
+class HwPiAcquisition final : public AcquisitionFunction {
+ public:
+  /// @param xi improvement margin (fraction of error), finite and >= 0;
+  ///        small positive values avoid pure exploitation. Throws
+  ///        std::invalid_argument otherwise.
+  explicit HwPiAcquisition(double xi = 0.01);
+
+  void score_block(std::span<const std::vector<double>> unit_xs,
+                   std::span<const Configuration> configs,
+                   const AcquisitionContext& ctx, AcquisitionScratch& scratch,
+                   std::span<double> out) const override;
+  [[nodiscard]] std::string name() const override { return "HW-PI"; }
+
+ private:
+  double xi_;
+};
+
+/// HW-LCB: by how much the GP Lower Confidence Bound mu - kappa * sigma
+/// beats the incumbent, max(0, best - (mu - kappa * sigma)), behind
+/// HW-IECI's constraint gate. A low mean or a wide posterior scores high;
+/// the clip at zero, where the bound does not beat the incumbent, keeps
+/// zero meaning "never pick".
+class HwLcbAcquisition final : public AcquisitionFunction {
+ public:
+  /// @param kappa exploration weight, finite and >= 0. Throws
+  ///        std::invalid_argument otherwise.
+  explicit HwLcbAcquisition(double kappa = 2.0);
+
+  void score_block(std::span<const std::vector<double>> unit_xs,
+                   std::span<const Configuration> configs,
+                   const AcquisitionContext& ctx, AcquisitionScratch& scratch,
+                   std::span<double> out) const override;
+  [[nodiscard]] std::string name() const override { return "HW-LCB"; }
+
+ private:
+  double kappa_;
 };
 
 }  // namespace hp::core

@@ -1,6 +1,5 @@
 #include "core/clock.hpp"
 
-#include <chrono>
 #include <stdexcept>
 
 namespace hp::core {
@@ -12,17 +11,5 @@ void VirtualClock::advance(double seconds) {
   }
   now_ += seconds;
 }
-
-namespace {
-double steady_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-}  // namespace
-
-WallClock::WallClock() : start_(steady_seconds()) {}
-
-double WallClock::now_s() const { return steady_seconds() - start_; }
 
 }  // namespace hp::core

@@ -1,10 +1,9 @@
 #pragma once
 // Clock abstraction. The optimizers and stopping rules read time through
-// this interface, so the same code runs against a virtual clock (testbed:
-// "5 hours of GPU time" simulated in milliseconds) or the real wall clock
-// (actual NN training in the examples).
-
-#include <memory>
+// this interface. Every objective keeps a virtual clock and charges it: the
+// testbed its simulated GPU time ("5 hours of GPU time" simulated in
+// milliseconds), the examples' real NN training its measured elapsed
+// seconds.
 
 namespace hp::core {
 
@@ -14,9 +13,7 @@ class Clock {
   virtual ~Clock() = default;
   /// Current time in seconds since the clock's epoch.
   [[nodiscard]] virtual double now_s() const = 0;
-  /// Advances the clock by @p seconds (>= 0, not NaN). A wall clock
-  /// implements this as an actual sleep-free no-op cost accounting or
-  /// throws; the virtual clock simply adds.
+  /// Advances the clock by @p seconds (>= 0, not NaN).
   virtual void advance(double seconds) = 0;
 };
 
@@ -29,17 +26,6 @@ class VirtualClock final : public Clock {
 
  private:
   double now_ = 0.0;
-};
-
-/// Steady wall clock; advance() is a no-op (real time passes on its own).
-class WallClock final : public Clock {
- public:
-  WallClock();
-  [[nodiscard]] double now_s() const override;
-  void advance(double seconds) override { (void)seconds; }
-
- private:
-  double start_;
 };
 
 }  // namespace hp::core

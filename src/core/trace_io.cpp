@@ -1,8 +1,12 @@
 #include "core/trace_io.hpp"
 
+#include <fcntl.h>
 #include <unistd.h>
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -22,6 +26,12 @@ namespace {
 
 [[noreturn]] void fail_journal(const std::string& what) {
   throw std::runtime_error("journal: " + what);
+}
+
+/// A malformed field or line. The loader that read it adds the artifact and
+/// the row or line once ("journal: line 7: malformed index").
+[[noreturn]] void fail_parse(const std::string& what) {
+  throw std::runtime_error(what);
 }
 
 std::vector<std::string> split_csv_row(const std::string& line) {
@@ -47,18 +57,31 @@ EvaluationStatus status_from_string(const std::string& name) {
     return EvaluationStatus::InfeasibleArchitecture;
   }
   if (name == "failed") return EvaluationStatus::Failed;
-  fail("unknown status '" + name + "'");
+  fail_parse("unknown status '" + name + "'");
 }
 
 double parse_number(const std::string& text, const char* what) {
   try {
     std::size_t consumed = 0;
     const double value = std::stod(text, &consumed);
-    if (consumed != text.size()) fail(std::string("malformed ") + what);
+    if (consumed != text.size()) fail_parse(std::string("malformed ") + what);
     return value;
   } catch (const std::logic_error&) {
-    fail(std::string("malformed ") + what);
+    fail_parse(std::string("malformed ") + what);
   }
+}
+
+/// An index, count or seed: decimal digits only (no sign, space, point or
+/// exponent) over the whole field, at most 2^64 - 1. A double cast to an
+/// integer instead is undefined behaviour for NaN, negative or huge values.
+std::uint64_t parse_count(const std::string& text, const char* what) {
+  std::uint64_t value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [last, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || last != end) {
+    fail_parse(std::string("malformed ") + what);
+  }
+  return value;
 }
 
 constexpr const char* kHeaderV1 =
@@ -68,19 +91,17 @@ constexpr const char* kHeaderV2 =
     "index,timestamp_s,status,test_error,diverged,power_w,memory_mb,"
     "violates,cost_s,measured,attempts,failure";
 
-/// Parses one data row of either trace-CSV version. Throws via fail() on
-/// any malformed field.
-EvaluationRecord parse_trace_row(const std::string& line, std::size_t row,
-                                 bool v2) {
+/// Parses one data row of either trace-CSV version. Throws via fail_parse()
+/// on any malformed field.
+EvaluationRecord parse_trace_row(const std::string& line, bool v2) {
   const auto fields = split_csv_row(line);
   const std::size_t expected = v2 ? 12 : 9;
   if (fields.size() != expected) {
-    fail("row " + std::to_string(row) + ": expected " +
-         std::to_string(expected) + " fields, got " +
-         std::to_string(fields.size()));
+    fail_parse("expected " + std::to_string(expected) + " fields, got " +
+               std::to_string(fields.size()));
   }
   EvaluationRecord r;
-  r.index = static_cast<std::size_t>(parse_number(fields[0], "index"));
+  r.index = parse_count(fields[0], "index");
   r.timestamp_s = parse_number(fields[1], "timestamp");
   r.status = status_from_string(fields[2]);
   r.test_error = parse_number(fields[3], "test_error");
@@ -95,12 +116,46 @@ EvaluationRecord parse_trace_row(const std::string& line, std::size_t row,
   r.cost_s = parse_number(fields[8], "cost");
   if (v2) {
     r.measured = parse_number(fields[9], "measured") != 0.0;
-    r.attempts = static_cast<std::size_t>(parse_number(fields[10], "attempts"));
+    r.attempts = parse_count(fields[10], "attempts");
     if (!fields[11].empty()) {
       const auto kind = failure_kind_from_string(fields[11]);
-      if (!kind) fail("unknown failure kind '" + fields[11] + "'");
+      if (!kind) fail_parse("unknown failure kind '" + fields[11] + "'");
       r.failure_kind = kind;
     }
+  }
+  return r;
+}
+
+/// The fields of a record line (format_record_line()'s). Throws via
+/// fail_parse() on any malformed field.
+EvaluationRecord parse_record_fields(const std::vector<std::string>& fields) {
+  if (fields.size() < 14 || fields[0] != "r") {
+    fail_parse("malformed record frame");
+  }
+  EvaluationRecord r;
+  r.index = parse_count(fields[1], "index");
+  r.timestamp_s = parse_number(fields[2], "timestamp");
+  r.status = status_from_string(fields[3]);
+  r.test_error = parse_number(fields[4], "test_error");
+  r.diverged = parse_number(fields[5], "diverged") != 0.0;
+  if (fields[6] != "-") r.measured_power_w = parse_number(fields[6], "power");
+  if (fields[7] != "-") {
+    r.measured_memory_mb = parse_number(fields[7], "memory");
+  }
+  r.violates_constraints = parse_number(fields[8], "violates") != 0.0;
+  r.cost_s = parse_number(fields[9], "cost");
+  r.measured = parse_number(fields[10], "measured") != 0.0;
+  r.attempts = parse_count(fields[11], "attempts");
+  if (fields[12] != "-") {
+    const auto kind = failure_kind_from_string(fields[12]);
+    if (!kind) fail_parse("unknown failure kind '" + fields[12] + "'");
+    r.failure_kind = kind;
+  }
+  const std::uint64_t dim = parse_count(fields[13], "config size");
+  if (dim != fields.size() - 14) fail_parse("config field count mismatch");
+  r.config.reserve(fields.size() - 14);
+  for (std::size_t i = 14; i < fields.size(); ++i) {
+    r.config.push_back(parse_number(fields[i], "config value"));
   }
   return r;
 }
@@ -140,16 +195,18 @@ RunTrace load_trace_csv(std::istream& is) {
   RunTrace trace;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     try {
-      trace.add(parse_trace_row(rows[i].second, rows[i].first, v2));
+      trace.add(parse_trace_row(rows[i].second, v2));
     } catch (const std::runtime_error& e) {
       // Only a malformed FINAL row of an otherwise-valid file reads as a
       // torn tail; mid-file corruption — or a file whose only row is
       // garbage — stays fatal.
-      if (i + 1 != rows.size() || trace.size() == 0) throw;
+      const std::string what =
+          "row " + std::to_string(rows[i].first) + ": " + e.what();
+      if (i + 1 != rows.size() || trace.size() == 0) fail(what);
       obs::logger().warn(
           "trace.truncated_row",
           {{"row", obs::JsonValue(rows[i].first)},
-           {"error", obs::JsonValue(e.what())},
+           {"error", obs::JsonValue(what)},
            {"recovered_records", obs::JsonValue(trace.size())}});
     }
   }
@@ -204,44 +261,11 @@ std::string format_record_line(const EvaluationRecord& r) {
 
 EvaluationRecord parse_record_line(const std::string& line,
                                    std::size_t line_number) {
-  const auto fields = split_csv_row(line);
-  const auto bad = [line_number](const std::string& what) {
-    fail_journal("line " + std::to_string(line_number) + ": " + what);
-  };
-  if (fields.size() < 14 || fields[0] != "r") bad("malformed record frame");
-  EvaluationRecord r;
   try {
-    r.index = static_cast<std::size_t>(parse_number(fields[1], "index"));
-    r.timestamp_s = parse_number(fields[2], "timestamp");
-    r.status = status_from_string(fields[3]);
-    r.test_error = parse_number(fields[4], "test_error");
-    r.diverged = parse_number(fields[5], "diverged") != 0.0;
-    if (fields[6] != "-") r.measured_power_w = parse_number(fields[6], "power");
-    if (fields[7] != "-") {
-      r.measured_memory_mb = parse_number(fields[7], "memory");
-    }
-    r.violates_constraints = parse_number(fields[8], "violates") != 0.0;
-    r.cost_s = parse_number(fields[9], "cost");
-    r.measured = parse_number(fields[10], "measured") != 0.0;
-    r.attempts = static_cast<std::size_t>(parse_number(fields[11], "attempts"));
-    if (fields[12] != "-") {
-      const auto kind = failure_kind_from_string(fields[12]);
-      if (!kind) bad("unknown failure kind '" + fields[12] + "'");
-      r.failure_kind = kind;
-    }
-    const auto dim =
-        static_cast<std::size_t>(parse_number(fields[13], "config size"));
-    if (fields.size() != 14 + dim) bad("config field count mismatch");
-    r.config.reserve(dim);
-    for (std::size_t i = 0; i < dim; ++i) {
-      r.config.push_back(parse_number(fields[14 + i], "config value"));
-    }
+    return parse_record_fields(split_csv_row(line));
   } catch (const std::runtime_error& e) {
-    // Re-frame trace-csv parse errors as journal errors so the caller can
-    // tell which artifact is corrupt.
-    bad(e.what());
+    fail_journal("line " + std::to_string(line_number) + ": " + e.what());
   }
-  return r;
 }
 
 namespace {
@@ -281,22 +305,19 @@ std::string epilogue_body(const std::string& state, std::size_t records) {
 }
 
 /// Splits a v2 line into body + checksum field, verifies the checksum, and
-/// returns the body. Throws via fail_journal on a missing or wrong
-/// checksum — the caller decides whether that is a droppable torn tail
-/// (final line) or fatal corruption (anything earlier).
-std::string verify_checksummed_line(const std::string& line,
-                                    std::size_t line_number) {
+/// returns the body. Throws via fail_parse() on a missing or wrong checksum
+/// — the caller decides whether that is a droppable torn tail (final line)
+/// or fatal corruption (anything earlier).
+std::string verify_checksummed_line(const std::string& line) {
   const auto hash_pos = line.rfind(",#");
   if (hash_pos == std::string::npos || line.size() != hash_pos + 10) {
-    fail_journal("line " + std::to_string(line_number) +
-                 ": missing record checksum");
+    fail_parse("missing record checksum");
   }
   const std::string body = line.substr(0, hash_pos);
   char expected[16];
   std::snprintf(expected, sizeof expected, "%08x", crc32(body));
   if (line.compare(hash_pos + 2, 8, expected) != 0) {
-    fail_journal("line " + std::to_string(line_number) +
-                 ": record checksum mismatch");
+    fail_parse("record checksum mismatch");
   }
   return body;
 }
@@ -317,11 +338,24 @@ void write_journal_line(std::FILE* f, const std::string& path,
   }
   // fsync per line: the crash-safety contract is "every record whose
   // append returned is recoverable", which buffered writes alone can't
-  // give. The journal is written once per *evaluation* (seconds to hours
-  // of work each), so the sync is never the bottleneck.
+  // give. The journal is written once per evaluation, so against a real
+  // training run the sync is noise; against the testbed's microsecond
+  // evaluations it is a visible share of a study's wall time.
   if (::fsync(fileno(f)) != 0) {
     fail_journal("fsync of '" + path + "' failed");
   }
+}
+
+/// fsyncs the directory holding @p path, so that a rename into it survives
+/// a crash.
+void sync_directory_of(const std::string& path) {
+  std::string dir = std::filesystem::path(path).parent_path().string();
+  if (dir.empty()) dir = ".";
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) fail_journal("cannot open directory '" + dir + "'");
+  const int synced = ::fsync(fd);
+  ::close(fd);
+  if (synced != 0) fail_journal("fsync of directory '" + dir + "' failed");
 }
 
 }  // namespace
@@ -338,8 +372,28 @@ EvalJournal EvalJournal::create(const std::string& path,
 EvalJournal EvalJournal::rewrite(const std::string& path,
                                  const JournalHeader& header,
                                  const std::vector<EvaluationRecord>& records) {
-  EvalJournal journal = create(path, header);
-  for (const EvaluationRecord& record : records) journal.append(record);
+  // The rebuilt journal is written beside the old one, synced once, and
+  // renamed over it: a crash before the rename leaves the old journal
+  // whole, one after it the new. The open FILE* follows the file through
+  // the rename, so later appends extend the new journal.
+  const std::string staging = path + ".tmp";
+  EvalJournal journal;
+  journal.file_.reset(open_journal_for_write(staging));
+  std::string text = journal_header_line(header);
+  for (const EvaluationRecord& record : records) {
+    text += '\n';
+    text += checksummed_record_line(record);
+  }
+  {
+    obs::ScopedTimer fsync_span("journal.fsync", nullptr, records.size());
+    write_journal_line(journal.file_.get(), staging, text);
+  }
+  if (std::rename(staging.c_str(), path.c_str()) != 0) {
+    std::remove(staging.c_str());
+    fail_journal("cannot rename '" + staging + "' over '" + path + "'");
+  }
+  sync_directory_of(path);
+  journal.path_ = path;
   return journal;
 }
 
@@ -360,9 +414,9 @@ JournalLoadResult EvalJournal::load(const std::string& path) {
   JournalLoadResult result;
   result.header.method = header_fields[2];
   try {
-    result.header.seed = std::stoull(header_fields[3]);
-    result.header.batch_size = std::stoul(header_fields[4]);
-  } catch (const std::logic_error&) {
+    result.header.seed = parse_count(header_fields[3], "seed");
+    result.header.batch_size = parse_count(header_fields[4], "batch size");
+  } catch (const std::runtime_error&) {
     fail_journal("bad header numbers in '" + path + "'");
   }
 
@@ -382,34 +436,34 @@ JournalLoadResult EvalJournal::load(const std::string& path) {
                    ": content after the study_state epilogue");
     }
     try {
-      const std::string body =
-          checksummed ? verify_checksummed_line(rows[i].second, rows[i].first)
-                      : rows[i].second;
-      if (body.rfind("s,", 0) == 0) {
-        const auto fields = split_csv_row(body);
+      const std::string body = checksummed
+                                   ? verify_checksummed_line(rows[i].second)
+                                   : rows[i].second;
+      const auto fields = split_csv_row(body);
+      if (fields[0] == "s") {
         if (fields.size() != 3 || fields[1].empty()) {
-          fail_journal("line " + std::to_string(rows[i].first) +
-                       ": malformed study_state epilogue");
+          fail_parse("malformed study_state epilogue");
         }
-        if (static_cast<std::size_t>(
-                parse_number(fields[2], "epilogue record count")) !=
+        if (parse_count(fields[2], "epilogue record count") !=
             result.records.size()) {
-          fail_journal("line " + std::to_string(rows[i].first) +
-                       ": study_state epilogue record count does not match "
-                       "the journal");
+          fail_parse(
+              "study_state epilogue record count does not match the journal");
         }
         result.study_state = fields[1];
         continue;
       }
-      result.records.push_back(parse_record_line(body, rows[i].first));
+      result.records.push_back(parse_record_fields(fields));
     } catch (const std::runtime_error& e) {
-      if (i + 1 != rows.size()) throw;  // mid-file corruption stays fatal
+      const std::string what =
+          "line " + std::to_string(rows[i].first) + ": " + e.what();
+      // Mid-file corruption stays fatal.
+      if (i + 1 != rows.size()) fail_journal(what);
       result.dropped_lines = 1;
       obs::logger().warn(
           "journal.torn_tail",
           {{"path", obs::JsonValue(path)},
            {"line", obs::JsonValue(rows[i].first)},
-           {"error", obs::JsonValue(e.what())},
+           {"error", obs::JsonValue(what)},
            {"recovered_records", obs::JsonValue(result.records.size())}});
     }
   }

@@ -105,9 +105,13 @@ class EvalJournal {
   [[nodiscard]] static EvalJournal create(const std::string& path,
                                           const JournalHeader& header);
 
-  /// Creates @p path with the header plus @p records already appended —
-  /// the resume path's journal rebuild (the records a resumed run replays
-  /// must be in its journal too, or a second crash would lose them).
+  /// Replaces @p path with a journal holding the header plus @p records,
+  /// as create() and one append() per record would write it — the resume
+  /// path's journal rebuild (the records a resumed run replays must be in
+  /// its journal too, or a second crash would lose them). The new journal
+  /// is written to `<path>.tmp`, fsynced once and renamed over @p path, so
+  /// a crash at any point leaves the old journal or the new one whole.
+  /// Throws std::runtime_error on I/O failure.
   [[nodiscard]] static EvalJournal rewrite(
       const std::string& path, const JournalHeader& header,
       const std::vector<EvaluationRecord>& records);

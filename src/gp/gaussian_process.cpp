@@ -77,8 +77,8 @@ double Prediction::observation_variance(double noise_variance) const noexcept {
   return variance + noise_variance;
 }
 
-GaussianProcess::GaussianProcess(const Kernel& kernel, double noise_variance)
-    : kernel_(kernel.clone()), noise_variance_(noise_variance) {
+GaussianProcess::GaussianProcess(Matern52Kernel kernel, double noise_variance)
+    : kernel_(std::move(kernel)), noise_variance_(noise_variance) {
   if (noise_variance < 0.0) {
     throw std::invalid_argument("GaussianProcess: negative noise variance");
   }
@@ -105,7 +105,6 @@ void GaussianProcess::fit(linalg::Matrix x, linalg::Vector y) {
     x_ = linalg::Matrix();
     y_ = linalg::Vector();
     chol_.reset();
-    cache_valid_ = false;
     row_stamps_.clear();
     last_refit_kind_ = RefitKind::kNone;
     throw;
@@ -117,7 +116,7 @@ RefitKind GaussianProcess::classify_refit(const linalg::Matrix& x) const {
   // the factor of the new (sub)matrix when it was obtained without jitter:
   // with_jitter() retries from zero on every call, so a jittered factor has
   // no incremental counterpart that matches bit-for-bit.
-  if (!cache_valid_ || !chol_.has_value() || chol_->jitter_used() != 0.0) {
+  if (!chol_.has_value() || chol_->jitter_used() != 0.0) {
     return RefitKind::kFull;
   }
   if (x_.rows() == 0 || x.cols() != x_.cols()) return RefitKind::kFull;
@@ -149,7 +148,6 @@ void GaussianProcess::refit(RefitKind kind) {
                          {"noise", obs::JsonValue(noise_variance_)},
                          {"kind", obs::JsonValue(refit_kind_name(kind))}});
   }
-  cache_valid_ = false;
   y_mean_ = y_.mean();
   switch (kind) {
     case RefitKind::kReused:
@@ -172,15 +170,13 @@ void GaussianProcess::refit(RefitKind kind) {
   // the leading rows an incremental path kept keep theirs.
   stamp_rows(kind == RefitKind::kFull ? 0 : row_stamps_.size());
   last_refit_kind_ = kind;
-  cache_valid_ = true;
   linalg::Vector centered = y_;
   for (std::size_t i = 0; i < centered.size(); ++i) centered[i] -= y_mean_;
   alpha_ = chol_->solve(centered);
 }
 
 void GaussianProcess::refit_full() {
-  k_ = kernel_matrix(*kernel_, x_);
-  linalg::Matrix noisy = k_;
+  linalg::Matrix noisy = kernel_matrix(kernel_, x_);
   noisy.add_to_diagonal(noise_variance_);
   obs::ScopedTimer chol_timer("gp.cholesky", &GpMetrics::get().cholesky_s);
   auto chol = linalg::Cholesky::with_jitter(noisy);
@@ -195,52 +191,39 @@ void GaussianProcess::refit_full() {
 }
 
 bool GaussianProcess::try_extend_factor() {
-  const std::size_t old_n = k_.rows();
+  const std::size_t old_n = chol_->lower().rows();
   const std::size_t new_n = x_.rows();
   HP_ASSERT(new_n > old_n && old_n > 0,
             "try_extend_factor: classify_refit guarantees strict growth");
-  // Grow the cached noise-free Gram: only the new rows/columns are kernel
-  // evaluations, the old block is a copy. The (row j, row i) argument order
-  // for j < i matches kernel_matrix() exactly.
-  linalg::Matrix grown(new_n, new_n);
-  for (std::size_t r = 0; r < old_n; ++r) {
-    for (std::size_t c = 0; c < old_n; ++c) grown(r, c) = k_(r, c);
-  }
+  // The appended rows' kernel values, each row straight into its border.
+  // The (row j, row i) argument order for j < i matches kernel_matrix().
+  std::vector<linalg::Vector> borders;
+  borders.reserve(new_n - old_n);
   for (std::size_t i = old_n; i < new_n; ++i) {
-    const std::span<const double> xi = x_.row_span(i);
+    linalg::Vector& border = borders.emplace_back(i);
     for (std::size_t j = 0; j < i; ++j) {
-      const double v = kernel_->eval(x_.row_span(j), xi);
-      grown(i, j) = v;
-      grown(j, i) = v;
+      border[j] = kernel_.eval(x_.row_span(j), x_.row_span(i));
     }
-    grown(i, i) = kernel_->diagonal_value();
   }
   // Border the factor one row at a time. The noisy diagonal entry is formed
   // exactly as add_to_diagonal() would: gram diagonal + noise, one addition.
   obs::ScopedTimer chol_timer("gp.cholesky", &GpMetrics::get().cholesky_s);
+  const double diagonal = kernel_.diagonal_value() + noise_variance_;
   linalg::Cholesky chol = *chol_;
-  for (std::size_t i = old_n; i < new_n; ++i) {
-    linalg::Vector row(i);
-    for (std::size_t j = 0; j < i; ++j) row[j] = grown(i, j);
-    auto next = chol.extended(row, grown(i, i) + noise_variance_);
+  for (const linalg::Vector& border : borders) {
+    auto next = chol.extended(border, diagonal);
     if (!next.has_value()) return false;
     chol = std::move(*next);
   }
   chol_ = std::move(chol);
-  k_ = std::move(grown);
   return true;
 }
 
 void GaussianProcess::shrink_factor() {
   const std::size_t n = x_.rows();
-  HP_ASSERT(n > 0 && n < k_.rows(),
+  HP_ASSERT(n > 0 && n < chol_->lower().rows(),
             "shrink_factor: classify_refit guarantees strict shrinkage");
   chol_ = chol_->truncated(n);
-  linalg::Matrix shrunk(n, n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < n; ++c) shrunk(r, c) = k_(r, c);
-  }
-  k_ = std::move(shrunk);
 }
 
 void GaussianProcess::stamp_rows(std::size_t first) {
@@ -331,7 +314,7 @@ void GaussianProcess::predict_rows(std::span<const double> qt,
   // mean = y_mean + k*^T alpha and var = k(x*,x*) - v^T v with
   // v = L^{-1} k*, both summed over every row. The means go first, so that
   // @p solved may be @p cross itself.
-  kernel_->eval_block(x_, qt, width, cross, first_row);
+  kernel_.eval_block(x_, qt, width, cross, first_row);
   column_sums(
       cross.data(), n, width,
       [&](std::size_t i, double k) { return k * alpha_[i]; },
@@ -341,7 +324,7 @@ void GaussianProcess::predict_rows(std::span<const double> qt,
     std::copy(cross.begin() + first, cross.end(), solved.begin() + first);
   }
   chol_->solve_lower_block(solved, width, first_row);
-  const double prior = kernel_->diagonal_value();
+  const double prior = kernel_.diagonal_value();
   column_sums(
       solved.data(), n, width, [](std::size_t, double v) { return v * v; },
       [&](std::size_t b, double sum) {

@@ -5,7 +5,6 @@
 //   f | X ~ N(m, K),  y | f, sigma^2 ~ N(f, sigma^2 I).
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -77,9 +76,9 @@ class PredictionCache {
 /// few hundred points).
 class GaussianProcess {
  public:
-  /// @param kernel covariance function (cloned internally).
+  /// @param kernel covariance function.
   /// @param noise_variance observation noise sigma^2 (>= 0).
-  GaussianProcess(const Kernel& kernel, double noise_variance);
+  GaussianProcess(Matern52Kernel kernel, double noise_variance);
 
   /// Fits the posterior to inputs @p x (one row per observation) and
   /// targets @p y. Internally centres the targets on their mean (a constant
@@ -90,11 +89,12 @@ class GaussianProcess {
   ///
   /// When @p x relates to the previously fitted inputs by bitwise row
   /// comparison — identical, extended by appended rows, or truncated to a
-  /// leading prefix — and the cached factor is jitter-free, the refit reuses
-  /// the cached Gram matrix and updates the Cholesky factor incrementally
-  /// (O(n^2) instead of O(n^3)) with bit-identical results. The constant-liar
-  /// push/pop and the one-observation-per-round BO loop hit these paths on
-  /// every call; last_refit_kind() reports which path ran.
+  /// leading prefix — and the current factor is jitter-free, the refit keeps
+  /// that factor and updates it incrementally (O(n^2) instead of O(n^3)),
+  /// evaluating only the appended rows' kernel values, with bit-identical
+  /// results. The constant-liar push/pop and the one-observation-per-round
+  /// BO loop hit these paths on every call; last_refit_kind() reports which
+  /// path ran.
   ///
   /// A fit that fails to factorize leaves the GP unfitted, with no data:
   /// fitted() is false, predict() throws, and the next fit is a full one.
@@ -133,25 +133,27 @@ class GaussianProcess {
   /// kernel/noise; the objective maximized by kernel fitting.
   [[nodiscard]] double log_marginal_likelihood() const;
 
-  [[nodiscard]] const Kernel& kernel() const noexcept { return *kernel_; }
+  [[nodiscard]] const Matern52Kernel& kernel() const noexcept {
+    return kernel_;
+  }
   [[nodiscard]] double noise_variance() const noexcept { return noise_variance_; }
   [[nodiscard]] std::size_t num_observations() const noexcept;
   [[nodiscard]] double target_mean() const noexcept { return y_mean_; }
 
  private:
   /// Classifies how @p x relates to the currently fitted inputs; kFull
-  /// whenever the cache cannot be reused (invalidated, jittered factor,
-  /// shape mismatch, or differing rows).
+  /// whenever the factor cannot be reused (none, jittered, shape mismatch,
+  /// or differing rows).
   [[nodiscard]] RefitKind classify_refit(const linalg::Matrix& x) const;
 
   void refit(RefitKind kind);
-  /// Builds the Gram cache + factor from scratch (the pre-incremental path).
+  /// Builds the Gram matrix and factors it from scratch.
   void refit_full();
-  /// Grows the cached Gram/factor by the appended rows of x_; returns false
-  /// when a bordered pivot fails (caller falls back to refit_full(), whose
-  /// jitter retry reproduces the historical behaviour).
+  /// Borders the factor with the appended rows of x_; returns false when a
+  /// bordered pivot fails (caller falls back to refit_full(), whose jitter
+  /// retry reproduces the historical behaviour).
   [[nodiscard]] bool try_extend_factor();
-  /// Shrinks the cached Gram/factor to the leading x_.rows() block.
+  /// Shrinks the factor to the leading x_.rows() block.
   void shrink_factor();
   /// Gives rows [first, n) fresh stamps from the process-wide counter and
   /// drops the stamps of rows past n.
@@ -166,15 +168,13 @@ class GaussianProcess {
                     std::span<double> cross, std::span<double> solved,
                     std::size_t first_row, std::span<Prediction> out) const;
 
-  std::unique_ptr<Kernel> kernel_;
+  Matern52Kernel kernel_;
   double noise_variance_;
   linalg::Matrix x_;
   linalg::Vector y_;         ///< raw targets
   double y_mean_ = 0.0;      ///< constant mean function value
   std::optional<linalg::Cholesky> chol_;
   linalg::Vector alpha_;     ///< K_y^{-1} (y - mean)
-  linalg::Matrix k_;         ///< cached noise-free Gram matrix for x_
-  bool cache_valid_ = false;  ///< k_/chol_ match x_ under current kernel/noise
   /// One stamp per factor row, unique in the process: a row keeps its stamp
   /// while its x_ row and its row of the factor stay bitwise the same, so
   /// a PredictionCache row computed against the stamp is still valid.

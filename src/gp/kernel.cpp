@@ -112,19 +112,8 @@ void Matern52Kernel::eval_block(const linalg::Matrix& x,
   }
 }
 
-double Matern52Kernel::diagonal_value() const {
-  return params_.signal_variance;
-}
-
-std::unique_ptr<Kernel> Matern52Kernel::with_params(KernelParams params) const {
-  return std::make_unique<Matern52Kernel>(std::move(params));
-}
-
-std::unique_ptr<Kernel> Matern52Kernel::clone() const {
-  return std::make_unique<Matern52Kernel>(*this);
-}
-
-linalg::Matrix kernel_matrix(const Kernel& k, const linalg::Matrix& x) {
+linalg::Matrix kernel_matrix(const Matern52Kernel& k,
+                             const linalg::Matrix& x) {
   const std::size_t n = x.rows();
   linalg::Matrix out(n, n);
   for (std::size_t i = 0; i < n; ++i) {

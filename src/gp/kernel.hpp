@@ -1,14 +1,12 @@
 #pragma once
-// Covariance kernels for Gaussian-process regression. Spearmint (the tool
+// The covariance kernel of Gaussian-process regression. Spearmint (the tool
 // HyperPower builds on) defaults to a Matern 5/2 kernel with automatic
 // relevance determination (ARD) length-scales, which is the one kernel
-// provided; the Kernel interface is the seam for another functional form.
+// provided.
 
 #include <cmath>
-#include <memory>
 #include <span>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -39,16 +37,18 @@ struct KernelParams {
   }
 };
 
-/// Abstract stationary covariance function k(x, x').
-class Kernel {
+/// Matern nu=5/2 (Spearmint's default), a stationary covariance function
+/// k(x, x'): sigma_f^2 * (1 + sqrt(5) r + 5 r^2 / 3) exp(-sqrt(5) r).
+class Matern52Kernel {
  public:
-  virtual ~Kernel() = default;
+  /// Throws std::invalid_argument when @p params fail validate().
+  explicit Matern52Kernel(KernelParams params);
 
   /// Covariance between two points given as raw coordinate spans — the
-  /// allocation-free core used by the cached/batched Gram assemblers.
-  /// Throws std::invalid_argument on dimension mismatch between the points.
-  [[nodiscard]] virtual double eval(std::span<const double> a,
-                                    std::span<const double> b) const = 0;
+  /// allocation-free core used by the Gram assemblers. Throws
+  /// std::invalid_argument on dimension mismatch between the points.
+  [[nodiscard]] double eval(std::span<const double> a,
+                            std::span<const double> b) const;
 
   /// Cross-covariance block: out[i * width + b] = k(x_i, q_b) for the rows
   /// x_i of @p x (n x D) from @p first_row on and @p width queries stored
@@ -57,9 +57,9 @@ class Kernel {
   /// they are. Every entry matches eval(x_i, q_b) bit for bit. Throws
   /// std::invalid_argument when the ARD length scales do not fit D; buffer
   /// sizes and first_row <= n are an HP_REQUIRE contract.
-  virtual void eval_block(const linalg::Matrix& x, std::span<const double> qt,
-                          std::size_t width, std::span<double> out,
-                          std::size_t first_row) const = 0;
+  void eval_block(const linalg::Matrix& x, std::span<const double> qt,
+                  std::size_t width, std::span<double> out,
+                  std::size_t first_row) const;
 
   /// Covariance between two points; forwards to eval().
   [[nodiscard]] double operator()(const linalg::Vector& a,
@@ -68,32 +68,12 @@ class Kernel {
                 std::span<const double>(b.raw()));
   }
 
-  /// k(x, x) — for stationary kernels this is the signal variance.
-  [[nodiscard]] virtual double diagonal_value() const = 0;
+  /// k(x, x) — for a stationary kernel this is the signal variance.
+  [[nodiscard]] double diagonal_value() const noexcept {
+    return params_.signal_variance;
+  }
 
-  [[nodiscard]] virtual std::string name() const = 0;
-  [[nodiscard]] virtual const KernelParams& params() const = 0;
-  /// Clone with different hyper-parameters (same functional form).
-  [[nodiscard]] virtual std::unique_ptr<Kernel> with_params(
-      KernelParams params) const = 0;
-  [[nodiscard]] virtual std::unique_ptr<Kernel> clone() const = 0;
-};
-
-/// Matern nu=5/2 (Spearmint's default):
-/// sigma_f^2 * (1 + sqrt(5) r + 5 r^2 / 3) exp(-sqrt(5) r).
-class Matern52Kernel final : public Kernel {
- public:
-  explicit Matern52Kernel(KernelParams params);
-  [[nodiscard]] double eval(std::span<const double> a,
-                            std::span<const double> b) const override;
-  void eval_block(const linalg::Matrix& x, std::span<const double> qt,
-                  std::size_t width, std::span<double> out,
-                  std::size_t first_row) const override;
-  [[nodiscard]] double diagonal_value() const override;
-  [[nodiscard]] std::string name() const override { return "matern52"; }
-  [[nodiscard]] const KernelParams& params() const override { return params_; }
-  [[nodiscard]] std::unique_ptr<Kernel> with_params(KernelParams params) const override;
-  [[nodiscard]] std::unique_ptr<Kernel> clone() const override;
+  [[nodiscard]] const KernelParams& params() const noexcept { return params_; }
 
  private:
   KernelParams params_;
@@ -119,7 +99,7 @@ class Matern52Kernel final : public Kernel {
                                   const KernelParams& params);
 
 /// Builds the symmetric Gram matrix K(X, X) for rows of @p x.
-[[nodiscard]] linalg::Matrix kernel_matrix(const Kernel& k,
+[[nodiscard]] linalg::Matrix kernel_matrix(const Matern52Kernel& k,
                                            const linalg::Matrix& x);
 
 }  // namespace hp::gp

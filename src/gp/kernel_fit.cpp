@@ -300,8 +300,7 @@ KernelFitResult fit_kernel_by_ml(GaussianProcess& gp, const linalg::Matrix& x,
   result.evaluations = evaluations;
 
   // A fresh GP with the fitted kernel and noise: one full factorization.
-  gp = GaussianProcess(*gp.kernel().with_params(result.params),
-                       result.noise_variance);
+  gp = GaussianProcess(Matern52Kernel(result.params), result.noise_variance);
   gp.fit(x, y);
   return result;
 }

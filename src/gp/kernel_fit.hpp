@@ -85,13 +85,12 @@ class LmlEvaluator {
   std::vector<double> alpha_;          ///< L^{-T} forward_
 };
 
-/// Maximizes the LML of a Matern 5/2 kernel (Matern52Kernel, the one
-/// Kernel implementation) on (@p x, @p y), starting from @p gp's kernel
-/// parameters and noise, and installs the best hyper-parameters into @p gp
-/// (which ends up fitted on the data). Throws std::invalid_argument on an
-/// empty/mismatched dataset, on a kernel whose length-scale count is
-/// neither 1 nor x.cols(), and on options that fail
-/// KernelFitOptions::validate().
+/// Maximizes the LML of the Matern 5/2 kernel (Matern52Kernel) on
+/// (@p x, @p y), starting from @p gp's kernel parameters and noise, and
+/// installs the best hyper-parameters into @p gp (which ends up fitted on
+/// the data). Throws std::invalid_argument on an empty/mismatched dataset,
+/// on a kernel whose length-scale count is neither 1 nor x.cols(), and on
+/// options that fail KernelFitOptions::validate().
 KernelFitResult fit_kernel_by_ml(GaussianProcess& gp, const linalg::Matrix& x,
                                  const linalg::Vector& y,
                                  const KernelFitOptions& options = {});

@@ -210,9 +210,9 @@ TEST(DefaultMode, ConstraintGpsGateTheAcquisition) {
 }
 
 // ---------------------------------------------------------------------------
-// Blocked scoring: score_block must agree with the scalar score() entry
-// point bit-for-bit, and the argmax tie-break (lowest candidate index wins)
-// is pinned for both paths.
+// Blocked scoring: a candidate's score must not depend on the block it is
+// scored in (score() is score_block() on one candidate), and the argmax
+// tie-break (lowest candidate index wins) is pinned for every block size.
 // ---------------------------------------------------------------------------
 
 /// Space-filling candidate set + decoded configs for block-vs-scalar sweeps.
@@ -299,25 +299,9 @@ TEST(ScoreBlock, HwIeciMatchesScalarBitwiseDefaultMode) {
   expect_block_matches_scalar(HwCweiAcquisition{}, space, ctx);
 }
 
-/// Constant positive score through the scalar entry point (the base-class
-/// score_block loop).
-class ConstantScalarAcquisition final : public AcquisitionFunction {
- public:
-  [[nodiscard]] double score(const std::vector<double>&, const Configuration&,
-                             const AcquisitionContext&) const override {
-    return 1.0;
-  }
-  [[nodiscard]] std::string name() const override { return "const-scalar"; }
-};
-
-/// Constant positive score through an overridden score_block (bypasses
-/// score() entirely, exercising the blocked selection path).
+/// Constant positive score for every candidate.
 class ConstantBlockAcquisition final : public AcquisitionFunction {
  public:
-  [[nodiscard]] double score(const std::vector<double>&, const Configuration&,
-                             const AcquisitionContext&) const override {
-    return 1.0;
-  }
   void score_block(std::span<const std::vector<double>> unit_xs,
                    std::span<const Configuration>, const AcquisitionContext&,
                    AcquisitionScratch&, std::span<double> out) const override {
@@ -325,18 +309,6 @@ class ConstantBlockAcquisition final : public AcquisitionFunction {
   }
   [[nodiscard]] std::string name() const override { return "const-block"; }
 };
-
-TEST(ArgmaxTieBreak, LowestIndexWinsScalarPath) {
-  const auto space = make_space();
-  AcquisitionContext ctx{space};
-  CandidatePool pool(space);
-  ConstantScalarAcquisition acq;
-  stats::Rng rng(9);
-  const auto best = pool.maximize(acq, ctx, rng);
-  // Every candidate ties at 1.0: the first lattice point must win.
-  EXPECT_EQ(best.unit, pool.lattice().front());
-  EXPECT_EQ(best.score, 1.0);
-}
 
 TEST(ArgmaxTieBreak, LowestIndexWinsBlockedPath) {
   const auto space = make_space();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace hp::core {
 namespace {
 
@@ -17,15 +19,17 @@ class PeakAcquisition final : public AcquisitionFunction {
  public:
   explicit PeakAcquisition(std::vector<double> target)
       : target_(std::move(target)) {}
-  [[nodiscard]] double score(const std::vector<double>& unit_x,
-                             const Configuration&,
-                             const AcquisitionContext&) const override {
-    double d2 = 0.0;
-    for (std::size_t i = 0; i < unit_x.size(); ++i) {
-      const double d = unit_x[i] - target_[i];
-      d2 += d * d;
+  void score_block(std::span<const std::vector<double>> unit_xs,
+                   std::span<const Configuration>, const AcquisitionContext&,
+                   AcquisitionScratch&, std::span<double> out) const override {
+    for (std::size_t b = 0; b < unit_xs.size(); ++b) {
+      double d2 = 0.0;
+      for (std::size_t i = 0; i < unit_xs[b].size(); ++i) {
+        const double d = unit_xs[b][i] - target_[i];
+        d2 += d * d;
+      }
+      out[b] = 1.0 / (1e-3 + d2);
     }
-    return 1.0 / (1e-3 + d2);
   }
   [[nodiscard]] std::string name() const override { return "peak"; }
 
@@ -36,9 +40,10 @@ class PeakAcquisition final : public AcquisitionFunction {
 /// Acquisition that scores everything zero.
 class ZeroAcquisition final : public AcquisitionFunction {
  public:
-  [[nodiscard]] double score(const std::vector<double>&, const Configuration&,
-                             const AcquisitionContext&) const override {
-    return 0.0;
+  void score_block(std::span<const std::vector<double>>,
+                   std::span<const Configuration>, const AcquisitionContext&,
+                   AcquisitionScratch&, std::span<double> out) const override {
+    std::fill(out.begin(), out.end(), 0.0);
   }
   [[nodiscard]] std::string name() const override { return "zero"; }
 };

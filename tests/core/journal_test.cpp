@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cctype>
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -469,6 +473,134 @@ TEST(EvalJournal, RewriteJournalStaysAppendable) {
   for (std::size_t i = 0; i < records.size(); ++i) {
     SCOPED_TRACE(i);
     expect_record_eq(loaded.records[i], records[i]);
+  }
+  std::remove(path.c_str());
+}
+
+/// Rewrites @p path with @p records under a file-size limit of @p limit
+/// bytes, past which the kernel kills the process with SIGXFSZ.
+[[noreturn]] void rewrite_under_size_limit(
+    const std::string& path, rlim_t limit,
+    const std::vector<EvaluationRecord>& records) {
+  std::signal(SIGXFSZ, SIG_DFL);
+  const rlimit no_core{0, 0};
+  setrlimit(RLIMIT_CORE, &no_core);
+  const rlimit file_size{limit, limit};
+  setrlimit(RLIMIT_FSIZE, &file_size);
+  (void)EvalJournal::rewrite(path, header(), records);
+  std::exit(0);
+}
+
+TEST(EvalJournal, InterruptedRewriteKeepsTheOldJournal) {
+  const std::string path = temp_path("journal_interrupted_rewrite.hpj");
+  std::vector<EvaluationRecord> records;
+  for (std::size_t i = 0; i < 200; ++i) {
+    records.push_back(sample_records()[i % 4]);
+    records.back().index = i;
+  }
+  {
+    auto journal = EvalJournal::create(path, header());
+    for (const auto& record : records) journal.append(record);
+  }
+  // The child dies in the middle of rewriting the journal it would resume
+  // from; the journal must still hold every record.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      rewrite_under_size_limit(path, std::filesystem::file_size(path) / 2,
+                               records),
+      ::testing::KilledBySignal(SIGXFSZ), "");
+  const JournalLoadResult loaded = EvalJournal::load(path);
+  EXPECT_EQ(loaded.dropped_lines, 0u);
+  ASSERT_EQ(loaded.records.size(), records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_record_eq(loaded.records[i], records[i]);
+  }
+  std::remove(path.c_str());
+  std::remove((path + ".tmp").c_str());
+}
+
+/// The record line of sample_records()[1] with field @p field replaced by
+/// @p value.
+std::string record_line_with(std::size_t field, const std::string& value) {
+  std::string line = format_record_line(sample_records()[1]);
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < field; ++i) begin = line.find(',', begin) + 1;
+  const std::size_t end = line.find(',', begin);
+  return line.replace(begin, end == std::string::npos ? end : end - begin,
+                      value);
+}
+
+TEST(EvalJournal, RejectsMalformedRecordCounts) {
+  ASSERT_NO_THROW((void)parse_record_line(record_line_with(1, "1"), 2));
+  // A parsed double cast to an integer would read every value below:
+  // undefined behaviour for NaN, negative or huge values; 1.5 and " 1"
+  // as 1.
+  for (const std::string bad : {"nan", "-1", "1e300", "1.5",
+                                "18446744073709551616", " 1"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW((void)parse_record_line(record_line_with(1, bad), 2),
+                 std::runtime_error)
+        << "index";
+    EXPECT_THROW((void)parse_record_line(record_line_with(11, bad), 2),
+                 std::runtime_error)
+        << "attempts";
+  }
+  // The config size, on a record with no config values (1e300 and 2^64
+  // cast to 0) and on one with a single value (1.5 and " 1" cast to 1).
+  EvaluationRecord empty = sample_records()[1];
+  empty.config.clear();
+  std::string line = format_record_line(empty);
+  ASSERT_NO_THROW((void)parse_record_line(line, 2));
+  line.erase(line.rfind(',') + 1);
+  for (const std::string bad : {"1e300", "18446744073709551616"}) {
+    EXPECT_THROW((void)parse_record_line(line + bad, 2), std::runtime_error)
+        << bad;
+  }
+  EvaluationRecord single = sample_records()[1];
+  single.config = {0.5};
+  line = format_record_line(single);
+  ASSERT_NO_THROW((void)parse_record_line(line, 2));
+  for (const std::string bad : {"1.5", " 1"}) {
+    std::string tampered = line;
+    const std::size_t last = tampered.rfind(',');
+    const std::size_t size_field = tampered.rfind(',', last - 1) + 1;
+    tampered.replace(size_field, last - size_field, bad);
+    EXPECT_THROW((void)parse_record_line(tampered, 2), std::runtime_error)
+        << bad;
+  }
+}
+
+TEST(EvalJournal, RecordLineErrorNamesTheLineOnce) {
+  std::string line = format_record_line(sample_records()[1]);
+  line += ",0.5";  // one config value more than the size says
+  try {
+    (void)parse_record_line(line, 2);
+    FAIL() << "accepted a config field count mismatch";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "journal: line 2: config field count mismatch");
+  }
+}
+
+TEST(EvalJournal, RejectsMalformedHeaderCounts) {
+  const std::string path = temp_path("journal_header_counts.hpj");
+  const auto load_header = [&](const std::string& seed,
+                               const std::string& batch) {
+    {
+      std::ofstream out(path, std::ios::trunc | std::ios::binary);
+      out << "hpjournal,v3,Rand," << seed << ',' << batch << '\n';
+    }
+    return EvalJournal::load(path);
+  };
+  const JournalLoadResult good = load_header("18446744073709551615", "4");
+  EXPECT_EQ(good.header.seed, 18446744073709551615u);
+  EXPECT_EQ(good.header.batch_size, 4u);
+  // std::stoull/std::stoul would read every value below.
+  for (const std::string bad : {"-1", "42x", " 42", "+42", "4e1"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW((void)load_header(bad, "4"), std::runtime_error) << "seed";
+    EXPECT_THROW((void)load_header("42", bad), std::runtime_error)
+        << "batch size";
   }
   std::remove(path.c_str());
 }

@@ -199,6 +199,36 @@ TEST(TraceIo, RejectsMalformedNumber) {
       "index,timestamp_s,status,test_error,diverged,power_w,memory_mb,"
       "violates,cost_s\n0,abc,completed,0.5,0,,,0,1\n");
   EXPECT_THROW((void)load_trace_csv(buffer), std::runtime_error);
+
+  // Integer fields take digits only, over the whole field, up to 2^64 - 1.
+  // A parsed double cast to an integer would read every value below
+  // (undefined behaviour for NaN, negative or huge values; 1.5 and " 1"
+  // as 1).
+  const std::string header =
+      "index,timestamp_s,status,test_error,diverged,power_w,memory_mb,"
+      "violates,cost_s,measured,attempts,failure\n";
+  const auto row = [](const std::string& index, const std::string& attempts) {
+    return index + ",1,completed,0.5,0,,,0,1,1," + attempts + ",\n";
+  };
+  const std::string good = row("0", "1");
+  for (const std::string bad : {"nan", "-1", "1e300", "1.5",
+                                "18446744073709551616", " 1"}) {
+    for (const bool in_index : {true, false}) {
+      SCOPED_TRACE((in_index ? "index " : "attempts ") + bad);
+      const std::string bad_row = in_index ? row(bad, "1") : row("1", bad);
+      // Mid-file: corruption.
+      std::stringstream mid(header + good + bad_row + good);
+      EXPECT_THROW((void)load_trace_csv(mid), std::runtime_error);
+      // Final row: a torn tail, dropped.
+      std::stringstream tail(header + good + bad_row);
+      EXPECT_EQ(load_trace_csv(tail).size(), 1u);
+    }
+  }
+  std::stringstream largest(header + row("18446744073709551615", "7") + good);
+  const RunTrace loaded = load_trace_csv(largest);
+  ASSERT_EQ(loaded.size(), 2u);
+  EXPECT_EQ(loaded.records()[0].index, 18446744073709551615u);
+  EXPECT_EQ(loaded.records()[0].attempts, 7u);
 }
 
 TEST(TraceIo, FileRoundTrip) {

@@ -376,7 +376,7 @@ TEST(GaussianProcessIncremental, JitteredFactorDisablesIncrementalReuse) {
 
 /// One query at a time from public pieces, mirroring the GP's arithmetic.
 struct ReferencePosterior {
-  ReferencePosterior(const Kernel& kernel_in, double noise,
+  ReferencePosterior(const Matern52Kernel& kernel_in, double noise,
                      const Matrix& x_in, const Vector& y)
       : kernel(kernel_in), x(x_in) {
     Matrix gram = kernel_matrix(kernel, x);
@@ -398,7 +398,7 @@ struct ReferencePosterior {
     return p;
   }
 
-  const Kernel& kernel;
+  const Matern52Kernel& kernel;
   const Matrix& x;
   std::optional<linalg::Cholesky> chol;
   double y_mean = 0.0;

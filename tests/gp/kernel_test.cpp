@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 
 #include "linalg/cholesky.hpp"
 #include "stats/rng.hpp"
@@ -14,46 +13,41 @@ namespace {
 using linalg::Matrix;
 using linalg::Vector;
 
-/// The properties every stationary kernel must have, parameterized by the
-/// kernel's name(); Matern 5/2 is the one kernel the library provides.
-class KernelKinds : public ::testing::TestWithParam<std::string> {
- protected:
-  std::unique_ptr<Kernel> kernel() const {
-    KernelParams p;
-    p.signal_variance = 1.7;
-    p.length_scales = {0.5, 1.5};
-    auto k = std::make_unique<Matern52Kernel>(p);
-    EXPECT_EQ(k->name(), GetParam());
-    return k;
-  }
-};
+/// The properties a stationary kernel must have, on Matern 5/2, the one
+/// kernel the library provides.
+Matern52Kernel kernel() {
+  KernelParams p;
+  p.signal_variance = 1.7;
+  p.length_scales = {0.5, 1.5};
+  return Matern52Kernel(p);
+}
 
-TEST_P(KernelKinds, SymmetricInArguments) {
+TEST(Matern52Kernel, SymmetricInArguments) {
   const auto k = kernel();
   Vector a{0.1, 0.9};
   Vector b{0.7, 0.2};
-  EXPECT_DOUBLE_EQ((*k)(a, b), (*k)(b, a));
+  EXPECT_DOUBLE_EQ(k(a, b), k(b, a));
 }
 
-TEST_P(KernelKinds, DiagonalEqualsSignalVariance) {
+TEST(Matern52Kernel, DiagonalEqualsSignalVariance) {
   const auto k = kernel();
   Vector x{0.3, 0.4};
-  EXPECT_NEAR((*k)(x, x), 1.7, 1e-12);
-  EXPECT_DOUBLE_EQ(k->diagonal_value(), 1.7);
+  EXPECT_NEAR(k(x, x), 1.7, 1e-12);
+  EXPECT_DOUBLE_EQ(k.diagonal_value(), 1.7);
 }
 
-TEST_P(KernelKinds, DecaysWithDistance) {
+TEST(Matern52Kernel, DecaysWithDistance) {
   const auto k = kernel();
   Vector x{0.0, 0.0};
-  double prev = (*k)(x, x);
+  double prev = k(x, x);
   for (double d = 0.2; d < 3.0; d += 0.2) {
-    const double v = (*k)(x, Vector{d, d});
+    const double v = k(x, Vector{d, d});
     EXPECT_LT(v, prev);
     prev = v;
   }
 }
 
-TEST_P(KernelKinds, GramMatrixIsPositiveDefinite) {
+TEST(Matern52Kernel, GramMatrixIsPositiveDefinite) {
   const auto k = kernel();
   stats::Rng rng(3);
   Matrix x(12, 2);
@@ -61,39 +55,17 @@ TEST_P(KernelKinds, GramMatrixIsPositiveDefinite) {
     x(i, 0) = rng.uniform();
     x(i, 1) = rng.uniform();
   }
-  Matrix gram_m = kernel_matrix(*k, x);
+  Matrix gram_m = kernel_matrix(k, x);
   EXPECT_TRUE(gram_m.is_symmetric(1e-12));
   const auto chol = linalg::Cholesky::with_jitter(gram_m);
   ASSERT_TRUE(chol.has_value());
   EXPECT_LT(chol->jitter_used(), 1e-4);
 }
 
-TEST_P(KernelKinds, WithParamsChangesHyperparameters) {
+TEST(Matern52Kernel, DimensionMismatchThrows) {
   const auto k = kernel();
-  KernelParams p;
-  p.signal_variance = 3.0;
-  p.length_scales = {1.0};
-  const auto k2 = k->with_params(p);
-  EXPECT_DOUBLE_EQ(k2->diagonal_value(), 3.0);
-  EXPECT_EQ(k2->name(), k->name());
+  EXPECT_THROW((void)k(Vector{1.0}, Vector{1.0, 2.0}), std::invalid_argument);
 }
-
-TEST_P(KernelKinds, CloneIsIndependentCopy) {
-  const auto k = kernel();
-  const auto c = k->clone();
-  Vector a{0.1, 0.2};
-  Vector b{0.3, 0.4};
-  EXPECT_DOUBLE_EQ((*k)(a, b), (*c)(a, b));
-}
-
-TEST_P(KernelKinds, DimensionMismatchThrows) {
-  const auto k = kernel();
-  EXPECT_THROW((void)(*k)(Vector{1.0}, Vector{1.0, 2.0}),
-               std::invalid_argument);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllKernels, KernelKinds,
-                         ::testing::Values("matern52"));
 
 TEST(KernelParams, ValidationRejectsBadValues) {
   KernelParams p;

@@ -203,10 +203,14 @@ class CandidatePoolWorkersTest : public ::testing::Test {
     const ExpectedImprovementAcquisition ei;
     const HwIeciAcquisition ieci;
     const HwCweiAcquisition cwei;
+    const HwPiAcquisition pi;
+    const HwLcbAcquisition lcb;
     for (const AcquisitionFunction* acquisition :
          {static_cast<const AcquisitionFunction*>(&ieci),
           static_cast<const AcquisitionFunction*>(&cwei),
-          static_cast<const AcquisitionFunction*>(&ei)}) {
+          static_cast<const AcquisitionFunction*>(&ei),
+          static_cast<const AcquisitionFunction*>(&pi),
+          static_cast<const AcquisitionFunction*>(&lcb)}) {
       SCOPED_TRACE(label + " " + acquisition->name());
       const Maximum want = maximize(*acquisition, ctx, nullptr);
       EXPECT_EQ(want.evaluated, evaluated);
