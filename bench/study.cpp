@@ -1,12 +1,13 @@
 // bench_study: bookkeeping overhead of the ask/tell Study layer versus
-// the same run bookkeeping performed inline, the way the pre-refactor
-// engine did it. Both sides run identical rounds — same per-sample
-// proposal streams, same classification/observe/commit sequence on the
-// same synthetic records — so the time ratio isolates the pure cost of
-// the ask/tell indirection: the pending-trial deque, the Trial handoff
-// copies, and the config re-stamp at tell. bench/baselines/tracked.json
-// caps that ratio (max_ratio): the Study abstraction must stay a thin
-// veneer over the books, never a tax on the evaluation loop.
+// the same run bookkeeping performed inline. Both sides run identical
+// rounds — same per-sample proposal streams, same classify → timestamp →
+// trace → incumbent → observe sequence on the same synthetic records — so
+// the time ratio isolates the pure cost of the ask/tell indirection: the
+// pending-trial deque, the Trial handoff copies, the config re-stamp at
+// tell, and the per-sample events' enabled checks.
+// bench/baselines/tracked.json caps that ratio (max_ratio): the Study
+// abstraction must stay a thin veneer over the books, never a tax on the
+// evaluation loop.
 
 #include <benchmark/benchmark.h>
 
@@ -20,7 +21,7 @@
 #include "core/clock.hpp"
 #include "core/framework.hpp"
 #include "core/random_search.hpp"
-#include "core/run_recorder.hpp"
+#include "core/run_trace.hpp"
 #include "core/study.hpp"
 #include "stats/rng.hpp"
 
@@ -58,28 +59,27 @@ core::EvaluationRecord synthetic_record(
   return r;
 }
 
-// The pre-refactor engine round, inlined: per-sample proposal streams,
-// then the classify → timestamp → observe_sample → proposer.observe →
-// commit sequence the old run loop performed for every finished sample.
-// (Direct Proposer/RunRecorder mutation is confined to core::Study in
-// library code by the study-ask-tell lint rule; this bench IS the
-// measurement of that confinement's cost, so it replicates the raw
-// sequence on purpose.)
+// A batched round's books, inlined: per-sample proposal streams, then
+// the classify → timestamp → index → trace → incumbent → proposer.observe
+// sequence the Study performs for every finished sample. (Direct Proposer
+// mutation is confined to core::Study in library code by the
+// study-ask-tell lint rule; this bench IS the measurement of that
+// confinement's cost, so it replicates the raw sequence on purpose.)
 void BM_DirectBookkeepingRound(benchmark::State& state) {
   const core::BenchmarkProblem problem = core::mnist_problem();
   const core::HyperParameterSpace& space = problem.space();
   const core::OptimizerOptions options = bench_options();
   core::RandomSearchProposer proposer(space);
-  core::RunRecorder recorder(options);
-  core::VirtualClock clock;
+  core::Clock clock;
   const core::ConstraintBudgets budgets;
   const core::HardwareConstraints plain(budgets, std::nullopt, std::nullopt);
 
   for (auto _ : state) {
-    recorder.begin_run();
+    core::RunTrace trace;
+    std::optional<core::EvaluationRecord> incumbent;
     core::ProposerRunContext context;
     context.budgets = &budgets;
-    context.incumbent = &recorder.incumbent();
+    context.incumbent = &incumbent;
     context.seed = options.seed;
     proposer.begin_run(context);
     for (std::size_t round = 0; round < kRounds; ++round) {
@@ -94,13 +94,18 @@ void BM_DirectBookkeepingRound(benchmark::State& state) {
             record.measured_power_w, record.measured_memory_mb);
         clock.advance(record.cost_s);
         record.timestamp_s = clock.now_s();
-        recorder.observe_sample(record, core::RunRecorder::SampleMode::kLive);
-        proposer.observe(record);
-        benchmark::DoNotOptimize(recorder.commit(
-            std::move(record), core::RunRecorder::SampleMode::kLive));
+        record.index = trace.size();
+        trace.add(std::move(record));
+        const core::EvaluationRecord& stored = trace.records().back();
+        if (stored.counts_for_best() &&
+            (!incumbent || stored.test_error < incumbent->test_error)) {
+          incumbent = stored;
+        }
+        proposer.observe(stored);
+        benchmark::DoNotOptimize(&stored);
       }
     }
-    benchmark::DoNotOptimize(recorder.trace().size());
+    benchmark::DoNotOptimize(trace.size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kBatch * kRounds));
@@ -115,7 +120,7 @@ void BM_StudyAskTellRound(benchmark::State& state) {
   const core::HyperParameterSpace& space = problem.space();
   const core::OptimizerOptions options = bench_options();
   core::RandomSearchProposer proposer(space);
-  core::VirtualClock clock;
+  core::Clock clock;
   core::Study study(space, core::ConstraintBudgets{}, nullptr, options,
                     proposer, clock);
 

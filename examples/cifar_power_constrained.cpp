@@ -43,7 +43,7 @@ void run_on_device(const hp::hw::DeviceSpec& device, double power_budget_w,
   for (const core::Method method :
        {core::Method::Rand, core::Method::RandWalk, core::Method::HwCwei,
         core::Method::HwIeci}) {
-    objective.virtual_clock().reset();
+    objective.clock().reset();
     core::FrameworkOptions fo;
     fo.method = method;
     fo.hyperpower_mode = true;
@@ -64,7 +64,7 @@ void run_on_device(const hp::hw::DeviceSpec& device, double power_budget_w,
   }
 
   // Show the winner's architecture in detail (from a fresh HW-IECI run).
-  objective.virtual_clock().reset();
+  objective.clock().reset();
   core::FrameworkOptions fo;
   fo.method = core::Method::HwIeci;
   fo.optimizer.max_runtime_s = 3600.0;

@@ -4,10 +4,9 @@
 
 namespace hp::core {
 
-void VirtualClock::advance(double seconds) {
+void Clock::advance(double seconds) {
   if (!(seconds >= 0.0)) {  // also catches NaN
-    throw std::invalid_argument(
-        "VirtualClock::advance: negative or NaN duration");
+    throw std::invalid_argument("Clock::advance: negative or NaN duration");
   }
   now_ += seconds;
 }

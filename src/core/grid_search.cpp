@@ -32,9 +32,8 @@ Configuration GridSearchProposer::propose(stats::Rng& rng) {
     unit[d] = (static_cast<double>(cursor_[d]) + 0.5) /
               static_cast<double>(levels);
   }
-  // Advance the lexicographic cursor. Past the last point the cursor wraps
-  // to the start either way; exhausted() decides (from the wrap_around
-  // policy) whether the study ever asks again.
+  // Advance the lexicographic cursor. Past the last point it wraps to the
+  // start, and exhausted() stops the study from asking again.
   for (std::size_t d = cursor_.size(); d-- > 0;) {
     if (++cursor_[d] < levels) break;
     cursor_[d] = 0;

@@ -19,13 +19,6 @@ struct GridSearchOptions {
   /// lexicographically). Integer parameters with fewer distinct values
   /// than levels simply repeat, which mirrors naive gridding practice.
   std::size_t levels_per_dimension = 3;
-  /// When true the cursor wraps past the last grid point and re-proposes
-  /// from the start, so a large budget revisits points (historic
-  /// behavior). When false (the default) the strategy reports exhausted()
-  /// after its last point and the study stops the run — a final short
-  /// batch is truncated to the remaining points, never padded with
-  /// wrapped-around repeats.
-  bool wrap_around = false;
 };
 
 /// Exhaustive lexicographic grid enumeration. The cursor is sequential
@@ -44,18 +37,13 @@ class GridSearchProposer final : public Proposer {
     return false;
   }
   [[nodiscard]] double proposal_overhead_s() const override { return 0.1; }
-  /// Without wrap-around, true once the final grid point has been
-  /// proposed; the study stops the run (and truncates a partial batch)
-  /// instead of repeating points. Always false with wrap-around.
-  [[nodiscard]] bool exhausted() const override {
-    return !grid_options_.wrap_around && visited_all_;
-  }
+  /// True once the final grid point has been proposed; the study stops
+  /// the run (and truncates a final short batch to the remaining points)
+  /// instead of repeating points.
+  [[nodiscard]] bool exhausted() const override { return visited_all_; }
 
   /// Total number of grid points.
   [[nodiscard]] std::size_t grid_size() const noexcept;
-  /// True once every grid point has been proposed at least once
-  /// (regardless of the wrap-around policy).
-  [[nodiscard]] bool visited_all() const noexcept { return visited_all_; }
 
  private:
   GridSearchOptions grid_options_;

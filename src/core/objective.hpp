@@ -92,6 +92,17 @@ struct EvaluationRecord {
   /// Terminal failure kind when status == Failed.
   std::optional<FailureKind> failure_kind;
 
+  /// True when the sample invoked the objective (a completed or
+  /// early-terminated training): one of the paper's "function evaluations".
+  [[nodiscard]] bool function_evaluation() const noexcept {
+    return status == EvaluationStatus::Completed ||
+           status == EvaluationStatus::EarlyTerminated;
+  }
+  /// A function evaluation whose *measured* metrics break a budget: the
+  /// constraint violations of Figure 4 center.
+  [[nodiscard]] bool measured_violation() const noexcept {
+    return function_evaluation() && violates_constraints;
+  }
   /// A sample counts toward the incumbent only if it completed training and
   /// satisfies the (measured) constraints.
   [[nodiscard]] bool counts_for_best() const noexcept {

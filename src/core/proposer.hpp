@@ -4,10 +4,9 @@
 // A Proposer is a pure candidate-selection strategy: given the space (and,
 // for model-based methods, the records observed so far) it produces the
 // next configuration(s) to try. It owns no loop — batching, journaling,
-// replay, and stopping rules live in the ask/tell Study
-// (core/study.hpp, DESIGN.md §16), retries and execution in the
-// Optimizer's driver loop (core/optimizer.hpp), and
-// trace/incumbent bookkeeping in RunRecorder (core/run_recorder.hpp).
+// replay, stopping rules, and the trace/incumbent bookkeeping live in the
+// ask/tell Study (core/study.hpp, DESIGN.md §16), retries and execution
+// in the Optimizer's driver loop (core/optimizer.hpp).
 // Only the Study mutates a Proposer (lint rule `study-ask-tell`); drivers
 // see proposals as Trials from Study::ask. The four methods of the paper
 // (Rand, Rand-Walk, HW-IECI/HW-CWEI BayesOpt, Grid) are implementations of
@@ -33,13 +32,13 @@ namespace hp::core {
 
 /// Run-scoped state the Study hands its proposer at the start of every
 /// run/resume. All pointers outlive the run: budgets/constraints belong to
-/// the Study, the incumbent points at RunRecorder's (stable) member so
+/// the Study, the incumbent points at the Study's (stable) member so
 /// incumbent-relative strategies (Rand-Walk) always see the latest best.
 struct ProposerRunContext {
   const ConstraintBudgets* budgets = nullptr;
   /// A-priori constraints if present AND enabled for this run, else null.
   const HardwareConstraints* active_constraints = nullptr;
-  /// Best feasible record observed so far (recorder-owned; may be empty).
+  /// Best feasible record observed so far (Study-owned; may be empty).
   const std::optional<EvaluationRecord>* incumbent = nullptr;
   std::uint64_t seed = 1;
   /// The run's thread pool, lent by the driver (zero workers on a
@@ -101,8 +100,8 @@ class Proposer {
 
   /// True when the strategy can produce no further candidates; the study
   /// stops the run before the next proposal. Infinite strategies (every
-  /// randomized method) keep the default false; finite ones (GridSearch
-  /// without wrap-around) flip it after their last point.
+  /// randomized method) keep the default false; finite ones (GridSearch)
+  /// flip it after their last point.
   [[nodiscard]] virtual bool exhausted() const { return false; }
 
  protected:

@@ -13,12 +13,7 @@ RandomWalkProposer::RandomWalkProposer(const HyperParameterSpace& space,
 }
 
 Configuration RandomWalkProposer::propose(stats::Rng& rng) {
-  if (!incumbent()) {
-    if (walk_options_.uniform_until_incumbent) return space().sample(rng);
-    // Walk around the centre of the space until something feasible lands.
-    std::vector<double> centre(space().dimension(), 0.5);
-    return space().neighbor(space().decode(centre), walk_options_.sigma0, rng);
-  }
+  if (!incumbent()) return space().sample(rng);
   return space().neighbor(incumbent()->config, walk_options_.sigma0, rng);
 }
 

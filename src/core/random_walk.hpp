@@ -15,12 +15,11 @@ namespace hp::core {
 struct RandomWalkOptions {
   /// Proposal spread in unit-cube coordinates.
   double sigma0 = 0.1;
-  /// Until a first incumbent exists, fall back to uniform sampling.
-  bool uniform_until_incumbent = true;
 };
 
 /// Gaussian random walk around the best point observed so far (read from
-/// the recorder's incumbent through the run context).
+/// the study's incumbent through the run context); uniform sampling until
+/// a first incumbent exists.
 class RandomWalkProposer final : public Proposer {
  public:
   /// Throws std::invalid_argument on a non-positive sigma0.

@@ -1,73 +1,35 @@
 #include "core/run_trace.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace hp::core {
 
 void RunTrace::add(EvaluationRecord record) {
-  records_.push_back(std::move(record));
-}
-
-namespace {
-bool is_function_evaluation(const EvaluationRecord& r) {
-  return r.status == EvaluationStatus::Completed ||
-         r.status == EvaluationStatus::EarlyTerminated;
-}
-}  // namespace
-
-std::size_t RunTrace::function_evaluations() const noexcept {
-  return static_cast<std::size_t>(
-      std::count_if(records_.begin(), records_.end(), is_function_evaluation));
-}
-
-std::size_t RunTrace::completed_count() const noexcept {
-  return static_cast<std::size_t>(
-      std::count_if(records_.begin(), records_.end(), [](const auto& r) {
-        return r.status == EvaluationStatus::Completed;
-      }));
-}
-
-std::size_t RunTrace::model_filtered_count() const noexcept {
-  return static_cast<std::size_t>(
-      std::count_if(records_.begin(), records_.end(), [](const auto& r) {
-        return r.status == EvaluationStatus::ModelFiltered;
-      }));
-}
-
-std::size_t RunTrace::early_terminated_count() const noexcept {
-  return static_cast<std::size_t>(
-      std::count_if(records_.begin(), records_.end(), [](const auto& r) {
-        return r.status == EvaluationStatus::EarlyTerminated;
-      }));
-}
-
-std::size_t RunTrace::measured_violation_count() const noexcept {
-  return static_cast<std::size_t>(
-      std::count_if(records_.begin(), records_.end(), [](const auto& r) {
-        return is_function_evaluation(r) && r.violates_constraints;
-      }));
-}
-
-std::size_t RunTrace::failed_count() const noexcept {
-  return static_cast<std::size_t>(
-      std::count_if(records_.begin(), records_.end(), [](const auto& r) {
-        return r.status == EvaluationStatus::Failed;
-      }));
-}
-
-std::size_t RunTrace::fallback_count() const noexcept {
-  return static_cast<std::size_t>(
-      std::count_if(records_.begin(), records_.end(), [](const auto& r) {
-        return !r.measured && (r.measured_power_w || r.measured_memory_mb);
-      }));
-}
-
-std::size_t RunTrace::total_retries() const noexcept {
-  std::size_t retries = 0;
-  for (const EvaluationRecord& r : records_) {
-    retries += r.attempts > 0 ? r.attempts - 1 : 0;
+  switch (record.status) {
+    case EvaluationStatus::Completed:
+      ++completed_;
+      break;
+    case EvaluationStatus::ModelFiltered:
+      ++model_filtered_;
+      break;
+    case EvaluationStatus::EarlyTerminated:
+      ++early_terminated_;
+      break;
+    case EvaluationStatus::InfeasibleArchitecture:
+      ++infeasible_;
+      break;
+    case EvaluationStatus::Failed:
+      ++failed_;
+      break;
   }
-  return retries;
+  if (record.measured_violation()) ++measured_violations_;
+  if (!record.measured &&
+      (record.measured_power_w || record.measured_memory_mb)) {
+    ++fallbacks_;
+  }
+  retries_ += record.attempts > 0 ? record.attempts - 1 : 0;
+  records_.push_back(std::move(record));
 }
 
 std::optional<EvaluationRecord> RunTrace::best() const {
@@ -94,7 +56,7 @@ std::vector<double> RunTrace::best_error_per_function_evaluation() const {
   std::vector<double> series;
   double best = 1.0;
   for (const EvaluationRecord& r : records_) {
-    if (!is_function_evaluation(r)) continue;
+    if (!r.function_evaluation()) continue;
     if (r.counts_for_best()) best = std::min(best, r.test_error);
     series.push_back(best);
   }
@@ -105,8 +67,8 @@ std::vector<std::size_t> RunTrace::violations_per_function_evaluation() const {
   std::vector<std::size_t> series;
   std::size_t violations = 0;
   for (const EvaluationRecord& r : records_) {
-    if (!is_function_evaluation(r)) continue;
-    if (r.violates_constraints) ++violations;
+    if (!r.function_evaluation()) continue;
+    if (r.measured_violation()) ++violations;
     series.push_back(violations);
   }
   return series;

@@ -3,6 +3,7 @@
 // tables are built from (best-error-vs-evaluations, cumulative violations,
 // time to reach N samples, time to reach a target error, ...).
 
+#include <cstddef>
 #include <optional>
 #include <ostream>
 #include <vector>
@@ -11,9 +12,11 @@
 
 namespace hp::core {
 
-/// Ordered record of every sample a method queried during one run.
+/// Ordered record of every sample a method queried during one run. Each
+/// record is counted once, as it is added, so the count queries are O(1).
 class RunTrace {
  public:
+  /// Appends @p record and adds it to the counts below.
   void add(EvaluationRecord record);
 
   [[nodiscard]] const std::vector<EvaluationRecord>& records() const noexcept {
@@ -24,24 +27,41 @@ class RunTrace {
 
   /// Number of samples that invoked the objective (completed or
   /// early-terminated trainings) — the paper's "function evaluations".
-  [[nodiscard]] std::size_t function_evaluations() const noexcept;
+  [[nodiscard]] std::size_t function_evaluations() const noexcept {
+    return completed_ + early_terminated_;
+  }
   /// Completed trainings only.
-  [[nodiscard]] std::size_t completed_count() const noexcept;
+  [[nodiscard]] std::size_t completed_count() const noexcept {
+    return completed_;
+  }
   /// Samples rejected a priori by the hardware models.
-  [[nodiscard]] std::size_t model_filtered_count() const noexcept;
+  [[nodiscard]] std::size_t model_filtered_count() const noexcept {
+    return model_filtered_;
+  }
   /// Samples terminated early as diverging.
-  [[nodiscard]] std::size_t early_terminated_count() const noexcept;
-  /// Samples whose *measured* metrics violate the budgets (the
-  /// constraint-violating evaluations of Figure 4 center).
-  [[nodiscard]] std::size_t measured_violation_count() const noexcept;
+  [[nodiscard]] std::size_t early_terminated_count() const noexcept {
+    return early_terminated_;
+  }
+  /// Samples whose network could not be generated.
+  [[nodiscard]] std::size_t infeasible_count() const noexcept {
+    return infeasible_;
+  }
+  /// Function evaluations whose *measured* metrics violate the budgets
+  /// (EvaluationRecord::measured_violation; the constraint-violating
+  /// evaluations of Figure 4 center).
+  [[nodiscard]] std::size_t measured_violation_count() const noexcept {
+    return measured_violations_;
+  }
   /// Samples whose every evaluation attempt failed (recorded and skipped
   /// by the resilience layer).
-  [[nodiscard]] std::size_t failed_count() const noexcept;
+  [[nodiscard]] std::size_t failed_count() const noexcept { return failed_; }
   /// Samples whose power/memory came from the predictive fallback models
   /// after live sensor reads failed (measured == false with metrics).
-  [[nodiscard]] std::size_t fallback_count() const noexcept;
+  [[nodiscard]] std::size_t fallback_count() const noexcept {
+    return fallbacks_;
+  }
   /// Evaluation attempts beyond each sample's first (total retries).
-  [[nodiscard]] std::size_t total_retries() const noexcept;
+  [[nodiscard]] std::size_t total_retries() const noexcept { return retries_; }
 
   /// The best feasible completed record, if any.
   [[nodiscard]] std::optional<EvaluationRecord> best() const;
@@ -75,6 +95,14 @@ class RunTrace {
 
  private:
   std::vector<EvaluationRecord> records_;
+  std::size_t completed_ = 0;
+  std::size_t model_filtered_ = 0;
+  std::size_t early_terminated_ = 0;
+  std::size_t infeasible_ = 0;
+  std::size_t failed_ = 0;
+  std::size_t measured_violations_ = 0;
+  std::size_t fallbacks_ = 0;
+  std::size_t retries_ = 0;
 };
 
 }  // namespace hp::core

@@ -1,6 +1,8 @@
 #include "core/study.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -23,23 +25,118 @@ struct StudyMetrics {
   }
 };
 
-}  // namespace
+/// Per-sample instruments; process-global, fetched once. The virtual clock
+/// is read here only as an event field.
+struct SampleMetrics {
+  obs::Counter& samples;
+  obs::Counter& function_evaluations;
+  obs::Counter& completed;
+  obs::Counter& model_filtered;
+  obs::Counter& early_terminated;
+  obs::Counter& infeasible;
+  obs::Counter& failed;
+  obs::Counter& measured_violations;
+  obs::Counter& retries;
+  obs::Counter& fallbacks;
+  obs::Histogram& sample_cost_vs;  ///< virtual seconds per sample
 
-const char* to_string(TrialState state) noexcept {
-  switch (state) {
-    case TrialState::kProposed:
-      return "proposed";
-    case TrialState::kPending:
-      return "pending";
-    case TrialState::kReported:
-      return "reported";
-    case TrialState::kFailed:
-      return "failed";
-    case TrialState::kDropped:
-      return "dropped";
+  static SampleMetrics& get() {
+    obs::MetricsRegistry& m = obs::metrics();
+    static SampleMetrics instance{
+        m.counter("optimizer.samples"),
+        m.counter("optimizer.function_evaluations"),
+        m.counter("optimizer.completed"),
+        m.counter("optimizer.model_filtered"),
+        m.counter("optimizer.early_terminated"),
+        m.counter("optimizer.infeasible_architectures"),
+        m.counter("optimizer.failed"),
+        m.counter("optimizer.measured_violations"),
+        m.counter("optimizer.eval_retries"),
+        m.counter("optimizer.sensor_fallbacks"),
+        m.histogram("optimizer.sample_cost_vs",
+                    obs::exponential_buckets(1.0, 2.0, 14)),
+    };
+    return instance;
   }
-  return "unknown";
+};
+
+/// A live sample's observability tail: the optimizer.* metrics plus the
+/// "optimizer.sample" / "optimizer.progress" events. @p trace already
+/// holds @p record, and @p incumbent is updated for it.
+void emit_sample_events(const EvaluationRecord& record, const RunTrace& trace,
+                        const std::optional<EvaluationRecord>& incumbent,
+                        const OptimizerOptions& options) {
+  if (obs::metrics().enabled()) {
+    SampleMetrics& m = SampleMetrics::get();
+    m.samples.add(1);
+    m.sample_cost_vs.observe(record.cost_s);
+    switch (record.status) {
+      case EvaluationStatus::Completed:
+        m.function_evaluations.add(1);
+        m.completed.add(1);
+        break;
+      case EvaluationStatus::EarlyTerminated:
+        m.function_evaluations.add(1);
+        m.early_terminated.add(1);
+        break;
+      case EvaluationStatus::ModelFiltered:
+        m.model_filtered.add(1);
+        break;
+      case EvaluationStatus::InfeasibleArchitecture:
+        m.infeasible.add(1);
+        break;
+      case EvaluationStatus::Failed:
+        m.failed.add(1);
+        break;
+    }
+    if (record.measured_violation()) m.measured_violations.add(1);
+    if (record.attempts > 1) m.retries.add(record.attempts - 1);
+    if (!record.measured &&
+        (record.measured_power_w || record.measured_memory_mb)) {
+      m.fallbacks.add(1);
+    }
+  }
+
+  obs::Logger& log = obs::logger();
+  if (log.enabled(obs::LogLevel::kDebug)) {
+    log.debug("optimizer.sample",
+              {{"index", obs::JsonValue(record.index)},
+               {"status", obs::JsonValue(to_string(record.status))},
+               {"error", obs::JsonValue(record.test_error)},
+               {"cost_s", obs::JsonValue(record.cost_s)},
+               {"clock_s", obs::JsonValue(record.timestamp_s)},
+               {"attempts", obs::JsonValue(record.attempts)},
+               {"violates", obs::JsonValue(record.violates_constraints)}});
+  }
+  if (log.enabled(obs::LogLevel::kInfo)) {
+    std::vector<obs::LogField> fields{
+        {"samples", obs::JsonValue(trace.size())},
+        {"evals", obs::JsonValue(trace.function_evaluations())},
+        {"filtered", obs::JsonValue(trace.model_filtered_count())},
+        {"early_terminated", obs::JsonValue(trace.early_terminated_count())},
+        {"violations", obs::JsonValue(trace.measured_violation_count())},
+        {"clock_s", obs::JsonValue(record.timestamp_s)},
+    };
+    if (trace.failed_count() > 0) {
+      fields.push_back({"failed", obs::JsonValue(trace.failed_count())});
+    }
+    if (incumbent) {
+      fields.push_back({"best_error", obs::JsonValue(incumbent->test_error)});
+    }
+    if (options.max_function_evaluations !=
+        std::numeric_limits<std::size_t>::max()) {
+      fields.push_back(
+          {"max_evals", obs::JsonValue(options.max_function_evaluations)});
+    }
+    if (std::isfinite(options.max_runtime_s)) {
+      fields.push_back(
+          {"max_runtime_s", obs::JsonValue(options.max_runtime_s)});
+    }
+    log.info("optimizer.progress", std::move(fields));
+  }
 }
+
+}  // namespace
 
 Study::Study(const HyperParameterSpace& space, ConstraintBudgets budgets,
              const HardwareConstraints* apriori_constraints,
@@ -49,8 +146,7 @@ Study::Study(const HyperParameterSpace& space, ConstraintBudgets budgets,
       apriori_constraints_(apriori_constraints),
       options_(options),
       proposer_(proposer),
-      clock_(clock),
-      recorder_(options_) {}
+      clock_(clock) {}
 
 const HardwareConstraints* Study::active_constraints() const noexcept {
   return options_.use_hardware_models ? apriori_constraints_ : nullptr;
@@ -65,16 +161,17 @@ void Study::resume(const std::vector<EvaluationRecord>& completed,
 
 void Study::start_run(const std::vector<EvaluationRecord>* replay,
                       parallel::ThreadPool* pool) {
-  recorder_.begin_run();
+  trace_ = RunTrace{};
+  incumbent_.reset();
+  consecutive_failures_ = 0;
   pending_.clear();
-  asked_ = reported_ = failed_ = dropped_ = 0;
   stopped_ = aborted_ = false;
   abort_reason_.clear();
 
   ProposerRunContext context;
   context.budgets = &budgets_;
   context.active_constraints = active_constraints();
-  context.incumbent = &recorder_.incumbent();
+  context.incumbent = &incumbent_;
   context.seed = options_.seed;
   context.pool = pool;
   proposer_.begin_run(context);
@@ -122,25 +219,22 @@ void Study::start_run(const std::vector<EvaluationRecord>* replay,
               {"dropped", obs::JsonValue(replay->size() - kept.size())},
               {"clock_s", obs::JsonValue(clock_.now_s())}});
   }
-  next_sample_ = recorder_.trace().size();
+  next_sample_ = trace_.size();
 }
 
-void Study::replay_one(const EvaluationRecord& record) {
-  if (record.index != recorder_.trace().size()) {
+void Study::replay_one(EvaluationRecord record) {
+  if (record.index != trace_.size()) {
     throw std::runtime_error(
         "resume: journal records are not a contiguous prefix (record index " +
         std::to_string(record.index) + " at position " +
-        std::to_string(recorder_.trace().size()) + ")");
+        std::to_string(trace_.size()) + ")");
   }
   const double delta = record.timestamp_s - clock_.now_s();
   if (delta > 0.0) clock_.advance(delta);
-  EvaluationRecord copy = record;
-  recorder_.observe_sample(copy, RunRecorder::SampleMode::kReplay);
-  proposer_.observe(copy);
-  (void)recorder_.commit(std::move(copy), RunRecorder::SampleMode::kReplay);
+  (void)record_sample(std::move(record), /*live=*/false);
 }
 
-void Study::replay_records(const std::vector<EvaluationRecord>& kept) {
+void Study::replay_records(std::vector<EvaluationRecord>& kept) {
   const auto mismatch = [](std::size_t index) {
     throw std::runtime_error(
         "resume: replayed proposal diverges from the journal at sample " +
@@ -152,11 +246,11 @@ void Study::replay_records(const std::vector<EvaluationRecord>& kept) {
     // shared stream; re-proposing (and discarding) advances the stream and
     // any strategy-internal proposal state exactly as the original run
     // did.
-    for (const EvaluationRecord& record : kept) {
+    for (EvaluationRecord& record : kept) {
       if (proposer_.propose(shared_rng_) != record.config) {
         mismatch(record.index);
       }
-      replay_one(record);
+      replay_one(std::move(record));
     }
     return;
   }
@@ -179,7 +273,7 @@ void Study::replay_records(const std::vector<EvaluationRecord>& kept) {
     // Parallel proposals only *read* shared state (per-sample streams),
     // so they need no replay; finalize order is all that matters.
     for (std::size_t j = 0; j < count; ++j) {
-      replay_one(kept[base + j]);
+      replay_one(std::move(kept[base + j]));
     }
     base += count;
   }
@@ -247,13 +341,11 @@ std::vector<Trial> Study::ask(std::size_t k) {
       trial.resolved.violates_constraints = true;  // violating *by prediction*
       trial.resolved.cost_s = options_.model_filter_overhead_s;
     }
-    pending_.push_back(PendingTrial{trial.sample_index, config,
-                                    TrialState::kProposed});
+    pending_.push_back(PendingTrial{trial.sample_index, config});
     trial.config = std::move(config);
     trials.push_back(std::move(trial));
   }
   next_sample_ = round_base + count;
-  asked_ += count;
   return trials;
 }
 
@@ -266,14 +358,13 @@ bool Study::begin_trial(std::size_t sample_index) {
   // A round crossing a budget discards its tail, so the trace never
   // depends on batch scheduling; an aborted study likewise stops booking.
   if (stopped_ || aborted_ ||
-      recorder_.function_evaluations() >= options_.max_function_evaluations ||
+      trace_.function_evaluations() >= options_.max_function_evaluations ||
       clock_.now_s() >= options_.max_runtime_s) {
-    dropped_ += pending_.size();
     pending_.clear();
     stopped_ = true;
     return false;
   }
-  pending_.front().state = TrialState::kPending;
+  pending_.front().begun = true;
   clock_.advance(proposer_.proposal_overhead_s());
   return true;
 }
@@ -284,7 +375,7 @@ void Study::tell(TrialResult result) {
         "Study::tell: results must arrive in ask order (got sample " +
         std::to_string(result.sample_index) + ")");
   }
-  if (pending_.front().state != TrialState::kPending) {
+  if (!pending_.front().begun) {
     throw std::logic_error(
         "Study::tell: trial " + std::to_string(result.sample_index) +
         " was not begun (call begin_trial first)");
@@ -298,23 +389,12 @@ void Study::tell(TrialResult result) {
   // fleet's wire).
   record.config = std::move(front.config);
   if (!result.cost_on_clock) clock_.advance(record.cost_s);
-  const bool failed = record.status == EvaluationStatus::Failed;
-  book(record);
-  if (failed) {
-    ++failed_;
-  } else {
-    ++reported_;
-  }
-  check_abort();
-}
 
-void Study::book(EvaluationRecord& record) {
   obs::ScopedTimer finalize_span("optimizer.sample.finalize", nullptr,
-                                 recorder_.trace().size());
+                                 trace_.size());
   // Classify against the *measured* metrics (both modes measure after
   // training; the default mode just could not avoid the cost).
-  if (record.status == EvaluationStatus::Completed ||
-      record.status == EvaluationStatus::EarlyTerminated) {
+  if (record.function_evaluation()) {
     if (apriori_constraints_ != nullptr) {
       record.violates_constraints = !apriori_constraints_->measured_feasible(
           record.measured_power_w, record.measured_memory_mb);
@@ -325,27 +405,45 @@ void Study::book(EvaluationRecord& record) {
     }
   }
   record.timestamp_s = clock_.now_s();
-  recorder_.observe_sample(record, RunRecorder::SampleMode::kLive);
-  proposer_.observe(record);
-  const EvaluationRecord& stored =
-      recorder_.commit(std::move(record), RunRecorder::SampleMode::kLive);
   // Journal after the record is final (index/timestamp/classification
   // set): the journal's crash-safety contract is "what it holds can be
   // replayed verbatim".
-  journal_.append(stored);
+  journal_.append(record_sample(std::move(record), /*live=*/true));
+  finalize_span.stop();
+  check_abort();
+}
+
+const EvaluationRecord& Study::record_sample(EvaluationRecord record,
+                                             bool live) {
+  record.index = trace_.size();
+  trace_.add(std::move(record));
+  const EvaluationRecord& stored = trace_.records().back();
+  if (stored.counts_for_best() &&
+      (!incumbent_ || stored.test_error < incumbent_->test_error)) {
+    incumbent_ = stored;
+  }
+  if (live) {
+    if (stored.status == EvaluationStatus::Failed) {
+      ++consecutive_failures_;
+    } else {
+      consecutive_failures_ = 0;
+    }
+    emit_sample_events(stored, trace_, incumbent_, options_);
+  }
+  proposer_.observe(stored);
+  return stored;
 }
 
 void Study::check_abort() {
   const std::size_t limit = options_.retry.max_consecutive_failed_samples;
-  const std::size_t failures = recorder_.consecutive_failures();
-  if (limit == 0 || failures < limit) return;
+  if (limit == 0 || consecutive_failures_ < limit) return;
   aborted_ = true;
-  abort_reason_ = "aborted after " + std::to_string(failures) +
+  abort_reason_ = "aborted after " + std::to_string(consecutive_failures_) +
                   " consecutive failed evaluations";
   obs::logger().error(
       "optimizer.aborted",
-      {{"consecutive_failures", obs::JsonValue(failures)},
-       {"samples", obs::JsonValue(recorder_.trace().size())}});
+      {{"consecutive_failures", obs::JsonValue(consecutive_failures_)},
+       {"samples", obs::JsonValue(trace_.size())}});
   if (obs::flight_recorder().enabled()) {
     obs::flight_recorder().dump_to_stderr("consecutive-failure abort");
   }
@@ -354,58 +452,40 @@ void Study::check_abort() {
 bool Study::finished() const {
   if (stopped_ || aborted_) return true;
   if (next_sample_ >= options_.max_samples) return true;
-  if (recorder_.function_evaluations() >= options_.max_function_evaluations) {
+  if (trace_.function_evaluations() >= options_.max_function_evaluations) {
     return true;
   }
   if (clock_.now_s() >= options_.max_runtime_s) return true;
   return proposer_.exhausted();
 }
 
-StudySnapshot Study::snapshot() const {
-  StudySnapshot snap;
-  snap.asked = asked_;
-  snap.pending = pending_.size();
-  snap.reported = reported_;
-  snap.failed = failed_;
-  snap.dropped = dropped_;
-  snap.samples = recorder_.trace().size();
-  snap.function_evaluations = recorder_.function_evaluations();
-  snap.clock_s = clock_.now_s();
-  snap.best = recorder_.incumbent();
-  snap.finished = finished();
-  snap.aborted = aborted_;
-  snap.abort_reason = abort_reason_;
-  return snap;
-}
-
 RunResult Study::finish() {
   // A driver that broke out mid-round (abort) leaves its tail pending;
   // those trials were never booked and never will be.
-  dropped_ += pending_.size();
   pending_.clear();
 
   RunResult result;
   result.aborted = aborted_;
   result.abort_reason = abort_reason_;
-  result.best = recorder_.incumbent();
-  journal_.finalize(aborted_ ? "aborted" : "completed",
-                    recorder_.trace().size());
-  result.trace = recorder_.take_trace();
+  result.best = incumbent_;
+  journal_.finalize(aborted_ ? "aborted" : "completed", trace_.size());
+  result.trace = std::exchange(trace_, RunTrace{});
 
   obs::Logger& log = obs::logger();
   if (log.enabled(obs::LogLevel::kInfo)) {
-    const RunRecorder::Tally& tally = recorder_.tally();
+    const RunTrace& trace = result.trace;
     std::vector<obs::LogField> fields{
         {"method", obs::JsonValue(proposer_.name())},
-        {"samples", obs::JsonValue(result.trace.size())},
-        {"completed", obs::JsonValue(tally.completed)},
-        {"model_filtered", obs::JsonValue(tally.model_filtered)},
-        {"early_terminated", obs::JsonValue(tally.early_terminated)},
-        {"infeasible", obs::JsonValue(tally.infeasible)},
-        {"failed", obs::JsonValue(tally.failed)},
-        {"retries", obs::JsonValue(tally.retries)},
-        {"fallbacks", obs::JsonValue(tally.fallbacks)},
-        {"measured_violations", obs::JsonValue(tally.measured_violations)},
+        {"samples", obs::JsonValue(trace.size())},
+        {"completed", obs::JsonValue(trace.completed_count())},
+        {"model_filtered", obs::JsonValue(trace.model_filtered_count())},
+        {"early_terminated", obs::JsonValue(trace.early_terminated_count())},
+        {"infeasible", obs::JsonValue(trace.infeasible_count())},
+        {"failed", obs::JsonValue(trace.failed_count())},
+        {"retries", obs::JsonValue(trace.total_retries())},
+        {"fallbacks", obs::JsonValue(trace.fallback_count())},
+        {"measured_violations",
+         obs::JsonValue(trace.measured_violation_count())},
         {"aborted", obs::JsonValue(result.aborted)},
         {"clock_s", obs::JsonValue(clock_.now_s())},
     };

@@ -1,9 +1,10 @@
 #pragma once
 // Ask/tell study core (DESIGN.md §16): the passive state machine at the
 // center of the evaluation pipeline. A Study owns everything a run *is* —
-// the Proposer's run context, the RunRecorder's books, the crash-safe
-// EvalJournal, the shared sequential RNG stream, and the virtual clock
-// charges — behind a pure ask/tell interface:
+// the Proposer's run context, the run's books (trace, incumbent,
+// consecutive-failure streak), the crash-safe EvalJournal, the shared
+// sequential RNG stream, and the virtual clock charges — behind a pure
+// ask/tell interface:
 //
 //   ask(k)        -> up to k Trials (proposed, model-filtered, numbered)
 //   begin_trial(i)-> admission gate: re-checks the stopping rules and
@@ -15,17 +16,17 @@
 // (core/optimizer.hpp) is the in-process driver; the process fleet
 // (src/dist) plugs into the same driver through the RoundDispatcher
 // seam, so in-process and multi-process execution share this one state
-// machine. Because every propose/observe/commit flows through here (lint
-// rule `study-ask-tell`), a trace remains a pure function of
-// (seed, batch_size) no matter which driver runs the trials.
+// machine. Because every propose/observe flows through here (lint rule
+// `study-ask-tell`) and the books are private, a trace remains a pure
+// function of (seed, batch_size) no matter which driver runs the trials.
 //
 // Trial lifecycle:
 //
-//   ask(k) ──▶ Proposed ──begin_trial──▶ Pending ──tell──▶ Reported
-//                  │                        │                (status
-//                  │ stopping rule hit      │ record.status   != Failed)
-//                  ▼ (round tail drops)     ▼ == Failed
-//               Dropped                   Failed
+//   ask(k) ──▶ proposed ──begin_trial──▶ begun ──tell──▶ booked
+//                  │
+//                  │ stopping rule hit (the round's tail drops)
+//                  ▼
+//               dropped
 //
 // Pending trials are invisible to model-based proposers between ask and
 // tell by design: the constant-liar lies that represent an in-flight
@@ -44,7 +45,6 @@
 #include "core/dispatch.hpp"
 #include "core/objective.hpp"
 #include "core/resilience.hpp"
-#include "core/run_recorder.hpp"
 #include "core/run_trace.hpp"
 #include "core/search_space.hpp"
 #include "core/trace_io.hpp"
@@ -136,17 +136,6 @@ struct RunResult {
   std::string abort_reason;
 };
 
-/// Lifecycle of one asked trial (see the diagram above).
-enum class TrialState {
-  kProposed,  ///< handed out by ask(), not yet begun
-  kPending,   ///< begin_trial() admitted it; a result is owed
-  kReported,  ///< told with a non-Failed record
-  kFailed,    ///< told with a Failed record
-  kDropped,   ///< discarded: a stopping rule cut the round's tail
-};
-
-[[nodiscard]] const char* to_string(TrialState state) noexcept;
-
 /// One proposed candidate, handed out by Study::ask. A trial the study
 /// resolved itself (the a-priori models filtered it before training) comes
 /// back with requires_evaluation == false and `resolved` holding the
@@ -169,24 +158,8 @@ struct TrialResult {
   bool cost_on_clock = false;
 };
 
-/// Point-in-time view of a study, for drivers and daemons.
-struct StudySnapshot {
-  std::size_t asked = 0;
-  std::size_t pending = 0;
-  std::size_t reported = 0;
-  std::size_t failed = 0;
-  std::size_t dropped = 0;
-  std::size_t samples = 0;
-  std::size_t function_evaluations = 0;
-  double clock_s = 0.0;
-  std::optional<EvaluationRecord> best;
-  bool finished = false;
-  bool aborted = false;
-  std::string abort_reason;
-};
-
-/// The ask/tell state machine: Proposer + RunRecorder + EvalJournal +
-/// clock charges behind a pure interface. Not thread-safe: one driver
+/// The ask/tell state machine: Proposer + run books + EvalJournal + clock
+/// charges behind a pure interface. Not thread-safe: one driver
 /// thread asks and tells (concurrency lives in the drivers, behind the
 /// RoundDispatcher seam).
 class Study {
@@ -235,25 +208,24 @@ class Study {
 
   /// Admission gate, called in sample order before executing/booking each
   /// asked trial: re-checks the stopping rules (a round crossing a budget
-  /// drops its tail — this trial and every later pending one transition to
-  /// Dropped, and false is returned) and charges the proposal overhead to
-  /// the clock. Throws std::logic_error out of ask order.
+  /// drops its tail — this trial and every later pending one — and returns
+  /// false) and charges the proposal overhead to the clock. Throws
+  /// std::logic_error out of ask order.
   [[nodiscard]] bool begin_trial(std::size_t sample_index);
 
   /// Books one begun trial: re-stamps record.config from the study's own
   /// proposal copy (results, not configurations, survive execution),
   /// charges cost_s when the clock was not already advanced, classifies
-  /// against the measured budgets, timestamps, records, lets the proposer
-  /// observe, journals, and advances the consecutive-failure streak.
-  /// Throws std::logic_error out of order or before begin_trial.
+  /// against the measured budgets, timestamps, records (record_sample),
+  /// journals, and flags the abort when the consecutive-failure streak
+  /// reaches its limit. Throws std::logic_error out of order or before
+  /// begin_trial.
   void tell(TrialResult result);
 
   /// True when no further trials will be asked: a stopping rule fired
   /// (budgets, max_samples, proposer exhaustion) or the run aborted.
   [[nodiscard]] bool finished() const;
   [[nodiscard]] bool aborted() const noexcept { return aborted_; }
-
-  [[nodiscard]] StudySnapshot snapshot() const;
 
   /// Ends the run: drops any still-pending trials, writes the journal's
   /// study_state epilogue (clean finalize marker), closes the journal, and
@@ -274,9 +246,6 @@ class Study {
   }
   /// The a-priori constraints if present AND enabled, else nullptr.
   [[nodiscard]] const HardwareConstraints* active_constraints() const noexcept;
-  [[nodiscard]] const RunRecorder& recorder() const noexcept {
-    return recorder_;
-  }
 
  private:
   /// A trial between ask() and its terminal transition. The config copy is
@@ -284,22 +253,27 @@ class Study {
   struct PendingTrial {
     std::size_t sample_index = 0;
     Configuration config;
-    TrialState state = TrialState::kProposed;
+    bool begun = false;  ///< begin_trial() admitted it; a tell is owed
   };
 
   /// Shared body of begin()/resume().
   void start_run(const std::vector<EvaluationRecord>* replay,
                  parallel::ThreadPool* pool);
-  /// Re-applies already-evaluated records: advances the proposal streams /
-  /// strategy state exactly as the original run did, restores the clock
-  /// and incumbent, and appends to the trace — without any evaluation.
-  void replay_records(const std::vector<EvaluationRecord>& kept);
-  /// Replay tail of one record (clock, recorder books, proposer observe).
-  void replay_one(const EvaluationRecord& record);
-  /// Classifies a trained record against the measured budgets, stamps the
-  /// timestamp, books it through the recorder (which emits the per-sample
-  /// events), lets the proposer observe it, and journals it.
-  void book(EvaluationRecord& record);
+  /// Re-applies already-evaluated records, moving them out of @p kept:
+  /// advances the proposal streams / strategy state exactly as the
+  /// original run did, restores the clock and incumbent, and appends to the
+  /// trace — without any evaluation.
+  void replay_records(std::vector<EvaluationRecord>& kept);
+  /// Replay tail of one record: restores the clock, then record_sample.
+  void replay_one(EvaluationRecord record);
+  /// The per-record books, for live and replayed samples alike: stamps the
+  /// index, appends the record to the trace, updates the incumbent, and —
+  /// @p live only — advances the consecutive-failure streak and emits the
+  /// per-sample metrics and events (a replayed Failed sample must not
+  /// re-trigger the abort the original run survived). Then the proposer
+  /// observes the stored record, which is returned (stable until the next
+  /// record) so tell() journals exactly what the trace holds.
+  const EvaluationRecord& record_sample(EvaluationRecord record, bool live);
   /// Flags the abort when the consecutive-failure budget is exhausted.
   void check_abort();
 
@@ -309,16 +283,16 @@ class Study {
   const OptimizerOptions& options_;
   Proposer& proposer_;
   Clock& clock_;
-  RunRecorder recorder_;
+  RunTrace trace_;
+  /// Best feasible record so far; proposers read it through
+  /// ProposerRunContext::incumbent.
+  std::optional<EvaluationRecord> incumbent_;
+  std::size_t consecutive_failures_ = 0;
   EvalJournal journal_;
   /// Sequential mode's single proposal stream (batch_size == 1).
   stats::Rng shared_rng_{1};
   std::deque<PendingTrial> pending_;
   std::size_t next_sample_ = 0;
-  std::size_t asked_ = 0;
-  std::size_t reported_ = 0;
-  std::size_t failed_ = 0;
-  std::size_t dropped_ = 0;
   bool stopped_ = false;
   bool aborted_ = false;
   std::string abort_reason_;

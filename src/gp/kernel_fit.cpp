@@ -19,12 +19,15 @@ namespace hp::gp {
 namespace {
 
 constexpr double kMinusInf = -std::numeric_limits<double>::infinity();
+constexpr double kInitialStep = 0.5;  ///< log-space step size
+constexpr double kMinStep = 1e-3;     ///< a restart stops below this step
+constexpr double kMinLog = -6.0;      ///< bounds on log(params)
+constexpr double kMaxLog = 6.0;
 
-/// Flat log-space parameter vector: [log sv, log l_1..l_D, (log noise)].
+/// Flat log-space parameter vector: [log sv, log l_1..l_D, log noise].
 struct FlatParams {
   std::vector<double> values;
   std::size_t num_length_scales;
-  bool has_noise;
 
   /// Writes the kernel parameters into @p p, reusing its storage.
   void to_kernel_params(KernelParams& p) const {
@@ -35,7 +38,6 @@ struct FlatParams {
     }
   }
   [[nodiscard]] double noise_variance(double min_noise) const {
-    if (!has_noise) return min_noise;
     return std::max(min_noise, std::exp(values.back()));
   }
 };
@@ -67,16 +69,6 @@ void sum_over_dimensions(const double* scaled, std::size_t dim,
 }  // namespace
 
 void KernelFitOptions::validate() const {
-  if (!std::isfinite(min_log) || !std::isfinite(max_log) ||
-      min_log > max_log) {
-    throw std::invalid_argument(
-        "KernelFitOptions: min_log and max_log must be finite, "
-        "min_log <= max_log");
-  }
-  if (!(std::exp(min_log) > 0.0) || !std::isfinite(std::exp(max_log))) {
-    throw std::invalid_argument(
-        "KernelFitOptions: exp(min_log) must be > 0 and exp(max_log) finite");
-  }
   if (!std::isfinite(min_noise_variance) || min_noise_variance < 0.0) {
     throw std::invalid_argument(
         "KernelFitOptions: min_noise_variance must be finite and >= 0");
@@ -231,36 +223,33 @@ KernelFitResult fit_kernel_by_ml(GaussianProcess& gp, const linalg::Matrix& x,
                          fp.noise_variance(options.min_noise_variance));
   };
 
-  const auto clamp_log = [&](double v) {
-    return std::min(options.max_log, std::max(options.min_log, v));
+  const auto clamp_log = [](double v) {
+    return std::min(kMaxLog, std::max(kMinLog, v));
   };
 
   // Incumbent start: current kernel parameters (broadcast length scales).
   FlatParams best;
   best.num_length_scales = num_ls;
-  best.has_noise = options.fit_noise;
   best.values.push_back(clamp_log(std::log(start.signal_variance)));
   for (std::size_t d = 0; d < num_ls; ++d) {
     best.values.push_back(clamp_log(std::log(start.length_scale(
         start.length_scales.size() == 1 ? 0 : d))));
   }
-  if (options.fit_noise) {
-    best.values.push_back(clamp_log(
-        std::log(std::max(gp.noise_variance(), options.min_noise_variance))));
-  }
+  best.values.push_back(clamp_log(
+      std::log(std::max(gp.noise_variance(), options.min_noise_variance))));
   double best_lml = evaluate(best);
 
   for (int restart = 0; restart <= options.num_restarts; ++restart) {
     FlatParams current = best;
     if (restart > 0) {
       for (double& v : current.values) {
-        v = clamp_log(rng.uniform(options.min_log / 2.0, options.max_log / 2.0));
+        v = clamp_log(rng.uniform(kMinLog / 2.0, kMaxLog / 2.0));
       }
     }
     double current_lml = evaluate(current);
-    double step = options.initial_step;
+    double step = kInitialStep;
     for (int iter = 0; iter < options.iterations_per_restart; ++iter) {
-      if (step < options.min_step) break;
+      if (step < kMinStep) break;
       bool improved = false;
       // Randomized coordinate descent: try +/- step on each coordinate in a
       // random order, keep the first improvement.

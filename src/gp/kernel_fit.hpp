@@ -14,22 +14,18 @@
 
 namespace hp::gp {
 
-/// Search configuration for maximum-likelihood kernel fitting.
+/// Search configuration for maximum-likelihood kernel fitting. The search
+/// itself is fixed: log-space steps start at 0.5 and a restart stops once
+/// they shrink below 1e-3, every log-parameter stays in [-6, 6], and the
+/// noise variance is fitted along with the kernel parameters.
 struct KernelFitOptions {
   int num_restarts = 4;          ///< random restarts (plus the incumbent start)
   int iterations_per_restart = 40;
-  double initial_step = 0.5;     ///< log-space step size
-  double min_step = 1e-3;        ///< stop when the step shrinks below this
-  double min_log = -6.0;         ///< bounds on log(params)
-  double max_log = 6.0;
-  bool fit_noise = true;         ///< also optimize the noise variance
-  double min_noise_variance = 1e-8;
+  double min_noise_variance = 1e-8;  ///< floor on the fitted noise variance
   std::uint64_t seed = 2018;
 
-  /// Throws std::invalid_argument unless min_log <= max_log, both are
-  /// finite, exp(min_log) > 0 and exp(max_log) is finite (so every
-  /// parameter the search can reach is a valid kernel parameter), and
-  /// min_noise_variance is finite and >= 0.
+  /// Throws std::invalid_argument unless min_noise_variance is finite and
+  /// >= 0.
   void validate() const;
 };
 

@@ -9,7 +9,7 @@
 //    change a trace bit — the determinism contract of DESIGN.md §7/§9.
 //
 // Events are structured: a dotted name ("optimizer.sample", emitted by
-// the core::RunRecorder bookkeeping layer) plus typed key-value fields,
+// the core::Study's per-sample books) plus typed key-value fields,
 // fanned out to pluggable sinks (stderr pretty-printer, JSONL file, the
 // CLI progress renderer). Each sink has its own minimum
 // level; the logger-wide threshold is the most verbose sink's level

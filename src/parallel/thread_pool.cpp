@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <limits>
+#include <utility>
 
 #include "core/contracts.hpp"
 #include "obs/trace.hpp"
@@ -157,11 +159,14 @@ void ThreadPool::parallel_for(std::size_t n,
     // Inline execution, same drain-and-rethrow semantics as the threaded
     // path (every index runs; lowest failing index surfaces). No other
     // thread ever saw this batch, but `error` is guarded state and the
-    // uncontended lock keeps the access contract uniform (TSA-surfaced:
-    // this read was previously lock-free).
+    // uncontended lock keeps the access contract uniform.
     run_batch_share(batch);
-    MutexLock lock(batch->mutex);
-    if (batch->error) std::rethrow_exception(batch->error);
+    std::exception_ptr error;
+    {
+      MutexLock lock(batch->mutex);
+      error = std::move(batch->error);
+    }
+    if (error) std::rethrow_exception(error);
     return;
   }
 
@@ -184,9 +189,18 @@ void ThreadPool::parallel_for(std::size_t n,
   // batch.
   run_batch_share(batch);
 
-  MutexLock lock(batch->mutex);
-  while (batch->finished != batch->n) batch->done_cv.wait(batch->mutex);
-  if (batch->error) std::rethrow_exception(batch->error);
+  // Take the error out of the batch before rethrowing it. A helper job may
+  // still hold the batch after this call returns and drop its last
+  // reference on a worker; the exception must not die there, after the
+  // caller has already caught it and read it. Moved out, the caller's
+  // thread holds the only reference.
+  std::exception_ptr error;
+  {
+    MutexLock lock(batch->mutex);
+    while (batch->finished != batch->n) batch->done_cv.wait(batch->mutex);
+    error = std::move(batch->error);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace hp::parallel

@@ -55,7 +55,7 @@ class NnTrainingObjective final : public core::Objective {
   nn::DataSplit data_;
   hw::GpuSimulator simulator_;
   NnObjectiveOptions options_;
-  core::VirtualClock clock_;
+  core::Clock clock_;
   std::uint64_t evaluation_counter_ = 0;
 };
 

@@ -114,7 +114,6 @@ class TestbedObjective final : public core::Objective {
     return landscape_;
   }
   [[nodiscard]] hw::GpuSimulator& simulator() noexcept { return simulator_; }
-  [[nodiscard]] core::VirtualClock& virtual_clock() noexcept { return clock_; }
   [[nodiscard]] const TestbedOptions& options() const noexcept {
     return options_;
   }
@@ -135,7 +134,7 @@ class TestbedObjective final : public core::Objective {
   ErrorLandscape landscape_;
   hw::GpuSimulator simulator_;
   TestbedOptions options_;
-  core::VirtualClock clock_;
+  core::Clock clock_;
   double reference_macs_ = 1.0;
   const core::HardwareModel* fallback_power_ = nullptr;
   const core::HardwareModel* fallback_memory_ = nullptr;

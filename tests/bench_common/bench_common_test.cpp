@@ -28,7 +28,9 @@ TEST(TextTable, RendersAlignedColumnsWithSeparator) {
   while (start < out.size()) {
     const auto nl = out.find('\n', start);
     const std::size_t width = nl - start;
-    if (prev != std::string::npos) EXPECT_EQ(width, prev);
+    if (prev != std::string::npos) {
+      EXPECT_EQ(width, prev);
+    }
     prev = width;
     start = nl + 1;
   }

@@ -69,7 +69,6 @@ class FakeObjective final : public Objective {
   [[nodiscard]] std::size_t evaluations() const noexcept {
     return evaluations_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] VirtualClock& virtual_clock() noexcept { return clock_; }
   void set_diverge_above(double threshold) { diverge_above_ = threshold; }
   /// Tests covering the serial-objective fallback turn this off.
   void set_supports_concurrent(bool on) { concurrent_ = on; }
@@ -80,7 +79,7 @@ class FakeObjective final : public Objective {
   double chance_;
   double diverge_above_ = 2.0;  // no divergence by default
   bool concurrent_ = true;
-  VirtualClock clock_;
+  Clock clock_;
   std::atomic<std::size_t> evaluations_{0};
 };
 

@@ -156,7 +156,7 @@ TEST(FaultInjection, RetriesRecoverScheduledTransientFaults) {
   EXPECT_EQ(faulty.injected_failures(), 1u);
   // injected failure (5 s) + backoff (30 s) + real evaluation (10 s).
   EXPECT_DOUBLE_EQ(outcome.record.cost_s, 45.0);
-  EXPECT_DOUBLE_EQ(inner.virtual_clock().now_s(), 45.0);
+  EXPECT_DOUBLE_EQ(inner.clock().now_s(), 45.0);
 }
 
 TEST(FaultInjection, EveryKindWeightZeroRateZeroPassesThroughUntouched) {

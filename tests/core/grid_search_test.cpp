@@ -76,21 +76,6 @@ TEST(GridSearch, DeterministicAcrossRuns) {
   }
 }
 
-TEST(GridSearch, WrapsAroundWhenBudgetOutlastsGrid) {
-  auto space = fake_space();
-  FakeObjective obj(space, 1.0);
-  GridSearchOptions grid;
-  grid.levels_per_dimension = 2;  // 4 points
-  grid.wrap_around = true;        // opt back into the historic revisiting
-  Optimizer gs(space, obj, {}, nullptr, fixed_evals(10),
-               std::make_unique<GridSearchProposer>(space, grid));
-  const auto result = gs.run();
-  EXPECT_EQ(result.trace.size(), 10u);
-  // Points 0 and 4 coincide (wrap-around).
-  EXPECT_EQ(result.trace.records()[0].config,
-            result.trace.records()[4].config);
-}
-
 TEST(GridSearch, StopsAtExhaustionByDefault) {
   auto space = fake_space();
   FakeObjective obj(space, 1.0);

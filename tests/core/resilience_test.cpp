@@ -41,9 +41,6 @@ class FlakyObjective final : public Objective {
   }
   [[nodiscard]] Clock& clock() override { return inner_.clock(); }
 
-  [[nodiscard]] VirtualClock& virtual_clock() noexcept {
-    return inner_.virtual_clock();
-  }
   [[nodiscard]] std::size_t evaluations() const noexcept {
     return inner_.evaluations();
   }
@@ -128,8 +125,8 @@ TEST(RetryPolicy, ValidateRejectsBadValues) {
   }
 }
 
-TEST(VirtualClock, AdvanceRejectsNegativeAndNaNDurations) {
-  VirtualClock clock;
+TEST(Clock, AdvanceRejectsNegativeAndNaNDurations) {
+  Clock clock;
   clock.advance(2.5);
   EXPECT_THROW(clock.advance(-1.0), std::invalid_argument);
   EXPECT_THROW(clock.advance(std::numeric_limits<double>::quiet_NaN()),
@@ -174,7 +171,7 @@ TEST(ResilientEvaluator, RetriesTransientFailuresUntilSuccess) {
   EXPECT_EQ(outcome.record.status, EvaluationStatus::Completed);
   // 2 failed attempts (5 s each) + backoffs 30 s and 60 s + success (10 s).
   EXPECT_DOUBLE_EQ(outcome.record.cost_s, 110.0);
-  EXPECT_DOUBLE_EQ(objective.virtual_clock().now_s(), 110.0);
+  EXPECT_DOUBLE_EQ(objective.clock().now_s(), 110.0);
 }
 
 TEST(ResilientEvaluator, PersistentFailureIsNotRetried) {
@@ -194,7 +191,7 @@ TEST(ResilientEvaluator, PersistentFailureIsNotRetried) {
   EXPECT_EQ(outcome.record.config, some_config());
   EXPECT_DOUBLE_EQ(outcome.record.test_error, 1.0);
   EXPECT_DOUBLE_EQ(outcome.record.cost_s, 5.0);
-  EXPECT_DOUBLE_EQ(objective.virtual_clock().now_s(), 5.0);
+  EXPECT_DOUBLE_EQ(objective.clock().now_s(), 5.0);
 }
 
 TEST(ResilientEvaluator, ExhaustedAttemptsYieldFailedRecord) {
@@ -211,7 +208,7 @@ TEST(ResilientEvaluator, ExhaustedAttemptsYieldFailedRecord) {
   EXPECT_EQ(*outcome.record.failure_kind, FailureKind::Transient);
   // 3 failed attempts (5 s) + backoffs 30 s and 60 s.
   EXPECT_DOUBLE_EQ(outcome.record.cost_s, 105.0);
-  EXPECT_DOUBLE_EQ(objective.virtual_clock().now_s(), 105.0);
+  EXPECT_DOUBLE_EQ(objective.clock().now_s(), 105.0);
 }
 
 TEST(ResilientEvaluator, UntypedExceptionsCostNothingExtra) {
@@ -224,7 +221,7 @@ TEST(ResilientEvaluator, UntypedExceptionsCostNothingExtra) {
       evaluator.evaluate(some_config(), nullptr, 0, false);
   EXPECT_TRUE(outcome.failed);
   EXPECT_DOUBLE_EQ(outcome.record.cost_s, 0.0);
-  EXPECT_DOUBLE_EQ(objective.virtual_clock().now_s(), 0.0);
+  EXPECT_DOUBLE_EQ(objective.clock().now_s(), 0.0);
 }
 
 TEST(ResilientEvaluator, DetachedPathFoldsAllCostsWithoutTouchingClock) {
@@ -239,7 +236,7 @@ TEST(ResilientEvaluator, DetachedPathFoldsAllCostsWithoutTouchingClock) {
   EXPECT_EQ(outcome.record.attempts, 2u);
   // failed attempt (5 s) + first backoff (30 s) + success (10 s).
   EXPECT_DOUBLE_EQ(outcome.record.cost_s, 45.0);
-  EXPECT_DOUBLE_EQ(objective.virtual_clock().now_s(), 0.0);
+  EXPECT_DOUBLE_EQ(objective.clock().now_s(), 0.0);
 }
 
 TEST(ResilientEvaluator, BackoffJitterIsAPureFunctionOfSeedAndSample) {
@@ -305,7 +302,7 @@ TEST(ResilientEvaluator, DeadlineTimesOutHungAttemptAndRetries) {
   EXPECT_EQ(outcome.record.status, EvaluationStatus::Completed);
   // Timed-out attempt costs no virtual time; one backoff (1 s) + success.
   EXPECT_DOUBLE_EQ(outcome.record.cost_s, 11.0);
-  EXPECT_DOUBLE_EQ(objective.virtual_clock().now_s(), 11.0);
+  EXPECT_DOUBLE_EQ(objective.clock().now_s(), 11.0);
 }
 
 TEST(ResilientEvaluator, ExhaustedTimeoutsYieldTimeoutFailedRecord) {

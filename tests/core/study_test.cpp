@@ -2,13 +2,18 @@
 // hand instead of by the Optimizer. The driver-level behavior (golden
 // traces, resume, fleet) is pinned elsewhere; this file covers the
 // contract of the interface itself — batch shortening on exhaustion,
-// lifecycle ordering, tail dropping, and the config re-stamp.
+// lifecycle ordering, tail dropping, the config re-stamp, and the books
+// (counts, incumbent, clock, one definition of a measured violation).
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/clock.hpp"
@@ -17,6 +22,7 @@
 #include "core/study.hpp"
 #include "core/trace_io.hpp"
 #include "fake_objective.hpp"
+#include "obs/obs.hpp"
 
 namespace hp::core {
 namespace {
@@ -72,7 +78,7 @@ TEST(Study, ExhaustedProposerShortensThenEmptiesTheBatch) {
   GridSearchOptions grid;
   grid.levels_per_dimension = 3;  // 3^2 = 9 points, not a multiple of 4
   GridSearchProposer proposer(space, grid);
-  VirtualClock clock;
+  Clock clock;
   const OptimizerOptions options = batched_options(4);
   Study study(space, ConstraintBudgets{}, nullptr, options, proposer, clock);
   study.begin();
@@ -109,7 +115,7 @@ TEST(Study, AskOnFullyExhaustedProposerReturnsEmptyNotPadded) {
   GridSearchOptions grid;
   grid.levels_per_dimension = 2;  // 4 points: one exact round of 4
   GridSearchProposer proposer(space, grid);
-  VirtualClock clock;
+  Clock clock;
   const OptimizerOptions options = batched_options(4);
   Study study(space, ConstraintBudgets{}, nullptr, options, proposer, clock);
   study.begin();
@@ -127,7 +133,7 @@ TEST(Study, AskOnFullyExhaustedProposerReturnsEmptyNotPadded) {
 TEST(Study, AskWhileRoundPendingThrows) {
   const HyperParameterSpace space = fake_space();
   RandomSearchProposer proposer(space);
-  VirtualClock clock;
+  Clock clock;
   const OptimizerOptions options = batched_options(2);
   Study study(space, ConstraintBudgets{}, nullptr, options, proposer, clock);
   study.begin();
@@ -142,7 +148,7 @@ TEST(Study, AskWhileRoundPendingThrows) {
 TEST(Study, LifecycleOrderingIsEnforced) {
   const HyperParameterSpace space = fake_space();
   RandomSearchProposer proposer(space);
-  VirtualClock clock;
+  Clock clock;
   const OptimizerOptions options = batched_options(3);
   Study study(space, ConstraintBudgets{}, nullptr, options, proposer, clock);
   study.begin();
@@ -177,7 +183,7 @@ TEST(Study, LifecycleOrderingIsEnforced) {
 TEST(Study, StoppingRuleDropsTheRoundTail) {
   const HyperParameterSpace space = fake_space();
   RandomSearchProposer proposer(space);
-  VirtualClock clock;
+  Clock clock;
   OptimizerOptions options = batched_options(4);
   options.max_function_evaluations = 2;
   Study study(space, ConstraintBudgets{}, nullptr, options, proposer, clock);
@@ -189,22 +195,20 @@ TEST(Study, StoppingRuleDropsTheRoundTail) {
   // the remaining tail in one transition.
   EXPECT_EQ(tell_round(study, trials), 2u);
 
-  const StudySnapshot snap = study.snapshot();
-  EXPECT_EQ(snap.asked, 4u);
-  EXPECT_EQ(snap.reported, 2u);
-  EXPECT_EQ(snap.dropped, 2u);
-  EXPECT_EQ(snap.pending, 0u);
-  EXPECT_EQ(snap.function_evaluations, 2u);
-  EXPECT_TRUE(snap.finished);
-  EXPECT_FALSE(snap.aborted);
+  EXPECT_TRUE(study.finished());
+  EXPECT_FALSE(study.aborted());
+  // Nothing is left pending (ask would throw), and nothing more is asked.
   EXPECT_TRUE(study.ask(4).empty());
-  EXPECT_EQ(study.finish().trace.size(), 2u);
+  const RunResult result = study.finish();
+  EXPECT_EQ(result.trace.size(), 2u);
+  EXPECT_EQ(result.trace.function_evaluations(), 2u);
+  EXPECT_EQ(result.trace.completed_count(), 2u);
 }
 
 TEST(Study, TellRestampsConfigFromTheProposalCopy) {
   const HyperParameterSpace space = fake_space();
   RandomSearchProposer proposer(space);
-  VirtualClock clock;
+  Clock clock;
   const OptimizerOptions options = batched_options(2);
   Study study(space, ConstraintBudgets{}, nullptr, options, proposer, clock);
   study.begin();
@@ -227,21 +231,16 @@ TEST(Study, TellRestampsConfigFromTheProposalCopy) {
   }
 }
 
-TEST(Study, SnapshotTracksCountersAndClockAcrossARound) {
+TEST(Study, BooksTrackClockBestAndCountsAcrossARound) {
   const HyperParameterSpace space = fake_space();
   RandomSearchProposer proposer(space);  // proposal_overhead_s() == 0.5
-  VirtualClock clock;
+  Clock clock;
   const OptimizerOptions options = batched_options(2);
   Study study(space, ConstraintBudgets{}, nullptr, options, proposer, clock);
   study.begin();
 
-  EXPECT_EQ(study.snapshot().asked, 0u);
   const std::vector<Trial> trials = study.ask(2);
   ASSERT_EQ(trials.size(), 2u);
-  StudySnapshot snap = study.snapshot();
-  EXPECT_EQ(snap.asked, 2u);
-  EXPECT_EQ(snap.pending, 2u);
-  EXPECT_EQ(snap.reported, 0u);
 
   ASSERT_TRUE(study.begin_trial(trials[0].sample_index));
   EvaluationRecord failed = completed_record(trials[0], 1.0);
@@ -253,22 +252,82 @@ TEST(Study, SnapshotTracksCountersAndClockAcrossARound) {
   study.tell({trials[1].sample_index, completed_record(trials[1], 0.5),
               /*cost_on_clock=*/false});
 
-  snap = study.snapshot();
-  EXPECT_EQ(snap.pending, 0u);
-  EXPECT_EQ(snap.reported, 1u);
-  EXPECT_EQ(snap.failed, 1u);
-  EXPECT_EQ(snap.samples, 2u);
-  ASSERT_TRUE(snap.best.has_value());
-  EXPECT_EQ(snap.best->test_error, 0.5);
   // Two proposal overheads (2 x 0.5 s) + two evaluation costs (2 x 5 s).
-  EXPECT_DOUBLE_EQ(snap.clock_s, 11.0);
-  (void)study.finish();
+  EXPECT_DOUBLE_EQ(clock.now_s(), 11.0);
+  const RunResult result = study.finish();
+  EXPECT_FALSE(result.aborted);
+  ASSERT_EQ(result.trace.size(), 2u);
+  EXPECT_EQ(result.trace.failed_count(), 1u);
+  EXPECT_EQ(result.trace.completed_count(), 1u);
+  ASSERT_TRUE(result.best.has_value());
+  EXPECT_EQ(result.best->test_error, 0.5);
+}
+
+/// Keeps the measured-violation field of the progress and done events.
+class ViolationFieldSink final : public obs::LogSink {
+ public:
+  void write(const obs::LogEvent& event) override {
+    for (const obs::LogField& field : event.fields) {
+      if ((event.name == "optimizer.progress" && field.key == "violations") ||
+          (event.name == "optimizer.done" &&
+           field.key == "measured_violations")) {
+        fields[event.name] = field.value.dump();
+      }
+    }
+  }
+  std::map<std::string, std::string> fields;  ///< event name -> JSON value
+};
+
+// One definition of a measured violation: a function evaluation (Completed
+// or EarlyTerminated) whose measured metrics break a budget. An
+// early-terminated training measured over the power budget is one in the
+// progress event, the done event, the metric and the trace alike.
+TEST(Study, EarlyTerminatedOverBudgetIsOneMeasuredViolationEverywhere) {
+  const HyperParameterSpace space = fake_space();
+  RandomSearchProposer proposer(space);
+  Clock clock;
+  const OptimizerOptions options = batched_options(1);
+  ConstraintBudgets budgets;
+  budgets.power_w = 50.0;
+  Study study(space, budgets, nullptr, options, proposer, clock);
+
+  struct ObsOn {
+    std::shared_ptr<ViolationFieldSink> sink =
+        std::make_shared<ViolationFieldSink>();
+    ObsOn() {
+      obs::logger().add_sink(sink, obs::LogLevel::kInfo);
+      obs::metrics().set_enabled(true);
+    }
+    ~ObsOn() {
+      obs::logger().remove_sink(sink);
+      obs::metrics().set_enabled(false);
+    }
+  } obs_on;
+  const obs::Counter& counter =
+      obs::metrics().counter("optimizer.measured_violations");
+  const std::uint64_t counted_before = counter.value();
+
+  study.begin();
+  const std::vector<Trial> trials = study.ask(1);
+  ASSERT_EQ(trials.size(), 1u);
+  ASSERT_TRUE(study.begin_trial(trials[0].sample_index));
+  EvaluationRecord record = completed_record(trials[0], 0.9);
+  record.status = EvaluationStatus::EarlyTerminated;
+  record.measured_power_w = 80.0;  // over the 50 W budget
+  study.tell({trials[0].sample_index, std::move(record),
+              /*cost_on_clock=*/false});
+  const RunResult result = study.finish();
+
+  EXPECT_EQ(obs_on.sink->fields["optimizer.progress"], "1");
+  EXPECT_EQ(obs_on.sink->fields["optimizer.done"], "1");
+  EXPECT_EQ(counter.value() - counted_before, 1u);
+  EXPECT_EQ(result.trace.measured_violation_count(), 1u);
 }
 
 TEST(Study, FinishFinalizesTheJournalWithStudyState) {
   const HyperParameterSpace space = fake_space();
   RandomSearchProposer proposer(space);
-  VirtualClock clock;
+  Clock clock;
   OptimizerOptions options = batched_options(2);
   options.journal_path =
       std::string(::testing::TempDir()) + "/study_finalize.hpj";

@@ -75,17 +75,48 @@ TEST(TraceIo, RoundTripPreservesEveryField) {
   }
 }
 
+// A loaded trace is counted by RunTrace::add like a live one: every count
+// query answers from the loaded rows.
 TEST(TraceIo, LoadedTraceSupportsDerivedQueries) {
+  RunTrace trace = sample_trace();
+  EvaluationRecord failed;
+  failed.index = 4;
+  failed.timestamp_s = 170.0;
+  failed.status = EvaluationStatus::Failed;
+  failed.attempts = 3;  // two retries
+  failed.failure_kind = FailureKind::Transient;
+  failed.cost_s = 10.0;
+  trace.add(failed);
+  EvaluationRecord fallback;  // sensors dark: predicted metrics, over budget
+  fallback.index = 5;
+  fallback.timestamp_s = 200.0;
+  fallback.status = EvaluationStatus::Completed;
+  fallback.test_error = 0.125;
+  fallback.measured_power_w = 120.0;
+  fallback.measured = false;
+  fallback.violates_constraints = true;
+  fallback.attempts = 2;  // one retry
+  fallback.cost_s = 30.0;
+  trace.add(fallback);
+
   std::stringstream buffer;
-  sample_trace().write_csv(buffer);
+  trace.write_csv(buffer);
   const RunTrace loaded = load_trace_csv(buffer);
-  EXPECT_EQ(loaded.function_evaluations(), 2u);
+  ASSERT_EQ(loaded.size(), 6u);
+  EXPECT_EQ(loaded.function_evaluations(), 3u);
+  EXPECT_EQ(loaded.completed_count(), 2u);
   EXPECT_EQ(loaded.model_filtered_count(), 1u);
   EXPECT_EQ(loaded.early_terminated_count(), 1u);
+  EXPECT_EQ(loaded.infeasible_count(), 1u);
+  EXPECT_EQ(loaded.failed_count(), 1u);
+  EXPECT_EQ(loaded.fallback_count(), 1u);
+  EXPECT_EQ(loaded.total_retries(), 3u);
+  // The model-filtered record violates only by prediction.
+  EXPECT_EQ(loaded.measured_violation_count(), 1u);
   const auto best = loaded.best();
   ASSERT_TRUE(best.has_value());
   EXPECT_DOUBLE_EQ(best->test_error, 0.25);
-  EXPECT_DOUBLE_EQ(loaded.total_time_s(), 160.0);
+  EXPECT_DOUBLE_EQ(loaded.total_time_s(), 200.0);
 }
 
 TEST(TraceIo, RoundTripsMemoryAbsentRecords) {

@@ -161,23 +161,12 @@ TEST(KernelFit, RejectsBadOptions) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   struct Case {
     const char* name;
-    double min_log;
-    double max_log;
-    bool fit_noise;
     double min_noise_variance;
   };
   const Case cases[] = {
-      {"min_log above max_log", 1.0, 0.0, true, 1e-8},
-      {"infinite min_log", -inf, 6.0, true, 1e-8},
-      {"infinite max_log", -6.0, inf, true, 1e-8},
-      {"NaN min_log", nan, 6.0, true, 1e-8},
-      {"NaN max_log", -6.0, nan, true, 1e-8},
-      {"exp(min_log) underflows to 0", -800.0, 6.0, true, 1e-8},
-      {"exp(max_log) overflows to inf", -6.0, 800.0, true, 1e-8},
-      {"negative noise floor, fixed noise", -6.0, 6.0, false, -1e-6},
-      {"negative noise floor, fitted noise", -6.0, 6.0, true, -1e-6},
-      {"NaN noise floor", -6.0, 6.0, true, nan},
-      {"infinite noise floor", -6.0, 6.0, true, inf},
+      {"negative noise floor", -1e-6},
+      {"NaN noise floor", nan},
+      {"infinite noise floor", inf},
   };
   Matrix x;
   Vector y;
@@ -185,19 +174,15 @@ TEST(KernelFit, RejectsBadOptions) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     KernelFitOptions options;
-    options.min_log = c.min_log;
-    options.max_log = c.max_log;
-    options.fit_noise = c.fit_noise;
     options.min_noise_variance = c.min_noise_variance;
     EXPECT_THROW(options.validate(), std::invalid_argument);
     GaussianProcess gp(Matern52Kernel(KernelParams{}), 1e-4);
     EXPECT_THROW((void)fit_kernel_by_ml(gp, x, y, options),
                  std::invalid_argument);
   }
-  // The defaults and equal bounds are valid.
+  // The defaults and a zero noise floor are valid.
   KernelFitOptions options;
   EXPECT_NO_THROW(options.validate());
-  options.min_log = options.max_log = 0.0;
   options.min_noise_variance = 0.0;
   EXPECT_NO_THROW(options.validate());
 }

@@ -69,7 +69,7 @@ TEST_F(FrameworkTest, AllFourMethodsRunInBothModes) {
   for (Method m : {Method::Rand, Method::RandWalk, Method::HwCwei,
                    Method::HwIeci}) {
     for (bool hyperpower : {false, true}) {
-      objective_.virtual_clock().reset();
+      objective_.clock().reset();
       FrameworkOptions opt;
       opt.method = m;
       opt.hyperpower_mode = hyperpower;
@@ -95,12 +95,12 @@ TEST_F(FrameworkTest, HyperPowerRandQueriesManyMoreSamplesPerHour) {
   def.hyperpower_mode = false;
   def.optimizer.max_runtime_s = 3600.0;
   def.optimizer.seed = 11;
-  objective_.virtual_clock().reset();
+  objective_.clock().reset();
   const auto default_run = fw.optimize(def);
 
   FrameworkOptions hp_mode = def;
   hp_mode.hyperpower_mode = true;
-  objective_.virtual_clock().reset();
+  objective_.clock().reset();
   const auto hyper_run = fw.optimize(hp_mode);
 
   EXPECT_GT(hyper_run.run.trace.size(), 3 * default_run.run.trace.size());
@@ -122,7 +122,7 @@ TEST_F(FrameworkTest, HwIeciRarelyTrainsViolatingSamples) {
   opt.optimizer.max_function_evaluations = 15;
   opt.optimizer.max_samples = 2000;
   opt.optimizer.seed = 13;
-  objective_.virtual_clock().reset();
+  objective_.clock().reset();
   const auto result = fw.optimize(opt);
   // The paper reports zero constraint-violating samples for HW-IECI; with
   // a ~3% RMSPE model a rare borderline miss is possible but must stay

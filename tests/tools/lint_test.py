@@ -150,29 +150,24 @@ class RawObjectiveEvaluateTest(unittest.TestCase):
 
 
 class StudyAskTellTest(unittest.TestCase):
-    def test_fires_on_proposer_and_recorder_mutation_outside_study(self):
+    def test_fires_on_proposer_mutation_outside_study(self):
         findings = run_checks({
             "src/core/optimizer.cpp":
                 "void f() { auto c = proposer_.propose(rng);\n"
                 "  auto batch = proposer.propose_batch(base, count);\n"
-                "  recorder_.observe_sample(record, mode);\n"
-                "  recorder_.commit(std::move(record), mode);\n"
-                "  recorder_.begin_run(); }\n",
+                "  proposer_.begin_run(context); }\n",
             "src/dist/job_scheduler.cpp":
-                "void g() { proposer->observe(record);\n"
-                "  auto t = recorder.take_trace(); }\n",
+                "void g() { proposer->observe(record); }\n",
         })
         self.assertEqual(rules(findings), {"study-ask-tell"})
-        self.assertEqual(len(findings), 7)
+        self.assertEqual(len(findings), 4)
 
     def test_study_internals_self_calls_and_tests_are_exempt(self):
         findings = run_checks({
             # The sanctioned owner of ask/tell state transitions.
             "src/core/study.cpp":
                 "void f() { auto c = proposer_.propose(rng);\n"
-                "  recorder_.observe_sample(record, mode);\n"
-                "  proposer_.observe(record);\n"
-                "  recorder_.commit(std::move(record), mode); }\n",
+                "  proposer_.observe(record); }\n",
             # A proposer's own batch helper calls propose() bare — no
             # member receiver, so subclass internals stay legal.
             "src/core/bayes_opt.cpp":

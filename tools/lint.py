@@ -30,11 +30,11 @@ Rules (see DESIGN.md §10 for rationale and how to add one):
                         (DESIGN.md §12). Hardware cost-model evaluate()
                         calls and tests are exempt.
   study-ask-tell        In library code (src/), direct mutation of a run's
-                        proposal strategy or books — Proposer::propose /
-                        propose_batch / begin_run / observe and
-                        RunRecorder::begin_run / observe_sample / commit /
-                        take_trace — is reserved for core::Study
-                        (src/core/study.cpp). Optimizer, dist, and cli layers
+                        proposal strategy — Proposer::propose /
+                        propose_batch / begin_run / observe — is reserved
+                        for core::Study (src/core/study.cpp); the run's
+                        books are private Study members, so the compiler
+                        guards them. Optimizer, dist, and cli layers
                         must go through ask()/tell(): the ask/tell
                         confinement is what guarantees a trace stays a
                         pure function of (seed, batch_size) no matter
@@ -267,15 +267,15 @@ def check_raw_objective_evaluate(path, root, lines, findings):
             "evaluation is retried, journaled, and recorded"))
 
 
-# Member calls that mutate a run's proposal/recording state. propose,
-# propose_batch, begin_run, observe_sample, commit, and take_trace are
-# unambiguous member names in library code; Proposer::observe shares its
-# name with obs::Histogram::observe, so it is matched separately with a
-# proposer-ish receiver. Subclass internals (a proposer calling its own
-# propose() in a lambda) have no member receiver and don't match.
+# Member calls that mutate a run's proposal state. propose, propose_batch
+# and begin_run are unambiguous member names in library code;
+# Proposer::observe shares its name with obs::Histogram::observe, so it is
+# matched separately with a proposer-ish receiver. Subclass internals (a
+# proposer calling its own propose() in a lambda) have no member receiver
+# and don't match. The run's books (trace, incumbent, failure streak) are
+# private members of core::Study, so no rule is needed for them.
 STUDY_MUTATION_RE = re.compile(
-    r"(?:\.|->)\s*(?:propose_batch|propose|observe_sample|take_trace|"
-    r"begin_run|commit)\s*\(")
+    r"(?:\.|->)\s*(?:propose_batch|propose|begin_run)\s*\(")
 PROPOSER_OBSERVE_RE = re.compile(
     r"\b\w*[Pp]roposer\w*\s*(?:\.|->)\s*observe\s*\(")
 # The one sanctioned owner of ask/tell state transitions.
@@ -296,7 +296,7 @@ def check_study_ask_tell(path, root, lines, findings):
             continue
         findings.append(Finding(
             path, lineno, "study-ask-tell",
-            "Proposer/RunRecorder mutation is confined to core::Study "
+            "Proposer mutation is confined to core::Study "
             "(src/core/study.cpp); drivers and frontends must go through "
             "Study::ask/tell so the trace stays a pure function of "
             "(seed, batch_size) regardless of the executor (DESIGN.md §16)"))

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Tier-1 verification wrapper, six phases (see tests/README.md):
-#   1. default build + full ctest suite, after checking that every ctest
-#      name is free of raw parameter dumps
+#   1. default build with warnings as errors + full ctest suite, after
+#      checking that every ctest name is free of raw parameter dumps
 #   2. ThreadSanitizer rebuild of the concurrency + resilience suites
 #      (test_parallel, test_obs, test_resilience, test_integration), run
 #      directly
@@ -65,8 +65,8 @@ sanitizer_ctest_phase() {
 echo "== tier 1: project lint =="
 python3 tools/lint.py
 
-echo "== tier 1: default build =="
-cmake -B build -S . >/dev/null
+echo "== tier 1: default build (warnings as errors) =="
+cmake -B build -S . -DHYPERPOWER_WARNINGS_AS_ERRORS=ON >/dev/null
 cmake --build build -j "$jobs"
 # A parameterized test whose parameter type has no PrintTo overload is
 # listed with a raw byte dump ("# GetParam() = 24-byte object <...>"),
