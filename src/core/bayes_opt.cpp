@@ -191,7 +191,7 @@ void BayesOptProposer::refit_objective_gp() {
   if (kernel_ml) {
     gp::KernelFitOptions fit = bo_options_.kernel_fit;
     fit.min_noise_variance = bo_options_.observation_noise;
-    (void)gp::fit_kernel_by_ml(*objective_gp_, x, y, fit);
+    (void)gp::fit_kernel_by_ml(*objective_gp_, x, y, fit, thread_pool());
     observations_since_kernel_fit_ = 0;
   } else {
     objective_gp_->fit(x, y);

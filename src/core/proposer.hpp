@@ -42,10 +42,12 @@ struct ProposerRunContext {
   const std::optional<EvaluationRecord>* incumbent = nullptr;
   std::uint64_t seed = 1;
   /// The run's thread pool, lent by the driver (zero workers on a
-  /// one-thread run; null when the driver has none). Proposals run while
-  /// the pool is idle, so a strategy may fan work out over it inside
-  /// propose()/propose_batch(), provided the result does not depend on the
-  /// worker count.
+  /// one-thread run; null when the driver has none). The pool is idle
+  /// whenever the study proposes or observes: the driver tells only after
+  /// a round's evaluations return, and replay runs before the first round.
+  /// So a strategy may fan work out over it inside propose(),
+  /// propose_batch() and observe(), provided the result does not depend
+  /// on the worker count.
   parallel::ThreadPool* pool = nullptr;
 };
 
@@ -74,15 +76,26 @@ class Proposer {
 
   /// True when propose() may run concurrently from worker threads (it only
   /// reads shared state: the space and the incumbent snapshot). Strategies
-  /// whose proposals mutate sequential state (constant-liar BO, the grid
-  /// cursor) return false and produce whole rounds through propose_batch.
+  /// whose proposals are not a function of their sample's stream alone
+  /// (constant-liar BO refits between in-round proposals; the grid derives
+  /// each point from its sample index) return false and produce whole
+  /// rounds through propose_batch.
+  ///
+  /// Every strategy keeps one rule, whatever this returns: between rounds,
+  /// its state is a function of the run context and the records it has
+  /// observed. Proposing may change state only until
+  /// propose_batch returns (BO pops its constant liars before returning).
+  /// That is what lets a batched resume observe every replayed round but
+  /// the last without proposing it (Study::resume).
   [[nodiscard]] virtual bool supports_parallel_proposals() const {
     return true;
   }
 
   /// Proposes up to @p count candidates for samples [first_sample_index,
-  /// first_sample_index + count) on the calling thread. Only used when
-  /// supports_parallel_proposals() is false. May return fewer than
+  /// first_sample_index + count) on the calling thread. Study::ask uses it
+  /// when supports_parallel_proposals() is false, and a batched resume
+  /// re-proposes its final replayed round through it for every strategy,
+  /// so it must propose what the asked round would. May return fewer than
   /// @p count when the strategy runs out of candidates mid-batch (a finite
   /// grid); the study truncates the round instead of padding it. The
   /// default loops propose() with each sample's own RNG stream.
@@ -101,7 +114,7 @@ class Proposer {
   /// True when the strategy can produce no further candidates; the study
   /// stops the run before the next proposal. Infinite strategies (every
   /// randomized method) keep the default false; finite ones (GridSearch)
-  /// flip it after their last point.
+  /// flip it once they have observed their last point.
   [[nodiscard]] virtual bool exhausted() const { return false; }
 
  protected:

@@ -229,6 +229,21 @@ void Study::replay_one(EvaluationRecord record) {
         std::to_string(record.index) + " at position " +
         std::to_string(trace_.size()) + ")");
   }
+  // ask() filters a candidate exactly when the a-priori models predict it
+  // breaks a budget, so every record must get its verdict again. This
+  // checks the rounds a batched replay does not re-propose.
+  const HardwareConstraints* filter =
+      options_.filter_before_training ? active_constraints() : nullptr;
+  const bool filtered =
+      filter != nullptr &&
+      !filter->predicted_feasible(space_.structural_vector(record.config));
+  if (filtered != (record.status == EvaluationStatus::ModelFiltered)) {
+    throw std::runtime_error(
+        "resume: the a-priori models' verdict diverges from the journal at "
+        "sample " +
+        std::to_string(record.index) +
+        " (journal written with different budgets/models/mode?)");
+  }
   const double delta = record.timestamp_s - clock_.now_s();
   if (delta > 0.0) clock_.advance(delta);
   (void)record_sample(std::move(record), /*live=*/false);
@@ -254,28 +269,20 @@ void Study::replay_records(std::vector<EvaluationRecord>& kept) {
     }
     return;
   }
-  std::size_t base = 0;
-  while (base < kept.size()) {
-    const std::size_t count =
-        std::min(options_.batch_size, kept.size() - base);
-    if (!proposer_.supports_parallel_proposals()) {
-      // Sequential proposal state (the constant-liar surrogate, the grid
-      // cursor) must be re-advanced; re-running the batch keeps it aligned
-      // with the original run.
-      const std::vector<Configuration> proposals =
-          proposer_.propose_batch(base, count);
-      for (std::size_t j = 0; j < count; ++j) {
-        if (j >= proposals.size() || proposals[j] != kept[base + j].config) {
-          mismatch(base + j);
-        }
-      }
+  // Between rounds a strategy's state is a function of the records it has
+  // observed (the Proposer rule), and batched proposals draw from
+  // per-sample streams, so every kept round but the last is only observed.
+  // The last one is re-proposed and compared with the journal: the
+  // divergence check for a journal written under other options.
+  const std::size_t last = kept.size() - options_.batch_size;
+  for (std::size_t i = 0; i < last; ++i) replay_one(std::move(kept[i]));
+  const std::vector<Configuration> proposals =
+      proposer_.propose_batch(last, options_.batch_size);
+  for (std::size_t i = last; i < kept.size(); ++i) {
+    if (i - last >= proposals.size() || proposals[i - last] != kept[i].config) {
+      mismatch(i);
     }
-    // Parallel proposals only *read* shared state (per-sample streams),
-    // so they need no replay; finalize order is all that matters.
-    for (std::size_t j = 0; j < count; ++j) {
-      replay_one(std::move(kept[base + j]));
-    }
-    base += count;
+    replay_one(std::move(kept[i]));
   }
 }
 
@@ -292,8 +299,8 @@ std::vector<Trial> Study::ask(std::size_t k) {
   const bool batched = options_.batch_size > 1;
 
   // Sequential mode draws its one candidate from the run's shared stream;
-  // strategies with sequential proposal state (constant-liar BO, the grid
-  // cursor) produce the whole round up front; parallel-proposal strategies
+  // strategies without parallel proposals (constant-liar BO, the grid's
+  // index-derived points) produce the whole round up front; the others
   // draw each sample from its own (seed, sample-index) stream. All of
   // these only read round-constant shared state, so materializing here on
   // the asking thread is bit-identical to any execution-side ordering.

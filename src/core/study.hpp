@@ -191,9 +191,14 @@ class Study {
   /// records (journal order) as if they had just been evaluated —
   /// restoring the clock, RNG streams, incumbent, and surrogate state. In
   /// batched mode a trailing partial round is discarded (the driver
-  /// re-evaluates it; index-pure evaluations make the records identical).
-  /// Throws std::runtime_error when the records do not match this study's
-  /// configuration (wrong seed/method/space).
+  /// re-evaluates it; index-pure evaluations make the records identical),
+  /// and only the final kept round is re-proposed: the proposer observes
+  /// the rounds before it without proposing them (the Proposer rule).
+  /// Sequential mode re-proposes every record, which advances the shared
+  /// stream. Throws std::runtime_error when a re-proposed configuration
+  /// differs from its record, or when the a-priori models' verdict on a
+  /// record differs from whether it was model-filtered (a journal of
+  /// another seed, method, budget or mode).
   void resume(const std::vector<EvaluationRecord>& completed,
               parallel::ThreadPool* pool = nullptr);
 
@@ -260,8 +265,8 @@ class Study {
   void start_run(const std::vector<EvaluationRecord>* replay,
                  parallel::ThreadPool* pool);
   /// Re-applies already-evaluated records, moving them out of @p kept:
-  /// advances the proposal streams / strategy state exactly as the
-  /// original run did, restores the clock and incumbent, and appends to the
+  /// brings the proposal stream and strategy state to where the original
+  /// run had them, restores the clock and incumbent, and appends to the
   /// trace — without any evaluation.
   void replay_records(std::vector<EvaluationRecord>& kept);
   /// Replay tail of one record: restores the clock, then record_sample.

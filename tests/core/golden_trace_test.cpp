@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -74,8 +75,12 @@ void write_file(const std::string& path, const std::string& contents) {
   ASSERT_TRUE(out.good()) << "cannot write golden file " << path;
 }
 
+/// A scratch file named after the running test, so tests that ctest runs
+/// at the same time never share one.
 std::string temp_path(const std::string& name) {
-  return std::string(::testing::TempDir()) + "/" + name;
+  return std::string(::testing::TempDir()) + "/" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         "_" + name;
 }
 
 bool is_bayesian_key(const std::string& key) {
@@ -204,41 +209,55 @@ void check_or_regen(const std::string& key, std::size_t batch) {
   }
 }
 
-/// Journal the run, "crash" it by truncating to @p keep records, resume on
-/// a completely fresh stack, and require the final trace to still match
-/// the golden byte-for-byte.
-void check_resume(const std::string& key, std::size_t batch,
-                  std::size_t threads, std::size_t keep) {
+/// Journal the run, "crash" it by truncating to each of @p keeps records,
+/// resume on a completely fresh stack, and require the final trace to still
+/// match the golden byte-for-byte. An empty @p keeps cuts at every point
+/// from no record to all of them.
+void check_resume_at(const std::string& key, std::size_t batch,
+                     std::size_t threads, std::vector<std::size_t> keeps) {
   if (regen_mode()) GTEST_SKIP() << "regen mode: goldens only";
-  SCOPED_TRACE(key + " batch=" + std::to_string(batch) +
-               " threads=" + std::to_string(threads) +
-               " keep=" + std::to_string(keep));
   const std::string golden = read_file(golden_path(key, batch));
   const std::string full_journal =
       temp_path("golden_" + key + "_b" + std::to_string(batch) + "_full.hpj");
   const RunResult full = run_once(key, batch, threads, full_journal);
   ASSERT_EQ(trace_csv(full.trace), golden);
-  ASSERT_GT(full.trace.size(), keep);
-
-  JournalLoadResult crashed = EvalJournal::load(full_journal);
-  ASSERT_GE(crashed.records.size(), keep);
-  crashed.records.resize(keep);
+  const JournalLoadResult written = EvalJournal::load(full_journal);
+  std::remove(full_journal.c_str());
+  ASSERT_EQ(written.records.size(), full.trace.size());
+  if (keeps.empty()) {
+    for (std::size_t keep = 0; keep <= written.records.size(); ++keep) {
+      keeps.push_back(keep);
+    }
+  }
 
   const std::string resumed_journal = temp_path(
       "golden_" + key + "_b" + std::to_string(batch) + "_resumed.hpj");
-  const HyperParameterSpace space = fake_space();
-  const HardwareConstraints constraints = golden_constraints();
-  FakeObjective inner(space);
-  inner.set_diverge_above(0.55);
-  FaultInjectingObjective faulty(inner, golden_faults());
-  OptimizerOptions opt = golden_options(key, batch, threads);
-  opt.journal_path = resumed_journal;
-  auto optimizer = make_optimizer(key, space, faulty, constraints, opt);
-  const RunResult resumed = optimizer->resume(crashed.records);
-  EXPECT_EQ(trace_csv(resumed.trace), golden);
-
-  std::remove(full_journal.c_str());
+  for (const std::size_t keep : keeps) {
+    SCOPED_TRACE(key + " batch=" + std::to_string(batch) +
+                 " threads=" + std::to_string(threads) +
+                 " keep=" + std::to_string(keep));
+    ASSERT_LE(keep, written.records.size());
+    const std::vector<EvaluationRecord> crashed(
+        written.records.begin(),
+        written.records.begin() + static_cast<std::ptrdiff_t>(keep));
+    const HyperParameterSpace space = fake_space();
+    const HardwareConstraints constraints = golden_constraints();
+    FakeObjective inner(space);
+    inner.set_diverge_above(0.55);
+    FaultInjectingObjective faulty(inner, golden_faults());
+    OptimizerOptions opt = golden_options(key, batch, threads);
+    opt.journal_path = resumed_journal;
+    auto optimizer = make_optimizer(key, space, faulty, constraints, opt);
+    const RunResult resumed = optimizer->resume(crashed);
+    EXPECT_EQ(trace_csv(resumed.trace), golden);
+  }
   std::remove(resumed_journal.c_str());
+}
+
+/// check_resume_at with one mid-run cut point.
+void check_resume(const std::string& key, std::size_t batch,
+                  std::size_t threads, std::size_t keep) {
+  check_resume_at(key, batch, threads, {keep});
 }
 
 TEST(GoldenTrace, Rand_Batch1) { check_or_regen("rand", 1); }
@@ -287,6 +306,20 @@ TEST(GoldenTrace, Resume_HwIeciLong_Sequential) {
 }
 TEST(GoldenTrace, Resume_HwIeciLong_BatchedParallel) {
   check_resume("hw_ieci_long", 4, 4, 30);
+}
+
+// Every cut point, from an empty journal to a whole one, at batch 4 on 4
+// threads: partial rounds dropped, the initial design's boundary, and the
+// grid's index-derived points. A batched resume observes every kept round
+// but the last, which it re-proposes and checks against the journal.
+TEST(GoldenTrace, Resume_EveryCutPoint_HwIeciLong_BatchedParallel) {
+  check_resume_at("hw_ieci_long", 4, 4, {});
+}
+TEST(GoldenTrace, Resume_EveryCutPoint_HwCwei_BatchedParallel) {
+  check_resume_at("hw_cwei", 4, 4, {});
+}
+TEST(GoldenTrace, Resume_EveryCutPoint_Grid_BatchedParallel) {
+  check_resume_at("grid", 4, 4, {});
 }
 
 // Tracing is pure read-side (ISSUE 7): with the span tracer recording and

@@ -344,6 +344,69 @@ TEST(Study, FinishFinalizesTheJournalWithStudyState) {
   std::remove(options.journal_path.c_str());
 }
 
+/// Random search that produces whole rounds through propose_batch, as a
+/// strategy without parallel proposals does, and counts those calls.
+class CountingProposer final : public Proposer {
+ public:
+  using Proposer::Proposer;
+
+  [[nodiscard]] std::string name() const override { return "Rand"; }
+  [[nodiscard]] Configuration propose(stats::Rng& rng) override {
+    return space().sample(rng);
+  }
+  [[nodiscard]] bool supports_parallel_proposals() const override {
+    return false;
+  }
+  [[nodiscard]] std::vector<Configuration> propose_batch(
+      std::size_t first_sample_index, std::size_t count) override {
+    ++batches;
+    return Proposer::propose_batch(first_sample_index, count);
+  }
+
+  std::size_t batches = 0;
+};
+
+// A batched resume observes the replayed rounds; it re-proposes only the
+// final kept round, which it compares with the journal.
+TEST(Study, BatchedResumeProposesOnlyTheFinalKeptRound) {
+  const HyperParameterSpace space = fake_space();
+  const OptimizerOptions options = batched_options(4);
+  std::vector<EvaluationRecord> records;
+  std::vector<Configuration> fourth_round;
+  {
+    CountingProposer proposer(space);
+    Clock clock;
+    Study study(space, ConstraintBudgets{}, nullptr, options, proposer, clock);
+    study.begin();
+    for (int round = 0; round < 4; ++round) {
+      const std::vector<Trial> trials = study.ask(4);
+      ASSERT_EQ(tell_round(study, trials), 4u);
+      if (round == 3) {
+        for (const Trial& trial : trials) fourth_round.push_back(trial.config);
+      }
+    }
+    ASSERT_EQ(proposer.batches, 4u);
+    records = study.finish().trace.records();
+  }
+  // Three whole rounds and half of the fourth: the half round is dropped.
+  records.resize(14);
+
+  CountingProposer proposer(space);
+  Clock clock;
+  Study study(space, ConstraintBudgets{}, nullptr, options, proposer, clock);
+  study.resume(records);
+  EXPECT_EQ(proposer.batches, 1u);
+  EXPECT_EQ(study.next_sample_index(), 12u);
+  // The resumed study asks the fourth round the original asked.
+  const std::vector<Trial> trials = study.ask(4);
+  ASSERT_EQ(trials.size(), 4u);
+  for (std::size_t j = 0; j < trials.size(); ++j) {
+    EXPECT_EQ(trials[j].sample_index, 12 + j);
+    EXPECT_EQ(trials[j].config, fourth_round[j]);
+  }
+  EXPECT_EQ(proposer.batches, 2u);
+}
+
 TEST(Study, JobsFromTrialsSkipsPreResolvedTrials) {
   std::vector<Trial> trials(3);
   trials[0].sample_index = 10;

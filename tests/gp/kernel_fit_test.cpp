@@ -4,12 +4,16 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "linalg/cholesky.hpp"
+#include "obs/trace.hpp"
+#include "parallel/thread_pool.hpp"
 #include "stats/rng.hpp"
 
 namespace hp::gp {
@@ -52,6 +56,47 @@ void expect_same_lml(LmlEvaluator& evaluator, const Matrix& x,
                      const Vector& y, const KernelParams& params,
                      double noise) {
   EXPECT_EQ(evaluator.lml(params, noise), fresh_gp_lml(x, y, params, noise));
+}
+
+/// Runs @p fit with no pool, then on pools of 0, 1 and 3 workers: the
+/// restarts run serially, in waves of 2 and in waves of 4.
+void for_each_pool(
+    const std::function<void(parallel::ThreadPool*)>& fit) {
+  {
+    SCOPED_TRACE("no pool");
+    fit(nullptr);
+  }
+  for (const std::size_t workers : {0, 1, 3}) {
+    SCOPED_TRACE("workers = " + std::to_string(workers));
+    parallel::ThreadPool pool(workers);
+    fit(&pool);
+  }
+}
+
+/// The number of "gp.fit_restart" spans @p fit records: the restarts it
+/// ran, discarded ones included.
+std::size_t restart_spans(const std::function<void()>& fit) {
+  obs::TraceConfig config;
+  config.ring_kb = 1024;
+  obs::tracer().start(config);
+  fit();
+  obs::tracer().stop();
+  std::size_t spans = 0;
+  for (const obs::TraceEventView& view : obs::tracer().snapshot()) {
+    const char* name = view.event.name;
+    if (name != nullptr && std::strcmp(name, "gp.fit_restart") == 0) ++spans;
+  }
+  obs::tracer().reset();
+  return spans;
+}
+
+/// Asserts two fits agree bit for bit.
+void expect_same_fit(const KernelFitResult& a, const KernelFitResult& b) {
+  EXPECT_EQ(a.params.signal_variance, b.params.signal_variance);
+  EXPECT_EQ(a.params.length_scales, b.params.length_scales);
+  EXPECT_EQ(a.noise_variance, b.noise_variance);
+  EXPECT_EQ(a.log_marginal_likelihood, b.log_marginal_likelihood);
+  EXPECT_EQ(a.evaluations, b.evaluations);
 }
 
 TEST(KernelFit, RejectsBadDataset) {
@@ -147,13 +192,22 @@ TEST(KernelFit, DeterministicForSeed) {
   }
   KernelParams start;
   GaussianProcess gp1(Matern52Kernel(start), 1e-3);
-  GaussianProcess gp2(Matern52Kernel(start), 1e-3);
   KernelFitOptions opt;
   opt.seed = 99;
   const auto r1 = fit_kernel_by_ml(gp1, x, y, opt);
-  const auto r2 = fit_kernel_by_ml(gp2, x, y, opt);
-  EXPECT_DOUBLE_EQ(r1.log_marginal_likelihood, r2.log_marginal_likelihood);
-  EXPECT_EQ(r1.evaluations, r2.evaluations);
+  // Restart 0 stops early here, so a wave of more than one restart
+  // discards the restarts after it and reruns them: the pooled fits take
+  // the mispredicted-wave path and must still match the serial one.
+  for_each_pool([&](parallel::ThreadPool* pool) {
+    GaussianProcess gp2(Matern52Kernel(start), 1e-3);
+    expect_same_fit(fit_kernel_by_ml(gp2, x, y, opt, pool), r1);
+  });
+  parallel::ThreadPool pool(3);
+  const std::size_t ran = restart_spans([&] {
+    GaussianProcess gp2(Matern52Kernel(start), 1e-3);
+    (void)fit_kernel_by_ml(gp2, x, y, opt, &pool);
+  });
+  EXPECT_GT(ran, static_cast<std::size_t>(opt.num_restarts + 1));
 }
 
 TEST(KernelFit, RejectsBadOptions) {
@@ -162,11 +216,17 @@ TEST(KernelFit, RejectsBadOptions) {
   struct Case {
     const char* name;
     double min_noise_variance;
+    int num_restarts;
+    int iterations_per_restart;
   };
   const Case cases[] = {
-      {"negative noise floor", -1e-6},
-      {"NaN noise floor", nan},
-      {"infinite noise floor", inf},
+      {"negative noise floor", -1e-6, 4, 40},
+      {"NaN noise floor", nan, 4, 40},
+      {"infinite noise floor", inf, 4, 40},
+      // A negative count used to skip the search, the incumbent's own
+      // coordinate descent included, and return the start point.
+      {"negative restart count", 1e-8, -1, 40},
+      {"negative iteration count", 1e-8, 4, -1},
   };
   Matrix x;
   Vector y;
@@ -175,15 +235,19 @@ TEST(KernelFit, RejectsBadOptions) {
     SCOPED_TRACE(c.name);
     KernelFitOptions options;
     options.min_noise_variance = c.min_noise_variance;
+    options.num_restarts = c.num_restarts;
+    options.iterations_per_restart = c.iterations_per_restart;
     EXPECT_THROW(options.validate(), std::invalid_argument);
     GaussianProcess gp(Matern52Kernel(KernelParams{}), 1e-4);
     EXPECT_THROW((void)fit_kernel_by_ml(gp, x, y, options),
                  std::invalid_argument);
   }
-  // The defaults and a zero noise floor are valid.
+  // The defaults, a zero noise floor and zero counts are valid.
   KernelFitOptions options;
   EXPECT_NO_THROW(options.validate());
   options.min_noise_variance = 0.0;
+  options.num_restarts = 0;
+  options.iterations_per_restart = 0;
   EXPECT_NO_THROW(options.validate());
 }
 
@@ -347,6 +411,8 @@ TEST(KernelFit, PinnedResultOnSeeded13DimensionalData) {
        -0x1.3e0bb9171d546p+4,
        233},
   };
+  // Every restart of these fits runs all 40 iterations, so each wave keeps
+  // all its restarts. The pooled fits must reproduce the pinned values.
   for (const Pinned& p : pinned) {
     SCOPED_TRACE("n = " + std::to_string(p.n));
     Matrix x;
@@ -354,17 +420,26 @@ TEST(KernelFit, PinnedResultOnSeeded13DimensionalData) {
     seeded_dataset(p.n, 13, 2018 + p.n, x, y);
     KernelParams start;
     start.length_scales.assign(13, 0.3);
-    GaussianProcess gp(Matern52Kernel(start), 1e-4);
     KernelFitOptions options;
     options.min_noise_variance = 1e-4;
-    const KernelFitResult result = fit_kernel_by_ml(gp, x, y, options);
-    EXPECT_EQ(result.params.signal_variance, p.signal_variance);
-    EXPECT_EQ(result.params.length_scales, p.length_scales);
-    EXPECT_EQ(result.noise_variance, p.noise_variance);
-    EXPECT_EQ(result.log_marginal_likelihood, p.lml);
-    EXPECT_EQ(result.evaluations, p.evaluations);
-    // The installed GP reports the same likelihood.
-    EXPECT_EQ(gp.log_marginal_likelihood(), p.lml);
+    for_each_pool([&](parallel::ThreadPool* pool) {
+      GaussianProcess gp(Matern52Kernel(start), 1e-4);
+      const KernelFitResult result =
+          fit_kernel_by_ml(gp, x, y, options, pool);
+      EXPECT_EQ(result.params.signal_variance, p.signal_variance);
+      EXPECT_EQ(result.params.length_scales, p.length_scales);
+      EXPECT_EQ(result.noise_variance, p.noise_variance);
+      EXPECT_EQ(result.log_marginal_likelihood, p.lml);
+      EXPECT_EQ(result.evaluations, p.evaluations);
+      // The installed GP reports the same likelihood.
+      EXPECT_EQ(gp.log_marginal_likelihood(), p.lml);
+    });
+    parallel::ThreadPool pool(3);
+    const std::size_t ran = restart_spans([&] {
+      GaussianProcess gp(Matern52Kernel(start), 1e-4);
+      (void)fit_kernel_by_ml(gp, x, y, options, &pool);
+    });
+    EXPECT_EQ(ran, static_cast<std::size_t>(options.num_restarts + 1));
   }
 }
 

@@ -261,5 +261,50 @@ TEST(FaultTolerance, ResumeRejectsMismatchedRecords) {
   EXPECT_THROW((void)b.resume(reference.trace.records()), std::runtime_error);
 }
 
+// A batched resume compares only its final kept round with the journal,
+// so it must still reject a journal written under other options.
+TEST(FaultTolerance, BatchedResumeRejectsAJournalOfOtherOptions) {
+  auto space = fake_space();
+  // Measured (and, here, predicted) power is 100 W per unit of x0.
+  const auto constraints_at = [](double power_budget_w) {
+    ConstraintBudgets budgets;
+    budgets.power_w = power_budget_w;
+    return HardwareConstraints(
+        budgets,
+        HardwareModel(ModelForm::Linear, linalg::Vector{100.0}, 0.0, 0.5),
+        std::nullopt);
+  };
+  const HardwareConstraints written = constraints_at(60.0);
+  OptimizerOptions options = base_options(18, 12);
+  options.batch_size = 4;
+  options.num_threads = 2;
+  options.journal_path = temp_path("journal_other_options.hpj");
+  FakeObjective inner(space);
+  Optimizer original(space, inner, written.budgets(), &written, options,
+                     make_proposer(Method::HwIeci, space));
+  (void)original.run();
+  std::vector<EvaluationRecord> records =
+      EvalJournal::load(options.journal_path).records;
+  std::remove(options.journal_path.c_str());
+  ASSERT_GE(records.size(), 8u);
+  options.journal_path.clear();
+
+  // Another power budget.
+  const HardwareConstraints other = constraints_at(45.0);
+  FakeObjective other_inner(space);
+  Optimizer other_budget(space, other_inner, other.budgets(), &other, options,
+                         make_proposer(Method::HwIeci, space));
+  EXPECT_THROW((void)other_budget.resume(records), std::runtime_error);
+
+  // Default mode: no a-priori models, no early termination.
+  OptimizerOptions default_mode = options;
+  default_mode.use_hardware_models = false;
+  default_mode.use_early_termination = false;
+  FakeObjective default_inner(space);
+  Optimizer default_run(space, default_inner, written.budgets(), &written,
+                        default_mode, make_proposer(Method::HwIeci, space));
+  EXPECT_THROW((void)default_run.resume(records), std::runtime_error);
+}
+
 }  // namespace
 }  // namespace hp::core

@@ -3,7 +3,8 @@
 #   1. default build with warnings as errors + full ctest suite, after
 #      checking that every ctest name is free of raw parameter dumps
 #   2. ThreadSanitizer rebuild of the concurrency + resilience suites
-#      (test_parallel, test_obs, test_resilience, test_integration), run
+#      (test_parallel, test_obs, test_resilience, test_integration) and of
+#      test_gp, whose kernel ML fit runs its restarts on a thread pool, run
 #      directly
 #   3. AddressSanitizer (+LeakSanitizer) rebuild, full ctest suite
 #   4. fault-injection phase: the fault suites re-run from the ASan build
@@ -79,21 +80,23 @@ if ctest --test-dir build -N | grep -F 'GetParam() ='; then
 fi
 ctest --test-dir build --output-on-failure -j "$jobs"
 
-echo "== tier 1: ThreadSanitizer pass (parallel/obs/resilience suites) =="
+echo "== tier 1: ThreadSanitizer pass (parallel/obs/resilience/gp suites) =="
 probe_sanitizer "ThreadSanitizer" thread
 cmake -B build-tsan -S . -DHYPERPOWER_SANITIZE=thread \
   -DHYPERPOWER_BUILD_BENCHES=OFF -DHYPERPOWER_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-tsan -j "$jobs" \
-  --target test_parallel test_obs test_resilience test_integration
+  --target test_parallel test_obs test_resilience test_integration test_gp
 # Run the freshly built binaries directly. ctest-ing build-tsan would run
 # discovery over every registered test target, most of which this phase
 # deliberately never builds. test_resilience and test_integration join the
 # concurrency suites because retries, fault injection, the journal, and
-# batched crash/resume all cross thread boundaries.
+# batched crash/resume all cross thread boundaries; test_gp because the
+# kernel ML fit runs its restarts on the pool it is lent.
 ./build-tsan/tests/test_parallel
 ./build-tsan/tests/test_obs
 ./build-tsan/tests/test_resilience
 ./build-tsan/tests/test_integration
+./build-tsan/tests/test_gp
 
 echo "== tier 1: AddressSanitizer (+LSan) pass (full suite) =="
 ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1:${ASAN_OPTIONS:-}" \
