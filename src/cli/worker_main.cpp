@@ -23,21 +23,6 @@ namespace hp::cli {
 
 namespace {
 
-/// write(2) loop over partial writes; false on error (EPIPE when the
-/// scheduler died — the worker then exits instead of wedging).
-bool write_all(int fd, std::string_view text) {
-  std::size_t written = 0;
-  while (written < text.size()) {
-    const ssize_t n = ::write(fd, text.data() + written, text.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 /// Periodic heartbeat sender. Owns the protocol-write lock: beats and
 /// results share one mutex so frames never interleave on the pipe. The
 /// lock is a leaf (§14) — held only around a write or a timed wait, never
@@ -74,7 +59,7 @@ class HeartbeatThread {
   /// Serialized write of one already-framed line.
   [[nodiscard]] bool write_frame_line(const std::string& line) {
     hp::MutexLock lock(mutex_);
-    return write_all(fd_, line);
+    return dist::write_all(fd_, line);
   }
 
  private:
@@ -86,7 +71,7 @@ class HeartbeatThread {
       if (stop_ || suspended_ || status != std::cv_status::timeout) continue;
       // A failed beat write means the scheduler is gone; the main thread
       // will see EOF/EPIPE on its own and exit — nothing to do here.
-      (void)write_all(fd_, dist::encode_frame(dist::encode_beat(job_)));
+      (void)dist::write_all(fd_, dist::encode_frame(dist::encode_beat(job_)));
     }
   }
 

@@ -203,14 +203,6 @@ void Study::start_run(const std::vector<EvaluationRecord>* replay,
   }
 
   journal_ = EvalJournal{};
-  if (!options_.journal_path.empty()) {
-    const JournalHeader header{proposer_.name(), options_.seed,
-                               options_.batch_size};
-    journal_ = replay != nullptr
-                   ? EvalJournal::rewrite(options_.journal_path, header, kept)
-                   : EvalJournal::create(options_.journal_path, header);
-  }
-
   shared_rng_ = stats::Rng(options_.seed);
   if (!kept.empty()) {
     replay_records(kept);
@@ -218,6 +210,16 @@ void Study::start_run(const std::vector<EvaluationRecord>* replay,
              {{"replayed", obs::JsonValue(kept.size())},
               {"dropped", obs::JsonValue(replay->size() - kept.size())},
               {"clock_s", obs::JsonValue(clock_.now_s())}});
+  }
+  // The journal is touched only once the replay accepted every kept
+  // record: a resume rejected under other options leaves it as it was.
+  if (!options_.journal_path.empty()) {
+    const JournalHeader header{proposer_.name(), options_.seed,
+                               options_.batch_size};
+    journal_ = replay != nullptr
+                   ? EvalJournal::rewrite(options_.journal_path, header,
+                                          trace_.records())
+                   : EvalJournal::create(options_.journal_path, header);
   }
   next_sample_ = trace_.size();
 }

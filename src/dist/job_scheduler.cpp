@@ -1,5 +1,6 @@
 #include "dist/job_scheduler.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
@@ -121,54 +122,75 @@ std::vector<core::EvaluationRecord> FleetScheduler::evaluate_round(
 }
 
 void FleetScheduler::dispatch_queued(JobTable& table) {
+  const std::size_t live = supervisor_->live_count();
+  if (live == 0) return;
   const double now = steady_now_s();
-  const auto eligible = [&](std::uint64_t id) {
+  const auto eligible = [&](const Job& job) {
+    if (job.state != JobState::Queued) return false;
     for (const auto& [job_id, earliest_s] : not_before_) {
-      if (job_id == id) return now >= earliest_s;
+      if (job_id == job.id) return now >= earliest_s;
     }
     return true;
   };
+  const std::vector<Job>& jobs = table.jobs();
+  std::size_t outstanding = 0;
+  for (const Job& job : jobs) {
+    if (job.state != JobState::Done && job.state != JobState::Failed) {
+      ++outstanding;
+    }
+  }
+  // Each live worker's even share of what is left of the round. With
+  // batch <= workers that is one job each: dispatch without pipelining.
+  const std::size_t share = (outstanding + live - 1) / live;
+  std::size_t cursor = 0;  // jobs before it are taken or not dispatchable
   for (std::size_t slot = 0; slot < workers_.size(); ++slot) {
     if (!supervisor_->alive(slot)) continue;
     WorkerState& state = workers_[slot];
-    if (!state.ready || state.job) continue;
+    if (!state.ready || !state.in_flight.empty()) continue;
 
-    const Job* next = nullptr;
-    for (const Job& job : table.jobs()) {
-      if (job.state == JobState::Queued && eligible(job.id)) {
-        next = &job;
-        break;
-      }
+    // The worker has answered all it was sent, so its pipe is empty and
+    // takes up to its capacity without blocking. A single frame larger
+    // than that still goes: the idle worker reads it.
+    const std::size_t capacity = supervisor_->pipe_capacity(slot);
+    const std::size_t first = cursor;
+    std::string frames;
+    std::vector<std::uint64_t> batch;
+    for (; cursor < jobs.size() && batch.size() < share; ++cursor) {
+      const Job& job = jobs[cursor];
+      if (!eligible(job)) continue;
+      const std::string frame = encode_frame(encode_job(JobRequest{
+          job.id, job.sample_index, job.dispatch_attempts + 1, job.config}));
+      if (!batch.empty() && frames.size() + frame.size() > capacity) break;
+      frames += frame;
+      batch.push_back(job.id);
     }
-    if (next == nullptr) return;  // nothing dispatchable right now
+    if (batch.empty()) return;  // nothing dispatchable right now
 
-    JobRequest request;
-    request.job_id = next->id;
-    request.sample_index = next->sample_index;
-    request.dispatch_attempt = next->dispatch_attempts + 1;
-    request.config = next->config;
-    if (!supervisor_->send(slot, encode_job(request))) {
-      // EPIPE: the worker died under us; its in-flight state is empty, so
-      // the job stays Queued and redispatches elsewhere.
+    if (!supervisor_->send_frames(slot, frames)) {
+      // EPIPE: the worker died under us with nothing in flight, so the
+      // jobs stay Queued for the next worker.
       handle_worker_death(table, slot, core::FailureKind::Transient,
                           "job write failed");
+      cursor = first;
       continue;
     }
-    table.mark_dispatched(next->id, static_cast<int>(slot));
-    state.job = next->id;
-    state.dispatch_s = now;
+    for (const std::uint64_t id : batch) {
+      table.mark_dispatched(id, static_cast<int>(slot));
+      state.in_flight.push_back(id);
+      if (obs::tracer().enabled()) {
+        const Job& job = table.job(id);
+        obs::tracer().instant("job.dispatch",
+                              {{"job", id},
+                               {"sample", job.sample_index},
+                               {"slot", slot},
+                               {"attempt", job.dispatch_attempts}});
+      }
+    }
+    state.head_start_s = now;
     state.last_activity_s = now;
-    {
-      hp::MutexLock lock(stats_mutex_);
-      ++stats_.dispatched;
-    }
-    if (obs::tracer().enabled()) {
-      obs::tracer().instant("job.dispatch",
-                            {{"job", next->id},
-                             {"sample", next->sample_index},
-                             {"slot", slot},
-                             {"attempt", next->dispatch_attempts}});
-    }
+    hp::MutexLock lock(stats_mutex_);
+    stats_.dispatched += batch.size();
+    stats_.max_in_flight = std::max(stats_.max_in_flight, batch.size());
   }
 }
 
@@ -186,6 +208,10 @@ void FleetScheduler::handle_line(JobTable& table, std::size_t slot,
   }
   WorkerState& state = workers_[slot];
   state.last_activity_s = steady_now_s();
+  // The worker answers its jobs in order, so a beat, result or jerr can
+  // only be about the head of its FIFO.
+  const bool names_head = message->job_id && !state.in_flight.empty() &&
+                          *message->job_id == state.in_flight.front();
   switch (message->kind) {
     case WorkerMessage::Kind::Hello:
       state.ready = true;
@@ -194,39 +220,38 @@ void FleetScheduler::handle_line(JobTable& table, std::size_t slot,
                           {"pid", obs::JsonValue(message->pid)}});
       break;
     case WorkerMessage::Kind::Beat:
-      if (message->job_id && state.job && *message->job_id == *state.job) {
-        table.mark_running(*state.job);
+      if (names_head) {
+        table.mark_running(state.in_flight.front());
         if (obs::tracer().enabled()) {
-          obs::tracer().instant("job.heartbeat",
-                                {{"job", *state.job}, {"slot", slot}});
+          obs::tracer().instant(
+              "job.heartbeat",
+              {{"job", state.in_flight.front()}, {"slot", slot}});
         }
       }
       break;
     case WorkerMessage::Kind::Result: {
-      if (!state.job || !message->job_id || *message->job_id != *state.job) {
-        // A result for a job this incarnation does not own is as
+      if (!names_head) {
+        // A result for a job this incarnation does not run is as
         // untrustworthy as a torn frame.
         note_garbage(table, slot);
         break;
       }
-      const std::uint64_t id = *state.job;
-      state.job.reset();
-      table.mark_done(id, std::move(message->record));
+      table.mark_done(*pop_head(slot), std::move(message->record));
       hp::MutexLock lock(stats_mutex_);
       ++stats_.completed;
       break;
     }
     case WorkerMessage::Kind::JobError:
-      if (!state.job || !message->job_id || *message->job_id != *state.job) {
+      if (!names_head) {
         note_garbage(table, slot);
         break;
       }
       obs::logger().warn("fleet.job_error",
                          {{"slot", obs::JsonValue(slot)},
-                          {"job", obs::JsonValue(*state.job)},
+                          {"job", obs::JsonValue(state.in_flight.front())},
                           {"error", obs::JsonValue(message->error)}});
-      lose_in_flight(table, slot, core::FailureKind::Transient,
-                     "worker job error");
+      lose_head(table, slot, core::FailureKind::Transient,
+                "worker job error");
       break;
   }
 }
@@ -241,10 +266,13 @@ void FleetScheduler::note_garbage(JobTable& table, std::size_t slot) {
   obs::logger().warn("fleet.garbage_frame",
                      {{"slot", obs::JsonValue(slot)},
                       {"count", obs::JsonValue(state.garbage)}});
-  lose_in_flight(table, slot, core::FailureKind::Transient, "corrupt reply");
+  lose_head(table, slot, core::FailureKind::Transient, "corrupt reply");
   if (state.garbage > options_.worker_garbage_budget) {
     // Demotion: an incarnation that keeps emitting garbage is replaced —
     // its respawn counts against the fleet budget like any other loss.
+    // It dies for its garbage, not for the jobs behind the corrupt
+    // reply: they go back uncharged.
+    return_unstarted(table, slot);
     handle_worker_death(table, slot, core::FailureKind::Transient,
                         "garbage budget exhausted");
   }
@@ -260,7 +288,10 @@ void FleetScheduler::handle_worker_death(JobTable& table, std::size_t slot,
   obs::logger().warn("fleet.worker_death",
                      {{"slot", obs::JsonValue(slot)},
                       {"reason", obs::JsonValue(std::string(reason))}});
-  lose_in_flight(table, slot, kind, reason);
+  // The head is the job the worker was running; the ones behind it never
+  // started.
+  lose_head(table, slot, kind, reason);
+  return_unstarted(table, slot);
   workers_[slot] = WorkerState{};
   workers_[slot].last_activity_s = steady_now_s();
   (void)supervisor_->respawn(slot);  // kills first when still alive
@@ -276,8 +307,8 @@ void FleetScheduler::check_deadlines(JobTable& table) {
   for (std::size_t slot = 0; slot < workers_.size(); ++slot) {
     if (!supervisor_->alive(slot)) continue;
     WorkerState& state = workers_[slot];
-    if (state.job) {
-      if (now - state.dispatch_s > options_.job_deadline_s) {
+    if (!state.in_flight.empty()) {
+      if (now - state.head_start_s > options_.job_deadline_s) {
         // The run's one wall-clock deadline. Kill + reap: the process is
         // gone, so nothing of the hung attempt keeps running.
         handle_worker_death(table, slot, core::FailureKind::Timeout,
@@ -294,13 +325,21 @@ void FleetScheduler::check_deadlines(JobTable& table) {
   }
 }
 
-void FleetScheduler::lose_in_flight(JobTable& table, std::size_t slot,
-                                    core::FailureKind kind,
-                                    const char* reason) {
+std::optional<std::uint64_t> FleetScheduler::pop_head(std::size_t slot) {
   WorkerState& state = workers_[slot];
-  if (!state.job) return;
-  const std::uint64_t id = *state.job;
-  state.job.reset();
+  if (state.in_flight.empty()) return std::nullopt;
+  const std::uint64_t id = state.in_flight.front();
+  state.in_flight.pop_front();
+  // hpo-worker reads its next job as soon as it has answered this one.
+  state.head_start_s = steady_now_s();
+  return id;
+}
+
+void FleetScheduler::lose_head(JobTable& table, std::size_t slot,
+                               core::FailureKind kind, const char* reason) {
+  const std::optional<std::uint64_t> head = pop_head(slot);
+  if (!head) return;
+  const std::uint64_t id = *head;
   table.mark_lost(id);
   const Job& job = table.job(id);
   {
@@ -331,6 +370,24 @@ void FleetScheduler::lose_in_flight(JobTable& table, std::size_t slot,
               requeue_backoff_s(job.sample_index, job.dispatch_attempts));
   hp::MutexLock lock(stats_mutex_);
   ++stats_.requeued;
+}
+
+void FleetScheduler::return_unstarted(JobTable& table, std::size_t slot) {
+  WorkerState& state = workers_[slot];
+  for (const std::uint64_t id : state.in_flight) {
+    table.return_unstarted(id);
+    if (obs::tracer().enabled()) {
+      obs::tracer().instant("job.returned",
+                            {{"job", id},
+                             {"sample", table.job(id).sample_index},
+                             {"slot", slot}});
+    }
+  }
+  {
+    hp::MutexLock lock(stats_mutex_);
+    stats_.returned += state.in_flight.size();
+  }
+  state.in_flight.clear();
 }
 
 double FleetScheduler::requeue_backoff_s(std::size_t sample_index,

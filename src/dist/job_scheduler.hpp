@@ -9,14 +9,29 @@
 // in-process path has none): the killed worker is *gone*, so nothing
 // keeps running past it.
 //
+// Dispatch is pipelined: an idle worker gets up to its even share of the
+// round's outstanding jobs, ceil(outstanding / live workers), in one
+// write, so a round costs one pipe round trip rather than one per wave of
+// jobs. The frames of one write never exceed the worker's pipe capacity,
+// and a worker is written to only once it has answered everything it was
+// sent, so the write lands in an empty pipe and cannot block. hpo-worker
+// answers its jobs in order, so each worker's in-flight jobs are a FIFO
+// whose head is the job it runs: every result, beat and jerr is matched
+// against the head, and the job deadline runs from when the head could
+// start (its dispatch, or the previous answer).
+//
 // Failure handling routes through the EvalFailure taxonomy: a worker
 // death, missed heartbeat, blown deadline, or corrupt reply marks the
-// in-flight job Lost with a FailureKind, and the seeded dispatch
-// RetryPolicy decides requeue vs a synthesized Failed record. Requeue
-// backoff is a pure function of (run seed, sample index, dispatch
-// attempt) and is waited in *real* seconds — the virtual clock only ever
-// sees worker-computed record costs, so the trace stays a pure function
-// of (seed, batch_size).
+// head job Lost with a FailureKind, and the seeded dispatch RetryPolicy
+// decides requeue vs a synthesized Failed record. The jobs queued behind
+// the head of a lost worker never started: they return to Queued with
+// their dispatch attempt undone, so every sample sees the same sequence
+// of dispatch attempts (the chaos schedule's key) as with one job per
+// worker, and chaos traces keep their bits. Requeue backoff is a pure
+// function of (run seed, sample index, dispatch attempt) and is waited
+// in *real* seconds — the virtual clock only ever sees worker-computed
+// record costs, so the trace stays a pure function of (seed,
+// batch_size).
 //
 // Concurrency (§14 TSA regime): the event loop, supervisor, and job table
 // are confined to the driver thread and hold no locks. The one mutex here
@@ -25,6 +40,7 @@
 // It is never held across supervisor calls, waits, or any other lock.
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -91,6 +107,8 @@ class FleetScheduler final : public core::RoundDispatcher {
     std::size_t completed = 0;        ///< jobs finished with a record
     std::size_t lost = 0;             ///< Lost transitions
     std::size_t requeued = 0;         ///< Lost -> Queued transitions
+    std::size_t returned = 0;         ///< unstarted Dispatched -> Queued
+    std::size_t max_in_flight = 0;    ///< most jobs one worker held at once
     std::size_t failed_jobs = 0;      ///< synthesized Failed records
     std::size_t worker_deaths = 0;    ///< EOF/kill events observed
     std::size_t respawns = 0;         ///< supervisor respawns
@@ -103,10 +121,13 @@ class FleetScheduler final : public core::RoundDispatcher {
   /// the supervisor's slots.
   struct WorkerState {
     bool ready = false;  ///< hello received from this incarnation
-    std::optional<std::uint64_t> job;
+    /// Jobs written to this incarnation and not yet answered, oldest
+    /// first; the head is the one the worker runs.
+    std::deque<std::uint64_t> in_flight;
     /// Wall-clock ticks (steady, seconds) of the last frame / dispatch.
     double last_activity_s = 0.0;
-    double dispatch_s = 0.0;
+    /// When the head job could start: its dispatch or the last answer.
+    double head_start_s = 0.0;
     std::size_t garbage = 0;
   };
 
@@ -116,9 +137,14 @@ class FleetScheduler final : public core::RoundDispatcher {
   void handle_worker_death(JobTable& table, std::size_t slot,
                            core::FailureKind kind, const char* reason);
   void check_deadlines(JobTable& table);
-  /// Lost -> requeue-or-fail for the job (if any) in flight on @p slot.
-  void lose_in_flight(JobTable& table, std::size_t slot,
-                      core::FailureKind kind, const char* reason);
+  /// Removes the head job (if any) of @p slot's FIFO and returns its id;
+  /// the next job's deadline starts now.
+  std::optional<std::uint64_t> pop_head(std::size_t slot);
+  /// Lost -> requeue-or-fail for the head job (if any) of @p slot.
+  void lose_head(JobTable& table, std::size_t slot, core::FailureKind kind,
+                 const char* reason);
+  /// Returns every job left in @p slot's FIFO to Queued, attempts undone.
+  void return_unstarted(JobTable& table, std::size_t slot);
   void note_garbage(JobTable& table, std::size_t slot);
   /// Seeded real-seconds backoff before dispatch attempt @p attempt + 1.
   [[nodiscard]] double requeue_backoff_s(std::size_t sample_index,

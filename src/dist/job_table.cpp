@@ -87,8 +87,10 @@ void JobTable::mark_done(std::uint64_t id, core::EvaluationRecord record) {
 void JobTable::mark_failed(std::uint64_t id, core::EvaluationRecord record) {
   Job& job = find(id);
   // Failed is reachable from Lost (requeue budget exhausted) as well as
-  // from the in-flight states (a worker's jerr reply past the budget).
-  if (job.state == JobState::Done || job.state == JobState::Failed) {
+  // from the in-flight states (a worker's jerr reply past the budget); a
+  // Queued job has had no attempt to fail.
+  if (job.state == JobState::Queued || job.state == JobState::Done ||
+      job.state == JobState::Failed) {
     illegal(id, job.state, "failed");
   }
   job.state = JobState::Failed;
@@ -109,6 +111,15 @@ void JobTable::requeue(std::uint64_t id) {
   Job& job = find(id);
   if (job.state != JobState::Lost) illegal(id, job.state, "queued");
   job.state = JobState::Queued;
+}
+
+void JobTable::return_unstarted(std::uint64_t id) {
+  Job& job = find(id);
+  // A job with a heartbeat has started; only Lost may take it back.
+  if (job.state != JobState::Dispatched) illegal(id, job.state, "queued");
+  job.state = JobState::Queued;
+  job.worker_slot = -1;
+  --job.dispatch_attempts;
 }
 
 std::optional<std::uint64_t> JobTable::next_queued() const {

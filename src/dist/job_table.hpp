@@ -3,16 +3,19 @@
 // flight, with an explicit lifecycle state machine (DESIGN.md §15):
 //
 //   Queued -> Dispatched -> Running -> { Done, Failed }
-//      ^          |            |
-//      |          v            v
-//      +------- Lost <---------+        (requeue, per RetryPolicy)
+//    ^  ^        |   |         |
+//    |  +--------+   |         |      (return: never started)
+//    |               v         v
+//    +------------- Lost <-----+      (requeue, per RetryPolicy)
 //
 // Dispatched marks the job written to a worker's pipe; Running marks the
 // first heartbeat naming it. Lost covers every way a worker stops
-// answering for a job — death, missed beats, a blown deadline, a corrupt
-// reply — and is the only state that can re-enter Queued. Done and Failed
-// are terminal and carry the job's record (Failed rows synthesize one
-// after dispatch attempts are exhausted).
+// answering for the job it was running — death, missed beats, a blown
+// deadline, a corrupt reply — and re-enters Queued through requeue. A
+// job still queued in a lost worker's pipe behind that one never started:
+// it returns to Queued directly, its dispatch attempt undone. Done and
+// Failed are terminal and carry the job's record (Failed rows synthesize
+// one after dispatch attempts are exhausted).
 //
 // The table is pure bookkeeping: no I/O, no clocks, no locks — it runs on
 // the scheduler's event-loop thread, and illegal transitions throw
@@ -63,6 +66,9 @@ class JobTable {
   void mark_failed(std::uint64_t id, core::EvaluationRecord record);
   void mark_lost(std::uint64_t id);
   void requeue(std::uint64_t id);  ///< Lost -> Queued
+  /// Dispatched -> Queued for a job its worker never started; undoes the
+  /// dispatch attempt, so the job's next dispatch carries the same one.
+  void return_unstarted(std::uint64_t id);
 
   [[nodiscard]] const Job& job(std::uint64_t id) const;
   [[nodiscard]] const std::vector<Job>& jobs() const noexcept { return jobs_; }

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <stdexcept>
 
@@ -14,7 +15,7 @@ namespace hp::dist {
 namespace {
 
 /// Round-trip exact double formatting, the journal's convention: parsing
-/// with std::stod recovers identical bits on the worker side.
+/// with parse_double recovers identical bits on the worker side.
 std::string format_double(double value) {
   char buffer[32];
   std::snprintf(buffer, sizeof buffer, "%.17g", value);
@@ -32,15 +33,14 @@ std::optional<std::uint64_t> parse_u64(std::string_view text) {
   return value;
 }
 
-std::optional<double> parse_double(const std::string& text) {
-  try {
-    std::size_t consumed = 0;
-    const double value = std::stod(text, &consumed);
-    if (consumed != text.size()) return std::nullopt;
-    return value;
-  } catch (const std::logic_error&) {
-    return std::nullopt;
-  }
+/// Strict parse of a full "%.17g" field. from_chars, unlike std::stod,
+/// takes the subnormals format_double writes, and no locale or whitespace.
+std::optional<double> parse_double(std::string_view text) {
+  double value = 0.0;
+  const char* const end = text.data() + text.size();
+  const auto [last, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || last != end) return std::nullopt;
+  return value;
 }
 
 /// Splits off the field before the next ',' (or the remainder), advancing
@@ -80,12 +80,11 @@ std::optional<std::string> decode_frame(std::string_view line) {
   return std::string(rest);
 }
 
-bool write_frame(int fd, std::string_view payload) {
-  const std::string frame = encode_frame(payload);
+bool write_all(int fd, std::string_view bytes) {
   std::size_t written = 0;
-  while (written < frame.size()) {
+  while (written < bytes.size()) {
     const ssize_t n =
-        ::write(fd, frame.data() + written, frame.size() - written);
+        ::write(fd, bytes.data() + written, bytes.size() - written);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -125,11 +124,14 @@ std::optional<JobRequest> parse_job(std::string_view payload) {
   job.job_id = *id_v;
   job.sample_index = static_cast<std::size_t>(*sample_v);
   job.dispatch_attempt = static_cast<std::size_t>(*attempt_v);
+  // Each value takes at least one byte and a comma, so a dimension the
+  // payload cannot hold is rejected before it sizes an allocation.
+  if (*dim_v > rest.size() / 2 + 1) return std::nullopt;
   job.config.reserve(static_cast<std::size_t>(*dim_v));
   for (std::uint64_t i = 0; i < *dim_v; ++i) {
     const auto field = take_field(rest);
     if (!field) return std::nullopt;
-    const auto value = parse_double(std::string(*field));
+    const auto value = parse_double(*field);
     if (!value) return std::nullopt;
     job.config.push_back(*value);
   }

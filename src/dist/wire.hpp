@@ -41,10 +41,11 @@ namespace hp::dist {
 /// checksum — the caller treats nullopt as worker garbage.
 [[nodiscard]] std::optional<std::string> decode_frame(std::string_view line);
 
-/// Appends @p payload as a frame to @p fd with write(2), looping over
-/// partial writes. Returns false on any write error (EPIPE when the peer
-/// died); never raises SIGPIPE as long as the process ignores it.
-[[nodiscard]] bool write_frame(int fd, std::string_view payload);
+/// Writes @p bytes (one or more encoded frames) to @p fd with write(2),
+/// looping over partial writes. Returns false on any write error (EPIPE
+/// when the peer died); never raises SIGPIPE as long as the process
+/// ignores it.
+[[nodiscard]] bool write_all(int fd, std::string_view bytes);
 
 /// A dispatched job, scheduler -> worker.
 struct JobRequest {

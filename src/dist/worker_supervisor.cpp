@@ -103,6 +103,11 @@ void WorkerSupervisor::spawn(std::size_t slot_index) {
   // wrote half a line and hung.
   const int flags = ::fcntl(from_child[0], F_GETFL, 0);
   (void)::fcntl(from_child[0], F_SETFL, flags | O_NONBLOCK);
+  slot.pipe_capacity = PIPE_BUF;
+#ifdef F_GETPIPE_SZ
+  const int capacity = ::fcntl(to_child[1], F_GETPIPE_SZ);
+  if (capacity > 0) slot.pipe_capacity = static_cast<std::size_t>(capacity);
+#endif
 
   slot.pid = pid;
   slot.in_fd = to_child[1];
@@ -132,9 +137,14 @@ std::size_t WorkerSupervisor::live_count() const noexcept {
   return count;
 }
 
-bool WorkerSupervisor::send(std::size_t slot_index, std::string_view payload) {
+std::size_t WorkerSupervisor::pipe_capacity(std::size_t slot) const {
+  return slot < slots_.size() ? slots_[slot].pipe_capacity : PIPE_BUF;
+}
+
+bool WorkerSupervisor::send_frames(std::size_t slot_index,
+                                   std::string_view frames) {
   if (!alive(slot_index)) return false;
-  return write_frame(slots_[slot_index].in_fd, payload);
+  return write_all(slots_[slot_index].in_fd, frames);
 }
 
 bool WorkerSupervisor::drain(
@@ -244,7 +254,7 @@ bool WorkerSupervisor::respawn(std::size_t slot_index) {
 
 void WorkerSupervisor::shutdown(int grace_ms) {
   for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].alive) (void)send(i, encode_quit());
+    if (slots_[i].alive) (void)send_frames(i, encode_frame(encode_quit()));
   }
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(grace_ms);

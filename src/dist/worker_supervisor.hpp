@@ -12,6 +12,7 @@
 // grace period. The destructor guarantees every child it ever spawned has
 // been reaped (no zombie processes survive the supervisor).
 
+#include <limits.h>
 #include <sys/types.h>
 
 #include <cstddef>
@@ -53,10 +54,15 @@ class WorkerSupervisor {
   /// Live workers remaining (not dead, not retired).
   [[nodiscard]] std::size_t live_count() const noexcept;
 
-  /// Frames @p payload onto the worker's stdin. Returns false when the
-  /// worker is dead/retired or the write fails (EPIPE after a crash) —
-  /// the caller then treats the worker as lost.
-  [[nodiscard]] bool send(std::size_t slot, std::string_view payload);
+  /// Bytes the worker's stdin pipe holds before a write blocks
+  /// (F_GETPIPE_SZ, read at spawn; PIPE_BUF where the query is missing).
+  [[nodiscard]] std::size_t pipe_capacity(std::size_t slot) const;
+
+  /// Writes @p frames, one or more encoded frame lines, to the worker's
+  /// stdin. Returns false when the worker is dead/retired or the write
+  /// fails (EPIPE after a crash) — the caller then treats the worker as
+  /// lost.
+  [[nodiscard]] bool send_frames(std::size_t slot, std::string_view frames);
 
   /// Waits up to @p timeout_ms for worker output. Every complete line is
   /// passed to @p on_line(slot, line); EOF/closed pipes SIGKILL + reap the
@@ -92,6 +98,7 @@ class WorkerSupervisor {
     int in_fd = -1;   ///< write end of the worker's stdin
     int out_fd = -1;  ///< read end of the worker's stdout
     std::string read_buffer;
+    std::size_t pipe_capacity = PIPE_BUF;
     bool alive = false;
     bool retired = false;
   };

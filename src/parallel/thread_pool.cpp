@@ -85,33 +85,6 @@ void ThreadPool::instrument_job(std::function<void()>& job) {
   };
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> job) {
-  HP_REQUIRE(job != nullptr, "ThreadPool::submit: null job");
-  auto task = std::make_shared<std::packaged_task<void()>>(std::move(job));
-  std::future<void> future = task->get_future();
-  if (workers_.empty()) {
-    (*task)();
-    return future;
-  }
-  std::function<void()> wrapped = [task] { (*task)(); };
-  if (obs::tracer().enabled()) {
-    // Cross-thread causality: the job runs under the submitter's span.
-    wrapped = [parent = obs::tracer().current_span(),
-               inner = std::move(wrapped)] {
-      obs::ScopedParent scope(parent);
-      inner();
-    };
-  }
-  instrument_job(wrapped);
-  {
-    MutexLock lock(queue_mutex_);
-    HP_ASSERT(!stopping_, "ThreadPool::submit during shutdown");
-    queue_.emplace_back(std::move(wrapped));
-  }
-  queue_cv_.notify_one();
-  return future;
-}
-
 void ThreadPool::run_batch_share(const std::shared_ptr<Batch>& batch) {
   HP_ASSERT(batch != nullptr && batch->body != nullptr,
             "ThreadPool batch without a body");

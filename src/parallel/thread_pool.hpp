@@ -13,7 +13,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -23,9 +22,10 @@
 
 namespace hp::parallel {
 
-/// Fixed set of worker threads executing submitted jobs. A pool of size 0
-/// is valid and runs everything inline on the calling thread, so code can
-/// be written once against the pool and degrade to the sequential path.
+/// Fixed set of worker threads sharing parallel_for batches with their
+/// callers. A pool of size 0 is valid and runs everything inline on the
+/// calling thread, so code can be written once against the pool and
+/// degrade to the sequential path.
 class ThreadPool {
  public:
   /// Spawns @p num_threads workers (0 = inline execution, no threads).
@@ -40,12 +40,6 @@ class ThreadPool {
   [[nodiscard]] std::size_t worker_count() const noexcept {
     return workers_.size();
   }
-
-  /// Enqueues one job and returns its completion future. With zero workers
-  /// the job runs inline before returning. Do not block on the returned
-  /// future from inside another pool task — that can deadlock; use
-  /// parallel_for for fork/join work instead.
-  std::future<void> submit(std::function<void()> job);
 
   /// Runs body(0) .. body(n-1), distributing indices over the workers and
   /// the calling thread; returns when all n calls finished. Every index is

@@ -21,6 +21,7 @@
 #include "cli/objective_setup.hpp"
 #include "core/framework.hpp"
 #include "dist/job_scheduler.hpp"
+#include "dist/wire.hpp"
 #include "dist/worker_supervisor.hpp"
 #include "obs/log.hpp"
 
@@ -73,18 +74,35 @@ std::string trace_csv(const core::FrameworkResult& result) {
   return os.str();
 }
 
-std::string reference_trace() {
-  const ArgvBuilder argv(stack_flags());
+/// One study: the run options and the evaluation-stack flags that both
+/// the in-process reference and the fleet workers are built from.
+struct Scenario {
+  std::vector<std::string> flags = stack_flags();
+  core::FrameworkOptions options = run_options();
+};
+
+/// The default scenario at 8 candidates per round: over 2 workers, each
+/// holds up to 4 jobs, so a lost head has jobs queued behind it.
+Scenario pipelined_scenario() {
+  Scenario scenario;
+  scenario.options.optimizer.batch_size = 8;
+  scenario.options.optimizer.max_function_evaluations = 16;
+  return scenario;
+}
+
+std::string reference_trace(const Scenario& scenario = {}) {
+  const ArgvBuilder argv(scenario.flags);
   const auto stack = cli::build_evaluation_stack(argv.args());
-  return trace_csv(stack->framework->optimize(run_options()));
+  return trace_csv(stack->framework->optimize(scenario.options));
 }
 
 FleetOptions fleet_options(std::size_t workers,
-                           std::vector<std::string> chaos_flags) {
+                           std::vector<std::string> chaos_flags,
+                           const Scenario& scenario) {
   FleetOptions options;
   options.supervisor.worker_binary = HYPERPOWER_WORKER_BIN;
   options.supervisor.workers = workers;
-  options.supervisor.worker_args = stack_flags();
+  options.supervisor.worker_args = scenario.flags;
   for (std::string& flag : chaos_flags) {
     options.supervisor.worker_args.push_back(std::move(flag));
   }
@@ -104,13 +122,15 @@ struct FleetRun {
 };
 
 FleetRun fleet_run(std::size_t workers, std::vector<std::string> chaos_flags,
-                   FleetOptions (*tweak)(FleetOptions) = nullptr) {
-  const ArgvBuilder argv(stack_flags());
+                   FleetOptions (*tweak)(FleetOptions) = nullptr,
+                   const Scenario& scenario = {}) {
+  const ArgvBuilder argv(scenario.flags);
   const auto stack = cli::build_evaluation_stack(argv.args());
-  FleetOptions options = fleet_options(workers, std::move(chaos_flags));
+  FleetOptions options =
+      fleet_options(workers, std::move(chaos_flags), scenario);
   if (tweak != nullptr) options = tweak(std::move(options));
   FleetScheduler scheduler(std::move(options));
-  core::FrameworkOptions framework_options = run_options();
+  core::FrameworkOptions framework_options = scenario.options;
   framework_options.optimizer.dispatcher = &scheduler;
   FleetRun run;
   run.trace = trace_csv(stack->framework->optimize(framework_options));
@@ -203,6 +223,134 @@ TEST(FleetScheduler, KillsHungJobsAtTheJobDeadline) {
   for (const std::string& reason : sink->reasons) {
     EXPECT_EQ(reason, "\"job deadline exceeded\"");
   }
+  expect_no_zombie_children();
+}
+
+TEST(FleetScheduler, BatchAtMostWorkersKeepsOneJobPerWorker) {
+  // With batch <= workers every worker's share is one job: nothing ever
+  // queues behind a running job, which is dispatch without pipelining.
+  const std::string reference = reference_trace();
+  const FleetRun fleet = fleet_run(4, {});
+  EXPECT_EQ(fleet.trace, reference);
+  EXPECT_EQ(fleet.stats.max_in_flight, 1u);
+  EXPECT_EQ(fleet.stats.returned, 0u);
+}
+
+TEST(FleetScheduler, PipelinedRoundHandsEachWorkerItsShare) {
+  const Scenario scenario = pipelined_scenario();
+  const FleetRun fleet = fleet_run(2, {}, nullptr, scenario);
+  EXPECT_EQ(fleet.trace, reference_trace(scenario));
+  EXPECT_EQ(fleet.stats.max_in_flight, 4u);  // ceil(8 jobs / 2 workers)
+  EXPECT_EQ(fleet.stats.worker_deaths, 0u);
+  EXPECT_EQ(fleet.stats.returned, 0u);
+  expect_no_zombie_children();
+}
+
+TEST(FleetScheduler, PipelinedKillsAndCorruptRepliesReturnQueuedJobs) {
+  // A killed worker's head job is lost and charged an attempt; the jobs
+  // behind it in its pipe never started and go back uncharged. Each
+  // sample then meets the chaos schedule's faults at the same attempts as
+  // with one job per worker, so the trace still matches.
+  const Scenario scenario = pipelined_scenario();
+  const FleetRun fleet = fleet_run(
+      2, {"--worker-kill-rate", "0.2", "--reply-corrupt-rate", "0.15"},
+      nullptr, scenario);
+  EXPECT_EQ(fleet.trace, reference_trace(scenario));
+  EXPECT_GE(fleet.stats.worker_deaths, 1u);
+  EXPECT_GE(fleet.stats.requeued, 1u);
+  EXPECT_GE(fleet.stats.garbage_frames, 1u);
+  EXPECT_GE(fleet.stats.returned, 1u);
+  EXPECT_EQ(fleet.stats.failed_jobs, 0u);
+  expect_no_zombie_children();
+}
+
+TEST(FleetScheduler, PipelinedHangsViaMissedBeatsReturnQueuedJobs) {
+  const Scenario scenario = pipelined_scenario();
+  const FleetRun fleet = fleet_run(2, {"--worker-hang-rate", "0.2"},
+                                   [](FleetOptions options) {
+                                     options.missed_beat_limit = 4;
+                                     return options;
+                                   },
+                                   scenario);
+  EXPECT_EQ(fleet.trace, reference_trace(scenario));
+  EXPECT_GE(fleet.stats.worker_deaths, 1u);
+  EXPECT_GE(fleet.stats.requeued, 1u);
+  EXPECT_GE(fleet.stats.returned, 1u);
+  EXPECT_EQ(fleet.stats.failed_jobs, 0u);
+  expect_no_zombie_children();
+}
+
+TEST(FleetScheduler, PipelinedHangsAtTheJobDeadlineReturnQueuedJobs) {
+  // As KillsHungJobsAtTheJobDeadline, with jobs queued behind each hung
+  // head: the deadline kills the worker, charges the head only, and the
+  // rest go back uncharged.
+  const Scenario scenario = pipelined_scenario();
+  auto sink = std::make_shared<WorkerDeathSink>();
+  obs::logger().add_sink(sink, obs::LogLevel::kWarn);
+  const FleetRun fleet = fleet_run(2, {"--worker-hang-rate", "0.2"},
+                                   [](FleetOptions options) {
+                                     options.job_deadline_s = 1.0;
+                                     options.missed_beat_limit = 100;
+                                     return options;
+                                   },
+                                   scenario);
+  obs::logger().remove_sink(sink);
+  EXPECT_EQ(fleet.trace, reference_trace(scenario));
+  EXPECT_GE(fleet.stats.worker_deaths, 1u);
+  EXPECT_GE(fleet.stats.returned, 1u);
+  EXPECT_EQ(fleet.stats.failed_jobs, 0u);
+  EXPECT_EQ(sink->reasons.size(), fleet.stats.worker_deaths);
+  for (const std::string& reason : sink->reasons) {
+    EXPECT_EQ(reason, "\"job deadline exceeded\"");
+  }
+  expect_no_zombie_children();
+}
+
+TEST(FleetScheduler, OneWorkerRoundLargerThanItsPipeCompletes) {
+  // Rand in default mode dispatches every candidate of a round, and 1024
+  // CIFAR-10 frames (thirteen hyper-parameters each) outgrow a default
+  // 64 KiB pipe about twice over.
+  constexpr std::size_t kBatch = 1024;
+  Scenario scenario;
+  scenario.flags = {"--problem", "cifar10",      "--device", "GTX 1070",
+                    "--seed",    "7",            "--power-budget", "90",
+                    "--default-mode"};
+  scenario.options.method = core::Method::Rand;
+  scenario.options.hyperpower_mode = false;
+  scenario.options.optimizer.batch_size = kBatch;
+  scenario.options.optimizer.max_function_evaluations = kBatch;
+  const ArgvBuilder argv(scenario.flags);
+  const auto stack = cli::build_evaluation_stack(argv.args());
+  const core::FrameworkResult reference =
+      stack->framework->optimize(scenario.options);
+
+  WorkerSupervisor::Options probe;
+  probe.worker_binary = HYPERPOWER_WORKER_BIN;
+  probe.worker_args = scenario.flags;
+  probe.workers = 1;
+  WorkerSupervisor supervisor(probe);
+  supervisor.start();
+  const std::size_t capacity = supervisor.pipe_capacity(0);
+  supervisor.shutdown();
+  const std::vector<core::EvaluationRecord>& records =
+      reference.run.trace.records();
+  ASSERT_GE(records.size(), kBatch);
+  std::size_t round_bytes = 0;  // the first round's frames
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    round_bytes += encode_frame(encode_job(JobRequest{
+                                    i + 1, i, 1, records[i].config}))
+                       .size();
+  }
+  if (round_bytes <= capacity) {
+    GTEST_SKIP() << "a " << capacity << "-byte pipe holds the whole "
+                 << round_bytes << "-byte round";
+  }
+
+  const FleetRun fleet = fleet_run(1, {}, nullptr, scenario);
+  EXPECT_EQ(fleet.trace, trace_csv(reference));
+  // A round went out in more than one write, each within the pipe.
+  EXPECT_LT(fleet.stats.max_in_flight, kBatch);
+  EXPECT_GT(fleet.stats.max_in_flight, 1u);
   expect_no_zombie_children();
 }
 

@@ -306,5 +306,40 @@ TEST(FaultTolerance, BatchedResumeRejectsAJournalOfOtherOptions) {
   EXPECT_THROW((void)default_run.resume(records), std::runtime_error);
 }
 
+TEST(FaultTolerance, RejectedResumeLeavesTheJournalUntouched) {
+  // A resume under another power budget must fail before it rewrites the
+  // journal: the user's file keeps its bytes, partial round and epilogue
+  // included, so a resume under the right options still has all of it.
+  auto space = fake_space();
+  const auto constraints_at = [](double power_budget_w) {
+    ConstraintBudgets budgets;
+    budgets.power_w = power_budget_w;
+    return HardwareConstraints(
+        budgets,
+        HardwareModel(ModelForm::Linear, linalg::Vector{100.0}, 0.0, 0.5),
+        std::nullopt);
+  };
+  const HardwareConstraints written = constraints_at(60.0);
+  OptimizerOptions options = base_options(18, 12);
+  options.batch_size = 4;
+  options.num_threads = 2;
+  options.journal_path = temp_path("journal_rejected_resume.hpj");
+  FakeObjective inner(space);
+  Optimizer original(space, inner, written.budgets(), &written, options,
+                     make_proposer(Method::HwIeci, space));
+  (void)original.run();
+  const std::string before = file_contents(options.journal_path);
+  const JournalLoadResult loaded = EvalJournal::load(options.journal_path);
+  ASSERT_FALSE(loaded.study_state.empty());  // the epilogue a rewrite drops
+
+  const HardwareConstraints other = constraints_at(45.0);
+  FakeObjective other_inner(space);
+  Optimizer other_budget(space, other_inner, other.budgets(), &other, options,
+                         make_proposer(Method::HwIeci, space));
+  EXPECT_THROW((void)other_budget.resume(loaded.records), std::runtime_error);
+  EXPECT_EQ(file_contents(options.journal_path), before);
+  std::remove(options.journal_path.c_str());
+}
+
 }  // namespace
 }  // namespace hp::core

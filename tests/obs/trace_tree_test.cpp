@@ -1,6 +1,6 @@
 // Span-tree reconstruction across ThreadPool threads. Work fanned out via
-// parallel_for / submit must record its spans under the span that was open
-// on the *submitting* thread, and because span ids are pure functions of
+// parallel_for must record its spans under the span that was open on the
+// *calling* thread, and because span ids are pure functions of
 // (parent, name, key), the reconstructed (name, id, parent) tree must be
 // identical at every worker count — only timings and ring/tid placement
 // may differ. Runs under TSan in CI phase 3 with the rest of test_obs.
@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <set>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -80,22 +82,35 @@ TEST(TraceTreeTest, ParallelForChildrenLinkToSubmittingSpan) {
   EXPECT_EQ(evaluate_ids.size(), 8u);  // keyed by index => all distinct
 }
 
-TEST(TraceTreeTest, SubmitPropagatesCurrentSpanToWorker) {
+TEST(TraceTreeTest, ParallelForPropagatesCurrentSpanToWorker) {
   TraceConfig config;
   config.ring_kb = 64;
   tracer().start(config);
-  std::uint64_t job_parent = 0;
   std::uint64_t outer_id = 0;
+  std::uint64_t parents[2] = {0, 0};
+  std::thread::id threads[2];
   {
     parallel::ThreadPool pool(2);
-    ScopedTimer outer("tree.submit", nullptr, 0);
+    ScopedTimer outer("tree.outer", nullptr, 0);
     outer_id = tracer().current_span();
-    pool.submit([&job_parent] { job_parent = tracer().current_span(); })
-        .get();
+    // Whichever thread takes index 0 waits until another thread has taken
+    // index 1, so one of the two indices runs on a pool worker.
+    std::atomic<bool> second_started{false};
+    pool.parallel_for(2, [&](std::size_t i) {
+      parents[i] = tracer().current_span();
+      threads[i] = std::this_thread::get_id();
+      if (i == 1) {
+        second_started = true;
+      } else {
+        while (!second_started) std::this_thread::yield();
+      }
+    });
   }
   tracer().stop();
   tracer().reset();
-  EXPECT_EQ(job_parent, outer_id);
+  EXPECT_NE(threads[0], threads[1]);
+  EXPECT_EQ(parents[0], outer_id);
+  EXPECT_EQ(parents[1], outer_id);
 }
 
 TEST(TraceTreeTest, SpanTreeIsInvariantAcrossWorkerCounts) {

@@ -577,6 +577,8 @@ int cmd_optimize(const cli::Args& args) {
     std::printf("  %-24s %zu\n", "fleet jobs dispatched", fs.dispatched);
     std::printf("  %-24s %zu\n", "fleet jobs lost", fs.lost);
     std::printf("  %-24s %zu\n", "fleet jobs requeued", fs.requeued);
+    std::printf("  %-24s %zu\n", "fleet jobs returned", fs.returned);
+    std::printf("  %-24s %zu\n", "fleet max jobs/worker", fs.max_in_flight);
     std::printf("  %-24s %zu\n", "fleet jobs failed", fs.failed_jobs);
     std::printf("  %-24s %zu\n", "fleet worker deaths", fs.worker_deaths);
     std::printf("  %-24s %zu\n", "fleet worker respawns", fs.respawns);
