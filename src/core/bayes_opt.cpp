@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "core/batch_fill.hpp"
 #include "linalg/matrix.hpp"
@@ -140,12 +141,12 @@ void BayesOptProposer::fit_objective_gp_posterior() {
                      linalg::Vector{std::vector<double>(obs_y_)});
 }
 
-void BayesOptProposer::observe(const EvaluationRecord& record) {
+RecordedKernelFit BayesOptProposer::observe(const EvaluationRecord& record) {
   // Model-filtered samples carry no new information about the objective —
   // the a-priori models already encode their infeasibility.
   if (record.status == EvaluationStatus::ModelFiltered ||
       record.status == EvaluationStatus::InfeasibleArchitecture) {
-    return;
+    return {};
   }
   const std::vector<double> unit = space().encode(record.config);
   obs_x_.push_back(unit);
@@ -162,15 +163,17 @@ void BayesOptProposer::observe(const EvaluationRecord& record) {
     obs_memory_.push_back(*record.measured_memory_mb);
   }
   ++observations_since_kernel_fit_;
-  refit_objective_gp();
+  RecordedKernelFit fit = refit_objective_gp(record);
   // Constraint GPs are only needed in default (no a-priori models) mode.
   if (active_constraints() == nullptr && budgets().any()) {
     refit_constraint_gps();
   }
+  return fit;
 }
 
-void BayesOptProposer::refit_objective_gp() {
-  if (obs_y_.size() < 2) return;
+RecordedKernelFit BayesOptProposer::refit_objective_gp(
+    const EvaluationRecord& record) {
+  if (obs_y_.size() < 2) return {};
   if (objective_gp_ == nullptr) {
     objective_gp_ = make_gp(space().dimension(), bo_options_.observation_noise);
   }
@@ -188,17 +191,35 @@ void BayesOptProposer::refit_objective_gp() {
                          obs_y_.size());
   timer.trace_arg({"observations", obs_y_.size()});
   timer.trace_arg({"kernel_ml", kernel_ml});
-  if (kernel_ml) {
-    gp::KernelFitOptions fit = bo_options_.kernel_fit;
-    fit.min_noise_variance = bo_options_.observation_noise;
-    (void)gp::fit_kernel_by_ml(*objective_gp_, x, y, fit, thread_pool());
-    observations_since_kernel_fit_ = 0;
+  RecordedKernelFit fit;
+  if (kernel_ml && record.kernel_fit) {
+    // Replay of a journaled fit: the search's last step without the search.
+    // A fit whose installed GP has another likelihood was made on other
+    // data, or altered.
+    timer.trace_arg({"recorded", true});
+    const gp::KernelFit& recorded = *record.kernel_fit;
+    if (recorded.params.length_scales.size() != space().dimension() ||
+        !gp::install_kernel_fit(*objective_gp_, x, y, recorded)) {
+      throw std::runtime_error(
+          "resume: the kernel fit recorded with sample " +
+          std::to_string(record.index) +
+          " diverges from the replayed data (journal written with different "
+          "options, or altered?)");
+    }
+    fit = record.kernel_fit;
+  } else if (kernel_ml) {
+    gp::KernelFitOptions options = bo_options_.kernel_fit;
+    options.min_noise_variance = bo_options_.observation_noise;
+    fit = RecordedKernelFit(
+        gp::fit_kernel_by_ml(*objective_gp_, x, y, options, thread_pool()));
   } else {
     objective_gp_->fit(x, y);
   }
+  if (kernel_ml) observations_since_kernel_fit_ = 0;
   // Annotated post-fit: which incremental path the refit actually took.
   timer.trace_arg(
       {"refit", gp::refit_kind_name(objective_gp_->last_refit_kind())});
+  return fit;
 }
 
 namespace {

@@ -55,11 +55,19 @@ class BayesOptProposer final : public Proposer {
   /// returning.
   [[nodiscard]] std::vector<Configuration> propose_batch(
       std::size_t first_sample_index, std::size_t count) override;
-  void observe(const EvaluationRecord& record) override;
+  /// Refits the surrogates on @p record. Every kernel_refit_interval
+  /// observations the objective GP's kernel is refitted by maximum
+  /// likelihood, and that fit is returned. When the record carries a fit
+  /// (a resume's replay), it is installed instead of searched for; if the
+  /// installed GP's likelihood lacks the recorded bits, observe() throws
+  /// std::runtime_error (the journal diverges from this run).
+  RecordedKernelFit observe(const EvaluationRecord& record) override;
   [[nodiscard]] double proposal_overhead_s() const override;
 
  private:
-  void refit_objective_gp();
+  /// Refits the objective GP after @p record was stored; returns the
+  /// kernel ML fit it ran or installed, if any.
+  RecordedKernelFit refit_objective_gp(const EvaluationRecord& record);
   void refit_constraint_gps();
   /// Posterior-only refit of the objective GP on the current observation
   /// store (shared by the observe path and the constant-liar hooks).

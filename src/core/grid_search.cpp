@@ -48,9 +48,10 @@ std::vector<Configuration> GridSearchProposer::propose_batch(
   return points;
 }
 
-void GridSearchProposer::observe(const EvaluationRecord& record) {
+RecordedKernelFit GridSearchProposer::observe(const EvaluationRecord& record) {
   (void)record;
   ++observed_;
+  return {};
 }
 
 }  // namespace hp::core

@@ -44,7 +44,7 @@ class GridSearchProposer final : public Proposer {
   /// repeating points.
   [[nodiscard]] std::vector<Configuration> propose_batch(
       std::size_t first_sample_index, std::size_t count) override;
-  void observe(const EvaluationRecord& record) override;
+  RecordedKernelFit observe(const EvaluationRecord& record) override;
   [[nodiscard]] double proposal_overhead_s() const override { return 0.1; }
   /// True once the final grid point has been observed; the study stops
   /// the run.

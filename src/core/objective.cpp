@@ -2,7 +2,20 @@
 
 #include <stdexcept>
 
+#include "gp/kernel_fit.hpp"
+
 namespace hp::core {
+
+static_assert(sizeof(RecordedKernelFit) == sizeof(void*),
+              "an empty recorded fit costs one pointer");
+
+void RecordedKernelFit::Delete::operator()(gp::KernelFit* fit) const noexcept {
+  delete fit;
+}
+
+gp::KernelFit* RecordedKernelFit::copy(const gp::KernelFit& fit) {
+  return new gp::KernelFit(fit);
+}
 
 EvaluationRecord Objective::evaluate_detached(
     const Configuration& config, const EarlyTerminationRule* early_termination) {

@@ -5,12 +5,17 @@
 // iteration, "the most expensive step"), followed by measuring inference
 // power/memory on the target platform.
 
+#include <memory>
 #include <optional>
 #include <string>
 
 #include "core/clock.hpp"
 #include "core/early_termination.hpp"
 #include "core/search_space.hpp"
+
+namespace hp::gp {
+struct KernelFit;
+}  // namespace hp::gp
 
 namespace hp::core {
 
@@ -60,6 +65,45 @@ enum class FailureKind {
 [[nodiscard]] std::optional<FailureKind> failure_kind_from_string(
     const std::string& name);
 
+/// The kernel ML fit a model-based proposer ran when it observed a record
+/// (gp/kernel_fit.hpp), kept so the journal can hold it and a resume can
+/// install it instead of searching again. Empty, it is one null pointer,
+/// which is what most records carry, and every operation on it is inline.
+/// Copies are deep.
+class RecordedKernelFit {
+ public:
+  RecordedKernelFit() noexcept = default;
+  explicit RecordedKernelFit(const gp::KernelFit& fit) : fit_(copy(fit)) {}
+  RecordedKernelFit(const RecordedKernelFit& other)
+      : fit_(other ? copy(*other) : nullptr) {}
+  RecordedKernelFit(RecordedKernelFit&& other) noexcept = default;
+  RecordedKernelFit& operator=(const RecordedKernelFit& other) {
+    if (this != &other) fit_.reset(other ? copy(*other) : nullptr);
+    return *this;
+  }
+  RecordedKernelFit& operator=(RecordedKernelFit&& other) noexcept = default;
+  ~RecordedKernelFit() = default;
+
+  [[nodiscard]] explicit operator bool() const noexcept {
+    return fit_ != nullptr;
+  }
+  [[nodiscard]] const gp::KernelFit& operator*() const noexcept {
+    return *fit_;
+  }
+  [[nodiscard]] const gp::KernelFit* operator->() const noexcept {
+    return fit_.get();
+  }
+
+ private:
+  /// Defined where gp::KernelFit is complete.
+  struct Delete {
+    void operator()(gp::KernelFit* fit) const noexcept;
+  };
+  [[nodiscard]] static gp::KernelFit* copy(const gp::KernelFit& fit);
+
+  std::unique_ptr<gp::KernelFit, Delete> fit_;
+};
+
 /// One queried sample with everything the experiment tables need.
 struct EvaluationRecord {
   Configuration config;
@@ -91,6 +135,10 @@ struct EvaluationRecord {
   std::size_t attempts = 1;
   /// Terminal failure kind when status == Failed.
   std::optional<FailureKind> failure_kind;
+  /// The kernel ML fit the proposer ran when it observed this record
+  /// (filled by the study; empty when it ran none). The journal keeps it;
+  /// the trace CSV and the wire's record line do not.
+  RecordedKernelFit kernel_fit;
 
   /// True when the sample invoked the objective (a completed or
   /// early-terminated training): one of the paper's "function evaluations".

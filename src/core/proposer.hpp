@@ -103,8 +103,14 @@ class Proposer {
       std::size_t first_sample_index, std::size_t count);
 
   /// Called after every recorded sample (of any status), in sample order.
-  /// Model-based strategies update their surrogates here.
-  virtual void observe(const EvaluationRecord& record) { (void)record; }
+  /// Model-based strategies update their surrogates here. Returns the
+  /// kernel ML fit the observation ran, if it ran one; the Study attaches
+  /// it to the record, so the journal keeps it. A replayed record that
+  /// carries one is a fit to install instead of searching again.
+  virtual RecordedKernelFit observe(const EvaluationRecord& record) {
+    (void)record;
+    return {};
+  }
 
   /// Per-proposal bookkeeping cost charged to the virtual clock, in
   /// seconds. Model-based strategies override this with their (growing)

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/contracts.hpp"
+
 namespace hp::core {
 
 void RunTrace::add(EvaluationRecord record) {
@@ -30,6 +32,11 @@ void RunTrace::add(EvaluationRecord record) {
   }
   retries_ += record.attempts > 0 ? record.attempts - 1 : 0;
   records_.push_back(std::move(record));
+}
+
+void RunTrace::attach_kernel_fit(RecordedKernelFit fit) {
+  HP_REQUIRE(!records_.empty(), "RunTrace::attach_kernel_fit: empty trace");
+  records_.back().kernel_fit = std::move(fit);
 }
 
 std::optional<EvaluationRecord> RunTrace::best() const {

@@ -18,6 +18,9 @@ class RunTrace {
  public:
   /// Appends @p record and adds it to the counts below.
   void add(EvaluationRecord record);
+  /// Sets the last record's kernel_fit (the fit its observation ran); the
+  /// counts do not depend on it. The trace must not be empty.
+  void attach_kernel_fit(RecordedKernelFit fit);
 
   [[nodiscard]] const std::vector<EvaluationRecord>& records() const noexcept {
     return records_;

@@ -439,7 +439,18 @@ const EvaluationRecord& Study::record_sample(EvaluationRecord record,
     }
     emit_sample_events(stored, trace_, incumbent_, options_);
   }
-  proposer_.observe(stored);
+  // The kernel ML fit the observation ran, or installed from a replayed
+  // record, rides on the record: the journal keeps it, and a resume's
+  // rewrite writes it back.
+  RecordedKernelFit fit = proposer_.observe(stored);
+  if (!fit && stored.kernel_fit) {
+    throw std::runtime_error(
+        "resume: the kernel fit recorded with sample " +
+        std::to_string(stored.index) +
+        " is one this run does not make (journal written with different "
+        "options?)");
+  }
+  if (fit) trace_.attach_kernel_fit(std::move(fit));
   return stored;
 }
 

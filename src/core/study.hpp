@@ -195,9 +195,12 @@ class Study {
   /// and only the final kept round is re-proposed: the proposer observes
   /// the rounds before it without proposing them (the Proposer rule).
   /// Sequential mode re-proposes every record, which advances the shared
-  /// stream. Throws std::runtime_error when a re-proposed configuration
-  /// differs from its record, or when the a-priori models' verdict on a
-  /// record differs from whether it was model-filtered (a journal of
+  /// stream. A record's kernel fit (EvaluationRecord::kernel_fit) is
+  /// installed by the proposer instead of searched for. Throws
+  /// std::runtime_error when a re-proposed configuration differs from its
+  /// record, when the a-priori models' verdict on a record differs from
+  /// whether it was model-filtered, or when a record carries a kernel fit
+  /// the proposer does not make there or does not reproduce (a journal of
   /// another seed, method, budget or mode).
   void resume(const std::vector<EvaluationRecord>& completed,
               parallel::ThreadPool* pool = nullptr);
@@ -276,8 +279,9 @@ class Study {
   /// @p live only — advances the consecutive-failure streak and emits the
   /// per-sample metrics and events (a replayed Failed sample must not
   /// re-trigger the abort the original run survived). Then the proposer
-  /// observes the stored record, which is returned (stable until the next
-  /// record) so tell() journals exactly what the trace holds.
+  /// observes the stored record, and the kernel fit it reports is attached
+  /// to it. The record is returned (stable until the next record) so
+  /// tell() journals exactly what the trace holds.
   const EvaluationRecord& record_sample(EvaluationRecord record, bool live);
   /// Flags the abort when the consecutive-failure budget is exhausted.
   void check_abort();

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "core/checksum.hpp"
+#include "gp/kernel_fit.hpp"
 #include "obs/log.hpp"
 #include "obs/span.hpp"
 
@@ -60,15 +62,17 @@ EvaluationStatus status_from_string(const std::string& name) {
   fail_parse("unknown status '" + name + "'");
 }
 
+/// A double field as format_double() writes it, over the whole field.
+/// from_chars, unlike std::stod, takes the subnormals "%.17g" writes, and
+/// no leading space, '+' or hex float.
 double parse_number(const std::string& text, const char* what) {
-  try {
-    std::size_t consumed = 0;
-    const double value = std::stod(text, &consumed);
-    if (consumed != text.size()) fail_parse(std::string("malformed ") + what);
-    return value;
-  } catch (const std::logic_error&) {
+  double value = 0.0;
+  const char* const end = text.data() + text.size();
+  const auto [last, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || last != end) {
     fail_parse(std::string("malformed ") + what);
   }
+  return value;
 }
 
 /// An index, count or seed: decimal digits only (no sign, space, point or
@@ -160,9 +164,9 @@ EvaluationRecord parse_record_fields(const std::vector<std::string>& fields) {
   return r;
 }
 
-/// Round-trip exact double formatting ("%.17g"): parsing the text with
-/// std::stod recovers the identical bit pattern, which is what makes a
-/// journal resume bit-identical to the uninterrupted run.
+/// Round-trip exact double formatting ("%.17g"): parse_number() recovers
+/// the identical bit pattern, which is what makes a journal resume
+/// bit-identical to the uninterrupted run.
 std::string format_double(double value) {
   char buffer[32];
   std::snprintf(buffer, sizeof buffer, "%.17g", value);
@@ -274,12 +278,60 @@ constexpr const char* kJournalMagic = "hpjournal";
 constexpr const char* kJournalVersionV1 = "v1";
 constexpr const char* kJournalVersionV2 = "v2";
 constexpr const char* kJournalVersionV3 = "v3";
+constexpr const char* kJournalVersionV4 = "v4";
 
 std::string journal_header_line(const JournalHeader& header) {
   std::ostringstream os;
-  os << kJournalMagic << ',' << kJournalVersionV3 << ',' << header.method << ','
+  os << kJournalMagic << ',' << kJournalVersionV4 << ',' << header.method << ','
      << header.seed << ',' << header.batch_size;
   return os.str();
+}
+
+/// The v4 kernel-fit line that follows its record's line:
+/// `k,<signal variance>,<noise variance>,<log marginal likelihood>,<D>,
+/// <length scale 1>,...,<length scale D>`.
+std::string kernel_fit_body(const gp::KernelFit& fit) {
+  std::ostringstream os;
+  os << "k," << format_double(fit.params.signal_variance) << ','
+     << format_double(fit.noise_variance) << ','
+     << format_double(fit.log_marginal_likelihood) << ','
+     << fit.params.length_scales.size();
+  for (const double l : fit.params.length_scales) os << ',' << format_double(l);
+  return os.str();
+}
+
+/// A variance or length scale: finite and > 0, as the kernel requires.
+double parse_positive(const std::string& text, const char* what) {
+  const double value = parse_number(text, what);
+  if (!(value > 0.0) || !std::isfinite(value)) {
+    fail_parse(std::string("non-positive or non-finite ") + what);
+  }
+  return value;
+}
+
+/// The fields of a kernel-fit line (kernel_fit_body()'s). Throws via
+/// fail_parse() on a wrong arity or a value the kernel would not take.
+gp::KernelFit parse_kernel_fit_fields(const std::vector<std::string>& fields) {
+  if (fields.size() < 6 || fields[0] != "k") {
+    fail_parse("malformed kernel fit frame");
+  }
+  const std::uint64_t dim = parse_count(fields[4], "kernel fit dimension");
+  if (dim != fields.size() - 5) fail_parse("kernel fit field count mismatch");
+  gp::KernelFit fit;
+  fit.params.signal_variance = parse_positive(fields[1], "signal variance");
+  fit.noise_variance = parse_positive(fields[2], "noise variance");
+  fit.log_marginal_likelihood =
+      parse_number(fields[3], "log marginal likelihood");
+  if (!std::isfinite(fit.log_marginal_likelihood)) {
+    fail_parse("non-finite log marginal likelihood");
+  }
+  fit.params.length_scales.clear();
+  fit.params.length_scales.reserve(fields.size() - 5);
+  for (std::size_t i = 5; i < fields.size(); ++i) {
+    fit.params.length_scales.push_back(
+        parse_positive(fields[i], "length scale"));
+  }
+  return fit;
 }
 
 /// v2+ journal line: the line body followed by ",#<8-hex crc32 of body>".
@@ -292,8 +344,15 @@ std::string checksummed_line(const std::string& body) {
   return body + suffix;
 }
 
-std::string checksummed_record_line(const EvaluationRecord& r) {
-  return checksummed_line(format_record_line(r));
+/// A record's journal lines: its record line, then its kernel-fit line if
+/// it carries a fit. They go out in one write and one fsync.
+std::string journal_lines(const EvaluationRecord& r) {
+  std::string lines = checksummed_line(format_record_line(r));
+  if (r.kernel_fit) {
+    lines += '\n';
+    lines += checksummed_line(kernel_fit_body(*r.kernel_fit));
+  }
+  return lines;
 }
 
 /// The v3 clean-finalize marker. A distinct frame tag ("s", records use
@@ -382,7 +441,7 @@ EvalJournal EvalJournal::rewrite(const std::string& path,
   std::string text = journal_header_line(header);
   for (const EvaluationRecord& record : records) {
     text += '\n';
-    text += checksummed_record_line(record);
+    text += journal_lines(record);
   }
   {
     obs::ScopedTimer fsync_span("journal.fsync", nullptr, records.size());
@@ -407,10 +466,12 @@ JournalLoadResult EvalJournal::load(const std::string& path) {
   if (header_fields.size() != 5 || header_fields[0] != kJournalMagic ||
       (header_fields[1] != kJournalVersionV1 &&
        header_fields[1] != kJournalVersionV2 &&
-       header_fields[1] != kJournalVersionV3)) {
+       header_fields[1] != kJournalVersionV3 &&
+       header_fields[1] != kJournalVersionV4)) {
     fail_journal("bad header in '" + path + "'");
   }
   const bool checksummed = header_fields[1] != kJournalVersionV1;
+  const bool kernel_fits = header_fields[1] == kJournalVersionV4;
   JournalLoadResult result;
   result.header.method = header_fields[2];
   try {
@@ -452,6 +513,16 @@ JournalLoadResult EvalJournal::load(const std::string& path) {
         result.study_state = fields[1];
         continue;
       }
+      if (fields[0] == "k") {
+        // A v4 kernel-fit line belongs to the record line right before it.
+        if (!kernel_fits) fail_parse("kernel fit line before journal v4");
+        if (result.records.empty() || result.records.back().kernel_fit) {
+          fail_parse("kernel fit line without its record line");
+        }
+        result.records.back().kernel_fit =
+            RecordedKernelFit(parse_kernel_fit_fields(fields));
+        continue;
+      }
       result.records.push_back(parse_record_fields(fields));
     } catch (const std::runtime_error& e) {
       const std::string what =
@@ -473,7 +544,7 @@ JournalLoadResult EvalJournal::load(const std::string& path) {
 void EvalJournal::append(const EvaluationRecord& record) {
   if (!active()) return;
   obs::ScopedTimer fsync_span("journal.fsync", nullptr, record.index);
-  write_journal_line(file_.get(), path_, checksummed_record_line(record));
+  write_journal_line(file_.get(), path_, journal_lines(record));
 }
 
 void EvalJournal::finalize(const std::string& state, std::size_t records) {

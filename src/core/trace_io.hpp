@@ -82,16 +82,19 @@ struct JournalLoadResult {
 /// append() is a no-op, which lets the optimizer write journal code
 /// unconditionally.
 ///
-/// Format versions: new journals are written as `hpjournal,v3`. Since v2,
+/// Format versions: new journals are written as `hpjournal,v4`. Since v2,
 /// record lines end in a `#crc32` field over the record body — a torn
 /// *middle* write (a crashed fleet merge, a disk that reordered flushes)
 /// is detected by the checksum and rejected deterministically even when
 /// the truncated text happens to still parse. v3 adds a checksummed
 /// `s,<state>,<count>` study_state epilogue written by finalize() when a
 /// run ends cleanly, so load() can report "completed" versus "torn tail"
-/// without replaying. v1 journals (no checksums) and v2 journals (no
-/// epilogue) remain loadable; only v1's unparseable corruption is
-/// detectable.
+/// without replaying. v4 adds a checksummed `k` line after the record
+/// line of every record that carries a kernel ML fit
+/// (EvaluationRecord::kernel_fit), written in the same write and fsync;
+/// a torn `k` line leaves its record without a fit. v1 journals (no
+/// checksums), v2 journals (no epilogue) and v3 journals (no fits) remain
+/// loadable; only v1's unparseable corruption is detectable.
 class EvalJournal {
  public:
   EvalJournal() = default;
@@ -105,8 +108,9 @@ class EvalJournal {
   [[nodiscard]] static EvalJournal create(const std::string& path,
                                           const JournalHeader& header);
 
-  /// Replaces @p path with a journal holding the header plus @p records,
-  /// as create() and one append() per record would write it — the resume
+  /// Replaces @p path with a journal holding the header plus @p records
+  /// (their kernel fits included), as create() and one append() per
+  /// record would write it — the resume
   /// path's journal rebuild (the records a resumed run replays must be in
   /// its journal too, or a second crash would lose them). The new journal
   /// is written to `<path>.tmp`, fsynced once and renamed over @p path, so
@@ -117,12 +121,15 @@ class EvalJournal {
       const std::vector<EvaluationRecord>& records);
 
   /// Loads a journal, tolerating a torn final line (dropped and counted).
-  /// Throws std::runtime_error when the file cannot be read, the header is
-  /// malformed, or a non-final line is corrupt.
+  /// A `k` line's fit is attached to the record before it. Throws
+  /// std::runtime_error when the file cannot be read, the header is
+  /// malformed, or a non-final line is corrupt or out of place (a `k`
+  /// line before v4, with no record line before it, or after another).
   [[nodiscard]] static JournalLoadResult load(const std::string& path);
 
-  /// Appends one record and fsyncs. No-op on an inactive journal. Throws
-  /// std::runtime_error on I/O failure.
+  /// Appends one record, and its kernel fit if it carries one, and fsyncs
+  /// once. No-op on an inactive journal. Throws std::runtime_error on I/O
+  /// failure.
   void append(const EvaluationRecord& record);
 
   /// Writes the study_state epilogue (`s,<state>,<records>`, checksummed),

@@ -127,10 +127,8 @@ void FleetScheduler::dispatch_queued(JobTable& table) {
   const double now = steady_now_s();
   const auto eligible = [&](const Job& job) {
     if (job.state != JobState::Queued) return false;
-    for (const auto& [job_id, earliest_s] : not_before_) {
-      if (job_id == job.id) return now >= earliest_s;
-    }
-    return true;
+    const auto backoff = not_before_.find(job.id);
+    return backoff == not_before_.end() || now >= backoff->second;
   };
   const std::vector<Job>& jobs = table.jobs();
   std::size_t outstanding = 0;
@@ -365,9 +363,10 @@ void FleetScheduler::lose_head(JobTable& table, std::size_t slot,
     return;
   }
   table.requeue(id);
-  not_before_.emplace_back(
-      id, steady_now_s() +
-              requeue_backoff_s(job.sample_index, job.dispatch_attempts));
+  // The latest loss sets the wait: a job lost twice waits its second
+  // backoff, not its first, long elapsed one.
+  not_before_[id] =
+      steady_now_s() + requeue_backoff_s(job.sample_index, job.dispatch_attempts);
   hp::MutexLock lock(stats_mutex_);
   ++stats_.requeued;
 }

@@ -44,6 +44,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/dispatch.hpp"
@@ -159,8 +160,9 @@ class FleetScheduler final : public core::RoundDispatcher {
   std::unique_ptr<WorkerSupervisor> supervisor_;
   std::vector<WorkerState> workers_;
   std::uint64_t next_job_id_ = 1;
-  /// Earliest steady-clock second each requeued job may redispatch.
-  std::vector<std::pair<std::uint64_t, double>> not_before_;
+  /// Earliest steady-clock second each requeued job may redispatch, by
+  /// job id: the backoff of its latest loss.
+  std::unordered_map<std::uint64_t, double> not_before_;
   bool shut_down_ = false;
 
   /// Leaf lock (§14): guards only the stats snapshot; never held across

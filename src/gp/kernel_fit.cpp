@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/contracts.hpp"
 #include "linalg/cholesky.hpp"
 #include "obs/obs.hpp"
 #include "parallel/thread_pool.hpp"
@@ -400,11 +401,21 @@ KernelFitResult fit_kernel_by_ml(GaussianProcess& gp, const linalg::Matrix& x,
   result.noise_variance = best.noise_variance(options.min_noise_variance);
   result.log_marginal_likelihood = best_lml;
   result.evaluations = evaluations;
-
-  // A fresh GP with the fitted kernel and noise: one full factorization.
-  gp = GaussianProcess(Matern52Kernel(result.params), result.noise_variance);
-  gp.fit(x, y);
+  // The installed GP's likelihood is the search's, bit for bit: that is
+  // what lets a resume check a recorded fit by its likelihood.
+  const bool installed = install_kernel_fit(gp, x, y, result);
+  HP_ENFORCE(installed,
+             "fit_kernel_by_ml: the installed GP's likelihood differs from "
+             "the search's");
   return result;
+}
+
+bool install_kernel_fit(GaussianProcess& gp, const linalg::Matrix& x,
+                        const linalg::Vector& y, const KernelFit& fit) {
+  // A fresh GP with the fitted kernel and noise: one full factorization.
+  gp = GaussianProcess(Matern52Kernel(fit.params), fit.noise_variance);
+  gp.fit(x, y);
+  return same_bits(gp.log_marginal_likelihood(), fit.log_marginal_likelihood);
 }
 
 }  // namespace hp::gp

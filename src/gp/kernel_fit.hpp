@@ -35,11 +35,16 @@ struct KernelFitOptions {
   void validate() const;
 };
 
-/// Result of a kernel fit.
-struct KernelFitResult {
+/// A kernel ML fit: the hyper-parameters it chose and the log marginal
+/// likelihood of the GP they give on the data they were fitted to.
+struct KernelFit {
   KernelParams params;
   double noise_variance = 0.0;
   double log_marginal_likelihood = 0.0;
+};
+
+/// Result of a kernel fit: the fit and what its search cost.
+struct KernelFitResult : KernelFit {
   int evaluations = 0;  ///< number of LML evaluations performed
 };
 
@@ -110,8 +115,8 @@ class LmlEvaluator {
 
 /// Maximizes the LML of the Matern 5/2 kernel (Matern52Kernel) on
 /// (@p x, @p y), starting from @p gp's kernel parameters and noise, and
-/// installs the best hyper-parameters into @p gp (which ends up fitted on
-/// the data). With a @p pool that has workers, the restarts run
+/// installs the best hyper-parameters into @p gp (install_kernel_fit, so
+/// @p gp ends up fitted on the data). With a @p pool that has workers, the restarts run
 /// speculatively on it, worker_count() + 1 at a time, one "gp.fit_restart"
 /// span each; the result, `evaluations` included, is bit for bit the
 /// serial search's, which is what runs with no pool or zero workers. A
@@ -124,5 +129,18 @@ KernelFitResult fit_kernel_by_ml(GaussianProcess& gp, const linalg::Matrix& x,
                                  const linalg::Vector& y,
                                  const KernelFitOptions& options = {},
                                  parallel::ThreadPool* pool = nullptr);
+
+/// Installs @p fit into @p gp: a fresh GaussianProcess with the fit's
+/// Matern 5/2 kernel and noise, fitted on (@p x, @p y). This is the step
+/// that ends fit_kernel_by_ml, and a resume takes it for a recorded fit
+/// instead of searching again. Returns whether the installed GP's log
+/// marginal likelihood has the bits of fit.log_marginal_likelihood, as it
+/// has after a search (LmlEvaluator::lml); a recorded fit without them
+/// does not describe this data. Throws where the GaussianProcess
+/// constructor and fit() throw.
+[[nodiscard]] bool install_kernel_fit(GaussianProcess& gp,
+                                      const linalg::Matrix& x,
+                                      const linalg::Vector& y,
+                                      const KernelFit& fit);
 
 }  // namespace hp::gp

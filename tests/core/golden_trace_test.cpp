@@ -17,11 +17,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -33,6 +36,7 @@
 #include "core/optimizer.hpp"
 #include "core/trace_io.hpp"
 #include "fake_objective.hpp"
+#include "gp/kernel_fit.hpp"
 #include "obs/trace.hpp"
 
 namespace hp::core {
@@ -209,21 +213,74 @@ void check_or_regen(const std::string& key, std::size_t batch) {
   }
 }
 
+/// How a resume gets its records' kernel fits.
+enum class Fits {
+  /// As the journal recorded them: replay installs each one.
+  kRecorded,
+  /// Removed, as a v3 journal gives them: replay searches for each one.
+  kStripped,
+};
+
+/// The journaled records of one full run, and the journal's text.
+struct JournaledRun {
+  std::vector<EvaluationRecord> records;
+  std::string journal;
+};
+
+JournaledRun journaled_run(const std::string& key, std::size_t batch,
+                           std::size_t threads) {
+  const std::string path =
+      temp_path("golden_" + key + "_b" + std::to_string(batch) + "_full.hpj");
+  const RunResult full = run_once(key, batch, threads, path);
+  EXPECT_EQ(trace_csv(full.trace), read_file(golden_path(key, batch)));
+  JournaledRun run{EvalJournal::load(path).records, read_file(path)};
+  std::remove(path.c_str());
+  EXPECT_EQ(run.records.size(), full.trace.size());
+  return run;
+}
+
+/// Resumes the golden scenario @p key from @p records on a fresh stack,
+/// journaling to @p journal_path.
+RunResult resume_from(const std::string& key, std::size_t batch,
+                      std::size_t threads,
+                      const std::vector<EvaluationRecord>& records,
+                      const std::string& journal_path) {
+  const HyperParameterSpace space = fake_space();
+  const HardwareConstraints constraints = golden_constraints();
+  FakeObjective inner(space);
+  inner.set_diverge_above(0.55);
+  FaultInjectingObjective faulty(inner, golden_faults());
+  OptimizerOptions opt = golden_options(key, batch, threads);
+  opt.journal_path = journal_path;
+  auto optimizer = make_optimizer(key, space, faulty, constraints, opt);
+  return optimizer->resume(records);
+}
+
+std::size_t count_fits(const std::vector<EvaluationRecord>& records) {
+  std::size_t fits = 0;
+  for (const EvaluationRecord& record : records) {
+    if (record.kernel_fit) ++fits;
+  }
+  return fits;
+}
+
 /// Journal the run, "crash" it by truncating to each of @p keeps records,
-/// resume on a completely fresh stack, and require the final trace to still
-/// match the golden byte-for-byte. An empty @p keeps cuts at every point
-/// from no record to all of them.
+/// resume on a completely fresh stack, and require the final trace and
+/// journal to still match the uninterrupted run's byte-for-byte. An empty
+/// @p keeps cuts at every point from no record to all of them.
 void check_resume_at(const std::string& key, std::size_t batch,
-                     std::size_t threads, std::vector<std::size_t> keeps) {
+                     std::size_t threads, std::vector<std::size_t> keeps,
+                     Fits fits = Fits::kRecorded) {
   if (regen_mode()) GTEST_SKIP() << "regen mode: goldens only";
   const std::string golden = read_file(golden_path(key, batch));
-  const std::string full_journal =
-      temp_path("golden_" + key + "_b" + std::to_string(batch) + "_full.hpj");
-  const RunResult full = run_once(key, batch, threads, full_journal);
-  ASSERT_EQ(trace_csv(full.trace), golden);
-  const JournalLoadResult written = EvalJournal::load(full_journal);
-  std::remove(full_journal.c_str());
-  ASSERT_EQ(written.records.size(), full.trace.size());
+  JournaledRun written = journaled_run(key, batch, threads);
+  ASSERT_FALSE(::testing::Test::HasFailure());  // the uninterrupted run
+  if (is_bayesian_key(key)) {
+    ASSERT_GT(count_fits(written.records), 0u);
+  }
+  if (fits == Fits::kStripped) {
+    for (EvaluationRecord& record : written.records) record.kernel_fit = {};
+  }
   if (keeps.empty()) {
     for (std::size_t keep = 0; keep <= written.records.size(); ++keep) {
       keeps.push_back(keep);
@@ -240,16 +297,12 @@ void check_resume_at(const std::string& key, std::size_t batch,
     const std::vector<EvaluationRecord> crashed(
         written.records.begin(),
         written.records.begin() + static_cast<std::ptrdiff_t>(keep));
-    const HyperParameterSpace space = fake_space();
-    const HardwareConstraints constraints = golden_constraints();
-    FakeObjective inner(space);
-    inner.set_diverge_above(0.55);
-    FaultInjectingObjective faulty(inner, golden_faults());
-    OptimizerOptions opt = golden_options(key, batch, threads);
-    opt.journal_path = resumed_journal;
-    auto optimizer = make_optimizer(key, space, faulty, constraints, opt);
-    const RunResult resumed = optimizer->resume(crashed);
+    const RunResult resumed =
+        resume_from(key, batch, threads, crashed, resumed_journal);
     EXPECT_EQ(trace_csv(resumed.trace), golden);
+    // A searched fit is attached like an installed one, so the rewritten
+    // journal holds every fit either way.
+    EXPECT_EQ(read_file(resumed_journal), written.journal);
   }
   std::remove(resumed_journal.c_str());
 }
@@ -258,6 +311,23 @@ void check_resume_at(const std::string& key, std::size_t batch,
 void check_resume(const std::string& key, std::size_t batch,
                   std::size_t threads, std::size_t keep) {
   check_resume_at(key, batch, threads, {keep});
+}
+
+/// "gp.fit_restart" spans while @p run runs under the tracer.
+std::size_t fit_restart_spans(const std::function<void()>& run) {
+  obs::TraceConfig config;
+  config.ring_kb = 4096;
+  obs::tracer().start(config);
+  run();
+  obs::tracer().stop();
+  std::size_t spans = 0;
+  for (const obs::TraceEventView& view : obs::tracer().snapshot()) {
+    const char* name = view.event.name;
+    if (name != nullptr && std::strcmp(name, "gp.fit_restart") == 0) ++spans;
+  }
+  EXPECT_EQ(obs::tracer().dropped_events(), 0u);
+  obs::tracer().reset();
+  return spans;
 }
 
 TEST(GoldenTrace, Rand_Batch1) { check_or_regen("rand", 1); }
@@ -320,6 +390,106 @@ TEST(GoldenTrace, Resume_EveryCutPoint_HwCwei_BatchedParallel) {
 }
 TEST(GoldenTrace, Resume_EveryCutPoint_Grid_BatchedParallel) {
   check_resume_at("grid", 4, 4, {});
+}
+
+// The same cut points resumed from records without their kernel fits, as a
+// v3 journal gives them: replay searches for every fit, from the previous
+// one, and must reach the same trace and journal as installing them.
+TEST(GoldenTrace, ResumeSearching_EveryCutPoint_HwIeciLong_BatchedParallel) {
+  check_resume_at("hw_ieci_long", 4, 4, {}, Fits::kStripped);
+}
+TEST(GoldenTrace, ResumeSearching_EveryCutPoint_HwCwei_BatchedParallel) {
+  check_resume_at("hw_cwei", 4, 4, {}, Fits::kStripped);
+}
+TEST(GoldenTrace, ResumeSearching_EveryCutPoint_Grid_BatchedParallel) {
+  check_resume_at("grid", 4, 4, {}, Fits::kStripped);
+}
+TEST(GoldenTrace, ResumeSearching_HwIeciLong_Sequential) {
+  check_resume_at("hw_ieci_long", 1, 1, {30}, Fits::kStripped);
+}
+
+// A recorded fit is installed, not trusted: one whose values were altered
+// under a valid checksum so that the installed GP's likelihood moves (or
+// whose recorded likelihood was altered), or one moved to a record that
+// runs no fit, is rejected as a divergence instead of followed.
+TEST(GoldenTrace, ResumeRejectsAlteredKernelFit) {
+  if (regen_mode()) GTEST_SKIP() << "regen mode: goldens only";
+  const JournaledRun written = journaled_run("hw_ieci_long", 4, 4);
+  std::size_t altered = written.records.size();
+  for (std::size_t i = written.records.size() / 2; i < altered; ++i) {
+    if (written.records[i].kernel_fit) altered = i;
+  }
+  ASSERT_LT(altered, written.records.size());
+  const std::string path = temp_path("altered.hpj");
+  for (int field = 0; field < 5; ++field) {
+    SCOPED_TRACE("field " + std::to_string(field));
+    std::vector<EvaluationRecord> records = written.records;
+    gp::KernelFit fit = *records[altered].kernel_fit;
+    std::size_t rejected = altered;
+    if (field == 4) {
+      // Moved to the next record, which runs no kernel ML fit.
+      records[altered].kernel_fit = {};
+      ASSERT_FALSE(records[++rejected].kernel_fit);
+    } else {
+      double& value = field == 0   ? fit.params.signal_variance
+                      : field == 1 ? fit.params.length_scales.back()
+                      : field == 2 ? fit.noise_variance
+                                   : fit.log_marginal_likelihood;
+      // The likelihood's own bits, or a parameter by enough to move them.
+      value = field == 3 ? std::nextafter(value, 0.0) : value * 1.25;
+    }
+    records[rejected].kernel_fit = RecordedKernelFit(fit);
+    // Written and loaded back, every line carries a valid checksum.
+    (void)EvalJournal::rewrite(path, JournalHeader{"HW-IECI", 21, 4},
+                               records);
+    const std::vector<EvaluationRecord> loaded = EvalJournal::load(path).records;
+    ASSERT_EQ(loaded.size(), records.size());
+    const std::string before = read_file(path);
+    try {
+      (void)resume_from("hw_ieci_long", 4, 4, loaded, path);
+      ADD_FAILURE() << "the altered fit was followed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "kernel fit recorded with sample " +
+                    std::to_string(records[rejected].index)),
+                std::string::npos)
+          << e.what();
+    }
+    // The rejected resume left its journal as it was.
+    EXPECT_EQ(read_file(path), before);
+  }
+  std::remove(path.c_str());
+}
+
+// Resuming a whole journal runs no kernel ML search when its fits are
+// recorded, and one per fit when they are not. The study is finished once
+// its records are replayed, so every restart span counted is replay's.
+TEST(GoldenTrace, ResumeInstallsRecordedFitsWithoutSearching) {
+  if (regen_mode()) GTEST_SKIP() << "regen mode: goldens only";
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    const JournaledRun written = journaled_run("hw_ieci_long", batch, batch);
+    ASSERT_GT(count_fits(written.records), 0u);
+    std::vector<EvaluationRecord> stripped = written.records;
+    for (EvaluationRecord& record : stripped) record.kernel_fit = {};
+    const std::string path = temp_path("whole.hpj");
+    const std::string golden = read_file(golden_path("hw_ieci_long", batch));
+    EXPECT_EQ(fit_restart_spans([&] {
+                EXPECT_EQ(trace_csv(resume_from("hw_ieci_long", batch, batch,
+                                                written.records, path)
+                                        .trace),
+                          golden);
+              }),
+              0u);
+    EXPECT_GT(fit_restart_spans([&] {
+                EXPECT_EQ(trace_csv(resume_from("hw_ieci_long", batch, batch,
+                                                stripped, path)
+                                        .trace),
+                          golden);
+              }),
+              0u);
+    std::remove(path.c_str());
+  }
 }
 
 // Tracing is pure read-side (ISSUE 7): with the span tracer recording and

@@ -1,17 +1,22 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <bit>
 #include <cctype>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "core/checksum.hpp"
 #include "core/trace_io.hpp"
+#include "gp/kernel_fit.hpp"
 
 namespace hp::core {
 namespace {
@@ -76,6 +81,50 @@ std::vector<EvaluationRecord> sample_records() {
   return records;
 }
 
+/// A kernel fit with every value distinct, so a field mix-up shows.
+gp::KernelFit sample_fit(double scale) {
+  gp::KernelFit fit;
+  fit.params.signal_variance = 1.5 * scale;
+  fit.params.length_scales = {0.25 * scale, 1.0 / 3.0, 3.0 * scale};
+  fit.noise_variance = 1e-4 * scale;
+  fit.log_marginal_likelihood = -12.345678901234567 * scale;
+  return fit;
+}
+
+/// sample_records() with fits on the first and the third record.
+std::vector<EvaluationRecord> records_with_fits() {
+  std::vector<EvaluationRecord> records = sample_records();
+  records[0].kernel_fit = RecordedKernelFit(sample_fit(1.0));
+  records[2].kernel_fit = RecordedKernelFit(sample_fit(2.0));
+  return records;
+}
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+void expect_fit_eq(const RecordedKernelFit& a, const RecordedKernelFit& b) {
+  ASSERT_EQ(static_cast<bool>(a), static_cast<bool>(b));
+  if (!a) return;
+  EXPECT_EQ(bits(a->params.signal_variance), bits(b->params.signal_variance));
+  ASSERT_EQ(a->params.length_scales.size(), b->params.length_scales.size());
+  for (std::size_t d = 0; d < a->params.length_scales.size(); ++d) {
+    EXPECT_EQ(bits(a->params.length_scales[d]),
+              bits(b->params.length_scales[d]));
+  }
+  EXPECT_EQ(bits(a->noise_variance), bits(b->noise_variance));
+  EXPECT_EQ(bits(a->log_marginal_likelihood),
+            bits(b->log_marginal_likelihood));
+}
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_text(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::trunc | std::ios::binary);
+  out << text;
+}
+
 void expect_record_eq(const EvaluationRecord& a, const EvaluationRecord& b) {
   EXPECT_EQ(a.config, b.config);  // bit-exact doubles
   EXPECT_EQ(a.status, b.status);
@@ -90,6 +139,7 @@ void expect_record_eq(const EvaluationRecord& a, const EvaluationRecord& b) {
   EXPECT_EQ(a.measured, b.measured);
   EXPECT_EQ(a.attempts, b.attempts);
   EXPECT_EQ(a.failure_kind, b.failure_kind);
+  expect_fit_eq(a.kernel_fit, b.kernel_fit);
 }
 
 TEST(EvalJournal, RoundTripsRecordsBitExactly) {
@@ -215,22 +265,124 @@ TEST(EvalJournal, RewriteReproducesCreatePlusAppends) {
   std::remove(rewritten_path.c_str());
 }
 
-TEST(EvalJournal, WritesV3HeaderAndChecksummedRecordLines) {
-  const std::string path = temp_path("journal_v3_format.hpj");
+TEST(EvalJournal, WritesV4HeaderAndChecksummedLines) {
+  const std::string path = temp_path("journal_v4_format.hpj");
   {
     auto journal = EvalJournal::create(path, header());
-    journal.append(sample_records()[0]);
+    journal.append(records_with_fits()[0]);
   }
   std::ifstream in(path, std::ios::binary);
   std::string line;
   ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line, "hpjournal,v3,Rand,42,4");
+  EXPECT_EQ(line, "hpjournal,v4,Rand,42,4");
   ASSERT_TRUE(std::getline(in, line));
   // Every v2+ record line ends in ",#<8-hex crc32 of the body>".
   ASSERT_GT(line.size(), 10u);
   EXPECT_EQ(line.substr(line.size() - 10, 2), ",#");
   for (std::size_t i = line.size() - 8; i < line.size(); ++i) {
     EXPECT_TRUE(std::isxdigit(static_cast<unsigned char>(line[i]))) << line;
+  }
+  // The record's kernel fit follows it: signal variance, noise variance,
+  // log marginal likelihood, then the length-scale count and values.
+  ASSERT_TRUE(std::getline(in, line));
+  const std::string body =
+      "k,1.5,0.0001,-12.345678901234567,3,0.25,0.33333333333333331,3";
+  char checksum[16];
+  std::snprintf(checksum, sizeof checksum, ",#%08x", crc32(body));
+  EXPECT_EQ(line, body + checksum);
+  EXPECT_FALSE(std::getline(in, line));
+  std::remove(path.c_str());
+}
+
+TEST(EvalJournal, RoundTripsKernelFitsWithTheirRecords) {
+  const std::string path = temp_path("journal_fits.hpj");
+  const std::string rewritten = temp_path("journal_fits_rewritten.hpj");
+  const std::vector<EvaluationRecord> records = records_with_fits();
+  {
+    auto journal = EvalJournal::create(path, header());
+    for (const auto& record : records) journal.append(record);
+  }
+  const JournalLoadResult loaded = EvalJournal::load(path);
+  EXPECT_EQ(loaded.dropped_lines, 0u);
+  ASSERT_EQ(loaded.records.size(), records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_record_eq(loaded.records[i], records[i]);
+  }
+  // rewrite() writes the fits back exactly as the appends did.
+  (void)EvalJournal::rewrite(rewritten, header(), loaded.records);
+  EXPECT_EQ(read_text(rewritten), read_text(path));
+  std::remove(path.c_str());
+  std::remove(rewritten.c_str());
+}
+
+TEST(EvalJournal, TornKernelFitLineLeavesItsRecordWithoutAFit) {
+  const std::string path = temp_path("journal_torn_fit.hpj");
+  std::vector<EvaluationRecord> records = records_with_fits();
+  records.resize(3);  // the last record carries a fit
+  {
+    auto journal = EvalJournal::create(path, header());
+    for (const auto& record : records) journal.append(record);
+  }
+  // A crash inside the append's one write: the record line made it, its
+  // kernel-fit line did not whole.
+  std::string text = read_text(path);
+  ASSERT_EQ(text.back(), '\n');
+  text.resize(text.size() - 15);
+  write_text(path, text);
+  const JournalLoadResult loaded = EvalJournal::load(path);
+  EXPECT_EQ(loaded.dropped_lines, 1u);
+  ASSERT_EQ(loaded.records.size(), 3u);
+  EXPECT_TRUE(loaded.records[0].kernel_fit);
+  EXPECT_FALSE(loaded.records[2].kernel_fit);
+  std::remove(path.c_str());
+}
+
+TEST(EvalJournal, LoadsLegacyV3JournalsWithoutFits) {
+  const std::string path = temp_path("journal_v3_legacy.hpj");
+  const std::vector<EvaluationRecord> records = sample_records();
+  {
+    auto journal = EvalJournal::create(path, header());
+    for (const auto& record : records) journal.append(record);
+    journal.finalize("completed", records.size());
+  }
+  // Without fits, a v4 journal is a v3 one but for its header.
+  std::string text = read_text(path);
+  ASSERT_EQ(text.compare(0, 13, "hpjournal,v4,"), 0);
+  text[11] = '3';
+  write_text(path, text);
+  const JournalLoadResult loaded = EvalJournal::load(path);
+  EXPECT_EQ(loaded.study_state, "completed");
+  ASSERT_EQ(loaded.records.size(), records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_record_eq(loaded.records[i], records[i]);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(EvalJournal, RoundTripsSubnormalConfigValuesAndCosts) {
+  // "%.17g" of these reads back through from_chars; std::stod threw
+  // out_of_range on them, so such a record read as corruption.
+  const std::string path = temp_path("journal_subnormal.hpj");
+  std::vector<EvaluationRecord> records = sample_records();
+  records[0].config = {std::numeric_limits<double>::denorm_min(), 1e-310,
+                      -2.2250738585072009e-308};
+  records[0].cost_s = 1e-310;
+  records[1].cost_s = std::numeric_limits<double>::denorm_min();
+  {
+    auto journal = EvalJournal::create(path, header());
+    for (const auto& record : records) journal.append(record);
+  }
+  const JournalLoadResult loaded = EvalJournal::load(path);
+  EXPECT_EQ(loaded.dropped_lines, 0u);
+  ASSERT_EQ(loaded.records.size(), records.size());
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_EQ(loaded.records[i].config.size(), records[i].config.size());
+    for (std::size_t k = 0; k < records[i].config.size(); ++k) {
+      EXPECT_EQ(bits(loaded.records[i].config[k]), bits(records[i].config[k]));
+    }
+    EXPECT_EQ(bits(loaded.records[i].cost_s), bits(records[i].cost_s));
   }
   std::remove(path.c_str());
 }
@@ -388,14 +540,14 @@ TEST(EvalJournal, LoadsLegacyV2JournalsWithoutEpilogue) {
     auto journal = EvalJournal::create(path, header());
     for (const auto& record : records) journal.append(record);
   }
-  // Record lines are identical between v2 and v3; only the header version
-  // and the (absent) epilogue differ. Rewriting the header makes this an
-  // exact pre-epilogue journal.
+  // Record lines are identical from v2 to v4; only the header version, the
+  // (absent) epilogue and the (absent) kernel fits differ. Rewriting the
+  // header makes this an exact pre-epilogue journal.
   std::ifstream in(path, std::ios::binary);
   std::string contents((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
   in.close();
-  const std::size_t version = contents.find(",v3,");
+  const std::size_t version = contents.find(",v4,");
   ASSERT_NE(version, std::string::npos);
   contents.replace(version, 4, ",v2,");
   {

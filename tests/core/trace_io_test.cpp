@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -260,6 +263,67 @@ TEST(TraceIo, RejectsMalformedNumber) {
   ASSERT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded.records()[0].index, 18446744073709551615u);
   EXPECT_EQ(loaded.records()[0].attempts, 7u);
+}
+
+// "%.17g" writes subnormals that std::stod rejects as out of range; they
+// must read back with their bits, in the trace CSV and in a record line.
+TEST(TraceIo, RoundTripsSubnormalCostsAndConfigValues) {
+  const double smallest = std::numeric_limits<double>::denorm_min();
+  const double subnormal = 1e-310;
+  RunTrace trace;
+  EvaluationRecord record;
+  record.config = {smallest, subnormal, -subnormal, 0.5};
+  record.timestamp_s = subnormal;
+  record.test_error = smallest;
+  record.measured_power_w = subnormal;
+  record.cost_s = smallest;
+  trace.add(record);
+  std::stringstream buffer;
+  trace.write_csv(buffer);
+  const RunTrace loaded = load_trace_csv(buffer);
+  ASSERT_EQ(loaded.size(), 1u);
+  const EvaluationRecord& csv = loaded.records()[0];
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(csv.cost_s),
+            std::bit_cast<std::uint64_t>(smallest));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(csv.timestamp_s),
+            std::bit_cast<std::uint64_t>(subnormal));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(csv.test_error),
+            std::bit_cast<std::uint64_t>(smallest));
+  EXPECT_EQ(csv.measured_power_w, subnormal);
+
+  const EvaluationRecord line =
+      parse_record_line(format_record_line(record), 2);
+  ASSERT_EQ(line.config.size(), record.config.size());
+  for (std::size_t i = 0; i < record.config.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(line.config[i]),
+              std::bit_cast<std::uint64_t>(record.config[i]))
+        << i;
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(line.cost_s),
+            std::bit_cast<std::uint64_t>(smallest));
+}
+
+// No writer emits a leading space, a '+' or a hex float, so a double field
+// holding one is malformed, as is trailing text.
+TEST(TraceIo, DoubleFieldsTakeOnlyWhatFormatDoubleWrites) {
+  const std::string header =
+      "index,timestamp_s,status,test_error,diverged,power_w,memory_mb,"
+      "violates,cost_s,measured,attempts,failure\n";
+  const auto row = [](const std::string& cost) {
+    return "0,1,completed,0.5,0,,,0," + cost + ",1,1,\n";
+  };
+  for (const std::string bad :
+       {" 1", "+1", "0x1p3", "1 ", "1e", "--1", "1,5", "", "1e-400x"}) {
+    SCOPED_TRACE("cost '" + bad + "'");
+    std::stringstream mid(header + row(bad) + row("1"));
+    EXPECT_THROW((void)load_trace_csv(mid), std::runtime_error);
+  }
+  for (const std::string good : {"1", "-0", "2.5e-3", "1E2", "inf", "-inf",
+                                 "4.9406564584124654e-324"}) {
+    SCOPED_TRACE("cost '" + good + "'");
+    std::stringstream ok(header + row(good) + row("1"));
+    EXPECT_EQ(load_trace_csv(ok).size(), 2u);
+  }
 }
 
 TEST(TraceIo, FileRoundTrip) {

@@ -9,8 +9,11 @@
 #include <sys/wait.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -19,11 +22,13 @@
 #include <vector>
 
 #include "cli/objective_setup.hpp"
+#include "core/fault_injection.hpp"
 #include "core/framework.hpp"
 #include "dist/job_scheduler.hpp"
 #include "dist/wire.hpp"
 #include "dist/worker_supervisor.hpp"
 #include "obs/log.hpp"
+#include "obs/trace.hpp"
 
 namespace hp::dist {
 namespace {
@@ -302,6 +307,86 @@ TEST(FleetScheduler, PipelinedHangsAtTheJobDeadlineReturnQueuedJobs) {
   EXPECT_EQ(sink->reasons.size(), fleet.stats.worker_deaths);
   for (const std::string& reason : sink->reasons) {
     EXPECT_EQ(reason, "\"job deadline exceeded\"");
+  }
+  expect_no_zombie_children();
+}
+
+/// The unsigned argument @p key of a trace event (0 when it has none).
+std::uint64_t trace_arg(const obs::TraceEvent& event, const char* key) {
+  for (std::uint8_t i = 0; i < event.num_args; ++i) {
+    if (std::strcmp(event.args[i].key, key) == 0) return event.args[i].u;
+  }
+  return 0;
+}
+
+TEST(FleetScheduler, JobLostTwiceWaitsItsSecondBackoff) {
+  // Rand in default mode dispatches every sample, so the chaos schedule
+  // alone says which jobs come back corrupt: take the smallest
+  // corrupt-reply rate at which some sample's first two dispatches are
+  // lost and no sample loses all three.
+  Scenario scenario;
+  scenario.flags.push_back("--default-mode");
+  scenario.options.method = core::Method::Rand;
+  scenario.options.hyperpower_mode = false;
+  scenario.options.optimizer.max_function_evaluations = 8;
+  core::FaultSpec spec;
+  spec.seed = 1234;  // the workers' --fault-seed default
+  const auto corrupt = [&spec](std::size_t sample, std::size_t attempt) {
+    return core::scheduled_worker_fault(spec, sample, attempt) ==
+           core::WorkerFault::CorruptReply;
+  };
+  std::string rate;
+  for (int percent = 5; percent < 100 && rate.empty(); percent += 5) {
+    spec.reply_corrupt_rate = percent / 100.0;
+    bool twice = false;
+    bool thrice = false;
+    for (std::size_t sample = 0; sample < 8; ++sample) {
+      if (corrupt(sample, 1) && corrupt(sample, 2)) {
+        (corrupt(sample, 3) ? thrice : twice) = true;
+      }
+    }
+    if (twice && !thrice) rate = std::to_string(percent / 100.0);
+  }
+  ASSERT_FALSE(rate.empty());
+
+  obs::TraceConfig config;
+  config.ring_kb = 1024;
+  obs::tracer().start(config);
+  const FleetRun fleet =
+      fleet_run(2, {"--reply-corrupt-rate", rate},
+                [](FleetOptions options) {
+                  // Backoffs of 0.045-0.055 s, then 0.09-0.11 s.
+                  options.dispatch_retry.backoff_initial_s = 0.05;
+                  return options;
+                },
+                scenario);
+  obs::tracer().stop();
+  EXPECT_EQ(fleet.trace, reference_trace(scenario));
+  EXPECT_EQ(fleet.stats.failed_jobs, 0u);
+
+  // Per job: when its second dispatch was lost, and when its third went.
+  std::map<std::uint64_t, double> second_loss_s;
+  std::map<std::uint64_t, double> third_dispatch_s;
+  for (const obs::TraceEventView& view : obs::tracer().snapshot()) {
+    const obs::TraceEvent& event = view.event;
+    if (!event.instant || event.name == nullptr) continue;
+    const std::uint64_t job = trace_arg(event, "job");
+    const std::uint64_t attempt = trace_arg(event, "attempt");
+    if (std::strcmp(event.name, "job.lost") == 0 && attempt == 2) {
+      second_loss_s[job] = event.start_s;
+    }
+    if (std::strcmp(event.name, "job.dispatch") == 0 && attempt == 3 &&
+        third_dispatch_s.count(job) == 0) {
+      third_dispatch_s[job] = event.start_s;
+    }
+  }
+  obs::tracer().reset();
+  ASSERT_FALSE(second_loss_s.empty());
+  for (const auto& [job, lost_s] : second_loss_s) {
+    SCOPED_TRACE("job " + std::to_string(job));
+    ASSERT_EQ(third_dispatch_s.count(job), 1u);
+    // The second backoff is at least 0.05 * 2 * (1 - jitter 0.1) s.
+    EXPECT_GE(third_dispatch_s[job] - lost_s, 0.09 - 1e-6);
   }
   expect_no_zombie_children();
 }

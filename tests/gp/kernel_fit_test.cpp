@@ -166,6 +166,38 @@ TEST(KernelFit, ExpandsIsotropicStartToArd) {
   EXPECT_EQ(result.params.length_scales.size(), 3u);
 }
 
+// A resume installs a recorded fit through the step that ends the search:
+// the GP it gives predicts as the searched one does, bit for bit, and the
+// likelihood check tells a fit of other data apart.
+TEST(KernelFit, InstallingASearchedFitGivesTheSearchedGp) {
+  Matrix x;
+  Vector y;
+  seeded_dataset(24, 4, 77, x, y);
+  KernelParams start;
+  start.length_scales.assign(4, 0.3);
+  GaussianProcess searched(Matern52Kernel(start), 1e-4);
+  const KernelFitResult result = fit_kernel_by_ml(searched, x, y);
+
+  GaussianProcess installed(Matern52Kernel(start), 1e-4);
+  EXPECT_TRUE(install_kernel_fit(installed, x, y, result));
+  EXPECT_EQ(installed.kernel().params().length_scales,
+            result.params.length_scales);
+  EXPECT_EQ(installed.noise_variance(), result.noise_variance);
+  const Vector query{0.1, 0.7, 0.4, 0.9};
+  const Prediction a = searched.predict(query);
+  const Prediction b = installed.predict(query);
+  EXPECT_EQ(a.mean, b.mean);
+  EXPECT_EQ(a.variance, b.variance);
+
+  // The same fit on data it was not fitted to has another likelihood.
+  Vector other = y;
+  other[3] += 0.25;
+  EXPECT_FALSE(install_kernel_fit(installed, x, other, result));
+  KernelFit moved = result;
+  moved.params.signal_variance *= 1.25;
+  EXPECT_FALSE(install_kernel_fit(installed, x, y, moved));
+}
+
 TEST(KernelFit, FitNoiseRespectsFloor) {
   Matrix x(10, 1);
   Vector y(10);
