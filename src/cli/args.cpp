@@ -98,13 +98,6 @@ std::size_t Args::get_uint_or(const std::string& name,
   return value ? *value : fallback;
 }
 
-std::vector<std::string> Args::option_names() const {
-  std::vector<std::string> names;
-  names.reserve(options_.size());
-  for (const auto& [name, value] : options_) names.push_back(name);
-  return names;
-}
-
 void Args::require_known(const std::vector<std::string>& known) const {
   for (const auto& [name, value] : options_) {
     bool found = false;

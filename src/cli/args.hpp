@@ -44,9 +44,6 @@ class Args {
   [[nodiscard]] std::size_t get_uint_or(const std::string& name,
                                         std::size_t fallback) const;
 
-  /// Names of all options seen (without the leading dashes).
-  [[nodiscard]] std::vector<std::string> option_names() const;
-
   /// Throws std::invalid_argument listing any option not in @p known.
   void require_known(const std::vector<std::string>& known) const;
 

@@ -109,7 +109,7 @@ void gathered_gain(const AcquisitionContext& ctx, AcquisitionScratch& scratch,
   }
 }
 
-/// The closed-form EI gain of EI, HW-IECI and HW-CWEI.
+/// The closed-form EI gain of HW-IECI and HW-CWEI.
 auto ei_gain(const AcquisitionContext& ctx) {
   return [&ctx](const gp::Prediction& p) {
     return stats::expected_improvement(p.mean, p.stddev(), ctx.best_observed);
@@ -187,27 +187,6 @@ double finite_non_negative(double value, const char* message) {
 }
 
 }  // namespace
-
-double AcquisitionFunction::score(const std::vector<double>& unit_x,
-                                  const Configuration& config,
-                                  const AcquisitionContext& ctx) const {
-  AcquisitionScratch scratch;
-  double out = 0.0;
-  score_block(std::span<const std::vector<double>>(&unit_x, 1),
-              std::span<const Configuration>(&config, 1), ctx, scratch,
-              std::span<double>(&out, 1));
-  return out;
-}
-
-void ExpectedImprovementAcquisition::score_block(
-    std::span<const std::vector<double>> unit_xs,
-    std::span<const Configuration> configs, const AcquisitionContext& ctx,
-    AcquisitionScratch& scratch, std::span<double> out) const {
-  check_block_shapes(unit_xs, configs, out);
-  gather(unit_xs, scratch, [](std::size_t) { return true; });
-  gathered_gain(ctx, scratch, ei_gain(ctx));
-  std::copy(scratch.gain.begin(), scratch.gain.end(), out.begin());
-}
 
 void HwIeciAcquisition::score_block(
     std::span<const std::vector<double>> unit_xs,

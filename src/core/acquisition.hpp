@@ -140,22 +140,7 @@ class AcquisitionFunction {
                            AcquisitionScratch& scratch,
                            std::span<double> out) const = 0;
 
-  /// score_block() on one candidate, with a scratch of its own.
-  [[nodiscard]] double score(const std::vector<double>& unit_x,
-                             const Configuration& config,
-                             const AcquisitionContext& ctx) const;
-
   [[nodiscard]] virtual std::string name() const = 0;
-};
-
-/// Plain Expected Improvement (constraint-unaware).
-class ExpectedImprovementAcquisition final : public AcquisitionFunction {
- public:
-  void score_block(std::span<const std::vector<double>> unit_xs,
-                   std::span<const Configuration> configs,
-                   const AcquisitionContext& ctx, AcquisitionScratch& scratch,
-                   std::span<double> out) const override;
-  [[nodiscard]] std::string name() const override { return "EI"; }
 };
 
 /// HW-IECI: EI gated by the a-priori indicator constraints when available;

@@ -13,8 +13,14 @@ namespace hp::core {
 
 namespace {
 
-std::size_t blocks_of(std::size_t count, std::size_t block_size) {
-  return (count + block_size - 1) / block_size;
+/// Candidates handed to AcquisitionFunction::score_block per call:
+/// cache-sized chunks, and enough blocks to spread over a pool. A
+/// candidate's score does not depend on its block, so any size gives the
+/// same bits.
+constexpr std::size_t kBlockSize = 32;
+
+std::size_t blocks_of(std::size_t count) {
+  return (count + kBlockSize - 1) / kBlockSize;
 }
 
 }  // namespace
@@ -24,9 +30,6 @@ CandidatePool::CandidatePool(const HyperParameterSpace& space,
     : space_(space), options_(options) {
   if (options_.lattice_points + options_.random_points == 0) {
     throw std::invalid_argument("CandidatePool: empty pool");
-  }
-  if (options_.score_block_size == 0) {
-    throw std::invalid_argument("CandidatePool: score_block_size must be >= 1");
   }
   if (options_.lattice_points > 0) {
     stats::HaltonSequence halton(space_.dimension(), options_.lattice_seed);
@@ -42,9 +45,8 @@ CandidatePool::CandidatePool(const HyperParameterSpace& space,
   random_units_.assign(options_.random_points,
                        std::vector<double>(space_.dimension()));
   scores_.resize(configs_.size());
-  lattice_blocks_ = blocks_of(lattice_.size(), options_.score_block_size);
-  scratch_.resize(lattice_blocks_ + blocks_of(options_.random_points,
-                                              options_.score_block_size));
+  lattice_blocks_ = blocks_of(lattice_.size());
+  scratch_.resize(lattice_blocks_ + blocks_of(options_.random_points));
 }
 
 CandidatePool::Maximizer CandidatePool::maximize(
@@ -52,7 +54,6 @@ CandidatePool::Maximizer CandidatePool::maximize(
     stats::Rng& rng, parallel::ThreadPool* workers) {
   const std::size_t num_lattice = lattice_.size();
   const std::size_t total = configs_.size();
-  const std::size_t block_size = options_.score_block_size;
 
   // Task 0 draws the random candidates block by block, in the historical
   // order; scoring consumes no RNG, so the draw sequence (and every trace)
@@ -72,8 +73,8 @@ CandidatePool::Maximizer CandidatePool::maximize(
     try {
       for (std::size_t r = 0; r < random_blocks; ++r) {
         const std::size_t end =
-            std::min(random_units_.size(), (r + 1) * block_size);
-        for (std::size_t i = r * block_size; i < end; ++i) {
+            std::min(random_units_.size(), (r + 1) * kBlockSize);
+        for (std::size_t i = r * kBlockSize; i < end; ++i) {
           for (double& u : random_units_[i]) u = rng.uniform();
         }
         publish_draw(r + 1);
@@ -100,8 +101,8 @@ CandidatePool::Maximizer CandidatePool::maximize(
     const bool lattice = b < lattice_blocks_;
     const std::vector<std::vector<double>>& units =
         lattice ? lattice_ : random_units_;
-    const std::size_t begin = (lattice ? b : b - lattice_blocks_) * block_size;
-    const std::size_t count = std::min(block_size, units.size() - begin);
+    const std::size_t begin = (lattice ? b : b - lattice_blocks_) * kBlockSize;
+    const std::size_t count = std::min(kBlockSize, units.size() - begin);
     const std::size_t offset = (lattice ? 0 : num_lattice) + begin;
     if (!lattice) {
       const std::size_t r = b - lattice_blocks_;

@@ -22,10 +22,6 @@ struct CandidatePoolOptions {
   std::size_t lattice_points = 600;  ///< Halton lattice size
   std::size_t random_points = 400;   ///< fresh uniform candidates per call
   std::uint64_t lattice_seed = 99;
-  /// Candidates handed to AcquisitionFunction::score_block per call. Purely
-  /// a performance knob (cache-sized chunks, and enough blocks to spread
-  /// over a pool); any value >= 1 produces identical results.
-  std::size_t score_block_size = 32;
 };
 
 /// Generates candidate unit-cube points for acquisition maximization.
@@ -54,7 +50,7 @@ class CandidatePool {
   /// has a next point.
   ///
   /// Candidates are scored through AcquisitionFunction::score_block in
-  /// blocks of options.score_block_size, each block with its own scratch.
+  /// blocks of 32, each block with its own scratch.
   /// Task 0 draws every random candidate from @p rng, in order; tasks 1..
   /// score the lattice blocks (decoded once, at construction) and then the
   /// random blocks, each of which waits until its own candidates are drawn

@@ -22,10 +22,6 @@ std::string to_string(Method method) {
   return "unknown";
 }
 
-bool is_bayesian(Method method) noexcept {
-  return method == Method::HwCwei || method == Method::HwIeci;
-}
-
 std::unique_ptr<Proposer> make_proposer(Method method,
                                         const HyperParameterSpace& space,
                                         RandomWalkOptions walk,

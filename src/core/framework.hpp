@@ -28,7 +28,6 @@ namespace hp::core {
 enum class Method { Rand, RandWalk, HwCwei, HwIeci };
 
 [[nodiscard]] std::string to_string(Method method);
-[[nodiscard]] bool is_bayesian(Method method) noexcept;
 
 /// The proposal strategy of @p method over @p space: RandomSearchProposer,
 /// RandomWalkProposer (@p walk), or BayesOptProposer (@p bo) with the

@@ -77,10 +77,6 @@ HardwareModel::HardwareModel(ModelForm form, linalg::Vector weights,
   HP_CHECK_FINITE(residual_sd_, "HardwareModel residual sd");
 }
 
-std::size_t HardwareModel::input_dimension() const {
-  return form_ == ModelForm::Quadratic ? weights_.size() / 2 : weights_.size();
-}
-
 double HardwareModel::predict(std::span<const double> z) const {
   if (weights_.empty()) {
     throw std::logic_error("HardwareModel::predict on default-constructed model");

@@ -44,8 +44,6 @@ class HardwareModel {
     return weights_;
   }
   [[nodiscard]] double intercept() const noexcept { return intercept_; }
-  /// Input (z) dimension this model expects.
-  [[nodiscard]] std::size_t input_dimension() const;
 
  private:
   ModelForm form_ = ModelForm::Linear;

@@ -121,13 +121,6 @@ double LayerwiseLatencyModel::predict_network_ms(
   return total;
 }
 
-std::vector<std::string> LayerwiseLatencyModel::known_types() const {
-  std::vector<std::string> types;
-  types.reserve(fits_.size());
-  for (const auto& [type, fit] : fits_) types.push_back(type);
-  return types;
-}
-
 EnergyPredictor::EnergyPredictor(HardwareModel power_model,
                                  LayerwiseLatencyModel latency)
     : power_model_(std::move(power_model)), latency_(std::move(latency)) {

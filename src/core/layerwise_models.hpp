@@ -70,7 +70,6 @@ class LayerwiseLatencyModel {
   [[nodiscard]] double predict_network_ms(const nn::CnnSpec& spec) const;
 
   [[nodiscard]] bool trained() const noexcept { return !fits_.empty(); }
-  [[nodiscard]] std::vector<std::string> known_types() const;
 
  private:
   std::map<std::string, linalg::LeastSquaresFit> fits_;

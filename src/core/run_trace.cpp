@@ -39,26 +39,6 @@ void RunTrace::attach_kernel_fit(RecordedKernelFit fit) {
   records_.back().kernel_fit = std::move(fit);
 }
 
-std::optional<EvaluationRecord> RunTrace::best() const {
-  std::optional<EvaluationRecord> best;
-  for (const EvaluationRecord& r : records_) {
-    if (r.counts_for_best() && (!best || r.test_error < best->test_error)) {
-      best = r;
-    }
-  }
-  return best;
-}
-
-double RunTrace::best_error_up_to(std::size_t index) const {
-  double best = 1.0;
-  for (std::size_t i = 0; i < records_.size() && i <= index; ++i) {
-    if (records_[i].counts_for_best()) {
-      best = std::min(best, records_[i].test_error);
-    }
-  }
-  return best;
-}
-
 std::vector<double> RunTrace::best_error_per_function_evaluation() const {
   std::vector<double> series;
   double best = 1.0;

@@ -66,13 +66,6 @@ class RunTrace {
   /// Evaluation attempts beyond each sample's first (total retries).
   [[nodiscard]] std::size_t total_retries() const noexcept { return retries_; }
 
-  /// The best feasible completed record, if any.
-  [[nodiscard]] std::optional<EvaluationRecord> best() const;
-
-  /// Best feasible error observed up to and including record @p index;
-  /// 1.0 if none yet.
-  [[nodiscard]] double best_error_up_to(std::size_t index) const;
-
   /// Series: best feasible error after each *function evaluation* (the
   /// x-axis of Figure 4 left). Entry i = best after i+1 evaluations.
   [[nodiscard]] std::vector<double> best_error_per_function_evaluation() const;

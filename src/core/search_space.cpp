@@ -177,20 +177,4 @@ void HyperParameterSpace::validate(const Configuration& config) const {
   }
 }
 
-bool HyperParameterSpace::same_point(const Configuration& a,
-                                     const Configuration& b,
-                                     double tol) const {
-  validate(a);
-  validate(b);
-  for (std::size_t i = 0; i < parameters_.size(); ++i) {
-    if (parameters_[i].kind == ParameterKind::Integer) {
-      if (a[i] != b[i]) return false;
-    } else if (std::abs(a[i] - b[i]) >
-               tol * std::max(1.0, std::abs(a[i]))) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace hp::core

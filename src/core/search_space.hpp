@@ -94,11 +94,6 @@ class HyperParameterSpace {
   /// Validates a configuration (size and ranges); throws on violation.
   void validate(const Configuration& config) const;
 
-  /// True if two configurations decode to the same point (integers equal,
-  /// continuous within tolerance).
-  [[nodiscard]] bool same_point(const Configuration& a, const Configuration& b,
-                                double tol = 1e-9) const;
-
  private:
   std::vector<ParameterDef> parameters_;
   std::size_t structural_count_ = 0;

@@ -22,10 +22,6 @@ namespace hp::core {
 
 namespace {
 
-[[noreturn]] void fail(const std::string& what) {
-  throw std::runtime_error("trace csv: " + what);
-}
-
 [[noreturn]] void fail_journal(const std::string& what) {
   throw std::runtime_error("journal: " + what);
 }
@@ -88,48 +84,6 @@ std::uint64_t parse_count(const std::string& text, const char* what) {
   return value;
 }
 
-constexpr const char* kHeaderV1 =
-    "index,timestamp_s,status,test_error,diverged,power_w,memory_mb,"
-    "violates,cost_s";
-constexpr const char* kHeaderV2 =
-    "index,timestamp_s,status,test_error,diverged,power_w,memory_mb,"
-    "violates,cost_s,measured,attempts,failure";
-
-/// Parses one data row of either trace-CSV version. Throws via fail_parse()
-/// on any malformed field.
-EvaluationRecord parse_trace_row(const std::string& line, bool v2) {
-  const auto fields = split_csv_row(line);
-  const std::size_t expected = v2 ? 12 : 9;
-  if (fields.size() != expected) {
-    fail_parse("expected " + std::to_string(expected) + " fields, got " +
-               std::to_string(fields.size()));
-  }
-  EvaluationRecord r;
-  r.index = parse_count(fields[0], "index");
-  r.timestamp_s = parse_number(fields[1], "timestamp");
-  r.status = status_from_string(fields[2]);
-  r.test_error = parse_number(fields[3], "test_error");
-  r.diverged = parse_number(fields[4], "diverged") != 0.0;
-  if (!fields[5].empty()) {
-    r.measured_power_w = parse_number(fields[5], "power");
-  }
-  if (!fields[6].empty()) {
-    r.measured_memory_mb = parse_number(fields[6], "memory");
-  }
-  r.violates_constraints = parse_number(fields[7], "violates") != 0.0;
-  r.cost_s = parse_number(fields[8], "cost");
-  if (v2) {
-    r.measured = parse_number(fields[9], "measured") != 0.0;
-    r.attempts = parse_count(fields[10], "attempts");
-    if (!fields[11].empty()) {
-      const auto kind = failure_kind_from_string(fields[11]);
-      if (!kind) fail_parse("unknown failure kind '" + fields[11] + "'");
-      r.failure_kind = kind;
-    }
-  }
-  return r;
-}
-
 /// The fields of a record line (format_record_line()'s). Throws via
 /// fail_parse() on any malformed field.
 EvaluationRecord parse_record_fields(const std::vector<std::string>& fields) {
@@ -174,61 +128,6 @@ std::string format_double(double value) {
 }
 
 }  // namespace
-
-RunTrace load_trace_csv(std::istream& is) {
-  std::string line;
-  if (!std::getline(is, line)) fail("empty stream");
-  bool v2 = false;
-  if (line == kHeaderV2) {
-    v2 = true;
-  } else if (line != kHeaderV1) {
-    fail("unexpected header '" + line + "'");
-  }
-
-  // Read every line up front so a malformed row can be told apart from a
-  // torn final one (crash mid-write): only the last non-empty line may be
-  // dropped, anything earlier is real corruption.
-  std::vector<std::pair<std::size_t, std::string>> rows;
-  std::size_t row = 1;
-  while (std::getline(is, line)) {
-    ++row;
-    if (line.empty()) continue;
-    rows.emplace_back(row, line);
-  }
-
-  RunTrace trace;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    try {
-      trace.add(parse_trace_row(rows[i].second, v2));
-    } catch (const std::runtime_error& e) {
-      // Only a malformed FINAL row of an otherwise-valid file reads as a
-      // torn tail; mid-file corruption — or a file whose only row is
-      // garbage — stays fatal.
-      const std::string what =
-          "row " + std::to_string(rows[i].first) + ": " + e.what();
-      if (i + 1 != rows.size() || trace.size() == 0) fail(what);
-      obs::logger().warn(
-          "trace.truncated_row",
-          {{"row", obs::JsonValue(rows[i].first)},
-           {"error", obs::JsonValue(what)},
-           {"recovered_records", obs::JsonValue(trace.size())}});
-    }
-  }
-  return trace;
-}
-
-void save_trace_csv_file(const RunTrace& trace, const std::string& path) {
-  std::ofstream os(path);
-  if (!os) fail("cannot open '" + path + "' for writing");
-  trace.write_csv(os);
-  if (!os) fail("write failed");
-}
-
-RunTrace load_trace_csv_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) fail("cannot open '" + path + "' for reading");
-  return load_trace_csv(is);
-}
 
 void EvalJournal::FileCloser::operator()(std::FILE* f) const noexcept {
   if (f != nullptr) std::fclose(f);

@@ -1,23 +1,17 @@
 #pragma once
-// CSV persistence for run traces plus the crash-safe evaluation journal.
-//
-// Trace CSV: RunTrace::write_csv's counterpart, so finished experiments can
-// be re-analyzed (Pareto fronts, best-error curves) without re-running the
-// search. The CSV carries the sample records but not the configurations'
-// parameter values; loaded traces support every RunTrace query except
-// config-dependent ones.
+// The crash-safe evaluation journal, and the record line it shares with
+// the fleet's result frames.
 //
 // Evaluation journal: an append-only, fsync'd, line-framed record of every
 // finished evaluation *including* its configuration, written by the
-// optimizer as records complete. Unlike the trace CSV (written once at the
-// end of a run) the journal survives the process dying mid-run: resume
-// loads it, drops a torn final line if the crash interrupted a write, and
-// replays the completed evaluations so the continued run's trace is
-// bit-identical to an uninterrupted one.
+// optimizer as records complete. Unlike the trace CSV (RunTrace::write_csv,
+// written once at the end of a run) the journal survives the process dying
+// mid-run: resume loads it, drops a torn final line if the crash
+// interrupted a write, and replays the completed evaluations so the
+// continued run's trace is bit-identical to an uninterrupted one.
 
 #include <cstdint>
 #include <cstdio>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,18 +19,6 @@
 #include "core/run_trace.hpp"
 
 namespace hp::core {
-
-/// Parses a CSV produced by RunTrace::write_csv — the current 12-column
-/// format or the legacy 9-column one (legacy rows load with measured=true,
-/// attempts=1, no failure kind). Throws std::runtime_error on a malformed
-/// header or row, except that a malformed FINAL data row of a file that
-/// also holds valid rows — the torn tail of a writer that died mid-line —
-/// is dropped with a logged warning and the valid prefix is returned.
-[[nodiscard]] RunTrace load_trace_csv(std::istream& is);
-
-/// File convenience wrappers; throw std::runtime_error on I/O failure.
-void save_trace_csv_file(const RunTrace& trace, const std::string& path);
-[[nodiscard]] RunTrace load_trace_csv_file(const std::string& path);
 
 /// Serializes one evaluation record — configuration included, doubles
 /// printed round-trip exact ("%.17g") — as the line-framed form shared by

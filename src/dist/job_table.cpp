@@ -122,13 +122,6 @@ void JobTable::return_unstarted(std::uint64_t id) {
   --job.dispatch_attempts;
 }
 
-std::optional<std::uint64_t> JobTable::next_queued() const {
-  for (const Job& job : jobs_) {
-    if (job.state == JobState::Queued) return job.id;
-  }
-  return std::nullopt;
-}
-
 bool JobTable::all_terminal() const noexcept {
   for (const Job& job : jobs_) {
     if (job.state != JobState::Done && job.state != JobState::Failed) {

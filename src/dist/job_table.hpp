@@ -73,8 +73,6 @@ class JobTable {
   [[nodiscard]] const Job& job(std::uint64_t id) const;
   [[nodiscard]] const std::vector<Job>& jobs() const noexcept { return jobs_; }
 
-  /// The first Queued job, or nullopt.
-  [[nodiscard]] std::optional<std::uint64_t> next_queued() const;
   /// True when every job is Done or Failed.
   [[nodiscard]] bool all_terminal() const noexcept;
 

@@ -121,14 +121,6 @@ bool WorkerSupervisor::alive(std::size_t slot) const {
   return slot < slots_.size() && slots_[slot].alive;
 }
 
-bool WorkerSupervisor::retired(std::size_t slot) const {
-  return slot < slots_.size() && slots_[slot].retired;
-}
-
-pid_t WorkerSupervisor::pid(std::size_t slot) const {
-  return slot < slots_.size() ? slots_[slot].pid : -1;
-}
-
 std::size_t WorkerSupervisor::live_count() const noexcept {
   std::size_t count = 0;
   for (const Slot& slot : slots_) {

@@ -49,8 +49,6 @@ class WorkerSupervisor {
 
   [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
   [[nodiscard]] bool alive(std::size_t slot) const;
-  [[nodiscard]] bool retired(std::size_t slot) const;
-  [[nodiscard]] pid_t pid(std::size_t slot) const;
   /// Live workers remaining (not dead, not retired).
   [[nodiscard]] std::size_t live_count() const noexcept;
 

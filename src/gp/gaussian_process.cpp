@@ -73,10 +73,6 @@ double Prediction::stddev() const noexcept {
   return variance > 0.0 ? std::sqrt(variance) : 0.0;
 }
 
-double Prediction::observation_variance(double noise_variance) const noexcept {
-  return variance + noise_variance;
-}
-
 GaussianProcess::GaussianProcess(Matern52Kernel kernel, double noise_variance)
     : kernel_(std::move(kernel)), noise_variance_(noise_variance) {
   if (noise_variance < 0.0) {

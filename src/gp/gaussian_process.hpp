@@ -21,8 +21,6 @@ struct Prediction {
   double mean = 0.0;
   double variance = 0.0;  ///< Latent-function variance (noise excluded).
   [[nodiscard]] double stddev() const noexcept;
-  /// Variance of a new noisy observation (latent variance + noise).
-  [[nodiscard]] double observation_variance(double noise_variance) const noexcept;
 };
 
 /// How the last fit() obtained its Cholesky factor (see DESIGN.md par.13).

@@ -39,12 +39,6 @@ double ard_distance(std::span<const double> a, std::span<const double> b,
   return std::sqrt(r2);
 }
 
-double ard_distance(const linalg::Vector& a, const linalg::Vector& b,
-                    const KernelParams& params) {
-  return ard_distance(std::span<const double>(a.raw()),
-                      std::span<const double>(b.raw()), params);
-}
-
 Matern52Kernel::Matern52Kernel(KernelParams params)
     : params_(std::move(params)) {
   params_.validate();

@@ -93,11 +93,6 @@ class Matern52Kernel {
                                   std::span<const double> b,
                                   const KernelParams& params);
 
-/// Vector convenience overload of ard_distance; forwards to the span form.
-[[nodiscard]] double ard_distance(const linalg::Vector& a,
-                                  const linalg::Vector& b,
-                                  const KernelParams& params);
-
 /// Builds the symmetric Gram matrix K(X, X) for rows of @p x.
 [[nodiscard]] linalg::Matrix kernel_matrix(const Matern52Kernel& k,
                                            const linalg::Matrix& x);

@@ -46,20 +46,6 @@ Return Session::check_handle(std::size_t handle) const {
   return Return::Success;
 }
 
-Return Session::device_get_count(unsigned* count) const {
-  if (!initialized_) return Return::ErrorUninitialized;
-  if (count == nullptr) return Return::ErrorInvalidArgument;
-  *count = static_cast<unsigned>(devices_.size());
-  return Return::Success;
-}
-
-Return Session::device_get_name(std::size_t handle, std::string* name) const {
-  if (const Return r = check_handle(handle); r != Return::Success) return r;
-  if (name == nullptr) return Return::ErrorInvalidArgument;
-  *name = devices_[handle]->device().name;
-  return Return::Success;
-}
-
 Return Session::device_get_power_usage(std::size_t handle,
                                        unsigned* milliwatts) {
   if (const Return r = check_handle(handle); r != Return::Success) return r;

@@ -52,12 +52,6 @@ class Session {
   /// nvmlShutdown.
   Return shutdown();
 
-  /// nvmlDeviceGetCount_v2.
-  Return device_get_count(unsigned* count) const;
-
-  /// nvmlDeviceGetName.
-  Return device_get_name(std::size_t handle, std::string* name) const;
-
   /// nvmlDeviceGetPowerUsage — power in *milliwatts*, as in real NVML.
   /// ErrorUnknown when the sensor read fails (injected fault).
   Return device_get_power_usage(std::size_t handle, unsigned* milliwatts);

@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <initializer_list>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -26,10 +25,6 @@ class Matrix {
   /// Construct from nested initializer lists; throws std::invalid_argument
   /// if the rows are ragged.
   Matrix(std::initializer_list<std::initializer_list<double>> init);
-
-  [[nodiscard]] static Matrix identity(std::size_t n);
-  /// Diagonal matrix with @p diag on the main diagonal.
-  [[nodiscard]] static Matrix diagonal(const Vector& diag);
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
@@ -62,22 +57,12 @@ class Matrix {
 
   /// Copy of row @p r as a Vector.
   [[nodiscard]] Vector row(std::size_t r) const;
-  /// Copy of column @p c as a Vector.
-  [[nodiscard]] Vector col(std::size_t c) const;
-  void set_row(std::size_t r, const Vector& v);
-
-  Matrix& operator+=(const Matrix& rhs);
-  Matrix& operator-=(const Matrix& rhs);
-  Matrix& operator*=(double s) noexcept;
 
   /// Transposed copy.
   [[nodiscard]] Matrix transposed() const;
 
   /// Adds @p value to each diagonal entry (jitter / ridge regularization).
   void add_to_diagonal(double value);
-
-  /// Frobenius norm.
-  [[nodiscard]] double frobenius_norm() const noexcept;
 
   /// Maximum absolute entry.
   [[nodiscard]] double max_abs() const noexcept;
@@ -91,26 +76,7 @@ class Matrix {
   std::vector<double> data_;
 };
 
-[[nodiscard]] Matrix operator+(Matrix lhs, const Matrix& rhs);
-[[nodiscard]] Matrix operator-(Matrix lhs, const Matrix& rhs);
-[[nodiscard]] Matrix operator*(Matrix lhs, double s);
-[[nodiscard]] Matrix operator*(double s, Matrix rhs);
-
 /// Matrix-matrix product; compatible shapes are an HP_REQUIRE contract.
 [[nodiscard]] Matrix operator*(const Matrix& a, const Matrix& b);
-
-/// Matrix-vector product; compatible shapes are an HP_REQUIRE contract.
-[[nodiscard]] Vector operator*(const Matrix& a, const Vector& x);
-
-/// A^T * A (Gram matrix), computed directly to exploit symmetry.
-[[nodiscard]] Matrix gram(const Matrix& a);
-
-/// A^T * y; compatible shapes are an HP_REQUIRE contract.
-[[nodiscard]] Vector transposed_times(const Matrix& a, const Vector& y);
-
-/// Maximum absolute entry-wise difference between equal-shaped matrices.
-[[nodiscard]] double max_abs_diff(const Matrix& a, const Matrix& b);
-
-std::ostream& operator<<(std::ostream& os, const Matrix& m);
 
 }  // namespace hp::linalg

@@ -76,16 +76,6 @@ Vector HouseholderQr::solve(const Vector& b) const {
   return x;
 }
 
-Matrix HouseholderQr::r() const {
-  const std::size_t n = qr_.cols();
-  Matrix out(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out(i, i) = r_diag_[i];
-    for (std::size_t j = i + 1; j < n; ++j) out(i, j) = qr_(i, j);
-  }
-  return out;
-}
-
 double HouseholderQr::diagonal_condition_estimate() const {
   const std::size_t n = qr_.cols();
   if (n == 0) return 1.0;

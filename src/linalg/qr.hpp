@@ -23,9 +23,6 @@ class HouseholderQr {
   /// std::runtime_error if R is numerically singular.
   [[nodiscard]] Vector solve(const Vector& b) const;
 
-  /// The upper-triangular factor R (n x n).
-  [[nodiscard]] Matrix r() const;
-
   /// Applies Q^T (the full sequence of reflectors) to @p b in place and
   /// returns the result (length m).
   [[nodiscard]] Vector apply_qt(Vector b) const;

@@ -1,6 +1,6 @@
 #pragma once
-// Dense real vector with checked element access and the small set of
-// BLAS-1 style operations the rest of the library needs.
+// Dense real vector with checked element access and the inner products the
+// rest of the library needs.
 //
 // Design notes: the library deals with small/medium dense problems (GP
 // kernel matrices of a few hundred rows, least-squares designs with tens of
@@ -11,7 +11,6 @@
 
 #include <cstddef>
 #include <initializer_list>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -56,31 +55,14 @@ class Vector {
   auto begin() const noexcept { return data_.begin(); }
   auto end() const noexcept { return data_.end(); }
 
-  Vector& operator+=(const Vector& rhs);
-  Vector& operator-=(const Vector& rhs);
-  Vector& operator*=(double s) noexcept;
-  Vector& operator/=(double s);
-
-  /// Euclidean norm.
-  [[nodiscard]] double norm() const noexcept;
   /// Sum of entries.
   [[nodiscard]] double sum() const noexcept;
   /// Arithmetic mean; throws std::logic_error on an empty vector.
   [[nodiscard]] double mean() const;
-  /// Largest entry; throws std::logic_error on an empty vector.
-  [[nodiscard]] double max() const;
-  /// Smallest entry; throws std::logic_error on an empty vector.
-  [[nodiscard]] double min() const;
 
  private:
   std::vector<double> data_;
 };
-
-[[nodiscard]] Vector operator+(Vector lhs, const Vector& rhs);
-[[nodiscard]] Vector operator-(Vector lhs, const Vector& rhs);
-[[nodiscard]] Vector operator*(Vector lhs, double s);
-[[nodiscard]] Vector operator*(double s, Vector rhs);
-[[nodiscard]] Vector operator/(Vector lhs, double s);
 
 /// Inner product; equal dimensions are an HP_REQUIRE contract.
 [[nodiscard]] double dot(const Vector& a, const Vector& b);
@@ -89,13 +71,5 @@ class Vector {
 /// Vector overload — the allocation-free form used by the batched GP
 /// prediction path.
 [[nodiscard]] double dot(std::span<const double> a, std::span<const double> b);
-
-/// Element-wise product; equal dimensions are an HP_REQUIRE contract.
-[[nodiscard]] Vector hadamard(const Vector& a, const Vector& b);
-
-/// Maximum absolute difference between two vectors of equal size.
-[[nodiscard]] double max_abs_diff(const Vector& a, const Vector& b);
-
-std::ostream& operator<<(std::ostream& os, const Vector& v);
 
 }  // namespace hp::linalg

@@ -4,12 +4,6 @@
 
 namespace hp::nn {
 
-std::size_t Layer::parameter_count() {
-  std::size_t total = 0;
-  for (const Parameter* p : parameters()) total += p->value.size();
-  return total;
-}
-
 Shape ReluLayer::output_shape(const Shape& input) const { return input; }
 
 void ReluLayer::forward(const Tensor& input, Tensor& output) {

@@ -48,9 +48,6 @@ class Layer {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Total learnable scalar count.
-  [[nodiscard]] std::size_t parameter_count();
-
   /// Multiply-accumulate count for a forward pass at the given input shape;
   /// used by the hardware cost model. Default 0 for parameter-free layers.
   [[nodiscard]] virtual std::size_t forward_macs(const Shape& input) const {

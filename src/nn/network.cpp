@@ -93,12 +93,6 @@ void Network::zero_gradients() {
   for (Parameter* p : parameters()) p->gradient.fill(0.0F);
 }
 
-std::size_t Network::parameter_count() {
-  std::size_t total = 0;
-  for (auto& layer : layers_) total += layer->parameter_count();
-  return total;
-}
-
 Network build_network(const CnnSpec& spec) {
   std::vector<std::unique_ptr<Layer>> layers;
   Shape shape{1, spec.input.c, spec.input.h, spec.input.w};

@@ -89,7 +89,6 @@ class Network {
   /// Zeroes all parameter gradients.
   void zero_gradients();
 
-  [[nodiscard]] std::size_t parameter_count();
   [[nodiscard]] std::size_t num_layers() const noexcept { return layers_.size(); }
   [[nodiscard]] const Layer& layer(std::size_t i) const { return *layers_.at(i); }
 

@@ -2,28 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace hp::nn {
-
-namespace {
-std::size_t checked_index(const Shape& s, std::size_t n, std::size_t c,
-                          std::size_t h, std::size_t w) {
-  if (n >= s.n || c >= s.c || h >= s.h || w >= s.w) {
-    throw std::out_of_range("Tensor::at: index out of range");
-  }
-  return ((n * s.c + c) * s.h + h) * s.w + w;
-}
-}  // namespace
-
-float& Tensor::at(std::size_t n, std::size_t c, std::size_t h, std::size_t w) {
-  return data_[checked_index(shape_, n, c, h, w)];
-}
-
-float Tensor::at(std::size_t n, std::size_t c, std::size_t h,
-                 std::size_t w) const {
-  return data_[checked_index(shape_, n, c, h, w)];
-}
 
 void Tensor::fill(float value) noexcept {
   std::fill(data_.begin(), data_.end(), value);
@@ -32,12 +12,6 @@ void Tensor::fill(float value) noexcept {
 void Tensor::reshape(Shape shape) {
   shape_ = shape;
   data_.assign(shape.count(), 0.0F);
-}
-
-double Tensor::squared_norm() const noexcept {
-  double acc = 0.0;
-  for (float x : data_) acc += static_cast<double>(x) * static_cast<double>(x);
-  return acc;
 }
 
 bool Tensor::has_non_finite() const noexcept {

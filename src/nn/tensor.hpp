@@ -1,7 +1,7 @@
 #pragma once
 // Minimal dense 4-D tensor (N, C, H, W) used by the from-scratch neural
-// network substrate. Row-major flat storage; bounds-checked accessors in
-// debug paths, raw spans for the hot loops.
+// network substrate. Row-major flat storage, read and written through raw
+// spans.
 
 #include <array>
 #include <cstddef>
@@ -36,12 +36,6 @@ class Tensor {
   [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }
   [[nodiscard]] bool empty() const noexcept { return data_.empty(); }
 
-  /// Checked 4-D access; throws std::out_of_range.
-  [[nodiscard]] float& at(std::size_t n, std::size_t c, std::size_t h,
-                          std::size_t w);
-  [[nodiscard]] float at(std::size_t n, std::size_t c, std::size_t h,
-                         std::size_t w) const;
-
   /// Unchecked flat access for hot loops.
   [[nodiscard]] float* data() noexcept { return data_.data(); }
   [[nodiscard]] const float* data() const noexcept { return data_.data(); }
@@ -60,8 +54,6 @@ class Tensor {
   /// Resets shape and zero-fills.
   void reshape(Shape shape);
 
-  /// Sum of squares of all entries (for gradient-norm diagnostics).
-  [[nodiscard]] double squared_norm() const noexcept;
   /// True if any entry is NaN or infinite.
   [[nodiscard]] bool has_non_finite() const noexcept;
 

@@ -78,12 +78,6 @@ void JsonValue::push_back(JsonValue element) {
   array_.push_back(std::move(element));
 }
 
-std::size_t JsonValue::size() const noexcept {
-  if (kind_ == Kind::Array) return array_.size();
-  if (kind_ == Kind::Object) return object_.size();
-  return 0;
-}
-
 double JsonValue::number_or(double fallback) const noexcept {
   switch (kind_) {
     case Kind::Int:

@@ -48,8 +48,6 @@ class JsonValue {
   /// Array append; converts a null value into an array.
   void push_back(JsonValue element);
 
-  [[nodiscard]] std::size_t size() const noexcept;
-
   /// Numeric value of an Int/Uint/Double node, @p fallback otherwise. The
   /// one read accessor: event consumers (the CLI progress sink) pick
   /// numbers back out of log fields with it.

@@ -12,8 +12,7 @@
 // the core::Study's per-sample books) plus typed key-value fields,
 // fanned out to pluggable sinks (stderr pretty-printer, JSONL file, the
 // CLI progress renderer). Each sink has its own minimum
-// level; the logger-wide threshold is the most verbose sink's level
-// combined with an explicit global floor (set_level).
+// level; the logger-wide threshold is the most verbose sink's level.
 
 #include <atomic>
 #include <chrono>
@@ -110,10 +109,6 @@ class Logger {
     return static_cast<int>(level) >= threshold_.load(std::memory_order_relaxed);
   }
 
-  /// Global floor: events below it never dispatch, regardless of sinks.
-  void set_level(LogLevel level);
-  [[nodiscard]] LogLevel level() const noexcept;
-
   /// Registers a sink receiving events at >= @p min_level. Safe to call
   /// from a sink's own write() (registration takes only mutex_, which
   /// dispatch never holds across sink calls); the new sink starts
@@ -153,10 +148,9 @@ class Logger {
  private:
   void recompute_threshold_locked() HP_REQUIRES(mutex_);
 
-  /// Effective dispatch threshold: max(level floor, most verbose sink);
-  /// kOff when no sinks are attached.
+  /// Effective dispatch threshold: the most verbose sink's level; kOff
+  /// when no sinks are attached.
   std::atomic<int> threshold_;
-  std::atomic<int> level_floor_;
   /// Registration lock (rank 1, DESIGN.md §14): guards the sink list.
   /// Held only for snapshots and list edits — never across a sink call.
   mutable Mutex mutex_;

@@ -143,20 +143,6 @@ std::vector<double> exponential_buckets(double start, double factor,
   return bounds;
 }
 
-std::vector<double> linear_buckets(double start, double width,
-                                   std::size_t count) {
-  if (width <= 0.0 || count == 0) {
-    throw std::invalid_argument(
-        "linear_buckets: need width > 0, count > 0");
-  }
-  std::vector<double> bounds;
-  bounds.reserve(count);
-  for (std::size_t i = 1; i <= count; ++i) {
-    bounds.push_back(start + width * static_cast<double>(i));
-  }
-  return bounds;
-}
-
 std::vector<double> duration_buckets() {
   // 1 µs .. ~104 s in half-decade steps.
   return exponential_buckets(1e-6, 3.1622776601683795, 17);

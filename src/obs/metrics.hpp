@@ -44,7 +44,6 @@ class Counter {
 /// tracking (queue depths, in-flight counts).
 class Gauge {
  public:
-  void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
   void add(double delta) noexcept {
     double cur = value_.load(std::memory_order_relaxed);
     while (!value_.compare_exchange_weak(cur, cur + delta,
@@ -54,7 +53,7 @@ class Gauge {
   [[nodiscard]] double value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() noexcept { set(0.0); }
+  void reset() noexcept { value_.store(0.0, std::memory_order_relaxed); }
 
  private:
   std::atomic<double> value_{0.0};
@@ -104,9 +103,6 @@ class Histogram {
 [[nodiscard]] std::vector<double> exponential_buckets(double start,
                                                       double factor,
                                                       std::size_t count);
-/// count linear bounds: start+width, start+2*width, ...
-[[nodiscard]] std::vector<double> linear_buckets(double start, double width,
-                                                 std::size_t count);
 /// Default bounds for wall-clock durations in seconds: 1 µs .. ~100 s.
 [[nodiscard]] std::vector<double> duration_buckets();
 

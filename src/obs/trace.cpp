@@ -223,34 +223,6 @@ void FlightRecorder::dump_fd(int fd, const char* reason) const noexcept {
   fd_write_str(fd, "=== end flight recorder dump ===\n");
 }
 
-void FlightRecorder::dump(std::ostream& os, const char* reason) const {
-  os << "=== flight recorder dump (" << reason << ") ===\n";
-  if (words_ == nullptr || entries_ == 0) {
-    os << "(flight recorder empty)\n";
-    return;
-  }
-  const std::uint64_t total = cursor_.load(std::memory_order_relaxed);
-  const std::uint64_t kept = std::min<std::uint64_t>(total, entries_);
-  os << total << " events recorded, last " << kept << " shown\n";
-  for (std::uint64_t i = total - kept; i < total; ++i) {
-    const std::atomic<std::uint64_t>* w = &words_[(i % entries_) *
-                                                  kWordsPerEntry];
-    os << "  +" << w[1].load(std::memory_order_relaxed) << "us "
-       << (w[2].load(std::memory_order_relaxed) != 0 ? "I " : "S ")
-       << reinterpret_cast<const char*>(static_cast<std::uintptr_t>(
-              w[0].load(std::memory_order_relaxed)));
-    for (std::size_t a = 0; a < 2; ++a) {
-      const auto key_bits = w[3 + 2 * a].load(std::memory_order_relaxed);
-      if (key_bits == 0) break;
-      os << ' '
-         << reinterpret_cast<const char*>(static_cast<std::uintptr_t>(key_bits))
-         << '=' << w[4 + 2 * a].load(std::memory_order_relaxed);
-    }
-    os << '\n';
-  }
-  os << "=== end flight recorder dump ===\n";
-}
-
 void FlightRecorder::dump_to_stderr(const char* reason) const noexcept {
   dump_fd(2, reason);
 }

@@ -122,10 +122,9 @@ class FlightRecorder {
   void record(const char* name, bool instant, double t_s, const TraceArg* args,
               std::size_t num_args) noexcept;
 
-  /// Human-readable decode of the ring, oldest surviving record first.
-  void dump(std::ostream& os, const char* reason) const;
-  /// Async-signal-safe decode to a file descriptor (integer formatting
-  /// into stack buffers + write(); names/keys are static literals).
+  /// Human-readable decode of the ring to a file descriptor, oldest
+  /// surviving record first. Async-signal-safe: integer formatting into
+  /// stack buffers + write(); names/keys are static literals.
   void dump_fd(int fd, const char* reason) const noexcept;
   /// dump_fd(STDERR_FILENO) convenience for abort paths in library code.
   void dump_to_stderr(const char* reason) const noexcept;

@@ -1,5 +1,5 @@
 #pragma once
-// Standard-normal density, CDF and quantile, plus the closed-form Expected
+// Standard-normal density and CDF, plus the closed-form Expected
 // Improvement helper used by every acquisition function in src/core.
 
 namespace hp::stats {
@@ -10,11 +10,6 @@ namespace hp::stats {
 /// Standard normal cumulative distribution function (via erfc; accurate to
 /// machine precision over the full range).
 [[nodiscard]] double normal_cdf(double x) noexcept;
-
-/// Inverse standard normal CDF (Acklam's rational approximation with one
-/// Halley refinement step; |error| < 1e-12). Throws std::domain_error for
-/// p outside (0, 1).
-[[nodiscard]] double normal_quantile(double p);
 
 /// Closed-form Expected Improvement for a *minimization* problem:
 /// EI = E[max(best - Y, 0)] where Y ~ N(mean, sd^2).

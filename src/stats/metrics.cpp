@@ -43,18 +43,6 @@ double rmspe(std::span<const double> actual,
   return 100.0 * std::sqrt(acc / static_cast<double>(actual.size()));
 }
 
-double mape(std::span<const double> actual, std::span<const double> predicted) {
-  require_paired(actual, predicted, "mape");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < actual.size(); ++i) {
-    if (actual[i] == 0.0) {
-      throw std::invalid_argument("mape: actual value is zero");
-    }
-    acc += std::abs((actual[i] - predicted[i]) / actual[i]);
-  }
-  return 100.0 * acc / static_cast<double>(actual.size());
-}
-
 double mae(std::span<const double> actual, std::span<const double> predicted) {
   require_paired(actual, predicted, "mae");
   double acc = 0.0;

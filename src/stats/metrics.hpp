@@ -17,10 +17,6 @@ namespace hp::stats {
 [[nodiscard]] double rmspe(std::span<const double> actual,
                            std::span<const double> predicted);
 
-/// Mean Absolute Percentage Error, in percent.
-[[nodiscard]] double mape(std::span<const double> actual,
-                          std::span<const double> predicted);
-
 /// Mean Absolute Error.
 [[nodiscard]] double mae(std::span<const double> actual,
                          std::span<const double> predicted);

@@ -57,10 +57,6 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
 }
 
-double Rng::gaussian() {
-  return std::normal_distribution<double>(0.0, 1.0)(engine_);
-}
-
 double Rng::gaussian(double mean, double sd) {
   if (sd < 0.0) throw std::invalid_argument("Rng::gaussian: negative sd");
   if (sd == 0.0) return mean;
@@ -72,11 +68,6 @@ bool Rng::bernoulli(double p) {
     throw std::invalid_argument("Rng::bernoulli: p outside [0,1]");
   }
   return std::bernoulli_distribution(p)(engine_);
-}
-
-Rng Rng::child(std::uint64_t stream_id) {
-  const std::uint64_t base = engine_();  // advance parent deterministically
-  return Rng(splitmix64(base ^ splitmix64(stream_id + 0x9e3779b97f4a7c15ULL)));
 }
 
 std::vector<std::size_t> Rng::permutation(std::size_t n) {

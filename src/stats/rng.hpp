@@ -64,7 +64,8 @@ class Mt19937_64 {
 /// Seeded pseudo-random generator wrapping an MT19937-64 engine with the
 /// handful of draws the library needs. Pass by reference; copying an Rng
 /// forks the stream (both copies then produce the same sequence), which is
-/// almost never what you want — prefer child().
+/// almost never what you want — give each component its own Rng seeded
+/// with stream_seed().
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_(seed) {}
@@ -77,16 +78,10 @@ class Rng {
   [[nodiscard]] double uniform(double lo, double hi);
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-  /// Standard normal draw.
-  [[nodiscard]] double gaussian();
   /// Normal draw with the given mean and standard deviation (sd >= 0).
   [[nodiscard]] double gaussian(double mean, double sd);
   /// Bernoulli draw with success probability p in [0, 1].
   [[nodiscard]] bool bernoulli(double p);
-
-  /// Deterministically derives an independent child stream; useful for
-  /// giving each parallel component its own generator.
-  [[nodiscard]] Rng child(std::uint64_t stream_id);
 
   /// Fisher-Yates shuffle of indices 0..n-1.
   [[nodiscard]] std::vector<std::size_t> permutation(std::size_t n);
@@ -95,14 +90,14 @@ class Rng {
   Mt19937_64 engine_;
 };
 
-/// SplitMix64 hash, used to derive child seeds and to hash configuration
+/// SplitMix64 hash, used to derive stream seeds and to hash configuration
 /// ids into deterministic per-configuration noise streams.
 [[nodiscard]] std::uint64_t splitmix64(std::uint64_t x) noexcept;
 
 /// Stateless seed split: derives the seed of stream @p stream of a run
-/// seeded with @p seed. Unlike Rng::child this consumes no parent state,
-/// so stream k is the same value no matter how many other streams were
-/// derived before it or on which thread — the property the parallel
+/// seeded with @p seed. It consumes no generator state, so stream k is
+/// the same value no matter how many other streams were derived before it
+/// or on which thread — the property the parallel
 /// evaluation engine needs to stay order-independent (stream = the global
 /// sample index).
 [[nodiscard]] std::uint64_t stream_seed(std::uint64_t seed,

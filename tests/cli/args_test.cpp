@@ -14,7 +14,7 @@ Args parse(std::initializer_list<const char*> tokens) {
 TEST(Args, EmptyCommandLine) {
   const Args args = parse({});
   EXPECT_TRUE(args.positional().empty());
-  EXPECT_TRUE(args.option_names().empty());
+  EXPECT_NO_THROW(args.require_known({}));  // no options seen
 }
 
 TEST(Args, PositionalArgumentsInOrder) {

@@ -4,11 +4,14 @@
 
 #include "core/candidate_pool.hpp"
 #include "core/spaces.hpp"
+#include "score_one.hpp"
 #include "stats/distributions.hpp"
 #include "stats/halton.hpp"
 
 namespace hp::core {
 namespace {
+
+using testing::score_one;
 
 HyperParameterSpace make_space() {
   return HyperParameterSpace({
@@ -31,6 +34,16 @@ gp::GaussianProcess fitted_gp() {
   linalg::Vector y{0.3, 0.6, 0.2};
   gp.fit(x, y);
   return gp;
+}
+
+/// @p ctx without constraints: no a-priori models and no measured GPs, so
+/// HW-IECI's gate passes every candidate and it scores plain EI.
+AcquisitionContext plain_ei(const AcquisitionContext& ctx) {
+  AcquisitionContext plain = ctx;
+  plain.constraints = nullptr;
+  plain.measured_power_gp = nullptr;
+  plain.measured_memory_gp = nullptr;
+  return plain;
 }
 
 TEST(HardwareConstraints, IndicatorRespectsBudgets) {
@@ -82,19 +95,19 @@ TEST(ExpectedImprovementAcq, MatchesClosedForm) {
   AcquisitionContext ctx{space};
   ctx.objective_gp = &gp;
   ctx.best_observed = 0.25;
-  ExpectedImprovementAcquisition ei;
+  HwIeciAcquisition ei;  // no constraints: plain EI
   const std::vector<double> unit{0.3, 0.3};
   const auto pred = gp.predict(linalg::Vector(unit));
   const double expected =
       stats::expected_improvement(pred.mean, pred.stddev(), 0.25);
-  EXPECT_DOUBLE_EQ(ei.score(unit, space.decode(unit), ctx), expected);
+  EXPECT_DOUBLE_EQ(score_one(ei, unit, space.decode(unit), ctx), expected);
 }
 
 TEST(ExpectedImprovementAcq, ZeroWithoutModel) {
   const auto space = make_space();
   AcquisitionContext ctx{space};
-  ExpectedImprovementAcquisition ei;
-  EXPECT_EQ(ei.score({0.5, 0.5}, space.decode({0.5, 0.5}), ctx), 0.0);
+  HwIeciAcquisition ei;  // no constraints: plain EI
+  EXPECT_EQ(score_one(ei, {0.5, 0.5}, space.decode({0.5, 0.5}), ctx), 0.0);
 }
 
 TEST(HwIeci, ZeroInPredictedViolationRegion) {
@@ -110,10 +123,10 @@ TEST(HwIeci, ZeroInPredictedViolationRegion) {
   HwIeciAcquisition ieci;
   // features=80 -> predicted power 80 > 50: hard zero.
   const Configuration violating = space.decode({0.99, 0.5});
-  EXPECT_EQ(ieci.score({0.99, 0.5}, violating, ctx), 0.0);
+  EXPECT_EQ(score_one(ieci, {0.99, 0.5}, violating, ctx), 0.0);
   // features=25 -> feasible: positive EI.
   const Configuration feasible = space.decode({0.05, 0.5});
-  EXPECT_GT(ieci.score({0.05, 0.5}, feasible, ctx), 0.0);
+  EXPECT_GT(score_one(ieci, {0.05, 0.5}, feasible, ctx), 0.0);
 }
 
 TEST(HwIeci, EqualsEiInFeasibleRegion) {
@@ -127,10 +140,10 @@ TEST(HwIeci, EqualsEiInFeasibleRegion) {
   ctx.best_observed = 0.4;
   ctx.constraints = &hc;
   HwIeciAcquisition ieci;
-  ExpectedImprovementAcquisition ei;
   const std::vector<double> unit{0.4, 0.6};
   const Configuration config = space.decode(unit);
-  EXPECT_DOUBLE_EQ(ieci.score(unit, config, ctx), ei.score(unit, config, ctx));
+  EXPECT_DOUBLE_EQ(score_one(ieci, unit, config, ctx),
+                   score_one(ieci, unit, config, plain_ei(ctx)));
 }
 
 TEST(HwCwei, WeightsEiByFeasibilityProbability) {
@@ -144,11 +157,11 @@ TEST(HwCwei, WeightsEiByFeasibilityProbability) {
   ctx.best_observed = 0.4;
   ctx.constraints = &hc;
   HwCweiAcquisition cwei;
-  ExpectedImprovementAcquisition ei;
   const std::vector<double> unit{0.5, 0.5};  // features = 50: P(feasible) ~ 0.5
   const Configuration config = space.decode(unit);
-  const double ei_score = ei.score(unit, config, ctx);
-  const double cwei_score = cwei.score(unit, config, ctx);
+  const double ei_score =
+      score_one(HwIeciAcquisition{}, unit, config, plain_ei(ctx));
+  const double cwei_score = score_one(cwei, unit, config, ctx);
   EXPECT_GT(cwei_score, 0.0);
   EXPECT_LT(cwei_score, ei_score);
   const std::vector<double> z = space.structural_vector(config);
@@ -166,10 +179,10 @@ TEST(HwCwei, CertainFeasibilityRecoversEi) {
   ctx.best_observed = 0.4;
   ctx.constraints = &hc;
   HwCweiAcquisition cwei;
-  ExpectedImprovementAcquisition ei;
   const std::vector<double> unit{0.2, 0.8};
   const Configuration config = space.decode(unit);
-  EXPECT_NEAR(cwei.score(unit, config, ctx), ei.score(unit, config, ctx),
+  EXPECT_NEAR(score_one(cwei, unit, config, ctx),
+              score_one(HwIeciAcquisition{}, unit, config, plain_ei(ctx)),
               1e-12);
 }
 
@@ -195,14 +208,18 @@ TEST(DefaultMode, ConstraintGpsGateTheAcquisition) {
 
   HwIeciAcquisition ieci;
   HwCweiAcquisition cwei;
-  const double ieci_low = ieci.score({0.1, 0.5}, space.decode({0.1, 0.5}), ctx);
-  const double ieci_high = ieci.score({0.9, 0.5}, space.decode({0.9, 0.5}), ctx);
+  const double ieci_low =
+      score_one(ieci, {0.1, 0.5}, space.decode({0.1, 0.5}), ctx);
+  const double ieci_high =
+      score_one(ieci, {0.9, 0.5}, space.decode({0.9, 0.5}), ctx);
   EXPECT_GT(ieci_low, 0.0);
   // At the observed high-power point the GP is confident: the squared-
   // probability gate drives the score to (essentially) zero.
   EXPECT_LT(ieci_high, ieci_low * 1e-3);
-  const double cwei_low = cwei.score({0.1, 0.5}, space.decode({0.1, 0.5}), ctx);
-  const double cwei_high = cwei.score({0.9, 0.5}, space.decode({0.9, 0.5}), ctx);
+  const double cwei_low =
+      score_one(cwei, {0.1, 0.5}, space.decode({0.1, 0.5}), ctx);
+  const double cwei_high =
+      score_one(cwei, {0.9, 0.5}, space.decode({0.9, 0.5}), ctx);
   EXPECT_GT(cwei_low, cwei_high);
   // IECI's squared gate suppresses uncertain-feasibility regions harder
   // than CWEI's linear weighting.
@@ -211,8 +228,9 @@ TEST(DefaultMode, ConstraintGpsGateTheAcquisition) {
 
 // ---------------------------------------------------------------------------
 // Blocked scoring: a candidate's score must not depend on the block it is
-// scored in (score() is score_block() on one candidate), and the argmax
-// tie-break (lowest candidate index wins) is pinned for every block size.
+// scored in (score_one() is score_block() on one candidate), and the argmax
+// tie-break (lowest candidate index wins) is pinned across the pool's
+// blocks.
 // ---------------------------------------------------------------------------
 
 /// Space-filling candidate set + decoded configs for block-vs-scalar sweeps.
@@ -230,15 +248,15 @@ CandidateSet make_candidates(const HyperParameterSpace& space, std::size_t n) {
   return set;
 }
 
-/// Asserts score_block == per-candidate score() bitwise over the whole set,
-/// for every block size (scratch reuse must not leak state across calls).
+/// Asserts score_block == per-candidate score_one() bitwise over the whole
+/// set, for every block size (scratch reuse must not leak state across calls).
 void expect_block_matches_scalar(const AcquisitionFunction& acq,
                                  const HyperParameterSpace& space,
                                  const AcquisitionContext& ctx) {
   const CandidateSet set = make_candidates(space, 57);
   std::vector<double> want(set.units.size());
   for (std::size_t i = 0; i < set.units.size(); ++i) {
-    want[i] = acq.score(set.units[i], set.configs[i], ctx);
+    want[i] = score_one(acq, set.units[i], set.configs[i], ctx);
   }
   for (std::size_t block : {std::size_t{1}, std::size_t{8}, std::size_t{57}}) {
     std::vector<double> got(set.units.size(), -1.0);
@@ -263,7 +281,8 @@ TEST(ScoreBlock, EiMatchesScalarBitwise) {
   AcquisitionContext ctx{space};
   ctx.objective_gp = &gp;
   ctx.best_observed = 0.3;
-  expect_block_matches_scalar(ExpectedImprovementAcquisition{}, space, ctx);
+  // No constraints: HW-IECI scores plain EI.
+  expect_block_matches_scalar(HwIeciAcquisition{}, space, ctx);
 }
 
 TEST(ScoreBlock, HwIeciMatchesScalarBitwiseAprioriMode) {
@@ -310,19 +329,17 @@ class ConstantBlockAcquisition final : public AcquisitionFunction {
   [[nodiscard]] std::string name() const override { return "const-block"; }
 };
 
+// The default pool's 600 lattice points span 19 scoring blocks, so the tie
+// crosses block boundaries.
 TEST(ArgmaxTieBreak, LowestIndexWinsBlockedPath) {
   const auto space = make_space();
   AcquisitionContext ctx{space};
-  for (std::size_t block : {std::size_t{1}, std::size_t{37}, std::size_t{4096}}) {
-    CandidatePoolOptions opt;
-    opt.score_block_size = block;
-    CandidatePool pool(space, opt);
-    ConstantBlockAcquisition acq;
-    stats::Rng rng(9);
-    const auto best = pool.maximize(acq, ctx, rng);
-    EXPECT_EQ(best.unit, pool.lattice().front()) << "block " << block;
-    EXPECT_EQ(best.score, 1.0);
-  }
+  CandidatePool pool(space);
+  ConstantBlockAcquisition acq;
+  stats::Rng rng(9);
+  const auto best = pool.maximize(acq, ctx, rng);
+  EXPECT_EQ(best.unit, pool.lattice().front());
+  EXPECT_EQ(best.score, 1.0);
 }
 
 }  // namespace

@@ -122,25 +122,6 @@ TEST(CandidatePool, AllZeroScoresWithoutConstraintsStillReturnsAPoint) {
   EXPECT_NO_THROW(space.validate(best.config));
 }
 
-TEST(CandidatePool, BlockSizeDoesNotChangeTheMaximizer) {
-  const auto space = make_space();
-  PeakAcquisition peak({0.6, 0.4});
-  AcquisitionContext ctx{space};
-  CandidatePool reference(space);
-  stats::Rng ref_rng(17);
-  const auto want = reference.maximize(peak, ctx, ref_rng);
-  for (std::size_t block : {std::size_t{1}, std::size_t{13}, std::size_t{999},
-                            std::size_t{100000}}) {
-    CandidatePoolOptions opt;
-    opt.score_block_size = block;
-    CandidatePool pool(space, opt);
-    stats::Rng rng(17);
-    const auto got = pool.maximize(peak, ctx, rng);
-    EXPECT_EQ(got.unit, want.unit) << "block " << block;
-    EXPECT_EQ(got.score, want.score) << "block " << block;
-    EXPECT_EQ(got.evaluated, want.evaluated) << "block " << block;
-  }
-}
 
 TEST(CandidatePool, RepeatedMaximizeReusesBuffersIndependently) {
   // Buffer reuse across rounds must not leak state: two rounds with
@@ -155,13 +136,6 @@ TEST(CandidatePool, RepeatedMaximizeReusesBuffersIndependently) {
   const auto second = pool.maximize(peak, ctx, rng_b);
   EXPECT_EQ(first.unit, second.unit);
   EXPECT_EQ(first.score, second.score);
-}
-
-TEST(CandidatePool, RejectsZeroBlockSize) {
-  const auto space = make_space();
-  CandidatePoolOptions opt;
-  opt.score_block_size = 0;
-  EXPECT_THROW(CandidatePool(space, opt), std::invalid_argument);
 }
 
 TEST(CandidatePool, DeterministicLatticePerSeed) {

@@ -10,11 +10,14 @@
 #include <vector>
 
 #include "core/spaces.hpp"
+#include "score_one.hpp"
 #include "stats/distributions.hpp"
 #include "stats/halton.hpp"
 
 namespace hp::core {
 namespace {
+
+using testing::score_one;
 
 HyperParameterSpace make_space() {
   return HyperParameterSpace({
@@ -64,14 +67,14 @@ TEST(HwPi, MatchesClosedFormProbability) {
   const auto pred = gp.predict(linalg::Vector(unit));
   const double expected =
       stats::probability_below(pred.mean, pred.stddev(), 0.35 - 0.01);
-  EXPECT_DOUBLE_EQ(pi.score(unit, space.decode(unit), ctx), expected);
+  EXPECT_DOUBLE_EQ(score_one(pi, unit, space.decode(unit), ctx), expected);
 }
 
 TEST(HwPi, ZeroWithoutGp) {
   const auto space = make_space();
   AcquisitionContext ctx{space};
   HwPiAcquisition pi;
-  EXPECT_EQ(pi.score({0.5, 0.5}, space.decode({0.5, 0.5}), ctx), 0.0);
+  EXPECT_EQ(score_one(pi, {0.5, 0.5}, space.decode({0.5, 0.5}), ctx), 0.0);
 }
 
 TEST(HwPi, GatedByAPrioriConstraints) {
@@ -83,8 +86,8 @@ TEST(HwPi, GatedByAPrioriConstraints) {
   ctx.best_observed = 0.5;
   ctx.constraints = &constraints;
   HwPiAcquisition pi;
-  EXPECT_EQ(pi.score({0.99, 0.5}, space.decode({0.99, 0.5}), ctx), 0.0);
-  EXPECT_GT(pi.score({0.05, 0.5}, space.decode({0.05, 0.5}), ctx), 0.0);
+  EXPECT_EQ(score_one(pi, {0.99, 0.5}, space.decode({0.99, 0.5}), ctx), 0.0);
+  EXPECT_GT(score_one(pi, {0.05, 0.5}, space.decode({0.05, 0.5}), ctx), 0.0);
 }
 
 TEST(HwLcb, ValidatesKappa) {
@@ -103,8 +106,10 @@ TEST(HwLcb, PrefersUncertainOverKnownBad) {
   HwLcbAcquisition lcb(2.0);
   // Near the known 0.6 observation: bound is poor. Far from data:
   // uncertainty makes the optimistic bound attractive.
-  const double near_bad = lcb.score({0.8, 0.8}, space.decode({0.8, 0.8}), ctx);
-  const double far = lcb.score({0.05, 0.95}, space.decode({0.05, 0.95}), ctx);
+  const double near_bad =
+      score_one(lcb, {0.8, 0.8}, space.decode({0.8, 0.8}), ctx);
+  const double far =
+      score_one(lcb, {0.05, 0.95}, space.decode({0.05, 0.95}), ctx);
   EXPECT_GT(far, near_bad);
 }
 
@@ -116,9 +121,9 @@ TEST(HwLcb, KappaZeroIsPureExploitation) {
   ctx.best_observed = 0.25;
   HwLcbAcquisition greedy(0.0);
   // At the best observed point (mean 0.2 < 0.25) score is positive.
-  EXPECT_GT(greedy.score({0.5, 0.5}, space.decode({0.5, 0.5}), ctx), 0.0);
+  EXPECT_GT(score_one(greedy, {0.5, 0.5}, space.decode({0.5, 0.5}), ctx), 0.0);
   // At the worst observed point (mean 0.6) the bound loses to 0.25 -> 0.
-  EXPECT_EQ(greedy.score({0.8, 0.8}, space.decode({0.8, 0.8}), ctx), 0.0);
+  EXPECT_EQ(score_one(greedy, {0.8, 0.8}, space.decode({0.8, 0.8}), ctx), 0.0);
 }
 
 TEST(HwLcb, GatedByAPrioriConstraints) {
@@ -130,8 +135,8 @@ TEST(HwLcb, GatedByAPrioriConstraints) {
   ctx.best_observed = 0.9;
   ctx.constraints = &constraints;
   HwLcbAcquisition lcb;
-  EXPECT_EQ(lcb.score({0.99, 0.2}, space.decode({0.99, 0.2}), ctx), 0.0);
-  EXPECT_GT(lcb.score({0.05, 0.2}, space.decode({0.05, 0.2}), ctx), 0.0);
+  EXPECT_EQ(score_one(lcb, {0.99, 0.2}, space.decode({0.99, 0.2}), ctx), 0.0);
+  EXPECT_GT(score_one(lcb, {0.05, 0.2}, space.decode({0.05, 0.2}), ctx), 0.0);
 }
 
 TEST(ExtraAcquisitions, NamesDistinct) {

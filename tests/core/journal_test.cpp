@@ -723,6 +723,25 @@ TEST(EvalJournal, RejectsMalformedRecordCounts) {
   }
 }
 
+// No writer emits a leading space, a '+' or a hex float, so a double field
+// holding one is malformed, as is trailing text. Field 9 is the cost.
+TEST(EvalJournal, DoubleFieldsTakeOnlyWhatFormatDoubleWrites) {
+  for (const std::string bad :
+       {" 1", "+1", "0x1p3", "1 ", "1e", "--1", "", "1e-400x"}) {
+    SCOPED_TRACE("cost '" + bad + "'");
+    EXPECT_THROW((void)parse_record_line(record_line_with(9, bad), 2),
+                 std::runtime_error);
+  }
+  for (const std::string good : {"1", "-0", "2.5e-3", "1E2", "inf", "-inf",
+                                 "4.9406564584124654e-324"}) {
+    SCOPED_TRACE("cost '" + good + "'");
+    const EvaluationRecord record =
+        parse_record_line(record_line_with(9, good), 2);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(record.cost_s),
+              std::bit_cast<std::uint64_t>(std::strtod(good.c_str(), nullptr)));
+  }
+}
+
 TEST(EvalJournal, RecordLineErrorNamesTheLineOnce) {
   std::string line = format_record_line(sample_records()[1]);
   line += ",0.5";  // one config value more than the size says

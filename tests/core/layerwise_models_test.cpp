@@ -57,8 +57,7 @@ TEST(LayerwiseLatency, LearnsPerTypeModelsWithLowError) {
   const auto [model, report] = LayerwiseLatencyModel::train(samples);
   EXPECT_TRUE(model.trained());
   // All four layer types appear in the CIFAR space.
-  const auto types = model.known_types();
-  EXPECT_GE(types.size(), 3u);
+  EXPECT_GE(report.per_type.size(), 3u);
   // Whole-network latency predicted within ~10% (per-layer measurement
   // noise is 3%; the roofline max() is the residual nonlinearity).
   EXPECT_LT(report.total_latency_rmspe, 12.0);
@@ -83,7 +82,7 @@ TEST(LayerwiseLatency, PredictionsNonNegative) {
   const auto samples = profiled_with_timings(40, 5);
   const auto [model, report] = LayerwiseLatencyModel::train(samples);
   LayerFeatures tiny;  // all zeros
-  for (const auto& type : model.known_types()) {
+  for (const auto& [type, fit] : report.per_type) {
     EXPECT_GE(model.predict_layer_ms(type, tiny), 0.0) << type;
   }
 }

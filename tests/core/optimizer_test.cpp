@@ -165,12 +165,11 @@ TEST(BayesOpt, FindsOptimumFasterThanItsInitialDesign) {
   bo.pool.random_points = 50;
   Optimizer opt(space, obj, {}, nullptr, fixed_evals(20, 7),
                 std::make_unique<BayesOptProposer>(
-                    space, std::make_unique<ExpectedImprovementAcquisition>(),
-                    bo));
+                    space, std::make_unique<HwIeciAcquisition>(), bo));
   const auto result = opt.run();
   ASSERT_TRUE(result.best.has_value());
   EXPECT_LT(result.best->test_error, 0.02);
-  EXPECT_EQ(opt.name(), "EI");
+  EXPECT_EQ(opt.name(), "HW-IECI");
 }
 
 TEST(BayesOpt, HwIeciNeverProposesPredictedViolations) {
@@ -212,8 +211,7 @@ TEST(BayesOpt, OverheadGrowsWithObservations) {
   BayesOptOptions bo;
   Optimizer opt(space, obj, {}, nullptr, fixed_evals(10, 9),
                 std::make_unique<BayesOptProposer>(
-                    space, std::make_unique<ExpectedImprovementAcquisition>(),
-                    bo));
+                    space, std::make_unique<HwIeciAcquisition>(), bo));
   const auto result = opt.run();
   const auto& rec = result.trace.records();
   // Timestamps spacing grows: later proposals pay larger model-fit cost.

@@ -40,28 +40,6 @@ TEST(RunTrace, Counters) {
   EXPECT_EQ(t.measured_violation_count(), 1u);  // only the trained violator
 }
 
-TEST(RunTrace, BestIgnoresViolatingAndNonCompleted) {
-  const RunTrace t = sample_trace();
-  const auto best = t.best();
-  ASSERT_TRUE(best.has_value());
-  EXPECT_DOUBLE_EQ(best->test_error, 0.20);
-}
-
-TEST(RunTrace, BestEmptyWhenNothingFeasible) {
-  RunTrace t;
-  t.add(record(EvaluationStatus::Completed, 0.2, 10.0, /*violates=*/true));
-  t.add(record(EvaluationStatus::ModelFiltered, 1.0, 12.0, true));
-  EXPECT_FALSE(t.best().has_value());
-}
-
-TEST(RunTrace, BestErrorUpToIndex) {
-  const RunTrace t = sample_trace();
-  EXPECT_DOUBLE_EQ(t.best_error_up_to(0), 0.30);
-  EXPECT_DOUBLE_EQ(t.best_error_up_to(3), 0.30);  // violator doesn't count
-  EXPECT_DOUBLE_EQ(t.best_error_up_to(4), 0.20);
-  EXPECT_DOUBLE_EQ(t.best_error_up_to(100), 0.20);
-}
-
 TEST(RunTrace, BestErrorSeriesPerFunctionEvaluation) {
   const RunTrace t = sample_trace();
   const auto series = t.best_error_per_function_evaluation();
@@ -121,8 +99,6 @@ TEST(RunTrace, EmptyTraceDerivedSeries) {
   EXPECT_TRUE(t.empty());
   EXPECT_EQ(t.function_evaluations(), 0u);
   EXPECT_EQ(t.measured_violation_count(), 0u);
-  EXPECT_FALSE(t.best().has_value());
-  EXPECT_DOUBLE_EQ(t.best_error_up_to(0), 1.0);
   EXPECT_TRUE(t.best_error_per_function_evaluation().empty());
   EXPECT_TRUE(t.violations_per_function_evaluation().empty());
   EXPECT_FALSE(t.time_to_sample_count(1).has_value());
@@ -148,7 +124,6 @@ TEST(RunTrace, AllSamplesFilteredTrace) {
   EXPECT_EQ(t.function_evaluations(), 0u);
   EXPECT_EQ(t.model_filtered_count(), 3u);
   EXPECT_EQ(t.measured_violation_count(), 0u);  // violating by prediction only
-  EXPECT_FALSE(t.best().has_value());
   EXPECT_TRUE(t.best_error_per_function_evaluation().empty());
   EXPECT_TRUE(t.violations_per_function_evaluation().empty());
   EXPECT_DOUBLE_EQ(*t.time_to_sample_count(3), 30.0);
@@ -162,10 +137,10 @@ TEST(RunTrace, SingleEarlyTerminatedRecord) {
   EXPECT_EQ(t.function_evaluations(), 1u);  // it did invoke the objective
   EXPECT_EQ(t.completed_count(), 0u);
   EXPECT_EQ(t.early_terminated_count(), 1u);
-  EXPECT_FALSE(t.best().has_value());  // but never counts for best
+  // But it never counts for best: nothing feasible yet.
   const auto series = t.best_error_per_function_evaluation();
   ASSERT_EQ(series.size(), 1u);
-  EXPECT_DOUBLE_EQ(series[0], 1.0);  // nothing feasible yet
+  EXPECT_DOUBLE_EQ(series[0], 1.0);
   EXPECT_DOUBLE_EQ(*t.time_to_sample_count(1), 42.0);
   EXPECT_FALSE(t.time_to_error(0.9).has_value());
 }

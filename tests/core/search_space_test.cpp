@@ -208,16 +208,5 @@ TEST(HyperParameterSpace, ValidateRejectsOutOfRangeAndNonIntegral) {
   EXPECT_THROW(space.validate({40.0, 3.0}), std::invalid_argument);
 }
 
-TEST(HyperParameterSpace, SamePointComparison) {
-  const auto space = make_space();
-  const Configuration a{40.0, 3.0, 0.01, 0.9};
-  Configuration b = a;
-  EXPECT_TRUE(space.same_point(a, b));
-  b[2] = 0.01 * (1.0 + 1e-12);
-  EXPECT_TRUE(space.same_point(a, b));
-  b[0] = 41.0;
-  EXPECT_FALSE(space.same_point(a, b));
-}
-
 }  // namespace
 }  // namespace hp::core

@@ -513,7 +513,8 @@ TEST(WorkerSupervisor, KilledWorkerRespawnsWithinBudget) {
   // Budget exhausted: the next loss retires the slot instead.
   supervisor.kill_worker(0);
   EXPECT_FALSE(supervisor.respawn(0));
-  EXPECT_TRUE(supervisor.retired(0));
+  EXPECT_FALSE(supervisor.respawn(0));  // retired: the slot stays down
+  EXPECT_FALSE(supervisor.alive(0));
   EXPECT_EQ(supervisor.live_count(), 1u);
 
   supervisor.shutdown();

@@ -101,12 +101,6 @@ TEST(GaussianProcess, PredictionVarianceNeverNegative) {
   }
 }
 
-TEST(GaussianProcess, ObservationVarianceAddsNoise) {
-  Prediction p;
-  p.variance = 0.5;
-  EXPECT_DOUBLE_EQ(p.observation_variance(0.25), 0.75);
-}
-
 TEST(GaussianProcess, LogMarginalLikelihoodPrefersTrueScale) {
   // Data generated with length scale 0.4; a GP with wildly wrong length
   // scale should have lower LML.

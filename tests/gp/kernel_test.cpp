@@ -96,8 +96,10 @@ TEST(ArdDistance, WeightsDimensionsByLengthScale) {
   KernelParams p;
   p.length_scales = {1.0, 10.0};
   // Distance along the long-length-scale dimension contributes less.
-  const double d_short = ard_distance(Vector{0.0, 0.0}, Vector{1.0, 0.0}, p);
-  const double d_long = ard_distance(Vector{0.0, 0.0}, Vector{0.0, 1.0}, p);
+  const double d_short = ard_distance(std::vector<double>{0.0, 0.0},
+                                      std::vector<double>{1.0, 0.0}, p);
+  const double d_long = ard_distance(std::vector<double>{0.0, 0.0},
+                                     std::vector<double>{0.0, 1.0}, p);
   EXPECT_DOUBLE_EQ(d_short, 1.0);
   EXPECT_DOUBLE_EQ(d_long, 0.1);
 }
@@ -106,7 +108,8 @@ TEST(ArdDistance, LengthScaleCountMismatchThrows) {
   KernelParams p;
   p.length_scales = {1.0, 2.0};
   EXPECT_THROW(
-      (void)ard_distance(Vector{0.0, 0.0, 0.0}, Vector{1.0, 0.0, 0.0}, p),
+      (void)ard_distance(std::vector<double>{0.0, 0.0, 0.0},
+                         std::vector<double>{1.0, 0.0, 0.0}, p),
       std::invalid_argument);
 }
 

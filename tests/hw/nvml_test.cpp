@@ -28,8 +28,6 @@ class NvmlTest : public ::testing::Test {
 };
 
 TEST_F(NvmlTest, UninitializedCallsFail) {
-  unsigned count = 0;
-  EXPECT_EQ(session_.device_get_count(&count), Return::ErrorUninitialized);
   unsigned mw = 0;
   EXPECT_EQ(session_.device_get_power_usage(server_handle_, &mw),
             Return::ErrorUninitialized);
@@ -41,21 +39,8 @@ TEST_F(NvmlTest, InitShutdownLifecycle) {
   EXPECT_EQ(session_.shutdown(), Return::ErrorUninitialized);
 }
 
-TEST_F(NvmlTest, DeviceCountAndName) {
-  ASSERT_EQ(session_.init(), Return::Success);
-  unsigned count = 0;
-  EXPECT_EQ(session_.device_get_count(&count), Return::Success);
-  EXPECT_EQ(count, 2u);
-  std::string name;
-  EXPECT_EQ(session_.device_get_name(server_handle_, &name), Return::Success);
-  EXPECT_EQ(name, "GTX 1070");
-}
-
 TEST_F(NvmlTest, NullPointersAreInvalidArguments) {
   ASSERT_EQ(session_.init(), Return::Success);
-  EXPECT_EQ(session_.device_get_count(nullptr), Return::ErrorInvalidArgument);
-  EXPECT_EQ(session_.device_get_name(server_handle_, nullptr),
-            Return::ErrorInvalidArgument);
   EXPECT_EQ(session_.device_get_power_usage(server_handle_, nullptr),
             Return::ErrorInvalidArgument);
   EXPECT_EQ(session_.device_get_memory_info(server_handle_, nullptr),

@@ -147,15 +147,11 @@ TEST_F(FrameworkTest, SetHardwareModelsInstallsExternalModels) {
   EXPECT_NO_THROW((void)fw.optimize(opt));
 }
 
-TEST_F(FrameworkTest, MethodNamesAndKinds) {
+TEST_F(FrameworkTest, MethodNames) {
   EXPECT_EQ(to_string(Method::Rand), "Rand");
   EXPECT_EQ(to_string(Method::RandWalk), "Rand-Walk");
   EXPECT_EQ(to_string(Method::HwCwei), "HW-CWEI");
   EXPECT_EQ(to_string(Method::HwIeci), "HW-IECI");
-  EXPECT_FALSE(is_bayesian(Method::Rand));
-  EXPECT_FALSE(is_bayesian(Method::RandWalk));
-  EXPECT_TRUE(is_bayesian(Method::HwCwei));
-  EXPECT_TRUE(is_bayesian(Method::HwIeci));
 }
 
 TEST_F(FrameworkTest, ProfilingRequiresEnoughSamples) {

@@ -11,17 +11,21 @@
 #include <string>
 #include <vector>
 
+#include "reference.hpp"
 #include "stats/rng.hpp"
 
 namespace hp::linalg {
 namespace {
+
+using testing::times;
+using testing::max_abs_diff;
 
 /// Random SPD matrix A = B B^T + n*I.
 Matrix random_spd(std::size_t n, std::uint64_t seed) {
   stats::Rng rng(seed);
   Matrix b(n, n);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) b(i, j) = rng.gaussian();
+    for (std::size_t j = 0; j < n; ++j) b(i, j) = rng.gaussian(0.0, 1.0);
   }
   Matrix a = b * b.transposed();
   a.add_to_diagonal(static_cast<double>(n));
@@ -41,7 +45,7 @@ TEST(Cholesky, SolveMatchesDirectCheck) {
   for (std::size_t i = 0; i < 6; ++i) b[i] = static_cast<double>(i) - 2.0;
   const Cholesky chol(a);
   const Vector x = chol.solve(b);
-  EXPECT_LT(max_abs_diff(a * x, b), 1e-8);
+  EXPECT_LT(max_abs_diff(times(a, x), b), 1e-8);
 }
 
 TEST(Cholesky, LowerUpperSolvesCompose) {
@@ -50,7 +54,7 @@ TEST(Cholesky, LowerUpperSolvesCompose) {
   Vector b{1.0, -1.0, 2.0, 0.5};
   const Vector y = chol.solve_lower(b);
   const Vector x = chol.solve_upper(y);
-  EXPECT_LT(max_abs_diff(a * x, b), 1e-9);
+  EXPECT_LT(max_abs_diff(times(a, x), b), 1e-9);
 }
 
 TEST(Cholesky, LogDetMatchesTwoByTwo) {
@@ -216,7 +220,7 @@ TEST_P(CholeskySizes, RoundTripAtVariousSizes) {
   Vector b(n);
   for (std::size_t i = 0; i < n; ++i) b[i] = std::sin(static_cast<double>(i));
   const Vector x = chol.solve(b);
-  EXPECT_LT(max_abs_diff(a * x, b), 1e-7) << "n=" << n;
+  EXPECT_LT(max_abs_diff(times(a, x), b), 1e-7) << "n=" << n;
   const Matrix l = chol.lower();
   EXPECT_LT(max_abs_diff(l * l.transposed(), a), 1e-7) << "n=" << n;
 }

@@ -7,17 +7,20 @@
 #include <optional>
 #include <vector>
 
+#include "reference.hpp"
 #include "stats/rng.hpp"
 
 namespace hp::linalg {
 namespace {
+
+using testing::max_abs_diff;
 
 /// Random SPD matrix A = B B^T + n*I (comfortably positive definite).
 Matrix random_spd(std::size_t n, std::uint64_t seed) {
   stats::Rng rng(seed);
   Matrix b(n, n);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) b(i, j) = rng.gaussian();
+    for (std::size_t j = 0; j < n; ++j) b(i, j) = rng.gaussian(0.0, 1.0);
   }
   Matrix a = b * b.transposed();
   a.add_to_diagonal(static_cast<double>(n));
@@ -176,7 +179,9 @@ TEST(CholeskyUpdate, SolveLowerBlockMatchesColumnwiseSolveLower) {
       std::vector<Vector> columns(width, Vector(n));
       std::vector<Vector> want(width);
       for (std::size_t b = 0; b < width; ++b) {
-        for (std::size_t i = 0; i < n; ++i) columns[b][i] = rng.gaussian();
+        for (std::size_t i = 0; i < n; ++i) {
+          columns[b][i] = rng.gaussian(0.0, 1.0);
+        }
         want[b] = chol.solve_lower(columns[b]);
       }
       for (std::size_t first_row : {std::size_t{0}, n / 2, n}) {

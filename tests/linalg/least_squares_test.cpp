@@ -4,15 +4,18 @@
 
 #include <cmath>
 
+#include "reference.hpp"
 #include "stats/rng.hpp"
 
 namespace hp::linalg {
 namespace {
 
+using testing::times;
+
 TEST(LeastSquares, RecoversExactLinearModel) {
   Matrix a{{1.0, 2.0}, {2.0, 1.0}, {3.0, 3.0}, {0.5, 1.5}};
   Vector x_true{2.0, -1.0};
-  const Vector b = a * x_true;
+  const Vector b = times(a, x_true);
   const LeastSquaresFit fit = solve_least_squares(a, b);
   EXPECT_NEAR(fit.coefficients[0], 2.0, 1e-10);
   EXPECT_NEAR(fit.coefficients[1], -1.0, 1e-10);

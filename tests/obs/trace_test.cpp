@@ -10,8 +10,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -176,6 +174,26 @@ TEST(TraceExportTest, ChromeTraceEscapesHostileStringsLikeTheJsonlSink) {
   EXPECT_NE(json.find("\"id\":\"0x"), std::string::npos);
 }
 
+/// What FlightRecorder::dump_fd writes for @p reason, read back through a
+/// pipe.
+std::string dump_text(const FlightRecorder& flight, const char* reason) {
+  int fds[2];
+  if (::pipe(fds) != 0) {
+    ADD_FAILURE() << "pipe failed";
+    return {};
+  }
+  flight.dump_fd(fds[1], reason);
+  ::close(fds[1]);
+  std::string text;
+  char buffer[4096];
+  ssize_t n = 0;
+  while ((n = ::read(fds[0], buffer, sizeof buffer)) > 0) {
+    text.append(buffer, static_cast<std::size_t>(n));
+  }
+  ::close(fds[0]);
+  return text;
+}
+
 TEST(FlightRecorderTest, DumpsRecentEventsOnInjectedContractViolation) {
   FlightRecorder& flight = flight_recorder();
   flight.arm(16);
@@ -188,9 +206,7 @@ TEST(FlightRecorderTest, DumpsRecentEventsOnInjectedContractViolation) {
                                   "trace_test fixture");
   } catch (const core::ContractViolation& e) {
     caught = e.what();
-    std::ostringstream os;
-    flight.dump(os, "contract violation");
-    const std::string text = os.str();
+    const std::string text = dump_text(flight, "contract violation");
     EXPECT_NE(text.find("flight recorder dump (contract violation)"),
               std::string::npos);
     EXPECT_NE(text.find("1 events recorded, last 1 shown"),
@@ -203,7 +219,7 @@ TEST(FlightRecorderTest, DumpsRecentEventsOnInjectedContractViolation) {
   EXPECT_FALSE(flight.enabled());
 }
 
-TEST(FlightRecorderTest, RingWrapKeepsNewestAndDumpFdMatchesDump) {
+TEST(FlightRecorderTest, RingWrapKeepsNewest) {
   FlightRecorder& flight = flight_recorder();
   flight.arm(16);
   for (std::uint64_t i = 0; i < 20; ++i) {
@@ -211,27 +227,12 @@ TEST(FlightRecorderTest, RingWrapKeepsNewestAndDumpFdMatchesDump) {
     flight.record("eval.retry", true, static_cast<double>(i), args, 1);
   }
   EXPECT_EQ(flight.recorded(), 20u);
-  std::ostringstream os;
-  flight.dump(os, "wrap");
-  const std::string text = os.str();
+  const std::string text = dump_text(flight, "wrap");
   EXPECT_NE(text.find("20 events recorded, last 16 shown"),
             std::string::npos);
   EXPECT_EQ(text.find("attempt=3"), std::string::npos);  // overwritten
   EXPECT_NE(text.find("attempt=4"), std::string::npos);  // oldest survivor
   EXPECT_NE(text.find("attempt=19"), std::string::npos);
-
-  // dump_fd is the async-signal-safe twin: identical decode via write().
-  char path[] = "/tmp/hp_flight_XXXXXX";
-  const int fd = ::mkstemp(path);
-  ASSERT_GE(fd, 0);
-  flight.dump_fd(fd, "wrap");
-  ::lseek(fd, 0, SEEK_SET);
-  std::string fd_text(text.size(), '\0');
-  const ssize_t n = ::read(fd, fd_text.data(), fd_text.size());
-  ::close(fd);
-  std::remove(path);
-  ASSERT_EQ(static_cast<std::size_t>(n), text.size());
-  EXPECT_EQ(fd_text, text);
   flight.reset();
 }
 
@@ -243,9 +244,7 @@ TEST(FlightRecorderTest, TracerForwardsSpansWhenArmed) {
   ASSERT_TRUE(flight_recorder().enabled());
   record_span("test.forwarded", 5);
   tracer().instant("test.ping", {{"round", 9}});
-  std::ostringstream os;
-  flight_recorder().dump(os, "forwarding");
-  const std::string text = os.str();
+  const std::string text = dump_text(flight_recorder(), "forwarding");
   EXPECT_NE(text.find("S test.forwarded"), std::string::npos);
   EXPECT_NE(text.find("I test.ping round=9"), std::string::npos);
 }

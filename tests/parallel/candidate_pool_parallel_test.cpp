@@ -84,7 +84,6 @@ CandidatePoolOptions pool_options() {
   CandidatePoolOptions options;
   options.lattice_points = 200;
   options.random_points = 150;
-  options.score_block_size = 16;  // many blocks, so workers interleave
   return options;
 }
 
@@ -200,7 +199,6 @@ class CandidatePoolWorkersTest : public ::testing::Test {
   void expect_worker_count_invariant(const AcquisitionContext& ctx,
                                      const std::string& label,
                                      std::size_t evaluated = 350) {
-    const ExpectedImprovementAcquisition ei;
     const HwIeciAcquisition ieci;
     const HwCweiAcquisition cwei;
     const HwPiAcquisition pi;
@@ -208,7 +206,6 @@ class CandidatePoolWorkersTest : public ::testing::Test {
     for (const AcquisitionFunction* acquisition :
          {static_cast<const AcquisitionFunction*>(&ieci),
           static_cast<const AcquisitionFunction*>(&cwei),
-          static_cast<const AcquisitionFunction*>(&ei),
           static_cast<const AcquisitionFunction*>(&pi),
           static_cast<const AcquisitionFunction*>(&lcb)}) {
       SCOPED_TRACE(label + " " + acquisition->name());

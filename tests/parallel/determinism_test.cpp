@@ -160,7 +160,6 @@ class NullSink final : public obs::LogSink {
 class GlobalObsOn {
  public:
   GlobalObsOn() : sink_(std::make_shared<NullSink>()) {
-    obs::logger().set_level(obs::LogLevel::kTrace);
     obs::logger().add_sink(sink_, obs::LogLevel::kTrace);
     obs::metrics().set_enabled(true);
   }

@@ -39,35 +39,6 @@ TEST(RunningStats, MatchesDirectComputation) {
   EXPECT_DOUBLE_EQ(rs.stddev(), std::sqrt(ss / 4.0));
 }
 
-TEST(RunningStats, MergeEquivalentToSequential) {
-  RunningStats a, b, all;
-  for (int i = 0; i < 10; ++i) {
-    a.add(i);
-    all.add(i);
-  }
-  for (int i = 10; i < 25; ++i) {
-    b.add(i * 1.5);
-    all.add(i * 1.5);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a;
-  a.add(1.0);
-  RunningStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 1.0);
-}
-
 TEST(Descriptive, MeanAndStddev) {
   const std::vector<double> xs{2.0, 4.0, 6.0};
   EXPECT_DOUBLE_EQ(mean(xs), 4.0);

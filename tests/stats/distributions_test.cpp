@@ -31,34 +31,6 @@ TEST(NormalCdf, Monotone) {
   }
 }
 
-TEST(NormalQuantile, InvertsCdf) {
-  for (double p : {0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999}) {
-    EXPECT_NEAR(normal_cdf(normal_quantile(p)), p, 1e-10) << "p=" << p;
-  }
-}
-
-TEST(NormalQuantile, KnownValues) {
-  EXPECT_NEAR(normal_quantile(0.5), 0.0, 1e-12);
-  EXPECT_NEAR(normal_quantile(0.975), 1.959963984540054, 1e-8);
-}
-
-TEST(NormalQuantile, OutOfDomainThrows) {
-  EXPECT_THROW((void)normal_quantile(0.0), std::domain_error);
-  EXPECT_THROW((void)normal_quantile(1.0), std::domain_error);
-  EXPECT_THROW((void)normal_quantile(-0.2), std::domain_error);
-}
-
-class QuantileRoundTrip : public ::testing::TestWithParam<double> {};
-
-TEST_P(QuantileRoundTrip, QuantileThenCdf) {
-  const double p = GetParam();
-  EXPECT_NEAR(normal_cdf(normal_quantile(p)), p, 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(Grid, QuantileRoundTrip,
-                         ::testing::Values(1e-6, 1e-4, 0.02, 0.2, 0.4, 0.6,
-                                           0.8, 0.98, 1.0 - 1e-4, 1.0 - 1e-6));
-
 TEST(ExpectedImprovement, ZeroVarianceDegeneratesToHinge) {
   EXPECT_DOUBLE_EQ(expected_improvement(0.5, 0.0, 0.7), 0.2);
   EXPECT_DOUBLE_EQ(expected_improvement(0.9, 0.0, 0.7), 0.0);

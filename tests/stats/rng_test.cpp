@@ -81,7 +81,7 @@ TEST(Rng, GaussianMomentsRoughlyCorrect) {
   double sum = 0.0, sum2 = 0.0;
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
-    const double g = rng.gaussian();
+    const double g = rng.gaussian(0.0, 1.0);
     sum += g;
     sum2 += g * g;
   }
@@ -122,17 +122,6 @@ TEST(Rng, BernoulliFrequency) {
   const int n = 10000;
   for (int i = 0; i < n; ++i) hits += rng.bernoulli(0.3) ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
-}
-
-TEST(Rng, ChildStreamsAreIndependentAndDeterministic) {
-  Rng parent1(12);
-  Rng parent2(12);
-  Rng c1 = parent1.child(1);
-  Rng c2 = parent2.child(1);
-  EXPECT_DOUBLE_EQ(c1.uniform(), c2.uniform());
-  Rng p3(12);
-  Rng other = p3.child(2);
-  EXPECT_NE(c1.uniform(), other.uniform());
 }
 
 TEST(Rng, PermutationIsAPermutation) {
@@ -180,11 +169,6 @@ class StdRng {
     return std::normal_distribution<double>(mean, sd)(engine_);
   }
   bool bernoulli(double p) { return std::bernoulli_distribution(p)(engine_); }
-  StdRng child(std::uint64_t stream_id) {
-    const std::uint64_t base = engine_();
-    return StdRng(
-        splitmix64(base ^ splitmix64(stream_id + 0x9e3779b97f4a7c15ULL)));
-  }
   std::vector<std::size_t> permutation(std::size_t n) {
     std::vector<std::size_t> idx(n);
     std::iota(idx.begin(), idx.end(), std::size_t{0});
@@ -269,17 +253,10 @@ TEST(Rng, MixedDrawSequenceMatchesStdReference) {
     ASSERT_EQ(ours.uniform(-3.5, 11.25), theirs.uniform(-3.5, 11.25));
     ASSERT_EQ(ours.uniform(2.0, 2.0), theirs.uniform(2.0, 2.0));
     ASSERT_EQ(ours.uniform_int(-5, 1000), theirs.uniform_int(-5, 1000));
-    ASSERT_EQ(ours.gaussian(), theirs.gaussian(0.0, 1.0));
+    ASSERT_EQ(ours.gaussian(0.0, 1.0), theirs.gaussian(0.0, 1.0));
     ASSERT_EQ(ours.gaussian(3.0, 0.5), theirs.gaussian(3.0, 0.5));
     ASSERT_EQ(ours.bernoulli(0.3), theirs.bernoulli(0.3));
     ASSERT_EQ(ours.permutation(13), theirs.permutation(13));
-    if (round % 100 == 0) {
-      Rng ours_child = ours.child(static_cast<std::uint64_t>(round));
-      StdRng theirs_child = theirs.child(static_cast<std::uint64_t>(round));
-      for (int i = 0; i < 400; ++i) {
-        ASSERT_EQ(ours_child.uniform(), theirs_child.uniform());
-      }
-    }
   }
 }
 
