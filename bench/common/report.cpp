@@ -5,8 +5,6 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "obs/metrics.hpp"
-
 namespace hp::bench {
 
 BenchReport::BenchReport(std::string name) : name_(std::move(name)) {
@@ -45,9 +43,6 @@ std::string BenchReport::output_dir() {
 }
 
 std::string BenchReport::write() {
-  if (obs::metrics().enabled()) {
-    root_["metrics"] = obs::metrics().to_json();
-  }
   const std::string path = output_dir() + "/BENCH_" + name_ + ".json";
   std::ofstream os(path);
   if (!os) {

@@ -36,9 +36,8 @@ class BenchReport {
                   const std::vector<std::string>& labels,
                   const std::vector<std::vector<double>>& series);
 
-  /// Writes BENCH_<name>.json (embedding a metrics snapshot when metrics
-  /// collection is enabled) and returns the path. Subsequent calls rewrite
-  /// the same file.
+  /// Writes BENCH_<name>.json and returns the path. Subsequent calls
+  /// rewrite the same file.
   std::string write();
 
   /// $HYPERPOWER_BENCH_DIR or ".".

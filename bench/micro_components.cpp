@@ -360,8 +360,8 @@ BENCHMARK(BM_RealCnnTrainingEpoch);
 // ---- tracing overhead ------------------------------------------------
 // The same small Cholesky workload at three instrumentation levels. The
 // committed tracked.json invariant pins Baseline/SpansOff >= 0.98: a
-// ScopedTimer with every backend disabled may cost at most ~2% on a
-// microsecond-scale workload (in practice it is two relaxed loads).
+// ScopedTimer with the tracer off may cost at most ~2% on a
+// microsecond-scale workload (in practice it is one relaxed load).
 
 linalg::Matrix trace_bench_matrix() {
   linalg::Matrix b = random_inputs(32, 32, 7);
@@ -380,7 +380,7 @@ void BM_TraceOverheadBaseline(benchmark::State& state) {
 BENCHMARK(BM_TraceOverheadBaseline);
 
 void BM_TraceOverheadSpansOff(benchmark::State& state) {
-  // Metrics and tracing both disabled: the span is a no-op guard.
+  // Tracing disabled: the span is a no-op guard.
   const linalg::Matrix a = trace_bench_matrix();
   for (auto _ : state) {
     obs::ScopedTimer span("bench.trace_overhead");
@@ -413,7 +413,7 @@ void BM_TraceExport(benchmark::State& state) {
   config.ring_kb = 256;  // 4096 events at 64 B/event
   obs::tracer().start(config);
   for (int i = 0; i < 4096; ++i) {
-    obs::ScopedTimer span("bench.trace_overhead", nullptr,
+    obs::ScopedTimer span("bench.trace_overhead",
                           static_cast<std::uint64_t>(i));
     span.trace_arg({"index", i});
     benchmark::DoNotOptimize(i);

@@ -13,17 +13,15 @@ namespace hp::core {
 
 namespace {
 
-/// BO-phase instruments (GP fit / acquisition argmax wall time, constant
-/// liars); process-global, fetched once.
+/// BO-phase counters (acquisition argmaxes, constant liars);
+/// process-global, fetched once.
 struct BoMetrics {
-  obs::Histogram& gp_fit_s;
-  obs::Histogram& acq_argmax_s;
+  obs::Counter& acq_argmax_calls;
   obs::Counter& constant_liar_fills;
 
   static BoMetrics& get() {
     static BoMetrics m{
-        obs::metrics().histogram("bo.gp_fit_s"),
-        obs::metrics().histogram("bo.acq_argmax_s"),
+        obs::metrics().counter("bo.acq_argmax_calls"),
         obs::metrics().counter("bo.constant_liar_fills"),
     };
     return m;
@@ -93,8 +91,8 @@ Configuration BayesOptProposer::propose(stats::Rng& rng) {
   ctx.constraints = active_constraints();
   ctx.measured_power_gp = power_gp_ ? power_gp_.get() : nullptr;
   ctx.measured_memory_gp = memory_gp_ ? memory_gp_.get() : nullptr;
-  obs::ScopedTimer timer("bo.acq_argmax", &BoMetrics::get().acq_argmax_s,
-                         obs_y_.size());
+  if (obs::metrics().enabled()) BoMetrics::get().acq_argmax_calls.add(1);
+  obs::ScopedTimer timer("bo.acq_argmax", obs_y_.size());
   timer.trace_arg({"observations", obs_y_.size()});
   timer.trace_arg({"pool", bo_options_.pool.lattice_points +
                                bo_options_.pool.random_points});
@@ -113,7 +111,7 @@ std::vector<Configuration> BayesOptProposer::propose_batch(
     if (obs::metrics().enabled()) {
       BoMetrics::get().constant_liar_fills.add(1);
     }
-    obs::ScopedTimer lie_span("bo.constant_liar_fill", nullptr, obs_y_.size());
+    obs::ScopedTimer lie_span("bo.constant_liar_fill", obs_y_.size());
     obs_x_.push_back(space().encode(config));
     obs_y_.push_back(best_feasible_y_);
     fit_objective_gp_posterior();
@@ -122,7 +120,7 @@ std::vector<Configuration> BayesOptProposer::propose_batch(
   };
   liar.pop_lies = [this, real_observations] {
     if (obs_y_.size() <= real_observations) return;
-    obs::ScopedTimer pop_span("bo.constant_liar_pop", nullptr, obs_y_.size());
+    obs::ScopedTimer pop_span("bo.constant_liar_pop", obs_y_.size());
     obs_x_.resize(real_observations);
     obs_y_.resize(real_observations);
     fit_objective_gp_posterior();
@@ -186,8 +184,7 @@ RecordedKernelFit BayesOptProposer::refit_objective_gp(
                         {{"observations", obs::JsonValue(obs_y_.size())},
                          {"kernel_ml", obs::JsonValue(kernel_ml)}});
   }
-  obs::ScopedTimer timer("bo.gp_fit", &BoMetrics::get().gp_fit_s,
-                         obs_y_.size());
+  obs::ScopedTimer timer("bo.gp_fit", obs_y_.size());
   timer.trace_arg({"observations", obs_y_.size()});
   timer.trace_arg({"kernel_ml", kernel_ml});
   RecordedKernelFit fit;

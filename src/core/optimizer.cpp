@@ -13,24 +13,12 @@ namespace hp::core {
 
 namespace {
 
-/// Driver-phase instruments; process-global, fetched once. Wall-time
-/// histograms measure real phase durations — the virtual clock is charged
-/// separately from modelled costs and is never read here.
-struct DriverMetrics {
-  obs::Counter& rounds;
-  obs::Histogram& round_evaluate_s;
-  obs::Histogram& merge_s;
-
-  static DriverMetrics& get() {
-    obs::MetricsRegistry& m = obs::metrics();
-    static DriverMetrics instance{
-        m.counter("optimizer.rounds"),
-        m.histogram("optimizer.round_evaluate_s"),
-        m.histogram("optimizer.merge_s"),
-    };
-    return instance;
-  }
-};
+/// Batched rounds driven, counted when metrics are on; process-global,
+/// fetched once.
+obs::Counter& rounds_counter() {
+  static obs::Counter& counter = obs::metrics().counter("optimizer.rounds");
+  return counter;
+}
 
 /// The in-process dispatcher: evaluates a round's jobs on the shared
 /// thread pool through the exact seam the process fleet implements
@@ -118,7 +106,7 @@ RunResult Optimizer::resume(
 
 RunResult Optimizer::run_impl(
     const std::vector<EvaluationRecord>* replay) {
-  obs::ScopedTimer run_span("optimizer.run", nullptr, options_.seed);
+  obs::ScopedTimer run_span("optimizer.run", options_.seed);
   run_span.trace_arg({"seed", options_.seed});
   run_span.trace_arg({"batch_size", options_.batch_size});
   run_span.trace_arg({"num_threads", options_.num_threads});
@@ -155,9 +143,9 @@ RunResult Optimizer::run_impl(
     // not of scheduling) so the round's span id — and the ids of
     // everything beneath it — is identical at any thread count.
     const std::size_t round_base = study_.next_sample_index();
-    obs::ScopedTimer round_span("optimizer.round", nullptr, round_base);
+    obs::ScopedTimer round_span("optimizer.round", round_base);
     round_span.trace_arg({"round_base", round_base});
-    if (batched && obs::metrics().enabled()) DriverMetrics::get().rounds.add(1);
+    if (batched && obs::metrics().enabled()) rounds_counter().add(1);
 
     // Ask: the study proposes, model-filters, and numbers the round.
     std::vector<Trial> trials = study_.ask(options_.batch_size);
@@ -175,9 +163,7 @@ RunResult Optimizer::run_impl(
         if (trials[i].requires_evaluation) job_of[i] = next_job++;
       }
       if (!jobs.empty()) {
-        obs::ScopedTimer evaluate_timer("optimize.round_evaluate",
-                                        &DriverMetrics::get().round_evaluate_s,
-                                        round_base);
+        obs::ScopedTimer evaluate_timer("optimize.round_evaluate", round_base);
         const std::size_t expected = jobs.size();
         records = dispatcher->evaluate_round(std::move(jobs));
         if (records.size() != expected) {
@@ -195,8 +181,7 @@ RunResult Optimizer::run_impl(
     // detached costs to the clock, sample by sample.
     std::optional<obs::ScopedTimer> merge_timer;
     if (batched) {
-      merge_timer.emplace("optimize.merge", &DriverMetrics::get().merge_s,
-                          round_base);
+      merge_timer.emplace("optimize.merge", round_base);
     }
     for (std::size_t i = 0; i < trials.size(); ++i) {
       Trial& trial = trials[i];

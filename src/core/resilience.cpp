@@ -94,15 +94,13 @@ ResilientOutcome ResilientEvaluator::evaluate(const Configuration& config,
       stats::stream_seed(run_seed_ ^ kBackoffSalt, sample_index));
   auto& log = obs::logger();
 
-  obs::ScopedTimer sample_span("optimizer.sample.evaluate", nullptr,
-                               sample_index);
+  obs::ScopedTimer sample_span("optimizer.sample.evaluate", sample_index);
   sample_span.trace_arg({"sample", sample_index});
 
   double extra_cost_s = 0.0;  // failed attempts + backoff, in virtual seconds
   FailureKind last_kind = FailureKind::Persistent;
   for (std::size_t attempt_index = 1;; ++attempt_index) {
-    obs::ScopedTimer attempt_span("optimizer.sample.attempt", nullptr,
-                                  attempt_index);
+    obs::ScopedTimer attempt_span("optimizer.sample.attempt", attempt_index);
     attempt_span.trace_arg({"attempt", attempt_index});
     try {
       EvaluationRecord record = [&] {

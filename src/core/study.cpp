@@ -13,19 +13,7 @@ namespace hp::core {
 
 namespace {
 
-/// Proposal-phase instrument; process-global, fetched once. Wall time, not
-/// virtual clock: the modelled proposal overhead is charged separately at
-/// begin_trial.
-struct StudyMetrics {
-  obs::Histogram& propose_s;
-
-  static StudyMetrics& get() {
-    static StudyMetrics instance{obs::metrics().histogram("optimizer.propose_s")};
-    return instance;
-  }
-};
-
-/// Per-sample instruments; process-global, fetched once. The virtual clock
+/// Per-sample counters; process-global, fetched once. The virtual clock
 /// is read here only as an event field.
 struct SampleMetrics {
   obs::Counter& samples;
@@ -38,7 +26,6 @@ struct SampleMetrics {
   obs::Counter& measured_violations;
   obs::Counter& retries;
   obs::Counter& fallbacks;
-  obs::Histogram& sample_cost_vs;  ///< virtual seconds per sample
 
   static SampleMetrics& get() {
     obs::MetricsRegistry& m = obs::metrics();
@@ -53,8 +40,6 @@ struct SampleMetrics {
         m.counter("optimizer.measured_violations"),
         m.counter("optimizer.eval_retries"),
         m.counter("optimizer.sensor_fallbacks"),
-        m.histogram("optimizer.sample_cost_vs",
-                    obs::exponential_buckets(1.0, 2.0, 14)),
     };
     return instance;
   }
@@ -69,7 +54,6 @@ void emit_sample_events(const EvaluationRecord& record, const RunTrace& trace,
   if (obs::metrics().enabled()) {
     SampleMetrics& m = SampleMetrics::get();
     m.samples.add(1);
-    m.sample_cost_vs.observe(record.cost_s);
     switch (record.status) {
       case EvaluationStatus::Completed:
         m.function_evaluations.add(1);
@@ -310,8 +294,7 @@ std::vector<Trial> Study::ask(std::size_t k) {
   {
     std::optional<obs::ScopedTimer> timer;
     if (!batched || !proposer_.supports_parallel_proposals()) {
-      timer.emplace("optimize.propose", &StudyMetrics::get().propose_s,
-                    round_base);
+      timer.emplace("optimize.propose", round_base);
     }
     if (!batched) {
       proposals.push_back(proposer_.propose(shared_rng_));
@@ -399,8 +382,7 @@ void Study::tell(TrialResult result) {
   record.config = std::move(front.config);
   if (!result.cost_on_clock) clock_.advance(record.cost_s);
 
-  obs::ScopedTimer finalize_span("optimizer.sample.finalize", nullptr,
-                                 trace_.size());
+  obs::ScopedTimer finalize_span("optimizer.sample.finalize", trace_.size());
   // Classify against the *measured* metrics (both modes measure after
   // training; the default mode just could not avoid the cost).
   if (record.function_evaluation()) {

@@ -343,7 +343,7 @@ EvalJournal EvalJournal::rewrite(const std::string& path,
     text += journal_lines(record);
   }
   {
-    obs::ScopedTimer fsync_span("journal.fsync", nullptr, records.size());
+    obs::ScopedTimer fsync_span("journal.fsync", records.size());
     write_journal_line(journal.file_.get(), staging, text);
   }
   if (std::rename(staging.c_str(), path.c_str()) != 0) {
@@ -442,14 +442,14 @@ JournalLoadResult EvalJournal::load(const std::string& path) {
 
 void EvalJournal::append(const EvaluationRecord& record) {
   if (!active()) return;
-  obs::ScopedTimer fsync_span("journal.fsync", nullptr, record.index);
+  obs::ScopedTimer fsync_span("journal.fsync", record.index);
   write_journal_line(file_.get(), path_, journal_lines(record));
 }
 
 void EvalJournal::finalize(const std::string& state, std::size_t records) {
   if (!active()) return;
   if (state.empty()) fail_journal("finalize requires a non-empty state");
-  obs::ScopedTimer fsync_span("journal.fsync", nullptr, records);
+  obs::ScopedTimer fsync_span("journal.fsync", records);
   write_journal_line(file_.get(), path_,
                      checksummed_line(epilogue_body(state, records)));
   file_.reset();

@@ -14,13 +14,12 @@ namespace hp::gp {
 
 namespace {
 
-/// Refit and prediction instruments, fetched once per process
+/// Refit, factorization and prediction counters, fetched once per process
 /// (registry-stable refs).
 struct GpMetrics {
   obs::Counter& refits;
   obs::Counter& refits_incremental;
-  obs::Histogram& refit_n;
-  obs::Histogram& cholesky_s;
+  obs::Counter& cholesky_calls;
   obs::Counter& predict_rows;
   obs::Counter& predict_rows_reused;
 
@@ -28,9 +27,7 @@ struct GpMetrics {
     static GpMetrics m{
         obs::metrics().counter("gp.refits"),
         obs::metrics().counter("gp.refits_incremental"),
-        obs::metrics().histogram("gp.refit_observations",
-                                 obs::exponential_buckets(1.0, 2.0, 12)),
-        obs::metrics().histogram("gp.cholesky_s"),
+        obs::metrics().counter("gp.cholesky_calls"),
         obs::metrics().counter("gp.predict_rows"),
         obs::metrics().counter("gp.predict_rows_reused"),
     };
@@ -136,7 +133,6 @@ void GaussianProcess::refit(RefitKind kind) {
   if (obs::metrics().enabled()) {
     GpMetrics::get().refits.add(1);
     if (kind != RefitKind::kFull) GpMetrics::get().refits_incremental.add(1);
-    GpMetrics::get().refit_n.observe(static_cast<double>(x_.rows()));
   }
   if (obs::logger().enabled(obs::LogLevel::kTrace)) {
     obs::logger().trace("gp.refit",
@@ -174,7 +170,8 @@ void GaussianProcess::refit(RefitKind kind) {
 void GaussianProcess::refit_full() {
   linalg::Matrix noisy = kernel_matrix(kernel_, x_);
   noisy.add_to_diagonal(noise_variance_);
-  obs::ScopedTimer chol_timer("gp.cholesky", &GpMetrics::get().cholesky_s);
+  if (obs::metrics().enabled()) GpMetrics::get().cholesky_calls.add(1);
+  obs::ScopedTimer chol_timer("gp.cholesky");
   auto chol = linalg::Cholesky::with_jitter(noisy);
   chol_timer.stop();
   // HP_ENFORCE (never compiled out): proceeding without a factor would
@@ -203,7 +200,8 @@ bool GaussianProcess::try_extend_factor() {
   }
   // Border the factor one row at a time. The noisy diagonal entry is formed
   // exactly as add_to_diagonal() would: gram diagonal + noise, one addition.
-  obs::ScopedTimer chol_timer("gp.cholesky", &GpMetrics::get().cholesky_s);
+  if (obs::metrics().enabled()) GpMetrics::get().cholesky_calls.add(1);
+  obs::ScopedTimer chol_timer("gp.cholesky");
   const double diagonal = kernel_.diagonal_value() + noise_variance_;
   linalg::Cholesky chol = *chol_;
   for (const linalg::Vector& border : borders) {

@@ -71,7 +71,7 @@ struct Restart {
 Restart run_restart(int index, const FlatParams& start, stats::Rng& rng,
                     LmlEvaluator& evaluator, const KernelFitOptions& options,
                     std::uint64_t span_key) {
-  obs::ScopedTimer span("gp.fit_restart", nullptr, span_key);
+  obs::ScopedTimer span("gp.fit_restart", span_key);
   span.trace_arg({"restart", index});
   Restart out;
   out.params = start;
@@ -127,10 +127,10 @@ void skip_full_restart(int index, std::size_t num_values, int iterations,
   for (int i = 0; i < iterations; ++i) (void)rng.permutation(num_values);
 }
 
-/// The GP's factorization histogram, shared with GaussianProcess.
-obs::Histogram& cholesky_seconds() {
-  static obs::Histogram& histogram = obs::metrics().histogram("gp.cholesky_s");
-  return histogram;
+/// The GP's factorization counter, shared with GaussianProcess.
+obs::Counter& cholesky_calls() {
+  static obs::Counter& counter = obs::metrics().counter("gp.cholesky_calls");
+  return counter;
 }
 
 bool same_bits(double a, double b) {
@@ -256,7 +256,8 @@ double LmlEvaluator::lml(const KernelParams& params, double noise_variance) {
   }
 
   // Cholesky::with_jitter() on the noisy Gram, in the reused buffer.
-  obs::ScopedTimer chol_timer("gp.cholesky", &cholesky_seconds());
+  if (obs::metrics().enabled()) cholesky_calls().add(1);
+  obs::ScopedTimer chol_timer("gp.cholesky");
   const double diagonal = sv + noise_variance;
   bool factored = factor(diagonal);
   if (!factored) {

@@ -41,6 +41,9 @@ std::uint64_t span_id(std::uint64_t parent, const char* name,
   return id == 0 ? 1 : id;
 }
 
+/// Flight-recorder ring capacity in records when Tracer::start arms it.
+constexpr std::size_t kFlightEntries = 1024;
+
 struct TlsBuffer {
   void* buffer = nullptr;
   std::uint64_t generation = 0;
@@ -268,7 +271,7 @@ void Tracer::start(const TraceConfig& config) {
     epoch_ = std::chrono::steady_clock::now();
     generation_.fetch_add(1, std::memory_order_release);
   }
-  if (config.flight_recorder) flight_recorder().arm(config.flight_entries);
+  if (config.flight_recorder) flight_recorder().arm(kFlightEntries);
   enabled_.store(true, std::memory_order_relaxed);
 }
 

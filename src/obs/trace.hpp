@@ -1,12 +1,12 @@
 #pragma once
-// Hierarchical span tracer: the causal counterpart of the flat histograms
-// in obs/metrics.hpp. Spans form a tree (run → round → propose/evaluate/
-// merge → per-sample → per-attempt) with *stable* IDs — a span's ID is a
-// pure function of (parent ID, name, caller-chosen key), never of thread
-// scheduling — so the span tree of a run is invariant across worker counts
-// even when the timings differ. Thread-local current-span context plus
-// explicit parent capture in parallel::ThreadPool propagate causality
-// across threads.
+// Hierarchical span tracer, the one wall-time record of a run (the metrics
+// registry in obs/metrics.hpp only counts). Spans form a tree (run → round
+// → propose/evaluate/merge → per-sample → per-attempt) with *stable* IDs —
+// a span's ID is a pure function of (parent ID, name, caller-chosen key),
+// never of thread scheduling — so the span tree of a run is invariant
+// across worker counts even when the timings differ. Thread-local
+// current-span context plus explicit parent capture in
+// parallel::ThreadPool propagate causality across threads.
 //
 // Recording is per-thread into lock-free ring segments (single writer per
 // ring, monotonic release-published cursor; wrapping overwrites the oldest
@@ -18,11 +18,11 @@
 // fatal signal.
 //
 // Cost contract: disabled tracing is one relaxed atomic load per span (the
-// same guard pattern as ScopedTimer's metrics/logger checks), and tracing
-// is pure read-side like the rest of src/obs — it samples the steady clock
-// and writes its own buffers, never RNG streams, the virtual clock, or
-// evaluation records (DESIGN.md §9), so golden traces stay bit-identical
-// with tracing on.
+// same guard pattern as the logger's and the metrics registry's), and
+// tracing is pure read-side like the rest of src/obs — it samples the
+// steady clock and writes its own buffers, never RNG streams, the virtual
+// clock, or evaluation records (DESIGN.md §9), so golden traces stay
+// bit-identical with tracing on.
 
 #include <atomic>
 #include <chrono>
@@ -91,10 +91,9 @@ struct TraceConfig {
   /// Per-thread ring capacity in KiB (rounded down to whole events,
   /// minimum 4 events). Wrapping drops the oldest events.
   std::size_t ring_kb = 1024;
-  /// Arm the global flight recorder alongside the span rings.
+  /// Arm the global flight recorder (1024 records) alongside the span
+  /// rings.
   bool flight_recorder = false;
-  /// Flight-recorder ring capacity in records.
-  std::size_t flight_entries = 1024;
 };
 
 /// Compact binary flight recorder: a fixed ring of fixed-width records
@@ -112,8 +111,6 @@ class FlightRecorder {
   /// Allocates (or reuses) a ring of @p entries records and enables
   /// recording. Not thread-safe against concurrent record() calls.
   void arm(std::size_t entries);
-  /// Stops recording; the ring contents stay dumpable.
-  void disarm() noexcept { enabled_.store(false, std::memory_order_relaxed); }
   /// Drops the ring.
   void reset();
 
@@ -132,10 +129,6 @@ class FlightRecorder {
   /// Installs handlers for fatal signals (SIGSEGV, SIGABRT, SIGBUS,
   /// SIGFPE, SIGILL) that dump the ring to stderr and re-raise.
   void install_fatal_signal_handlers() noexcept;
-
-  [[nodiscard]] std::uint64_t recorded() const noexcept {
-    return cursor_.load(std::memory_order_relaxed);
-  }
 
  private:
   static constexpr std::size_t kWordsPerEntry = 7;

@@ -1,7 +1,6 @@
 #include "parallel/thread_pool.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <limits>
 #include <utility>
@@ -36,9 +35,7 @@ struct ThreadPool::Batch {
 };
 
 ThreadPool::ThreadPool(std::size_t num_threads)
-    : obs_queue_depth_(&obs::metrics().gauge("pool.queue_depth")),
-      obs_task_wait_s_(&obs::metrics().histogram("pool.task_wait_s")),
-      obs_jobs_(&obs::metrics().counter("pool.jobs")),
+    : obs_jobs_(&obs::metrics().counter("pool.jobs")),
       obs_parallel_for_calls_(
           &obs::metrics().counter("pool.parallel_for_calls")),
       obs_indices_(&obs::metrics().counter("pool.indices")) {
@@ -69,20 +66,6 @@ void ThreadPool::worker_loop() {
     }
     job();
   }
-}
-
-void ThreadPool::instrument_job(std::function<void()>& job) {
-  if (!obs::metrics().enabled()) return;
-  obs_queue_depth_->add(1.0);
-  const auto enqueued = std::chrono::steady_clock::now();
-  job = [this, enqueued, inner = std::move(job)] {
-    obs_queue_depth_->add(-1.0);
-    obs_task_wait_s_->observe(std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - enqueued)
-                                  .count());
-    obs_jobs_->add(1);
-    inner();
-  };
 }
 
 void ThreadPool::run_batch_share(const std::shared_ptr<Batch>& batch) {
@@ -145,14 +128,15 @@ void ThreadPool::parallel_for(std::size_t n,
 
   // One helper job per worker (capped by n-1: the caller takes a share
   // too). A helper that wakes up after the batch drained exits instantly.
+  // Every queued job runs (the destructor drains the queue), so
+  // `pool.jobs` counts them as they are queued.
   const std::size_t helpers = std::min(workers_.size(), n - 1);
+  if (obs::metrics().enabled()) obs_jobs_->add(helpers);
   {
     MutexLock lock(queue_mutex_);
     HP_ASSERT(!stopping_, "ThreadPool::parallel_for during shutdown");
     for (std::size_t i = 0; i < helpers; ++i) {
-      std::function<void()> helper = [batch] { run_batch_share(batch); };
-      instrument_job(helper);
-      queue_.emplace_back(std::move(helper));
+      queue_.emplace_back([batch] { run_batch_share(batch); });
     }
   }
   queue_cv_.notify_all();

@@ -1,6 +1,6 @@
 // Thread-safety of the observability layer under ThreadPool concurrency —
 // the suite the ThreadSanitizer phase of tools/run_tests.sh rebuilds.
-// Workers log structured events, bump shared instruments, and time spans
+// Workers log structured events, bump shared counters, and time spans
 // concurrently; totals must come out exact and TSan must stay silent.
 
 #include <gtest/gtest.h>
@@ -79,26 +79,17 @@ TEST(ObsConcurrencyTest, SharedInstrumentsCountExactly) {
   MetricsRegistry reg;
   reg.set_enabled(true);
   Counter& hits = reg.counter("test.hits");
-  Gauge& depth = reg.gauge("test.depth");
-  Histogram& values = reg.histogram("test.values", {0.25, 0.5, 1.0});
+  Counter& weighted = reg.counter("test.weighted");
 
   parallel::ThreadPool pool(7);
   pool.parallel_for(kTasks, [&](std::size_t i) {
     hits.add(1);
-    depth.add(1.0);
-    depth.add(-1.0);
-    values.observe(static_cast<double>(i % 4) / 4.0);
+    weighted.add(i % 4);
   });
 
   EXPECT_EQ(hits.value(), kTasks);
-  EXPECT_EQ(depth.value(), 0.0);
-  EXPECT_EQ(values.count(), kTasks);
-  // i % 4 / 4 cycles 0, 0.25, 0.5, 0.75: 256 land in the first bucket
-  // (<= 0.25), then 128 in (0.25, 0.5], 128 in (0.5, 1.0], 0 overflow.
-  EXPECT_EQ(values.bucket_counts(),
-            (std::vector<std::uint64_t>{256, 128, 128, 0}));
-  EXPECT_EQ(values.min(), 0.0);
-  EXPECT_EQ(values.max(), 0.75);
+  // i % 4 cycles 0, 1, 2, 3: kTasks / 4 cycles of 6 each.
+  EXPECT_EQ(weighted.value(), kTasks / 4 * 6);
 }
 
 TEST(ObsConcurrencyTest, RegistryLookupsRaceSafely) {
@@ -117,23 +108,30 @@ TEST(ObsConcurrencyTest, RegistryLookupsRaceSafely) {
 }
 
 TEST(ObsConcurrencyTest, ScopedTimersRecordFromWorkers) {
-  // ScopedTimer reads the global logger()/metrics() enable flags; leave
-  // them untouched (disabled) and drive the histogram directly through a
-  // registry-enabled path to keep this test hermetic.
-  MetricsRegistry reg;
-  reg.set_enabled(true);
-  Histogram& spans = reg.histogram("test.span_s", duration_buckets());
-
+  // Spans timed on every pool thread at once each land in their thread's
+  // ring, under the span that submitted the batch, and none is lost.
+  TraceConfig config;
+  config.ring_kb = 256;
+  tracer().start(config);
   parallel::ThreadPool pool(7);
-  pool.parallel_for(kTasks, [&](std::size_t) {
-    // The global registry is disabled, so the timer itself stays dark;
-    // this mirrors how instrumented layers behave with obs off while the
-    // local registry records the span length.
-    ScopedTimer dark("test.noop");
-    spans.observe(1e-6);
-  });
+  std::uint64_t submitter = 0;
+  {
+    ScopedTimer batch("test.batch");
+    submitter = tracer().current_span();
+    pool.parallel_for(kTasks,
+                      [](std::size_t i) { ScopedTimer task("test.task", i); });
+  }
+  tracer().stop();
 
-  EXPECT_EQ(spans.count(), kTasks);
+  std::size_t tasks = 0;
+  for (const TraceEventView& view : tracer().snapshot()) {
+    if (std::string(view.event.name) != "test.task") continue;
+    ++tasks;
+    EXPECT_EQ(view.event.parent, submitter);
+  }
+  EXPECT_EQ(tasks, kTasks);
+  EXPECT_EQ(tracer().dropped_events(), 0u);
+  tracer().reset();
 }
 
 }  // namespace

@@ -4,17 +4,22 @@
 // same run with tracing off. Exercised for every method (Rand, Rand-Walk,
 // Grid, HW-IECI, HW-CWEI) at batch sizes 1 and 4, on 4 threads, over the
 // fault-injecting scenario so the retry/backoff instrumentation is live.
+// The same scenario checks that the work counters the metrics registry
+// keeps at a span site count exactly the spans the tracer records there.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/fault_injection.hpp"
 #include "core/framework.hpp"
 #include "core/grid_search.hpp"
 #include "core/optimizer.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "../core/fake_objective.hpp"
 
@@ -32,7 +37,6 @@ class TracingOn {
     obs::TraceConfig config;
     config.ring_kb = 256;
     config.flight_recorder = true;
-    config.flight_entries = 256;
     obs::tracer().start(config);
   }
   ~TracingOn() {
@@ -134,6 +138,45 @@ TEST(TraceDeterminismTest, RandWalk) { expect_tracing_invisible("rand_walk"); }
 TEST(TraceDeterminismTest, Grid) { expect_tracing_invisible("grid"); }
 TEST(TraceDeterminismTest, HwIeci) { expect_tracing_invisible("hw_ieci"); }
 TEST(TraceDeterminismTest, HwCwei) { expect_tracing_invisible("hw_cwei"); }
+
+std::uint64_t count_spans(const std::vector<obs::TraceEventView>& events,
+                          const std::string& name) {
+  std::uint64_t n = 0;
+  for (const obs::TraceEventView& view : events) {
+    if (!view.event.instant && view.event.name == name) ++n;
+  }
+  return n;
+}
+
+TEST(SpanCounters, CholeskyAndArgmaxCountsEqualTheirSpans) {
+  // A batched HW-IECI study on 4 threads: factorizations run on the
+  // calling thread (GP refits) and on pool workers (kernel ML fit
+  // restarts), and every acquisition argmax of a constant-liar round is
+  // counted.
+  obs::Counter& cholesky = obs::metrics().counter("gp.cholesky_calls");
+  obs::Counter& argmax = obs::metrics().counter("bo.acq_argmax_calls");
+  const std::uint64_t cholesky_before = cholesky.value();
+  const std::uint64_t argmax_before = argmax.value();
+  std::vector<obs::TraceEventView> events;
+  std::uint64_t dropped = 0;
+  {
+    TracingOn tracing;
+    struct MetricsOn {
+      MetricsOn() { obs::metrics().set_enabled(true); }
+      ~MetricsOn() { obs::metrics().set_enabled(false); }
+    } metrics_on;
+    (void)run_trace_csv("hw_ieci", 4);
+    events = obs::tracer().snapshot();
+    dropped = obs::tracer().dropped_events();
+  }
+  EXPECT_EQ(dropped, 0u);
+  const std::uint64_t cholesky_spans = count_spans(events, "gp.cholesky");
+  const std::uint64_t argmax_spans = count_spans(events, "bo.acq_argmax");
+  EXPECT_GT(cholesky_spans, 0u);
+  EXPECT_GT(argmax_spans, 0u);
+  EXPECT_EQ(cholesky.value() - cholesky_before, cholesky_spans);
+  EXPECT_EQ(argmax.value() - argmax_before, argmax_spans);
+}
 
 }  // namespace
 }  // namespace hp::core

@@ -101,7 +101,7 @@ TEST(ScopedTimerTest, NestedTimersRecordParentLinkedSpans) {
   {
     ScopedTimer outer("test.outer");
     {
-      ScopedTimer inner("test.inner", nullptr, 7);
+      ScopedTimer inner("test.inner", 7);
       inner.trace_arg({"sample", 7});
     }
   }
@@ -226,7 +226,6 @@ TEST(FlightRecorderTest, RingWrapKeepsNewest) {
     const TraceArg args[] = {{"attempt", i}};
     flight.record("eval.retry", true, static_cast<double>(i), args, 1);
   }
-  EXPECT_EQ(flight.recorded(), 20u);
   const std::string text = dump_text(flight, "wrap");
   EXPECT_NE(text.find("20 events recorded, last 16 shown"),
             std::string::npos);
@@ -239,7 +238,6 @@ TEST(FlightRecorderTest, RingWrapKeepsNewest) {
 TEST(FlightRecorderTest, TracerForwardsSpansWhenArmed) {
   TraceConfig config;
   config.flight_recorder = true;
-  config.flight_entries = 32;
   TracerOn on(config);
   ASSERT_TRUE(flight_recorder().enabled());
   record_span("test.forwarded", 5);

@@ -34,10 +34,10 @@ std::multiset<SpanKey> run_fanout(std::size_t num_threads) {
   tracer().start(config);
   {
     parallel::ThreadPool pool(num_threads);
-    ScopedTimer round("tree.round", nullptr, 1);
+    ScopedTimer round("tree.round", 1);
     pool.parallel_for(8, [](std::size_t i) {
-      ScopedTimer eval("tree.evaluate", nullptr, i);
-      ScopedTimer attempt("tree.attempt", nullptr, 0);
+      ScopedTimer eval("tree.evaluate", i);
+      ScopedTimer attempt("tree.attempt", 0);
       tracer().instant("tree.ping", {{"index", i}});
     });
   }
@@ -57,10 +57,10 @@ TEST(TraceTreeTest, ParallelForChildrenLinkToSubmittingSpan) {
   std::uint64_t round_id = 0;
   {
     parallel::ThreadPool pool(4);
-    ScopedTimer round("tree.round", nullptr, 1);
+    ScopedTimer round("tree.round", 1);
     round_id = tracer().current_span();
     pool.parallel_for(8, [](std::size_t i) {
-      ScopedTimer eval("tree.evaluate", nullptr, i);
+      ScopedTimer eval("tree.evaluate", i);
     });
   }
   tracer().stop();
@@ -91,7 +91,7 @@ TEST(TraceTreeTest, ParallelForPropagatesCurrentSpanToWorker) {
   std::thread::id threads[2];
   {
     parallel::ThreadPool pool(2);
-    ScopedTimer outer("tree.outer", nullptr, 0);
+    ScopedTimer outer("tree.outer", 0);
     outer_id = tracer().current_span();
     // Whichever thread takes index 0 waits until another thread has taken
     // index 1, so one of the two indices runs on a pool worker.
@@ -127,9 +127,9 @@ TEST(TraceTreeTest, InstantsAttachToTheWorkerSideSpan) {
   tracer().start(config);
   {
     parallel::ThreadPool pool(4);
-    ScopedTimer round("tree.round", nullptr, 1);
+    ScopedTimer round("tree.round", 1);
     pool.parallel_for(4, [](std::size_t i) {
-      ScopedTimer eval("tree.evaluate", nullptr, i);
+      ScopedTimer eval("tree.evaluate", i);
       tracer().instant("tree.ping", {{"index", i}});
     });
   }

@@ -55,10 +55,6 @@ KEEP: dict[str, str] = {
         "resets a registered counter between tests",
     "hp::obs::FlightRecorder::reset()":
         "drops the process-wide flight recorder's ring between tests",
-    "hp::obs::Gauge::reset()":
-        "resets a registered gauge between tests",
-    "hp::obs::Histogram::reset()":
-        "resets a registered histogram between tests",
     "hp::obs::MetricsRegistry::reset()":
         "resets the process-wide metrics registry between tests",
 }

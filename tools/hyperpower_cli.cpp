@@ -71,7 +71,9 @@ observability (any command):
   --log-level L   stderr log verbosity: trace|debug|info|warn|error|off
                   (default warn)
   --log-file P    write every event >= the log level as JSON lines to P
-  --metrics P     collect counters/histograms, write them as JSON to P
+  --metrics P     count the run's work (samples, GP factorizations,
+                  acquisition argmaxes, pool jobs, ...) and write the
+                  counters as JSON to P; wall time is in --trace-out
   --progress      force the live progress line (optimize; default on a tty)
   --quiet         suppress the live progress line
   --trace-out P   record a causal span trace of the run and write it to P

@@ -267,17 +267,14 @@ def check_raw_objective_evaluate(path, root, lines, findings):
             "evaluation is retried, journaled, and recorded"))
 
 
-# Member calls that mutate a run's proposal state. propose, propose_batch
-# and begin_run are unambiguous member names in library code;
-# Proposer::observe shares its name with obs::Histogram::observe, so it is
-# matched separately with a proposer-ish receiver. Subclass internals (a
+# Member calls that mutate a run's proposal state. propose, propose_batch,
+# begin_run and observe are Proposer's own member names in library code
+# (Proposer::observe is the only observe in src/). Subclass internals (a
 # proposer calling its own propose() in a lambda) have no member receiver
 # and don't match. The run's books (trace, incumbent, failure streak) are
 # private members of core::Study, so no rule is needed for them.
 STUDY_MUTATION_RE = re.compile(
-    r"(?:\.|->)\s*(?:propose_batch|propose|begin_run)\s*\(")
-PROPOSER_OBSERVE_RE = re.compile(
-    r"\b\w*[Pp]roposer\w*\s*(?:\.|->)\s*observe\s*\(")
+    r"(?:\.|->)\s*(?:propose_batch|propose|begin_run|observe)\s*\(")
 # The one sanctioned owner of ask/tell state transitions.
 STUDY_MUTATION_ALLOWLIST = (
     ("src", "core", "study.cpp"),
@@ -291,8 +288,7 @@ def check_study_ask_tell(path, root, lines, findings):
         return
     for lineno, raw in enumerate(lines, 1):
         line = strip_noise(raw)
-        if not (STUDY_MUTATION_RE.search(line)
-                or PROPOSER_OBSERVE_RE.search(line)):
+        if not STUDY_MUTATION_RE.search(line):
             continue
         findings.append(Finding(
             path, lineno, "study-ask-tell",
