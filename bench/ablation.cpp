@@ -86,7 +86,7 @@ void ablation_model_form(bench::BenchReport& report,
       const auto models = bench::train_models(pair, 100, 2018, opt);
       t.add_row({form == core::ModelForm::Linear ? "linear" : "quadratic",
                  intercept ? "yes" : "no (strict Eq. 1-2)",
-                 opt.nonnegative ? "yes" : "no",
+                 "no",
                  bench::fmt_fixed(models.power->cv.rmspe, 2) + "%",
                  bench::fmt_fixed(models.power->cv.r_squared, 3)});
     }

@@ -85,16 +85,8 @@ TrainedModels train_models(const PairSetup& pair, std::size_t num_samples,
                            const core::HardwareModelOptions& options) {
   hw::GpuSimulator simulator(pair.device, seed ^ 0xbeefULL);
   hw::InferenceProfiler profiler(simulator);
-  stats::Rng rng(seed);
-  std::vector<nn::CnnSpec> specs;
-  std::size_t attempts = 0;
-  while (specs.size() < num_samples && attempts < num_samples * 20) {
-    ++attempts;
-    const core::Configuration config = pair.problem.space().sample(rng);
-    nn::CnnSpec spec = pair.problem.to_cnn_spec(config);
-    if (nn::is_feasible(spec)) specs.push_back(std::move(spec));
-  }
-  const auto samples = profiler.profile_all(specs);
+  const auto samples = core::profile_random_architectures(
+      pair.problem, profiler, num_samples, seed);
 
   TrainedModels models;
   models.profiled_samples = samples.size();

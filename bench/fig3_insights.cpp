@@ -75,7 +75,7 @@ int main() {
   report.add_series("learning_curves", labels, series);
 
   // Early-termination rule applied to the same curves.
-  const core::EarlyTerminationRule rule;
+  const core::EarlyTerminationRule& rule = core::kEarlyTermination;
   bench::TextTable right({"configuration", "diverges", "rule fires at epoch",
                           "training cost paid"});
   for (const auto& [label, cfg] : cases) {

@@ -53,12 +53,12 @@ void BM_InProcessRound(benchmark::State& state) {
   const auto stack = build_stack();
   core::ResilientEvaluator evaluator(stack->search_objective(),
                                      core::RetryPolicy{}, /*run_seed=*/7);
-  const core::EarlyTerminationRule rule{};  // the worker's default
   const std::vector<core::RoundJob> jobs = make_jobs(stack->problem.space());
   for (auto _ : state) {
     for (const core::RoundJob& job : jobs) {
       const core::ResilientOutcome outcome =
-          evaluator.evaluate(job.config, &rule, job.sample_index,
+          evaluator.evaluate(job.config, &core::kEarlyTermination,
+                             job.sample_index,
                              /*detached=*/true);
       benchmark::DoNotOptimize(outcome.record.cost_s);
     }

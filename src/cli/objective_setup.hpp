@@ -54,12 +54,12 @@ struct EvaluationStack {
 
 /// Retry/seed/early-termination settings shared verbatim between the
 /// optimizer's OptimizerOptions and the worker's ResilientEvaluator — split
-/// out so both sides parse them once, identically.
+/// out so both sides parse them once, identically. Both apply
+/// core::kEarlyTermination when use_early_termination is set.
 struct EvaluationPolicy {
   std::uint64_t seed = 1;
   core::RetryPolicy retry;
   bool use_early_termination = true;
-  core::EarlyTerminationRule early_termination;
 };
 
 /// Flags build_evaluation_stack / evaluation_policy consume; callers merge

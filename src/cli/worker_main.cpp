@@ -123,7 +123,7 @@ int serve(const Args& args) {
   auto stack = build_evaluation_stack(args);
   const EvaluationPolicy policy = evaluation_policy(args);
   const core::EarlyTerminationRule* rule =
-      policy.use_early_termination ? &policy.early_termination : nullptr;
+      policy.use_early_termination ? &core::kEarlyTermination : nullptr;
   core::ResilientEvaluator evaluator(stack->search_objective(), policy.retry,
                                      policy.seed);
 

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "core/batch_fill.hpp"
+#include "gp/kernel_fit.hpp"
 #include "linalg/matrix.hpp"
 #include "obs/obs.hpp"
 #include "stats/descriptive.hpp"
@@ -12,6 +13,14 @@
 namespace hp::core {
 
 namespace {
+
+/// Noise variance of the objective GP before its first kernel ML fit, and
+/// the floor that fit keeps the fitted noise above.
+constexpr double kObservationNoise = 1e-4;
+/// Virtual bookkeeping cost of one proposal: base plus a per-observation
+/// slope (a Spearmint-style model refit and acquisition maximization).
+constexpr double kOverheadBaseS = 8.0;
+constexpr double kOverheadPerObservationS = 0.6;
 
 /// BO-phase counters (acquisition argmaxes, constant liars);
 /// process-global, fetched once.
@@ -36,13 +45,12 @@ linalg::Matrix rows_to_matrix(const std::vector<std::vector<double>>& rows) {
   return m;
 }
 
-std::unique_ptr<gp::GaussianProcess> make_gp(std::size_t dimension,
-                                             double noise) {
+std::unique_ptr<gp::GaussianProcess> make_gp(std::size_t dimension) {
   gp::KernelParams params;
   params.signal_variance = 1.0;
   params.length_scales.assign(dimension, 0.3);
   gp::Matern52Kernel kernel(params);
-  return std::make_unique<gp::GaussianProcess>(kernel, noise);
+  return std::make_unique<gp::GaussianProcess>(kernel, kObservationNoise);
 }
 
 }  // namespace
@@ -62,9 +70,8 @@ BayesOptProposer::BayesOptProposer(
 std::string BayesOptProposer::name() const { return acquisition_->name(); }
 
 double BayesOptProposer::proposal_overhead_s() const {
-  return bo_options_.overhead_base_s +
-         bo_options_.overhead_per_observation_s *
-             static_cast<double>(obs_y_.size());
+  return kOverheadBaseS +
+         kOverheadPerObservationS * static_cast<double>(obs_y_.size());
 }
 
 Configuration BayesOptProposer::propose(stats::Rng& rng) {
@@ -172,7 +179,7 @@ RecordedKernelFit BayesOptProposer::refit_objective_gp(
     const EvaluationRecord& record) {
   if (obs_y_.size() < 2) return {};
   if (objective_gp_ == nullptr) {
-    objective_gp_ = make_gp(space().dimension(), bo_options_.observation_noise);
+    objective_gp_ = make_gp(space().dimension());
   }
   const linalg::Matrix x = rows_to_matrix(obs_x_);
   const linalg::Vector y{std::vector<double>(obs_y_)};
@@ -204,8 +211,8 @@ RecordedKernelFit BayesOptProposer::refit_objective_gp(
     }
     fit = record.kernel_fit;
   } else if (kernel_ml) {
-    gp::KernelFitOptions options = bo_options_.kernel_fit;
-    options.min_noise_variance = bo_options_.observation_noise;
+    gp::KernelFitOptions options;
+    options.min_noise_variance = kObservationNoise;
     fit = RecordedKernelFit(
         gp::fit_kernel_by_ml(*objective_gp_, x, y, options, thread_pool()));
   } else {

@@ -11,7 +11,7 @@
 
 #include "core/candidate_pool.hpp"
 #include "core/proposer.hpp"
-#include "gp/kernel_fit.hpp"
+#include "gp/gaussian_process.hpp"
 
 namespace hp::core {
 
@@ -23,12 +23,6 @@ struct BayesOptOptions {
   /// observations (posterior-only refits happen every observation).
   std::size_t kernel_refit_interval = 5;
   CandidatePoolOptions pool{};
-  gp::KernelFitOptions kernel_fit{};
-  double observation_noise = 1e-4;
-  /// Virtual bookkeeping cost per iteration: base + per-observation slope
-  /// (Spearmint-style model refit + acquisition maximization cost).
-  double overhead_base_s = 8.0;
-  double overhead_per_observation_s = 0.6;
 };
 
 /// GP Bayesian proposer with a constraint-aware acquisition.
@@ -41,11 +35,6 @@ class BayesOptProposer final : public Proposer {
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] Configuration propose(stats::Rng& rng) override;
-  /// BO proposals mutate sequential state (the constant-liar GP refits), so
-  /// batched rounds are produced up front on the driver thread.
-  [[nodiscard]] bool supports_parallel_proposals() const override {
-    return false;
-  }
   /// Constant-liar batch via the shared fill_proposal_batch helper
   /// (core/batch_fill.hpp): after each in-round proposal, a
   /// pseudo-observation (candidate, best feasible error so far) is pushed

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -18,6 +19,8 @@ namespace {
 /// candidate's score does not depend on its block, so any size gives the
 /// same bits.
 constexpr std::size_t kBlockSize = 32;
+/// Scrambles the Halton lattice; every pool of a space has the same one.
+constexpr std::uint64_t kLatticeSeed = 99;
 
 std::size_t blocks_of(std::size_t count) {
   return (count + kBlockSize - 1) / kBlockSize;
@@ -32,7 +35,7 @@ CandidatePool::CandidatePool(const HyperParameterSpace& space,
     throw std::invalid_argument("CandidatePool: empty pool");
   }
   if (options_.lattice_points > 0) {
-    stats::HaltonSequence halton(space_.dimension(), options_.lattice_seed);
+    stats::HaltonSequence halton(space_.dimension(), kLatticeSeed);
     lattice_ = halton.take(options_.lattice_points);
   }
   // The lattice never changes, so its configurations are decoded here once;

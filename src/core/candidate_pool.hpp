@@ -4,7 +4,6 @@
 // use a scrambled-Halton lattice (space-filling) plus uniform random
 // candidates, regenerated each iteration.
 
-#include <cstdint>
 #include <vector>
 
 #include "core/acquisition.hpp"
@@ -21,7 +20,6 @@ namespace hp::core {
 struct CandidatePoolOptions {
   std::size_t lattice_points = 600;  ///< Halton lattice size
   std::size_t random_points = 400;   ///< fresh uniform candidates per call
-  std::uint64_t lattice_seed = 99;
 };
 
 /// Generates candidate unit-cube points for acquisition maximization.

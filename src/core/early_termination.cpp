@@ -1,27 +1,6 @@
 #include "core/early_termination.hpp"
 
-#include <stdexcept>
-
 namespace hp::core {
-
-EarlyTerminationRule::EarlyTerminationRule(std::size_t check_after_epochs,
-                                           double chance_error, double margin)
-    : check_after_epochs_(check_after_epochs),
-      chance_error_(chance_error),
-      margin_(margin) {
-  if (check_after_epochs_ == 0) {
-    throw std::invalid_argument(
-        "EarlyTerminationRule: need at least one observation epoch");
-  }
-  if (chance_error_ <= 0.0 || chance_error_ > 1.0) {
-    throw std::invalid_argument(
-        "EarlyTerminationRule: chance error must be in (0,1]");
-  }
-  if (margin_ < 0.0 || margin_ >= 1.0) {
-    throw std::invalid_argument(
-        "EarlyTerminationRule: margin must be in [0,1)");
-  }
-}
 
 double EarlyTerminationRule::convergence_threshold() const noexcept {
   return chance_error_ * (1.0 - margin_);

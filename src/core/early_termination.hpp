@@ -7,6 +7,7 @@
 // extrapolation the paper cautions about).
 
 #include <cstddef>
+#include <stdexcept>
 
 namespace hp::core {
 
@@ -18,9 +19,27 @@ class EarlyTerminationRule {
   /// @param chance_error the error of random guessing (0.9 for 10 classes).
   /// @param margin how far below chance the error must have moved for the
   ///        candidate to be considered converging (fraction of chance).
-  explicit EarlyTerminationRule(std::size_t check_after_epochs = 2,
-                                double chance_error = 0.9,
-                                double margin = 0.05);
+  /// Throws std::invalid_argument on a zero window, a chance error
+  /// outside (0, 1] or a margin outside [0, 1).
+  constexpr explicit EarlyTerminationRule(std::size_t check_after_epochs = 2,
+                                          double chance_error = 0.9,
+                                          double margin = 0.05)
+      : check_after_epochs_(check_after_epochs),
+        chance_error_(chance_error),
+        margin_(margin) {
+    if (check_after_epochs_ == 0) {
+      throw std::invalid_argument(
+          "EarlyTerminationRule: need at least one observation epoch");
+    }
+    if (chance_error_ <= 0.0 || chance_error_ > 1.0) {
+      throw std::invalid_argument(
+          "EarlyTerminationRule: chance error must be in (0,1]");
+    }
+    if (margin_ < 0.0 || margin_ >= 1.0) {
+      throw std::invalid_argument(
+          "EarlyTerminationRule: margin must be in [0,1)");
+    }
+  }
 
   /// Returns true if training should STOP: the run has seen at least
   /// check_after_epochs epochs and the test error is still at chance level
@@ -41,5 +60,10 @@ class EarlyTerminationRule {
   double chance_error_;
   double margin_;
 };
+
+/// The rule HyperPower mode applies on every evaluation path: the
+/// in-process Optimizer, the fleet's hpo-worker and bench_fleet. A fleet
+/// run matches its in-process run bit for bit only because they share it.
+inline constexpr EarlyTerminationRule kEarlyTermination{};
 
 }  // namespace hp::core

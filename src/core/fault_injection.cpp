@@ -44,19 +44,19 @@ std::optional<FailureKind> FaultInjectingObjective::scheduled_fault(
       spec_.seed, hash_configuration(config) ^ stats::splitmix64(attempt)));
   if (!rng.bernoulli(spec_.failure_rate)) return std::nullopt;
   const double weights[] = {spec_.transient_weight, spec_.persistent_weight,
-                            spec_.timeout_weight, spec_.diverged_weight};
+                            spec_.diverged_weight};
   constexpr FailureKind kinds[] = {FailureKind::Transient,
                                    FailureKind::Persistent,
-                                   FailureKind::Timeout, FailureKind::Diverged};
+                                   FailureKind::Diverged};
   double total = 0.0;
   for (const double w : weights) total += w;
   if (total <= 0.0) return FailureKind::Transient;
   double u = rng.uniform() * total;
-  for (std::size_t i = 0; i < 4; ++i) {
+  for (std::size_t i = 0; i < 3; ++i) {
     u -= weights[i];
     if (u < 0.0) return kinds[i];
   }
-  return kinds[3];
+  return kinds[2];
 }
 
 void FaultInjectingObjective::maybe_fail(const Configuration& config) {
@@ -73,7 +73,7 @@ void FaultInjectingObjective::maybe_fail(const Configuration& config) {
         {{"kind", failure_kind_name(*kind)}, {"attempt", attempt}});
   }
   throw EvalFailure(*kind, "injected " + to_string(*kind) + " fault",
-                    spec_.failed_attempt_cost_s);
+                    kFailedAttemptCostS);
 }
 
 EvaluationRecord FaultInjectingObjective::evaluate(

@@ -20,7 +20,8 @@
 namespace hp::core {
 
 /// Injected-failure schedule. Kind weights need not sum to 1; they are
-/// normalized (all zero = everything Transient).
+/// normalized (all zero = everything Transient). Timeouts are not
+/// injected: the fleet's job deadline is what times a job out.
 struct FaultSpec {
   /// Probability that any single evaluation attempt fails.
   double failure_rate = 0.2;
@@ -28,11 +29,7 @@ struct FaultSpec {
   std::uint64_t seed = 1234;
   double transient_weight = 1.0;
   double persistent_weight = 0.0;
-  double timeout_weight = 0.0;
   double diverged_weight = 0.0;
-  /// Virtual cost charged for each injected failed attempt (a crashed
-  /// training run still burned GPU time before dying).
-  double failed_attempt_cost_s = 5.0;
 
   // Process-level chaos, honored by the fleet worker (src/cli/worker_main)
   // rather than the objective decorator: the scheduled fault fires while
@@ -67,6 +64,10 @@ enum class WorkerFault { Kill, Hang, CorruptReply };
 /// call order.
 class FaultInjectingObjective final : public Objective {
  public:
+  /// Virtual cost charged for each injected failed attempt (a crashed
+  /// training run still burned GPU time before dying).
+  static constexpr double kFailedAttemptCostS = 5.0;
+
   /// @param inner the real objective; must outlive this decorator.
   FaultInjectingObjective(Objective& inner, FaultSpec spec)
       : inner_(inner), spec_(spec) {}

@@ -41,6 +41,20 @@ std::unique_ptr<Proposer> make_proposer(Method method,
   throw std::invalid_argument("make_proposer: unknown method");
 }
 
+std::vector<hw::ProfileSample> profile_random_architectures(
+    const BenchmarkProblem& problem, hw::InferenceProfiler& profiler,
+    std::size_t count, std::uint64_t seed) {
+  stats::Rng rng(seed);
+  std::vector<nn::CnnSpec> specs;
+  specs.reserve(count);
+  for (std::size_t draws = 0; specs.size() < count && draws < 20 * count;
+       ++draws) {
+    nn::CnnSpec spec = problem.to_cnn_spec(problem.space().sample(rng));
+    if (nn::is_feasible(spec)) specs.push_back(std::move(spec));
+  }
+  return profiler.profile_all(specs);
+}
+
 HyperPowerFramework::HyperPowerFramework(const BenchmarkProblem& problem,
                                          Objective& objective,
                                          ConstraintBudgets budgets)
@@ -49,25 +63,13 @@ HyperPowerFramework::HyperPowerFramework(const BenchmarkProblem& problem,
 std::size_t HyperPowerFramework::train_hardware_models(
     hw::InferenceProfiler& profiler, std::size_t num_samples,
     std::uint64_t seed, const HardwareModelOptions& options) {
-  if (num_samples < options.folds) {
+  if (num_samples < kCrossValidationFolds) {
     throw std::invalid_argument(
         "train_hardware_models: need at least as many samples as CV folds");
   }
-  stats::Rng rng(seed);
-  std::vector<nn::CnnSpec> specs;
-  specs.reserve(num_samples);
-  // Offline random sampling over the *structural* design space; infeasible
-  // architectures are skipped by the profiler (as Caffe generation
-  // failures are skipped in the paper's scripts).
-  std::size_t attempts = 0;
-  while (specs.size() < num_samples && attempts < num_samples * 20) {
-    ++attempts;
-    const Configuration config = problem_.space().sample(rng);
-    nn::CnnSpec spec = problem_.to_cnn_spec(config);
-    if (nn::is_feasible(spec)) specs.push_back(std::move(spec));
-  }
-  const std::vector<hw::ProfileSample> samples = profiler.profile_all(specs);
-  if (samples.size() < options.folds) {
+  const std::vector<hw::ProfileSample> samples =
+      profile_random_architectures(problem_, profiler, num_samples, seed);
+  if (samples.size() < kCrossValidationFolds) {
     throw std::runtime_error(
         "train_hardware_models: too few profiled samples for CV");
   }
@@ -77,8 +79,7 @@ std::size_t HyperPowerFramework::train_hardware_models(
   if (obs::logger().enabled(obs::LogLevel::kInfo)) {
     obs::logger().info("framework.hw_models",
                        {{"requested", obs::JsonValue(num_samples)},
-                        {"profiled", obs::JsonValue(samples.size())},
-                        {"attempts", obs::JsonValue(attempts)}});
+                        {"profiled", obs::JsonValue(samples.size())}});
   }
   return samples.size();
 }

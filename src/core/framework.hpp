@@ -38,6 +38,15 @@ enum class Method { Rand, RandWalk, HwCwei, HwIeci };
     Method method, const HyperParameterSpace& space,
     RandomWalkOptions walk = {}, BayesOptOptions bo = {});
 
+/// Offline profiling (Section 3.3): draws random architectures of
+/// @p problem from stats::Rng(@p seed), keeps the first @p count feasible
+/// ones (infeasible architectures are skipped, as Caffe generation
+/// failures are in the paper's scripts; at most 20 x @p count draws) and
+/// profiles them on @p profiler's device.
+[[nodiscard]] std::vector<hw::ProfileSample> profile_random_architectures(
+    const BenchmarkProblem& problem, hw::InferenceProfiler& profiler,
+    std::size_t count, std::uint64_t seed);
+
 /// Per-run options.
 struct FrameworkOptions {
   Method method = Method::HwIeci;
@@ -67,10 +76,10 @@ class HyperPowerFramework {
   HyperPowerFramework(const BenchmarkProblem& problem, Objective& objective,
                       ConstraintBudgets budgets);
 
-  /// Offline phase (Section 3.3): samples @p num_samples random
-  /// architectures from the design space, profiles them on @p profiler's
-  /// device, and trains the power/memory models by 10-fold CV.
-  /// Returns the number of successfully profiled configurations.
+  /// Offline phase (Section 3.3): profiles @p num_samples random
+  /// architectures (profile_random_architectures) and trains the
+  /// power/memory models by 10-fold CV. Returns the number of successfully
+  /// profiled configurations.
   std::size_t train_hardware_models(hw::InferenceProfiler& profiler,
                                     std::size_t num_samples,
                                     std::uint64_t seed,

@@ -24,8 +24,7 @@ struct GridSearchOptions {
 /// Exhaustive lexicographic grid enumeration. Sample i gets grid point i,
 /// so the proposer keeps no cursor: its only state is how many records it
 /// has observed. Points come from the sample index rather than
-/// the sample's stream, so batched rounds are produced through
-/// propose_batch on the driver thread.
+/// the sample's stream, so the grid overrides propose_batch.
 class GridSearchProposer final : public Proposer {
  public:
   /// Throws std::invalid_argument on fewer than 2 levels per dimension.
@@ -36,9 +35,6 @@ class GridSearchProposer final : public Proposer {
   /// Sequential mode: the point after the records observed so far (past
   /// the last point the grid wraps around; the study stops first).
   [[nodiscard]] Configuration propose(stats::Rng& rng) override;
-  [[nodiscard]] bool supports_parallel_proposals() const override {
-    return false;
-  }
   /// Points first_sample_index, first_sample_index + 1, ..., stopping at
   /// grid_size(): the study truncates a final short round instead of
   /// repeating points.

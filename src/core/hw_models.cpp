@@ -1,6 +1,7 @@
 #include "core/hw_models.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "core/contracts.hpp"
@@ -13,6 +14,11 @@
 namespace hp::core {
 
 namespace {
+
+/// Shuffles the cross-validation folds.
+constexpr std::uint64_t kFoldSeed = 1234;
+/// Tiny ridge penalty, for numerical robustness.
+constexpr double kRidge = 1e-8;
 
 /// Applies the model-form feature map to one z vector.
 std::vector<double> expand_features(std::span<const double> z, ModelForm form) {
@@ -50,9 +56,8 @@ linalg::LeastSquaresFit fit_rows(const std::vector<std::vector<double>>& z,
   const linalg::Matrix a = build_design(z, rows, options.form);
   const linalg::Vector b = gather(y, rows);
   linalg::LeastSquaresOptions ls;
-  ls.ridge = options.ridge;
+  ls.ridge = kRidge;
   ls.fit_intercept = options.fit_intercept;
-  ls.nonnegative = options.nonnegative;
   return linalg::solve_least_squares(a, b, ls);
 }
 
@@ -114,13 +119,14 @@ TrainedHardwareModel train_hardware_model(
     HP_CHECK_ALL_FINITE(row, "train_hardware_model feature row z");
   }
   HP_CHECK_ALL_FINITE(y, "train_hardware_model targets y");
-  if (z.size() < options.folds) {
+  if (z.size() < kCrossValidationFolds) {
     throw std::invalid_argument(
         "train_hardware_model: fewer samples than folds");
   }
 
   // Cross-validation loop: out-of-fold predictions for every sample.
-  const auto folds = stats::kfold_splits(z.size(), options.folds, options.seed);
+  const auto folds =
+      stats::kfold_splits(z.size(), kCrossValidationFolds, kFoldSeed);
   std::vector<double> predicted(z.size(), 0.0);
   std::vector<double> fold_rmspe;
   fold_rmspe.reserve(folds.size());

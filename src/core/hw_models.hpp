@@ -8,7 +8,7 @@
 // A quadratic feature expansion is provided for the model-form ablation
 // (the paper notes nonlinear forms can be plugged in but linear suffices).
 
-#include <cstdint>
+#include <cstddef>
 #include <optional>
 #include <span>
 #include <vector>
@@ -68,29 +68,28 @@ struct TrainedHardwareModel {
   std::size_t sample_count = 0;
 };
 
-/// Training options.
+/// The paper's 10-fold cross validation of the hardware models.
+inline constexpr std::size_t kCrossValidationFolds = 10;
+
+/// Training options. The weights are fit unconstrained, by least squares
+/// with a tiny ridge: some structural parameters legitimately carry
+/// negative weights (a larger pooling kernel shrinks downstream work and
+/// hence power/memory), and clamping them to zero would bias predictions
+/// upward at the low-power corners of the space — exactly where
+/// constrained search operates.
 struct HardwareModelOptions {
-  std::size_t folds = 10;  ///< the paper's 10-fold cross validation
-  std::uint64_t seed = 1234;
   ModelForm form = ModelForm::Linear;
   /// The paper's Eq. 1-2 carry no explicit intercept; our simulated
   /// platforms have a large constant idle-power / runtime-memory component,
   /// so a bias weight (still linear in the weights) is fit by default.
   /// Set false for the strict paper form (see the model-form ablation).
   bool fit_intercept = true;
-  /// Optionally clamp weights to be non-negative. Off by default: some
-  /// structural parameters legitimately carry negative weights (a larger
-  /// pooling kernel shrinks downstream work and hence power/memory), and
-  /// clamping them to zero biases predictions upward at the low-power
-  /// corners of the space — exactly where constrained search operates.
-  bool nonnegative = false;
-  double ridge = 1e-8;  ///< tiny ridge for numerical robustness
 };
 
-/// Fits a hardware model on (z, y) pairs. CV metrics come from the k-fold
-/// loop; the returned model is refit on all data. Throws
-/// std::invalid_argument for empty/ragged data or too few samples for the
-/// requested fold count.
+/// Fits a hardware model on (z, y) pairs. CV metrics come from the
+/// kCrossValidationFolds-fold loop; the returned model is refit on all
+/// data. Throws std::invalid_argument for empty/ragged data or fewer
+/// samples than folds.
 [[nodiscard]] TrainedHardwareModel train_hardware_model(
     const std::vector<std::vector<double>>& z, const std::vector<double>& y,
     const HardwareModelOptions& options = {});

@@ -125,7 +125,7 @@ RunResult Optimizer::run_impl(
   const bool batched = options_.batch_size > 1;
   const bool fleet = options_.dispatcher != nullptr;
   const EarlyTerminationRule* rule =
-      options_.use_early_termination ? &options_.early_termination : nullptr;
+      options_.use_early_termination ? &kEarlyTermination : nullptr;
 
   // One dispatcher per concurrent execution mode: the fleet's, or the
   // internal pool-backed one. No concurrent path (sequential mode, or an

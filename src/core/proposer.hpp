@@ -74,31 +74,22 @@ class Proposer {
   /// batched mode).
   [[nodiscard]] virtual Configuration propose(stats::Rng& rng) = 0;
 
-  /// True when propose() may run concurrently from worker threads (it only
-  /// reads shared state: the space and the incumbent snapshot). Strategies
-  /// whose proposals are not a function of their sample's stream alone
-  /// (constant-liar BO refits between in-round proposals; the grid derives
-  /// each point from its sample index) return false and produce whole
-  /// rounds through propose_batch.
-  ///
-  /// Every strategy keeps one rule, whatever this returns: between rounds,
-  /// its state is a function of the run context and the records it has
-  /// observed. Proposing may change state only until
-  /// propose_batch returns (BO pops its constant liars before returning).
-  /// That is what lets a batched resume observe every replayed round but
-  /// the last without proposing it (Study::resume).
-  [[nodiscard]] virtual bool supports_parallel_proposals() const {
-    return true;
-  }
-
   /// Proposes up to @p count candidates for samples [first_sample_index,
-  /// first_sample_index + count) on the calling thread. Study::ask uses it
-  /// when supports_parallel_proposals() is false, and a batched resume
-  /// re-proposes its final replayed round through it for every strategy,
-  /// so it must propose what the asked round would. May return fewer than
-  /// @p count when the strategy runs out of candidates mid-batch (a finite
-  /// grid); the study truncates the round instead of padding it. The
-  /// default loops propose() with each sample's own RNG stream.
+  /// first_sample_index + count) on the calling thread. Study::ask makes
+  /// every batched round through it, and a batched resume re-proposes its
+  /// final replayed round through it, so it must propose what the asked
+  /// round would. May return fewer than @p count when the strategy runs
+  /// out of candidates mid-batch (a finite grid); the study truncates the
+  /// round instead of padding it. The default loops propose() with each
+  /// sample's own RNG stream; constant-liar BO and the grid's
+  /// index-derived points override it.
+  ///
+  /// Every strategy keeps one rule: between rounds, its state is a
+  /// function of the run context and the records it has observed.
+  /// Proposing may change state only until propose_batch returns (BO pops
+  /// its constant liars before returning). That is what lets a batched
+  /// resume observe every replayed round but the last without proposing
+  /// it (Study::resume).
   [[nodiscard]] virtual std::vector<Configuration> propose_batch(
       std::size_t first_sample_index, std::size_t count);
 

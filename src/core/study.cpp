@@ -13,6 +13,10 @@ namespace hp::core {
 
 namespace {
 
+/// Virtual cost of a model-filtered candidate: generating its network
+/// prototxt plus the a-priori check's two dot products, in seconds.
+constexpr double kModelFilterCostS = 3.0;
+
 /// Per-sample counters; process-global, fetched once. The virtual clock
 /// is read here only as an event field.
 struct SampleMetrics {
@@ -285,30 +289,19 @@ std::vector<Trial> Study::ask(std::size_t k) {
   const bool batched = options_.batch_size > 1;
 
   // Sequential mode draws its one candidate from the run's shared stream;
-  // strategies without parallel proposals (constant-liar BO, the grid's
-  // index-derived points) produce the whole round up front; the others
-  // draw each sample from its own (seed, sample-index) stream. All of
-  // these only read round-constant shared state, so materializing here on
-  // the asking thread is bit-identical to any execution-side ordering.
+  // a batched round is the strategy's propose_batch, each sample drawing
+  // from its own (seed, sample-index) stream. Every proposal is made here,
+  // on the asking thread.
   std::vector<Configuration> proposals;
   {
-    std::optional<obs::ScopedTimer> timer;
-    if (!batched || !proposer_.supports_parallel_proposals()) {
-      timer.emplace("optimize.propose", round_base);
-    }
+    obs::ScopedTimer timer("optimize.propose", round_base);
     if (!batched) {
       proposals.push_back(proposer_.propose(shared_rng_));
-    } else if (!proposer_.supports_parallel_proposals()) {
+    } else {
       proposals = proposer_.propose_batch(round_base, count);
       // A finite strategy may run out mid-batch: truncate the round to the
       // proposals actually produced instead of padding with repeats.
       if (proposals.size() < count) count = proposals.size();
-    } else {
-      proposals.reserve(count);
-      for (std::size_t j = 0; j < count; ++j) {
-        stats::Rng rng(stats::stream_seed(options_.seed, round_base + j));
-        proposals.push_back(proposer_.propose(rng));
-      }
     }
   }
   if (count == 0) {
@@ -331,7 +324,7 @@ std::vector<Trial> Study::ask(std::size_t k) {
       trial.resolved.status = EvaluationStatus::ModelFiltered;
       trial.resolved.test_error = 1.0;
       trial.resolved.violates_constraints = true;  // violating *by prediction*
-      trial.resolved.cost_s = options_.model_filter_overhead_s;
+      trial.resolved.cost_s = kModelFilterCostS;
     }
     pending_.push_back(PendingTrial{trial.sample_index, config});
     trial.config = std::move(config);

@@ -79,15 +79,9 @@ struct OptimizerOptions {
   /// comparison (Figure 4), where every method pays for its own samples.
   bool filter_before_training = true;
   /// HyperPower enhancement 2: abort diverging candidates after a few
-  /// epochs.
+  /// epochs (core::kEarlyTermination).
   bool use_early_termination = true;
-  EarlyTerminationRule early_termination{};
 
-  /// Cost charged for generating + model-checking a filtered candidate
-  /// (network prototxt generation plus two dot products, in seconds).
-  double model_filter_overhead_s = 3.0;
-  /// Cost charged when network generation fails outright.
-  double infeasible_arch_overhead_s = 5.0;
   /// Safety cap on total queried samples per run.
   std::size_t max_samples = 200000;
 

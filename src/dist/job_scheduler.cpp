@@ -30,6 +30,10 @@ constexpr std::uint64_t kRequeueBackoffSalt = 0x7f4a7c159e3779b9ULL;
 /// Event-loop poll granularity; bounds deadline-detection latency.
 constexpr int kPollTimeoutMs = 50;
 
+/// Garbage frames tolerated per worker incarnation before it is demoted
+/// (killed + respawned against the respawn budget).
+constexpr std::size_t kWorkerGarbageBudget = 3;
+
 }  // namespace
 
 FleetScheduler::FleetScheduler(FleetOptions options)
@@ -265,7 +269,7 @@ void FleetScheduler::note_garbage(JobTable& table, std::size_t slot) {
                      {{"slot", obs::JsonValue(slot)},
                       {"count", obs::JsonValue(state.garbage)}});
   lose_head(table, slot, core::FailureKind::Transient, "corrupt reply");
-  if (state.garbage > options_.worker_garbage_budget) {
+  if (state.garbage > kWorkerGarbageBudget) {
     // Demotion: an incarnation that keeps emitting garbage is replaced —
     // its respawn counts against the fleet budget like any other loss.
     // It dies for its garbage, not for the jobs behind the corrupt

@@ -68,9 +68,6 @@ struct FleetOptions {
   double heartbeat_interval_s = 0.5;
   /// Missed consecutive beats before an in-flight worker is declared lost.
   std::size_t missed_beat_limit = 8;
-  /// Garbage frames tolerated per worker incarnation before it is demoted
-  /// (killed + respawned against the respawn budget).
-  std::size_t worker_garbage_budget = 3;
   /// Requeue policy for Lost/errored jobs: max_attempts bounds dispatches
   /// per job, backoff_* shape the real-seconds requeue delay. Backoff here
   /// is waited for real (scheduling hygiene), never charged to the

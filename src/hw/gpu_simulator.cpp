@@ -34,12 +34,6 @@ void GpuSimulator::set_sensor_faults(SensorFaultSpec spec) {
   fault_rng_ = stats::Rng(spec.seed);
 }
 
-void GpuSimulator::reseed_sensors(std::uint64_t noise_seed,
-                                  std::uint64_t fault_seed) {
-  rng_ = stats::Rng(noise_seed);
-  fault_rng_ = stats::Rng(fault_seed);
-}
-
 bool GpuSimulator::fault_fires() {
   return sensor_faults_.enabled() &&
          fault_rng_.bernoulli(sensor_faults_.failure_rate);

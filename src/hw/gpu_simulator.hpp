@@ -75,15 +75,6 @@ class GpuSimulator {
   /// noise stream.
   void set_sensor_faults(SensorFaultSpec spec);
 
-  /// Rewinds both sensor streams (noise and faults) to fixed seeds.
-  /// Callers that need replay-pure measurements (the testbed objective's
-  /// crash-safe journal replay) reseed per network, making every reading a
-  /// pure function of (seed, spec) instead of global read order.
-  void reseed_sensors(std::uint64_t noise_seed, std::uint64_t fault_seed);
-  [[nodiscard]] const SensorFaultSpec& sensor_faults() const noexcept {
-    return sensor_faults_;
-  }
-
   /// Latency of one inference batch under the current model, ms.
   /// Throws std::logic_error if no model is loaded.
   [[nodiscard]] double inference_latency_ms() const;
@@ -102,9 +93,6 @@ class GpuSimulator {
   [[nodiscard]] const CostModel& cost_model() const noexcept {
     return cost_model_;
   }
-
-  /// Fractional sd of the per-reading power sensor noise.
-  static constexpr double kPowerReadingNoiseSd = 0.012;
 
  private:
   /// True when the armed fault schedule fails this read (consumes a draw).

@@ -26,15 +26,14 @@ struct HwMetrics {
 
 /// Memory-query retries before the sample degrades to "no memory reading".
 constexpr std::size_t kMemoryQueryAttempts = 3;
+/// Relative sd of the per-layer timing measurement noise.
+constexpr double kLayerTimingNoiseSd = 0.03;
 
 }  // namespace
 
 InferenceProfiler::InferenceProfiler(GpuSimulator& simulator,
                                      ProfilerOptions options)
     : simulator_(simulator), options_(options) {
-  if (options_.power_readings == 0) {
-    throw std::invalid_argument("InferenceProfiler: need >= 1 power reading");
-  }
   handle_ = session_.add_device(&simulator_);
   if (session_.init() != nvml::Return::Success) {
     throw std::runtime_error("InferenceProfiler: NVML init failed");
@@ -49,7 +48,7 @@ ProfileSample InferenceProfiler::profile(const nn::CnnSpec& spec) {
 
   double power_sum = 0.0;
   std::size_t power_reads_ok = 0;
-  for (std::size_t i = 0; i < options_.power_readings; ++i) {
+  for (std::size_t i = 0; i < kPowerReadings; ++i) {
     unsigned milliwatts = 0;
     const nvml::Return r =
         session_.device_get_power_usage(handle_, &milliwatts);
@@ -82,8 +81,7 @@ ProfileSample InferenceProfiler::profile(const nn::CnnSpec& spec) {
   sample.power_w = power_sum / static_cast<double>(power_reads_ok);
   sample.latency_ms = simulator_.inference_latency_ms();
   if (options_.collect_layer_timings) {
-    sample.layer_timings = simulator_.profile_layers(
-        options_.layer_timing_noise_sd);
+    sample.layer_timings = simulator_.profile_layers(kLayerTimingNoiseSd);
   }
 
   nvml::Memory memory;

@@ -36,16 +36,12 @@ struct ProfileSample {
   }
 };
 
-/// Profiling options.
+/// Profiling options. Each configuration's power is the mean of
+/// hw::kPowerReadings NVML readings.
 struct ProfilerOptions {
-  /// Number of instantaneous power readings averaged per configuration
-  /// (real NVML polls at ~10-100 Hz during a sustained inference loop).
-  std::size_t power_readings = 25;
   /// Also collect the per-layer timing breakdown (slower on real hardware;
   /// free in the simulator).
   bool collect_layer_timings = false;
-  /// Relative sd of per-layer timing measurement noise.
-  double layer_timing_noise_sd = 0.03;
 };
 
 /// Profiles networks on one simulated device via the NVML code path.

@@ -9,9 +9,11 @@
 //   - SensorFaultSpec: deterministic injected-failure schedule for the
 //     simulator, seeded via stats::stream_seed like every other noise
 //     source so faulty runs replay bit-identically;
-//   - read_power_burst: the shared "average a burst of reads, tolerate
+//   - read_power_burst: the "average a burst of reads, tolerate
 //     stragglers, report degradation after N consecutive failures" routine
-//     used by the testbed objective and the profiler.
+//     the testbed objective measures with;
+//   - kPowerReadings and kPowerReadingNoiseSd: the burst length of every
+//     power measurement and the noise of each reading.
 
 #include <cstdint>
 #include <functional>
@@ -58,6 +60,15 @@ struct PowerBurst {
   /// measured=false.
   bool degraded = false;
 };
+
+/// Instantaneous power readings averaged per measurement, by the testbed
+/// objective, the real-training objective and the profiler alike (real
+/// NVML polls at ~10-100 Hz during a sustained inference loop).
+inline constexpr std::size_t kPowerReadings = 25;
+
+/// Fractional sd of the per-reading power sensor noise, in the simulator
+/// and the testbed objective alike.
+inline constexpr double kPowerReadingNoiseSd = 0.012;
 
 /// Averages up to @p readings calls of @p read, skipping reads that throw
 /// SensorError. Stops early and reports degraded=true after

@@ -17,6 +17,10 @@ double LeastSquaresFit::predict(const Vector& features) const {
 
 namespace {
 
+/// Refits of the non-negative active-set projection before the remaining
+/// negative coefficients are clamped outright.
+constexpr int kMaxActiveSetIterations = 32;
+
 /// Builds the working design: optional intercept column appended last,
 /// optional ridge rows sqrt(ridge)*I appended below (intercept unpenalized).
 struct WorkingProblem {
@@ -104,7 +108,7 @@ LeastSquaresFit solve_least_squares(const Matrix& a, const Vector& b,
       }
     }
     if (worst == a.cols()) break;  // all non-negative
-    if (iter >= options.max_active_set_iterations) {
+    if (iter >= kMaxActiveSetIterations) {
       // Defensive clamp: zero the remaining negatives and stop.
       for (std::size_t j = 0; j < a.cols(); ++j) {
         if (fit.coefficients[j] < 0.0) fit.coefficients[j] = 0.0;

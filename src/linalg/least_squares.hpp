@@ -18,13 +18,11 @@ struct LeastSquaresOptions {
   /// fitted intercept is reported separately.
   bool fit_intercept = false;
   /// If true, negative coefficients are clamped to zero and the remaining
-  /// active set is refit (a simple NNLS-style active-set projection;
-  /// adequate for the well-posed profiling designs used here). Power and
-  /// memory contributions of structural hyper-parameters are physically
-  /// non-negative, so this is the default for hardware models.
+  /// active set is refit (a simple NNLS-style active-set projection of at
+  /// most 32 refits; adequate for the well-posed profiling designs used
+  /// here). The layer-wise latency models use it: per-layer latency
+  /// contributions are physically non-negative.
   bool nonnegative = false;
-  /// Maximum active-set iterations when nonnegative == true.
-  int max_active_set_iterations = 32;
 };
 
 /// Result of a least-squares fit.

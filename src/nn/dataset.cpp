@@ -43,6 +43,8 @@ void Dataset::gather(std::span<const std::size_t> indices, Tensor& batch,
 namespace {
 
 constexpr std::size_t kNumClasses = 10;
+/// Additive Gaussian pixel noise (sd), before a generator's noise scale.
+constexpr double kPixelNoiseSd = 0.15;
 
 /// A class prototype: a smooth random field defined by a small bank of 2-D
 /// cosine components. Distinct seeds give well-separated prototypes.
@@ -122,7 +124,7 @@ DataSplit make_synthetic(const SyntheticDataOptions& options,
   for (std::size_t k = 0; k < kNumClasses; ++k) {
     protos.push_back(make_prototype(channels, components, rng));
   }
-  const double noise = options.noise_level * noise_scale;
+  const double noise = kPixelNoiseSd * noise_scale;
 
   const auto generate = [&](std::size_t count) {
     Tensor images({count, channels, options.image_size, options.image_size});

@@ -47,7 +47,6 @@ struct SyntheticDataOptions {
   std::size_t train_size = 512;
   std::size_t test_size = 256;
   std::size_t image_size = 16;  ///< square images
-  double noise_level = 0.15;    ///< additive Gaussian pixel noise (sd)
   std::uint64_t seed = 42;
 };
 

@@ -50,16 +50,6 @@ class ThreadPool {
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t)>& body);
 
-  /// parallel_for that collects one result per index, in index order.
-  /// T must be default-constructible.
-  template <typename T>
-  [[nodiscard]] std::vector<T> parallel_map(
-      std::size_t n, const std::function<T(std::size_t)>& fn) {
-    std::vector<T> out(n);
-    parallel_for(n, [&](std::size_t i) { out[i] = fn(i); });
-    return out;
-  }
-
  private:
   struct Batch;
 

@@ -91,11 +91,11 @@ core::EvaluationRecord NnTrainingObjective::evaluate(
     simulator_.load_model(spec);
     simulator_.set_inference_active(true);
     double power_sum = 0.0;
-    for (std::size_t i = 0; i < options_.power_readings; ++i) {
+    for (std::size_t i = 0; i < hw::kPowerReadings; ++i) {
       power_sum += simulator_.read_power_w();
     }
     record.measured_power_w =
-        power_sum / static_cast<double>(options_.power_readings);
+        power_sum / static_cast<double>(hw::kPowerReadings);
     if (const auto info = simulator_.memory_info()) {
       record.measured_memory_mb = info->used_mb;
     }
@@ -105,9 +105,7 @@ core::EvaluationRecord NnTrainingObjective::evaluate(
 
   const auto t1 = std::chrono::steady_clock::now();
   record.cost_s = std::chrono::duration<double>(t1 - t0).count();
-  if (options_.charge_virtual_time) {
-    clock_.advance(record.cost_s);
-  }
+  clock_.advance(record.cost_s);
   return record;
 }
 

@@ -22,11 +22,6 @@ struct NnObjectiveOptions {
   std::size_t epochs = 6;
   std::size_t batch_size = 32;
   std::uint64_t seed = 1;            ///< weight init + batching seed
-  std::size_t power_readings = 25;
-  /// If true the cost of each evaluation (real elapsed seconds) is also
-  /// charged to an internal virtual clock so time-budget stopping rules
-  /// work identically to the analytic testbed.
-  bool charge_virtual_time = true;
 };
 
 /// Dataset family the synthetic generator should mimic.
@@ -45,10 +40,9 @@ class NnTrainingObjective final : public core::Objective {
       const core::Configuration& config,
       const core::EarlyTerminationRule* early_termination) override;
 
+  /// Charged with each evaluation's real elapsed seconds, so time-budget
+  /// stopping rules work as they do on the analytic testbed.
   [[nodiscard]] core::Clock& clock() override { return clock_; }
-
-  [[nodiscard]] hw::GpuSimulator& simulator() noexcept { return simulator_; }
-  [[nodiscard]] const nn::DataSplit& data() const noexcept { return data_; }
 
  private:
   const core::BenchmarkProblem& problem_;

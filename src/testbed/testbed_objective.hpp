@@ -8,8 +8,9 @@
 //  - early-terminated candidates pay only the observed epochs;
 //  - model-filtered candidates never reach this objective at all (the
 //    Study records them without calling evaluate);
-//  - every trained candidate is then profiled for power/memory through the
-//    simulated NVML path (measurement also costs time).
+//  - every trained candidate is then measured for power/memory on the
+//    device's cost model, with sensor noise and injected sensor faults
+//    (measurement also costs time).
 
 #include <cstdint>
 #include <memory>
@@ -17,7 +18,7 @@
 #include "core/hw_models.hpp"
 #include "core/objective.hpp"
 #include "core/spaces.hpp"
-#include "hw/gpu_simulator.hpp"
+#include "hw/cost_model.hpp"
 #include "hw/sensor.hpp"
 #include "testbed/landscape.hpp"
 
@@ -28,24 +29,16 @@ struct TestbedOptions {
   /// Full-training wall time of a workload-median candidate, seconds.
   double base_training_time_s = 500.0;
   /// Training time = base * (floor + (1-floor) * min(workload/reference,
-  /// cap)). The cap models practitioners bounding epochs/iterations for
+  /// 4)). The cap of 4 models practitioners bounding epochs/iterations for
   /// outsized networks (and keeps the cost tail realistic: the paper's
   /// per-sample times vary by minutes, not hours).
   double workload_time_floor = 0.15;
-  double workload_time_cap = 4.0;
   /// Post-training inference profiling (power/memory measurement) cost.
   double measurement_time_s = 20.0;
-  /// Cost of a failed network generation.
-  double infeasible_arch_time_s = 5.0;
-  /// Power readings averaged per measurement.
-  std::size_t power_readings = 25;
   /// Seed for training noise; vary across repeat runs of an experiment.
   std::uint64_t run_seed = 1;
-  /// Seed for the measurement sensor noise stream.
+  /// Seed for the measurement sensor noise streams.
   std::uint64_t sensor_seed = 77;
-  /// Random configurations sampled to estimate the reference (median)
-  /// workload.
-  std::size_t reference_sample_count = 200;
   /// Injected sensor-fault schedule (hw/sensor.hpp); disabled by default.
   hw::SensorFaultSpec sensor_faults{};
   /// Consecutive failed power readings after which a measurement gives up
@@ -71,11 +64,9 @@ class TestbedObjective final : public core::Objective {
       const core::Configuration& config,
       const core::EarlyTerminationRule* early_termination) override;
 
-  /// The landscape and cost model are pure functions of the configuration,
-  /// so a detached evaluation is too: sensor noise comes from a per-network
-  /// stream seeded by (sensor_seed, spec hash) instead of the simulator's
-  /// sequential sensor stream, making measured power independent of
-  /// evaluation order.
+  /// The landscape, the cost model and the measurement (measure()) are
+  /// pure functions of the configuration, so an evaluation is too;
+  /// evaluate() is evaluate_detached() plus the clock charge.
   [[nodiscard]] bool supports_concurrent_evaluation() const noexcept override {
     return true;
   }
@@ -85,11 +76,17 @@ class TestbedObjective final : public core::Objective {
 
   [[nodiscard]] core::Clock& clock() override { return clock_; }
 
-  /// Modelled full-training duration for @p config, seconds.
-  [[nodiscard]] double training_time_s(const core::Configuration& config) const;
+  /// Modelled full-training duration of the network @p spec, seconds.
+  [[nodiscard]] double training_time_s(const nn::CnnSpec& spec) const;
 
-  /// Measures inference power (mean of noisy readings) and memory for a
-  /// configuration without training it — used by Figure 1/3 benches.
+  /// Measures inference power (mean of hw::kPowerReadings noisy readings)
+  /// and memory for a configuration without training it — what an
+  /// evaluation measures, and what the Figure 1/3 benches plot. The sensor
+  /// noise and the injected faults draw from streams seeded by
+  /// (sensor_seed, network) and (sensor_faults.seed, network), so a
+  /// measurement is independent of which networks were measured before
+  /// (any thread count, batch order or journal replay), and an enabled
+  /// fault schedule never perturbs the noise of successful reads.
   struct Measurement {
     double power_w = 0.0;
     std::optional<double> memory_mb;
@@ -113,26 +110,19 @@ class TestbedObjective final : public core::Objective {
   [[nodiscard]] const ErrorLandscape& landscape() const noexcept {
     return landscape_;
   }
-  [[nodiscard]] hw::GpuSimulator& simulator() noexcept { return simulator_; }
-  [[nodiscard]] const TestbedOptions& options() const noexcept {
-    return options_;
-  }
-  [[nodiscard]] double reference_macs() const noexcept { return reference_macs_; }
-
-  /// Changes the training-noise seed (for repeat runs) without rebuilding.
-  void set_run_seed(std::uint64_t seed) { options_.run_seed = seed; }
 
  private:
-  /// Shared tail of both measurement paths: resolve a finished power
-  /// burst + memory reading into a Measurement, falling back to the
-  /// predictive models (or throwing hw::SensorError) when degraded.
+  [[nodiscard]] Measurement measure(const nn::CnnSpec& spec);
+  /// Resolves a finished power burst + memory reading into a Measurement,
+  /// falling back to the predictive models (or throwing hw::SensorError)
+  /// when degraded.
   [[nodiscard]] Measurement resolve_measurement(
       const nn::CnnSpec& spec, const hw::PowerBurst& burst,
       std::optional<double> memory_mb, bool memory_read_failed);
 
   const core::BenchmarkProblem& problem_;
   ErrorLandscape landscape_;
-  hw::GpuSimulator simulator_;
+  hw::CostModel cost_model_;
   TestbedOptions options_;
   core::Clock clock_;
   double reference_macs_ = 1.0;

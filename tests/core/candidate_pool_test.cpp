@@ -140,14 +140,9 @@ TEST(CandidatePool, RepeatedMaximizeReusesBuffersIndependently) {
 
 TEST(CandidatePool, DeterministicLatticePerSeed) {
   const auto space = make_space();
-  CandidatePoolOptions opt;
-  opt.lattice_seed = 42;
-  CandidatePool a(space, opt);
-  CandidatePool b(space, opt);
+  CandidatePool a(space);
+  CandidatePool b(space);
   EXPECT_EQ(a.lattice(), b.lattice());
-  opt.lattice_seed = 43;
-  CandidatePool c(space, opt);
-  EXPECT_NE(a.lattice(), c.lattice());
 }
 
 }  // namespace

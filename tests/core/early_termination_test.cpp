@@ -49,9 +49,9 @@ TEST(EarlyTermination, AccessorsReportConstruction) {
 }
 
 TEST(EarlyTermination, DefaultRuleMatchesTenClassChance) {
-  const EarlyTerminationRule rule;
-  EXPECT_DOUBLE_EQ(rule.chance_error(), 0.9);
-  EXPECT_EQ(rule.check_after_epochs(), 2u);
+  EXPECT_DOUBLE_EQ(kEarlyTermination.chance_error(), 0.9);
+  EXPECT_EQ(kEarlyTermination.check_after_epochs(), 2u);
+  EXPECT_DOUBLE_EQ(kEarlyTermination.convergence_threshold(), 0.9 * 0.95);
 }
 
 }  // namespace

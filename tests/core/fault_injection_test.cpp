@@ -89,7 +89,7 @@ TEST(FaultInjection, KindWeightsSelectTheThrownKind) {
     FAIL() << "expected EvalFailure";
   } catch (const EvalFailure& e) {
     EXPECT_EQ(e.kind(), FailureKind::Persistent);
-    EXPECT_DOUBLE_EQ(e.cost_s(), spec.failed_attempt_cost_s);
+    EXPECT_DOUBLE_EQ(e.cost_s(), FaultInjectingObjective::kFailedAttemptCostS);
   }
 }
 

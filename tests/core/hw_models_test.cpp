@@ -121,23 +121,6 @@ TEST(TrainHardwareModel, InterceptImprovesOffsetData) {
   EXPECT_NEAR(m_with.model.intercept(), 50.0, 5.0);
 }
 
-TEST(TrainHardwareModel, NonnegativeClampsAntagonisticFeature) {
-  stats::Rng rng(4);
-  SyntheticData data;
-  for (std::size_t i = 0; i < 60; ++i) {
-    const double a = rng.uniform(1.0, 10.0);
-    const double b = rng.uniform(1.0, 10.0);
-    data.z.push_back({a, b});
-    data.y.push_back(2.0 * a - 1.0 * b + 30.0);
-  }
-  HardwareModelOptions opt;
-  opt.nonnegative = true;
-  opt.fit_intercept = true;
-  const auto m = train_hardware_model(data.z, data.y, opt);
-  EXPECT_GE(m.model.weights()[0], 0.0);
-  EXPECT_GE(m.model.weights()[1], 0.0);
-}
-
 TEST(TrainHardwareModel, QuadraticFitsCurvedData) {
   stats::Rng rng(5);
   SyntheticData data;
@@ -148,7 +131,6 @@ TEST(TrainHardwareModel, QuadraticFitsCurvedData) {
   }
   HardwareModelOptions linear;
   linear.fit_intercept = true;
-  linear.nonnegative = false;
   HardwareModelOptions quad = linear;
   quad.form = ModelForm::Quadratic;
   const auto m_lin = train_hardware_model(data.z, data.y, linear);
@@ -170,10 +152,8 @@ TEST(TrainHardwareModel, ValidatesInput) {
 
 TEST(TrainHardwareModel, DeterministicForSeed) {
   const SyntheticData data = make_linear_data(50, 2.0, 6);
-  HardwareModelOptions opt;
-  opt.seed = 123;
-  const auto a = train_hardware_model(data.z, data.y, opt);
-  const auto b = train_hardware_model(data.z, data.y, opt);
+  const auto a = train_hardware_model(data.z, data.y);
+  const auto b = train_hardware_model(data.z, data.y);
   EXPECT_DOUBLE_EQ(a.cv.rmspe, b.cv.rmspe);
   EXPECT_DOUBLE_EQ(a.model.weights()[0], b.model.weights()[0]);
 }

@@ -344,8 +344,8 @@ TEST(Study, FinishFinalizesTheJournalWithStudyState) {
   std::remove(options.journal_path.c_str());
 }
 
-/// Random search that produces whole rounds through propose_batch, as a
-/// strategy without parallel proposals does, and counts those calls.
+/// Random search that counts the propose_batch calls its batched rounds
+/// go through.
 class CountingProposer final : public Proposer {
  public:
   using Proposer::Proposer;
@@ -353,9 +353,6 @@ class CountingProposer final : public Proposer {
   [[nodiscard]] std::string name() const override { return "Rand"; }
   [[nodiscard]] Configuration propose(stats::Rng& rng) override {
     return space().sample(rng);
-  }
-  [[nodiscard]] bool supports_parallel_proposals() const override {
-    return false;
   }
   [[nodiscard]] std::vector<Configuration> propose_batch(
       std::size_t first_sample_index, std::size_t count) override {

@@ -14,13 +14,6 @@ nn::CnnSpec make_spec(std::size_t features) {
   return spec;
 }
 
-TEST(InferenceProfiler, RejectsZeroReadings) {
-  GpuSimulator sim(gtx1070(), 1);
-  ProfilerOptions opt;
-  opt.power_readings = 0;
-  EXPECT_THROW(InferenceProfiler(sim, opt), std::invalid_argument);
-}
-
 TEST(InferenceProfiler, SampleCarriesStructuralVector) {
   GpuSimulator sim(gtx1070(), 2);
   InferenceProfiler profiler(sim);

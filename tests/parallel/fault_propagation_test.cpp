@@ -67,11 +67,11 @@ TEST(FaultPropagation, LowestIndexEvalFailureWinsAtAnyThreadCount) {
     std::atomic<std::size_t> executed{0};
     bool threw = false;
     try {
-      (void)pool.parallel_map<EvaluationRecord>(
-          configs.size(), [&](std::size_t i) {
-            executed.fetch_add(1, std::memory_order_relaxed);
-            return faulty.evaluate_detached(configs[i], nullptr);
-          });
+      std::vector<EvaluationRecord> records(configs.size());
+      pool.parallel_for(configs.size(), [&](std::size_t i) {
+        executed.fetch_add(1, std::memory_order_relaxed);
+        records[i] = faulty.evaluate_detached(configs[i], nullptr);
+      });
     } catch (const EvalFailure& e) {
       threw = true;
       EXPECT_EQ(e.kind(), expected_kind) << "workers=" << workers;
@@ -94,20 +94,20 @@ TEST(FaultPropagation, SurvivingRecordsAreIdenticalAcrossThreadCounts) {
 
   const auto run = [&](std::size_t workers) {
     ThreadPool pool(workers);
-    return pool.parallel_map<EvaluationRecord>(
-        configs.size(), [&](std::size_t i) {
-          EvaluationRecord record;
-          try {
-            record = faulty.evaluate_detached(configs[i], nullptr);
-          } catch (const EvalFailure& e) {
-            record.config = configs[i];
-            record.status = core::EvaluationStatus::Failed;
-            record.failure_kind = e.kind();
-            record.cost_s = e.cost_s();
-          }
-          record.index = i;
-          return record;
-        });
+    std::vector<EvaluationRecord> records(configs.size());
+    pool.parallel_for(configs.size(), [&](std::size_t i) {
+      EvaluationRecord& record = records[i];
+      try {
+        record = faulty.evaluate_detached(configs[i], nullptr);
+      } catch (const EvalFailure& e) {
+        record.config = configs[i];
+        record.status = core::EvaluationStatus::Failed;
+        record.failure_kind = e.kind();
+        record.cost_s = e.cost_s();
+      }
+      record.index = i;
+    });
+    return records;
   };
 
   const std::vector<EvaluationRecord> serial = run(0);
@@ -137,13 +137,12 @@ TEST(FaultPropagation, SurvivingRecordsAreIdenticalAcrossThreadCounts) {
 
 TEST(FaultPropagation, NonEvalFailureExceptionsAlsoPropagate) {
   ThreadPool pool(3);
-  EXPECT_THROW((void)pool.parallel_map<int>(16,
-                                            [](std::size_t i) -> int {
-                                              if (i == 5) {
-                                                throw std::logic_error("bug");
-                                              }
-                                              return static_cast<int>(i);
-                                            }),
+  std::vector<int> out(16);
+  EXPECT_THROW(pool.parallel_for(out.size(),
+                                 [&](std::size_t i) {
+                                   if (i == 5) throw std::logic_error("bug");
+                                   out[i] = static_cast<int>(i);
+                                 }),
                std::logic_error);
 }
 

@@ -36,14 +36,6 @@ TEST(ThreadPoolTest, EveryIndexExecutesExactlyOnce) {
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(counts[i].load(), 1) << i;
 }
 
-TEST(ThreadPoolTest, ParallelMapPreservesIndexOrder) {
-  ThreadPool pool(4);
-  const std::vector<std::size_t> out = pool.parallel_map<std::size_t>(
-      100, [](std::size_t i) { return i * i; });
-  ASSERT_EQ(out.size(), 100u);
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
-}
-
 TEST(ThreadPoolTest, LowestFailingIndexWins) {
   // Indices 3 and 7 both throw; the batch must surface index 3's exception
   // no matter which worker reaches it first, and still run every index.

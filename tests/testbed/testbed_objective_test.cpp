@@ -48,7 +48,8 @@ TEST_F(TestbedObjectiveTest, EarlyTerminationCatchesDivergers) {
   EXPECT_TRUE(r.diverged);
   EXPECT_GE(r.test_error, 0.8);
   // Cost is a small fraction of a full training.
-  const double full = objective_.training_time_s(diverging());
+  const double full =
+      objective_.training_time_s(problem_.to_cnn_spec(diverging()));
   EXPECT_LT(r.cost_s, full * 0.25);
   // No measurement happens for discarded candidates.
   EXPECT_FALSE(r.measured_power_w.has_value());
@@ -64,21 +65,22 @@ TEST_F(TestbedObjectiveTest, ExhaustiveModePaysFullCostForDivergers) {
   const auto r = objective_.evaluate(diverging(), nullptr);
   EXPECT_EQ(r.status, core::EvaluationStatus::Completed);
   EXPECT_TRUE(r.diverged);
-  EXPECT_GE(r.cost_s, objective_.training_time_s(diverging()));
+  EXPECT_GE(r.cost_s,
+            objective_.training_time_s(problem_.to_cnn_spec(diverging())));
 }
 
 TEST_F(TestbedObjectiveTest, TrainingTimeScalesWithWorkload) {
   const core::Configuration small{20.0, 2.0, 3.0, 200.0, 0.01, 0.85};
   const core::Configuration large{80.0, 5.0, 1.0, 700.0, 0.01, 0.85};
-  EXPECT_GT(objective_.training_time_s(large),
-            objective_.training_time_s(small) * 2.0);
+  EXPECT_GT(objective_.training_time_s(problem_.to_cnn_spec(large)),
+            objective_.training_time_s(problem_.to_cnn_spec(small)) * 2.0);
 }
 
 TEST_F(TestbedObjectiveTest, MeasureMatchesSimulatorGroundTruth) {
   const auto m = objective_.measure(converging());
   const nn::CnnSpec spec = problem_.to_cnn_spec(converging());
   const double truth =
-      objective_.simulator().cost_model().evaluate(spec).average_power_w;
+      hw::CostModel(hw::gtx1070()).evaluate(spec).average_power_w;
   EXPECT_NEAR(m.power_w, truth, truth * 0.02);
   ASSERT_TRUE(m.memory_mb.has_value());
 }
@@ -144,9 +146,11 @@ TEST_F(TestbedObjectiveTest, IsolatedSensorGlitchesKeepMeasuredFlag) {
 }
 
 TEST_F(TestbedObjectiveTest, RunSeedChangesOutcome) {
+  TestbedOptions opt = calibrated_options("mnist", hw::gtx1070());
+  opt.run_seed = 999;
+  TestbedObjective reseeded(problem_, mnist_landscape(), hw::gtx1070(), opt);
   const auto a = objective_.evaluate(converging(), nullptr);
-  objective_.set_run_seed(999);
-  const auto b = objective_.evaluate(converging(), nullptr);
+  const auto b = reseeded.evaluate(converging(), nullptr);
   EXPECT_NE(a.test_error, b.test_error);
 }
 
@@ -185,9 +189,9 @@ TEST(TestbedCalibration, PaperWallClockRegime) {
   double total = 0.0;
   int n = 0;
   for (int i = 0; i < 100; ++i) {
-    const auto c = problem.space().sample(rng);
-    if (!nn::is_feasible(problem.to_cnn_spec(c))) continue;
-    total += objective.training_time_s(c);
+    const nn::CnnSpec spec = problem.to_cnn_spec(problem.space().sample(rng));
+    if (!nn::is_feasible(spec)) continue;
+    total += objective.training_time_s(spec);
     ++n;
   }
   const double mean_s = total / n;

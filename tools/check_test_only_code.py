@@ -48,6 +48,9 @@ KEEP: dict[str, str] = {
     "hp::hw::GpuSimulator::loaded_cost() const":
         "the simulator's hidden ground truth, which the sensor and "
         "profiler tests measure against",
+    "hp::hw::GpuSimulator::set_sensor_faults(hp::hw::SensorFaultSpec)":
+        "arms the injected sensor faults the NVML facade's and the "
+        "profiler's sensor-failure tests read through",
     "hp::linalg::Matrix::Matrix(std::initializer_list<"
     "std::initializer_list<double> >)":
         "the constructor the tests build their input matrices with",

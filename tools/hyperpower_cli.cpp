@@ -310,16 +310,7 @@ std::vector<hw::ProfileSample> run_profiling(const core::BenchmarkProblem& probl
                                              std::uint64_t seed) {
   hw::GpuSimulator simulator(device, seed ^ 0xbeefULL);
   hw::InferenceProfiler profiler(simulator);
-  stats::Rng rng(seed);
-  std::vector<nn::CnnSpec> specs;
-  std::size_t attempts = 0;
-  while (specs.size() < samples && attempts < 20 * samples) {
-    ++attempts;
-    const auto config = problem.space().sample(rng);
-    const auto spec = problem.to_cnn_spec(config);
-    if (nn::is_feasible(spec)) specs.push_back(spec);
-  }
-  return profiler.profile_all(specs);
+  return core::profile_random_architectures(problem, profiler, samples, seed);
 }
 
 int cmd_devices() {
