@@ -285,8 +285,11 @@ std::vector<Trial> Study::ask(std::size_t k) {
   }
   if (k == 0 || finished()) return {};
   const std::size_t round_base = next_sample_;
-  std::size_t count = std::min(k, options_.max_samples - round_base);
   const bool batched = options_.batch_size > 1;
+  // Sequential mode proposes one trial per ask: the next proposal must
+  // see this one's observation.
+  std::size_t count =
+      std::min(batched ? k : std::size_t{1}, options_.max_samples - round_base);
 
   // Sequential mode draws its one candidate from the run's shared stream;
   // a batched round is the strategy's propose_batch, each sample drawing
@@ -335,9 +338,11 @@ std::vector<Trial> Study::ask(std::size_t k) {
 }
 
 bool Study::begin_trial(std::size_t sample_index) {
-  if (pending_.empty() || pending_.front().sample_index != sample_index) {
+  if (pending_.empty() || pending_.front().sample_index != sample_index ||
+      pending_.front().begun) {
     throw std::logic_error(
-        "Study::begin_trial: trials must begin in ask order (got sample " +
+        "Study::begin_trial: trials must begin in ask order, once each (got "
+        "sample " +
         std::to_string(sample_index) + ")");
   }
   // A round crossing a budget discards its tail, so the trace never

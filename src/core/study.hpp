@@ -114,8 +114,8 @@ struct OptimizerOptions {
   /// aborting the run.
   RetryPolicy retry{};
   /// Path of the crash-safe evaluation journal; "" disables journaling.
-  /// Written (fsync'd) as each record completes, so a killed run can
-  /// continue via resume() with a bit-identical trace.
+  /// Written as each record completes and fsync'd as each round does, so
+  /// a killed run can continue via resume() with a bit-identical trace.
   std::string journal_path;
 };
 
@@ -202,17 +202,18 @@ class Study {
   /// Proposes up to @p k new trials (fewer when budgets, max_samples, or a
   /// finite proposer cut the round short — never padded; an exhausted or
   /// stopped study returns an empty batch). Sequential mode
-  /// (options.batch_size == 1) draws from the run's single shared RNG
-  /// stream; batched mode from per-(seed, sample-index) streams. Trials
-  /// the a-priori models filter out come back pre-resolved. Throws
-  /// std::logic_error while a previous batch is still pending.
+  /// (options.batch_size == 1) proposes one trial per ask, from the run's
+  /// single shared RNG stream; batched mode draws from per-(seed,
+  /// sample-index) streams. Trials the a-priori models filter out come
+  /// back pre-resolved. Throws std::logic_error while a previous batch is
+  /// still pending.
   [[nodiscard]] std::vector<Trial> ask(std::size_t k);
 
   /// Admission gate, called in sample order before executing/booking each
   /// asked trial: re-checks the stopping rules (a round crossing a budget
   /// drops its tail — this trial and every later pending one — and returns
   /// false) and charges the proposal overhead to the clock. Throws
-  /// std::logic_error out of ask order.
+  /// std::logic_error out of ask order or for a trial already begun.
   [[nodiscard]] bool begin_trial(std::size_t sample_index);
 
   /// Books one begun trial: re-stamps record.config from the study's own

@@ -3,12 +3,14 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "core/checksum.hpp"
 #include "gp/kernel_fit.hpp"
 #include "obs/log.hpp"
+#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
 namespace hp::core {
@@ -72,16 +75,22 @@ double parse_number(const std::string& text, const char* what) {
 }
 
 /// An index, count or seed: decimal digits only (no sign, space, point or
-/// exponent) over the whole field, at most 2^64 - 1. A double cast to an
-/// integer instead is undefined behaviour for NaN, negative or huge values.
-std::uint64_t parse_count(const std::string& text, const char* what) {
+/// exponent) over the whole field, at most 2^64 - 1; nullopt otherwise. A
+/// double cast to an integer instead is undefined behaviour for NaN,
+/// negative or huge values.
+std::optional<std::uint64_t> count_of(const std::string& text) {
   std::uint64_t value = 0;
   const char* const end = text.data() + text.size();
   const auto [last, error] = std::from_chars(text.data(), end, value);
-  if (error != std::errc() || last != end) {
-    fail_parse(std::string("malformed ") + what);
-  }
+  if (error != std::errc() || last != end) return std::nullopt;
   return value;
+}
+
+/// count_of() that throws via fail_parse() on a malformed field.
+std::uint64_t parse_count(const std::string& text, const char* what) {
+  const std::optional<std::uint64_t> value = count_of(text);
+  if (!value) fail_parse(std::string("malformed ") + what);
+  return *value;
 }
 
 /// The fields of a record line (format_record_line()'s). Throws via
@@ -174,17 +183,9 @@ EvaluationRecord parse_record_line(const std::string& line,
 namespace {
 
 constexpr const char* kJournalMagic = "hpjournal";
-constexpr const char* kJournalVersionV1 = "v1";
-constexpr const char* kJournalVersionV2 = "v2";
-constexpr const char* kJournalVersionV3 = "v3";
-constexpr const char* kJournalVersionV4 = "v4";
-
-std::string journal_header_line(const JournalHeader& header) {
-  std::ostringstream os;
-  os << kJournalMagic << ',' << kJournalVersionV4 << ',' << header.method << ','
-     << header.seed << ',' << header.batch_size;
-  return os.str();
-}
+/// Format versions, oldest first; new journals are written as the last.
+constexpr std::array<const char*, 5> kJournalVersions = {"v1", "v2", "v3",
+                                                         "v4", "v5"};
 
 /// The v4 kernel-fit line that follows its record's line:
 /// `k,<signal variance>,<noise variance>,<log marginal likelihood>,<D>,
@@ -243,8 +244,18 @@ std::string checksummed_line(const std::string& body) {
   return body + suffix;
 }
 
+/// The header line. Since v5 it is checksummed like every other line, so
+/// a damaged seed or batch size reads as a bad header, and the v5 tail
+/// rule, which counts in rounds, can trust the batch size.
+std::string journal_header_line(const JournalHeader& header) {
+  std::ostringstream os;
+  os << kJournalMagic << ',' << kJournalVersions.back() << ','
+     << header.method << ',' << header.seed << ',' << header.batch_size;
+  return checksummed_line(os.str());
+}
+
 /// A record's journal lines: its record line, then its kernel-fit line if
-/// it carries a fit. They go out in one write and one fsync.
+/// it carries a fit. They go out in one write.
 std::string journal_lines(const EvaluationRecord& r) {
   std::string lines = checksummed_line(format_record_line(r));
   if (r.kernel_fit) {
@@ -262,22 +273,28 @@ std::string epilogue_body(const std::string& state, std::size_t records) {
   return os.str();
 }
 
-/// Splits a v2 line into body + checksum field, verifies the checksum, and
-/// returns the body. Throws via fail_parse() on a missing or wrong checksum
-/// — the caller decides whether that is a droppable torn tail (final line)
-/// or fatal corruption (anything earlier).
-std::string verify_checksummed_line(const std::string& line) {
+/// The body of a v2+ line whose checksum field is present and matches;
+/// nullopt otherwise.
+std::optional<std::string> checksummed_body(const std::string& line) {
   const auto hash_pos = line.rfind(",#");
   if (hash_pos == std::string::npos || line.size() != hash_pos + 10) {
-    fail_parse("missing record checksum");
+    return std::nullopt;
   }
-  const std::string body = line.substr(0, hash_pos);
+  std::string body = line.substr(0, hash_pos);
   char expected[16];
   std::snprintf(expected, sizeof expected, "%08x", crc32(body));
-  if (line.compare(hash_pos + 2, 8, expected) != 0) {
-    fail_parse("record checksum mismatch");
-  }
+  if (line.compare(hash_pos + 2, 8, expected) != 0) return std::nullopt;
   return body;
+}
+
+/// Splits a v2 line into body + checksum field, verifies the checksum, and
+/// returns the body. Throws via fail_parse() on a missing or wrong checksum
+/// — the caller decides whether that is a droppable torn tail or fatal
+/// corruption.
+std::string verify_checksummed_line(const std::string& line) {
+  std::optional<std::string> body = checksummed_body(line);
+  if (!body) fail_parse("record checksum missing or mismatched");
+  return std::move(*body);
 }
 
 [[nodiscard]] std::FILE* open_journal_for_write(const std::string& path) {
@@ -288,20 +305,30 @@ std::string verify_checksummed_line(const std::string& line) {
   return f;
 }
 
+/// Writes @p line and its newline and flushes them to the kernel. Once
+/// this returns, a killed process loses nothing of the line; only a power
+/// loss can, until sync_journal() runs.
 void write_journal_line(std::FILE* f, const std::string& path,
                         const std::string& line) {
   if (std::fputs(line.c_str(), f) == EOF || std::fputc('\n', f) == EOF ||
       std::fflush(f) != 0) {
     fail_journal("write to '" + path + "' failed");
   }
-  // fsync per line: the crash-safety contract is "every record whose
-  // append returned is recoverable", which buffered writes alone can't
-  // give. The journal is written once per evaluation, so against a real
-  // training run the sync is noise; against the testbed's microsecond
-  // evaluations it is a visible share of a study's wall time.
-  if (::fsync(fileno(f)) != 0) {
-    fail_journal("fsync of '" + path + "' failed");
+}
+
+/// fsyncs a journal file, counted in `journal.fsyncs`. A journal syncs
+/// once per round, not per record: a batched resume keeps only whole
+/// rounds, so a record synced before its round completes buys a resume
+/// nothing. After a power loss the damage is then confined to the round
+/// in flight, which is the v5 tail rule load() applies. A sequential
+/// journal's round is one record, so it still syncs every record.
+void sync_journal(std::FILE* f, const std::string& path) {
+  const int synced = ::fsync(fileno(f));
+  if (obs::metrics().enabled()) {
+    static obs::Counter& fsyncs = obs::metrics().counter("journal.fsyncs");
+    fsyncs.add(1);
   }
+  if (synced != 0) fail_journal("fsync of '" + path + "' failed");
 }
 
 /// fsyncs the directory holding @p path, so that a rename into it survives
@@ -323,7 +350,9 @@ EvalJournal EvalJournal::create(const std::string& path,
   EvalJournal journal;
   journal.file_.reset(open_journal_for_write(path));
   journal.path_ = path;
+  journal.batch_size_ = header.batch_size;
   write_journal_line(journal.file_.get(), path, journal_header_line(header));
+  sync_journal(journal.file_.get(), path);
   return journal;
 }
 
@@ -345,6 +374,7 @@ EvalJournal EvalJournal::rewrite(const std::string& path,
   {
     obs::ScopedTimer fsync_span("journal.fsync", records.size());
     write_journal_line(journal.file_.get(), staging, text);
+    sync_journal(journal.file_.get(), staging);
   }
   if (std::rename(staging.c_str(), path.c_str()) != 0) {
     std::remove(staging.c_str());
@@ -352,8 +382,69 @@ EvalJournal EvalJournal::rewrite(const std::string& path,
   }
   sync_directory_of(path);
   journal.path_ = path;
+  journal.batch_size_ = header.batch_size;
   return journal;
 }
+
+namespace {
+
+using JournalRows = std::vector<std::pair<std::size_t, std::string>>;
+
+/// The format version (1 for v1, ...) of a journal's header line, whose
+/// header fields go to @p header. A v5 header must verify against its
+/// checksum. Throws via fail_journal() on a malformed header.
+std::size_t parse_journal_header(const std::string& line,
+                                 const std::string& path,
+                                 JournalHeader& header) {
+  const std::string v5_prefix =
+      std::string(kJournalMagic) + ',' + kJournalVersions[4] + ',';
+  const std::optional<std::string> body =
+      line.compare(0, v5_prefix.size(), v5_prefix) == 0 ? checksummed_body(line)
+                                                         : line;
+  if (!body) fail_journal("bad header in '" + path + "'");
+  const std::vector<std::string> fields = split_csv_row(*body);
+  std::size_t version = 0;
+  if (fields.size() == 5 && fields[0] == kJournalMagic) {
+    for (std::size_t v = 0; v < kJournalVersions.size(); ++v) {
+      if (fields[1] == kJournalVersions[v]) version = v + 1;
+    }
+  }
+  if (version == 0) fail_journal("bad header in '" + path + "'");
+  header.method = fields[2];
+  try {
+    header.seed = parse_count(fields[3], "seed");
+    header.batch_size = parse_count(fields[4], "batch size");
+  } catch (const std::runtime_error&) {
+    fail_journal("bad header numbers in '" + path + "'");
+  }
+  return version;
+}
+
+/// The v5 tail rule. A v5 journal syncs once per round (append()), so a
+/// power loss damages at most the round in flight. The lines from @p first
+/// on (the first line that failed, after @p kept records) are that damage
+/// when there are at most two per record of a round (a record line and
+/// its `k` line), none of them verifies as a study_state epilogue (finalize
+/// syncs before writing one, so what precedes one was durable), and every
+/// one that verifies as a record (a verified `r` line with an index)
+/// belongs to kept's round, at or after it.
+bool damage_confined_to_final_round(const JournalRows& rows, std::size_t first,
+                                    std::size_t kept, std::uint64_t batch) {
+  if (batch == 0 || (rows.size() - first + 1) / 2 > batch) return false;
+  const std::uint64_t round_left = batch - kept % batch;
+  for (std::size_t i = first; i < rows.size(); ++i) {
+    const std::optional<std::string> body = checksummed_body(rows[i].second);
+    if (!body) continue;  // damaged: it does not verify
+    const std::vector<std::string> fields = split_csv_row(*body);
+    if (fields[0] == "s") return false;
+    if (fields[0] != "r" || fields.size() < 2) continue;
+    const std::optional<std::uint64_t> index = count_of(fields[1]);
+    if (index && (*index < kept || *index - kept >= round_left)) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 JournalLoadResult EvalJournal::load(const std::string& path) {
   std::ifstream is(path);
@@ -361,26 +452,14 @@ JournalLoadResult EvalJournal::load(const std::string& path) {
 
   std::string line;
   if (!std::getline(is, line)) fail_journal("empty file '" + path + "'");
-  const auto header_fields = split_csv_row(line);
-  if (header_fields.size() != 5 || header_fields[0] != kJournalMagic ||
-      (header_fields[1] != kJournalVersionV1 &&
-       header_fields[1] != kJournalVersionV2 &&
-       header_fields[1] != kJournalVersionV3 &&
-       header_fields[1] != kJournalVersionV4)) {
-    fail_journal("bad header in '" + path + "'");
-  }
-  const bool checksummed = header_fields[1] != kJournalVersionV1;
-  const bool kernel_fits = header_fields[1] == kJournalVersionV4;
   JournalLoadResult result;
-  result.header.method = header_fields[2];
-  try {
-    result.header.seed = parse_count(header_fields[3], "seed");
-    result.header.batch_size = parse_count(header_fields[4], "batch size");
-  } catch (const std::runtime_error&) {
-    fail_journal("bad header numbers in '" + path + "'");
-  }
+  const std::size_t version = parse_journal_header(line, path, result.header);
+  const bool checksummed = version >= 2;
+  const bool kernel_fits = version >= 4;
+  // v5 writers sync once per round; earlier ones synced every record.
+  const bool round_tail = version >= 5;
 
-  std::vector<std::pair<std::size_t, std::string>> rows;
+  JournalRows rows;
   std::size_t line_number = 1;
   while (std::getline(is, line)) {
     ++line_number;
@@ -422,19 +501,32 @@ JournalLoadResult EvalJournal::load(const std::string& path) {
             RecordedKernelFit(parse_kernel_fit_fields(fields));
         continue;
       }
-      result.records.push_back(parse_record_fields(fields));
+      EvaluationRecord record = parse_record_fields(fields);
+      // v5 writers journal records in index order, so a record out of
+      // place is damage: a line lost or repeated.
+      if (round_tail && record.index != result.records.size()) {
+        fail_parse("record out of index order");
+      }
+      result.records.push_back(std::move(record));
     } catch (const std::runtime_error& e) {
       const std::string what =
           "line " + std::to_string(rows[i].first) + ": " + e.what();
-      // Mid-file corruption stays fatal.
-      if (i + 1 != rows.size()) fail_journal(what);
-      result.dropped_lines = 1;
+      // Damage outside the tail the writer's syncs allow is corruption.
+      const bool tail =
+          round_tail ? damage_confined_to_final_round(
+                           rows, i, result.records.size(),
+                           result.header.batch_size)
+                     : i + 1 == rows.size();
+      if (!tail) fail_journal(what);
+      result.dropped_lines = rows.size() - i;
       obs::logger().warn(
           "journal.torn_tail",
           {{"path", obs::JsonValue(path)},
            {"line", obs::JsonValue(rows[i].first)},
            {"error", obs::JsonValue(what)},
+           {"dropped_lines", obs::JsonValue(result.dropped_lines)},
            {"recovered_records", obs::JsonValue(result.records.size())}});
+      break;
     }
   }
   return result;
@@ -442,16 +534,28 @@ JournalLoadResult EvalJournal::load(const std::string& path) {
 
 void EvalJournal::append(const EvaluationRecord& record) {
   if (!active()) return;
-  obs::ScopedTimer fsync_span("journal.fsync", record.index);
   write_journal_line(file_.get(), path_, journal_lines(record));
+  unsynced_ = true;
+  // Records are appended in index order and a resume keeps rounds that
+  // start at multiples of the batch size, so a round ends here when this
+  // index completes one. load()'s v5 tail rule counts rounds the same way.
+  if (batch_size_ > 1 && (record.index + 1) % batch_size_ != 0) return;
+  obs::ScopedTimer fsync_span("journal.fsync", record.index);
+  sync_journal(file_.get(), path_);
+  unsynced_ = false;
 }
 
 void EvalJournal::finalize(const std::string& state, std::size_t records) {
   if (!active()) return;
   if (state.empty()) fail_journal("finalize requires a non-empty state");
   obs::ScopedTimer fsync_span("journal.fsync", records);
+  // A round the study ended early (a budget or an abort) is synced before
+  // the epilogue: load() trusts that whatever precedes an epilogue was
+  // durable before it was written.
+  if (unsynced_) sync_journal(file_.get(), path_);
   write_journal_line(file_.get(), path_,
                      checksummed_line(epilogue_body(state, records)));
+  sync_journal(file_.get(), path_);
   file_.reset();
   path_.clear();
 }

@@ -2,12 +2,12 @@
 // The crash-safe evaluation journal, and the record line it shares with
 // the fleet's result frames.
 //
-// Evaluation journal: an append-only, fsync'd, line-framed record of every
-// finished evaluation *including* its configuration, written by the
-// optimizer as records complete. Unlike the trace CSV (RunTrace::write_csv,
-// written once at the end of a run) the journal survives the process dying
-// mid-run: resume loads it, drops a torn final line if the crash
-// interrupted a write, and replays the completed evaluations so the
+// Evaluation journal: an append-only, line-framed record of every finished
+// evaluation *including* its configuration, written by the optimizer as
+// records complete and fsync'd once per round. Unlike the trace CSV
+// (RunTrace::write_csv, written once at the end of a run) the journal
+// survives the process dying mid-run: resume loads it, drops the damage a
+// crash left in its tail, and replays the completed evaluations so the
 // continued run's trace is bit-identical to an uninterrupted one.
 
 #include <cstdint>
@@ -46,7 +46,9 @@ struct JournalHeader {
 struct JournalLoadResult {
   JournalHeader header;
   std::vector<EvaluationRecord> records;
-  /// 1 when a torn final line was dropped (crash mid-append), else 0.
+  /// Lines dropped as a damaged tail: before v5 at most the final line (a
+  /// crash mid-append); in v5 at most the round in flight's lines, two per
+  /// record (EvalJournal::load).
   std::size_t dropped_lines = 0;
   /// The study_state epilogue written on clean finalize ("completed" or
   /// "aborted"); empty when the run never finalized (crash — the journal
@@ -59,12 +61,14 @@ struct JournalLoadResult {
 
 /// Append-only evaluation journal. Each append writes one line-framed
 /// record (configuration included, doubles printed round-trip exact) and
-/// fsyncs, so after a crash the file holds every completed evaluation plus
-/// at most one torn line. A default-constructed journal is inactive and
-/// append() is a no-op, which lets the optimizer write journal code
-/// unconditionally.
+/// flushes it to the kernel, so a killed process loses at most a torn final
+/// line. The journal fsyncs once per round of the header's batch size:
+/// after each round's last record, and before finalize()'s epilogue (a
+/// sequential journal's round is one record). A default-constructed journal
+/// is inactive and every member is a no-op, which lets the optimizer write
+/// journal code unconditionally.
 ///
-/// Format versions: new journals are written as `hpjournal,v4`. Since v2,
+/// Format versions: new journals are written as `hpjournal,v5`. Since v2,
 /// record lines end in a `#crc32` field over the record body — a torn
 /// *middle* write (a crashed fleet merge, a disk that reordered flushes)
 /// is detected by the checksum and rejected deterministically even when
@@ -73,10 +77,13 @@ struct JournalLoadResult {
 /// run ends cleanly, so load() can report "completed" versus "torn tail"
 /// without replaying. v4 adds a checksummed `k` line after the record
 /// line of every record that carries a kernel ML fit
-/// (EvaluationRecord::kernel_fit), written in the same write and fsync;
-/// a torn `k` line leaves its record without a fit. v1 journals (no
-/// checksums), v2 journals (no epilogue) and v3 journals (no fits) remain
-/// loadable; only v1's unparseable corruption is detectable.
+/// (EvaluationRecord::kernel_fit), written in the same write; a torn `k`
+/// line leaves its record without a fit. v5 checksums the header and is
+/// synced once per round instead of once per record, so its damaged tail
+/// may span the final round (load()). v1 journals (no checksums), v2
+/// journals (no epilogue), v3 journals (no fits) and v4 journals (synced
+/// per record) remain loadable; only v1's unparseable corruption is
+/// detectable.
 class EvalJournal {
  public:
   EvalJournal() = default;
@@ -102,23 +109,31 @@ class EvalJournal {
       const std::string& path, const JournalHeader& header,
       const std::vector<EvaluationRecord>& records);
 
-  /// Loads a journal, tolerating a torn final line (dropped and counted).
-  /// A `k` line's fit is attached to the record before it. Throws
+  /// Loads a journal, tolerating a damaged tail (dropped and counted). A
+  /// `k` line's fit is attached to the record before it. A line fails when
+  /// it does not verify or parse or is out of place (a `k` line before v4,
+  /// with no record line before it, or after another; in v5 a record whose
+  /// index is not its position). Before v5 only the final line may fail.
+  /// In v5, let m be the records kept before the first failing line: that
+  /// line and every later one are dropped when there are at most 2 × batch
+  /// of them, none verifies as an epilogue, and every one that verifies as
+  /// a record has an index in m's round, at or after m. Throws
   /// std::runtime_error when the file cannot be read, the header is
-  /// malformed, or a non-final line is corrupt or out of place (a `k`
-  /// line before v4, with no record line before it, or after another).
+  /// malformed (or a v5 header fails its checksum), or any other line
+  /// fails.
   [[nodiscard]] static JournalLoadResult load(const std::string& path);
 
-  /// Appends one record, and its kernel fit if it carries one, and fsyncs
-  /// once. No-op on an inactive journal. Throws std::runtime_error on I/O
-  /// failure.
+  /// Appends one record, and its kernel fit if it carries one, in one
+  /// write flushed to the kernel, and fsyncs (one `journal.fsync` span)
+  /// when the record's index completes a round of the header's batch size.
+  /// Throws std::runtime_error on I/O failure.
   void append(const EvaluationRecord& record);
 
-  /// Writes the study_state epilogue (`s,<state>,<records>`, checksummed),
-  /// fsyncs, and closes the journal — the clean-finalize marker. After
-  /// this the journal is inactive; further appends are no-ops. No-op on an
-  /// inactive journal. Throws std::runtime_error on I/O failure or an
-  /// empty @p state.
+  /// fsyncs what was appended since the last sync, then writes the
+  /// study_state epilogue (`s,<state>,<records>`, checksummed), fsyncs
+  /// again, and closes the journal — the clean-finalize marker. After
+  /// this the journal is inactive; further appends are no-ops. Throws
+  /// std::runtime_error on I/O failure or an empty @p state.
   void finalize(const std::string& state, std::size_t records);
 
   [[nodiscard]] bool active() const noexcept { return file_ != nullptr; }
@@ -131,6 +146,8 @@ class EvalJournal {
 
   std::unique_ptr<std::FILE, FileCloser> file_;
   std::string path_;
+  std::size_t batch_size_ = 1;  ///< the header's: records per round
+  bool unsynced_ = false;       ///< lines appended since the last fsync
 };
 
 }  // namespace hp::core

@@ -46,28 +46,29 @@ ProfileSample InferenceProfiler::profile(const nn::CnnSpec& spec) {
   simulator_.load_model(spec);  // throws for infeasible/oversized models
   simulator_.set_inference_active(true);
 
-  double power_sum = 0.0;
-  std::size_t power_reads_ok = 0;
-  for (std::size_t i = 0; i < kPowerReadings; ++i) {
-    unsigned milliwatts = 0;
-    const nvml::Return r =
-        session_.device_get_power_usage(handle_, &milliwatts);
-    if (r == nvml::Return::ErrorUnknown) {
-      // Transient read failure: skip this reading, average the rest.
-      if (obs::metrics().enabled()) {
-        HwMetrics::get().sensor_read_failures.add(1);
-      }
-      continue;
-    }
-    if (r != nvml::Return::Success) {
-      simulator_.unload_model();
-      throw std::runtime_error("InferenceProfiler: power query failed: " +
-                               nvml::error_string(r));
-    }
-    power_sum += static_cast<double>(milliwatts) / 1000.0;
-    ++power_reads_ok;
-  }
-  if (power_reads_ok == 0) {
+  // A transient read failure (ErrorUnknown) is skipped and the rest are
+  // averaged; the profiler never gives up on the sensor mid-burst
+  // (fallback_after = 0). Any other NVML error ends the profile.
+  const PowerBurst burst = read_power_burst(
+      [this] {
+        unsigned milliwatts = 0;
+        const nvml::Return r =
+            session_.device_get_power_usage(handle_, &milliwatts);
+        if (r == nvml::Return::ErrorUnknown) {
+          if (obs::metrics().enabled()) {
+            HwMetrics::get().sensor_read_failures.add(1);
+          }
+          throw SensorError("InferenceProfiler: power read failed");
+        }
+        if (r != nvml::Return::Success) {
+          simulator_.unload_model();
+          throw std::runtime_error("InferenceProfiler: power query failed: " +
+                                   nvml::error_string(r));
+        }
+        return static_cast<double>(milliwatts) / 1000.0;
+      },
+      kPowerReadings, /*fallback_after=*/0);
+  if (!burst.mean_w) {
     // Every reading of the burst failed: the sensor is dark for this
     // sample. Typed + transient, so callers (resilience layer, retry
     // loops) know a later attempt may succeed.
@@ -78,7 +79,7 @@ ProfileSample InferenceProfiler::profile(const nn::CnnSpec& spec) {
   ProfileSample sample;
   sample.spec = spec;
   sample.z = spec.structural_vector();
-  sample.power_w = power_sum / static_cast<double>(power_reads_ok);
+  sample.power_w = *burst.mean_w;
   sample.latency_ms = simulator_.inference_latency_ms();
   if (options_.collect_layer_timings) {
     sample.layer_timings = simulator_.profile_layers(kLayerTimingNoiseSd);

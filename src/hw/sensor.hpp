@@ -11,7 +11,8 @@
 //     source so faulty runs replay bit-identically;
 //   - read_power_burst: the "average a burst of reads, tolerate
 //     stragglers, report degradation after N consecutive failures" routine
-//     the testbed objective measures with;
+//     the testbed objective and the offline profiler (which never degrades:
+//     fallback_after = 0) both measure with;
 //   - kPowerReadings and kPowerReadingNoiseSd: the burst length of every
 //     power measurement and the noise of each reading.
 

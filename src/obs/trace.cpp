@@ -6,6 +6,8 @@
 #include <csignal>
 #include <cstring>
 #include <map>
+#include <memory>
+#include <new>
 #include <ostream>
 #include <unordered_map>
 
@@ -246,19 +248,32 @@ FlightRecorder& flight_recorder() {
 /// One thread's ring segment: single-writer (the owning thread), with a
 /// monotonic cursor published by release stores. Readers (snapshot/export)
 /// must only run while writers are quiescent; the cursor tells them how
-/// many events survive.
+/// many events survive, so the slots are left uninitialized: a ring's pages
+/// are touched as its events fill them, not all at once by whichever span
+/// happens to be open when the ring is made.
 struct Tracer::Buffer {
-  explicit Buffer(std::size_t cap) : capacity(cap), events(cap) {}
+  /// Storage for one event; only push() constructs one in it.
+  struct Slot {
+    alignas(TraceEvent) unsigned char bytes[sizeof(TraceEvent)];
+  };
+
+  explicit Buffer(std::size_t cap)
+      : capacity(cap), slots(std::make_unique_for_overwrite<Slot[]>(cap)) {}
 
   std::uint32_t tid = 0;
   std::size_t capacity;
-  std::vector<TraceEvent> events;
+  std::unique_ptr<Slot[]> slots;
   std::atomic<std::uint64_t> count{0};
 
   void push(const TraceEvent& e) noexcept {
     const std::uint64_t n = count.load(std::memory_order_relaxed);
-    events[n % capacity] = e;
+    ::new (static_cast<void*>(slots[n % capacity].bytes)) TraceEvent(e);
     count.store(n + 1, std::memory_order_release);
+  }
+  /// Event @p n, which push() stored (n < count, within the last capacity).
+  [[nodiscard]] const TraceEvent& event(std::uint64_t n) const noexcept {
+    return *std::launder(
+        reinterpret_cast<const TraceEvent*>(slots[n % capacity].bytes));
   }
 };
 
@@ -271,6 +286,8 @@ void Tracer::start(const TraceConfig& config) {
     epoch_ = std::chrono::steady_clock::now();
     generation_.fetch_add(1, std::memory_order_release);
   }
+  // The starting thread's ring is made here, outside any span.
+  (void)local_buffer();
   if (config.flight_recorder) flight_recorder().arm(kFlightEntries);
   enabled_.store(true, std::memory_order_relaxed);
 }
@@ -368,7 +385,7 @@ std::vector<TraceEventView> Tracer::snapshot() const {
     const std::uint64_t kept = std::min<std::uint64_t>(n, buf->capacity);
     out.reserve(out.size() + kept);
     for (std::uint64_t i = n - kept; i < n; ++i) {
-      out.push_back({buf->tid, buf->events[i % buf->capacity]});
+      out.push_back({buf->tid, buf->event(i)});
     }
   }
   return out;

@@ -150,7 +150,8 @@ class Tracer {
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Resets the buffers, fixes the time epoch, and enables recording.
+  /// Resets the buffers, fixes the time epoch, registers the calling
+  /// thread's ring, and enables recording.
   void start(const TraceConfig& config);
   /// Disables recording; buffers stay readable for export.
   void stop() noexcept { enabled_.store(false, std::memory_order_relaxed); }

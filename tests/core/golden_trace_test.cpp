@@ -307,6 +307,58 @@ void check_resume_at(const std::string& key, std::size_t batch,
   std::remove(resumed_journal.c_str());
 }
 
+/// Power loss at every round boundary. A batched study syncs its journal
+/// once per round, so the journal holds every round up to the boundary
+/// whole and then the next round's lines, one of them zero-filled (a
+/// different one each round). load() drops the damage, and resuming from
+/// what it keeps must still give the uninterrupted run's trace and journal.
+void check_power_loss_at_round_boundaries(const std::string& key,
+                                          std::size_t batch,
+                                          std::size_t threads) {
+  if (regen_mode()) GTEST_SKIP() << "regen mode: goldens only";
+  const std::string golden = read_file(golden_path(key, batch));
+  const JournaledRun written = journaled_run(key, batch, threads);
+  ASSERT_FALSE(::testing::Test::HasFailure());  // the uninterrupted run
+  std::vector<std::string> lines;
+  std::istringstream in(written.journal);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_EQ(lines.back().compare(0, 2, "s,"), 0);
+  lines.pop_back();  // the power failed before the study finished
+  // record_line[i]: the line of record i's `r` line; its `k` line follows.
+  std::vector<std::size_t> record_line;
+  for (std::size_t l = 1; l < lines.size(); ++l) {
+    if (lines[l].compare(0, 2, "r,") == 0) record_line.push_back(l);
+  }
+  ASSERT_EQ(record_line.size(), written.records.size());
+  record_line.push_back(lines.size());
+
+  const std::string crashed = temp_path(
+      "golden_" + key + "_b" + std::to_string(batch) + "_power_loss.hpj");
+  for (std::size_t boundary = 0; boundary < written.records.size();
+       boundary += batch) {
+    const std::size_t next = std::min(boundary + batch, written.records.size());
+    const std::size_t first = record_line[boundary];
+    const std::size_t zeroed =
+        first + (boundary / batch) % (record_line[next] - first);
+    SCOPED_TRACE(key + " power loss after record " + std::to_string(boundary) +
+                 ", line " + std::to_string(zeroed) + " zero-filled");
+    std::string text;
+    for (std::size_t l = 0; l < record_line[next]; ++l) {
+      text += (l == zeroed ? std::string(lines[l].size(), '\0') : lines[l]);
+      text += '\n';
+    }
+    write_file(crashed, text);
+    const JournalLoadResult loaded = EvalJournal::load(crashed);
+    EXPECT_EQ(loaded.dropped_lines, record_line[next] - zeroed);
+    EXPECT_GE(loaded.records.size(), boundary);
+    const RunResult resumed =
+        resume_from(key, batch, threads, loaded.records, crashed);
+    EXPECT_EQ(trace_csv(resumed.trace), golden);
+    EXPECT_EQ(read_file(crashed), written.journal);
+  }
+  std::remove(crashed.c_str());
+}
+
 /// check_resume_at with one mid-run cut point.
 void check_resume(const std::string& key, std::size_t batch,
                   std::size_t threads, std::size_t keep) {
@@ -381,15 +433,20 @@ TEST(GoldenTrace, Resume_HwIeciLong_BatchedParallel) {
 // Every cut point, from an empty journal to a whole one, at batch 4 on 4
 // threads: partial rounds dropped, the initial design's boundary, and the
 // grid's index-derived points. A batched resume observes every kept round
-// but the last, which it re-proposes and checks against the journal.
+// but the last, which it re-proposes and checks against the journal. Then
+// a power loss at every round boundary, with the next round's lines
+// present and one of them zero-filled.
 TEST(GoldenTrace, Resume_EveryCutPoint_HwIeciLong_BatchedParallel) {
   check_resume_at("hw_ieci_long", 4, 4, {});
+  check_power_loss_at_round_boundaries("hw_ieci_long", 4, 4);
 }
 TEST(GoldenTrace, Resume_EveryCutPoint_HwCwei_BatchedParallel) {
   check_resume_at("hw_cwei", 4, 4, {});
+  check_power_loss_at_round_boundaries("hw_cwei", 4, 4);
 }
 TEST(GoldenTrace, Resume_EveryCutPoint_Grid_BatchedParallel) {
   check_resume_at("grid", 4, 4, {});
+  check_power_loss_at_round_boundaries("grid", 4, 4);
 }
 
 // The same cut points resumed from records without their kernel fits, as a

@@ -1,16 +1,19 @@
 // Deterministic mutation tests of EvalJournal::load, the parser of the bytes
 // a crashed, torn or tampered-with journal hands a resume. Seeds are v1, v2,
-// v3 and v4 journals; a seeded mt19937_64 mutates them (bit flips, byte
+// v3, v4 and v5 journals; a seeded mt19937_64 mutates them (bit flips, byte
 // edits, cuts, spliced and duplicated lines, hostile kernel-fit lines) and
 // every mutant goes through load. Properties: only std::runtime_error
 // escapes; a checksummed line whose body or checksum changed is never
-// accepted; damage is dropped only when it is the final line; rewrite ->
-// load returns every record and kernel fit bit for bit, for doubles drawn
-// from random bit patterns, subnormals included.
+// accepted; before v5, damage is dropped only when it is the final line;
+// a v5 mutant loads exactly when a reference model of the v5 tail rule
+// says it does, keeping the records and dropping the lines it predicts;
+// rewrite -> load returns every record and kernel fit bit for bit, for
+// doubles drawn from random bit patterns, subnormals included.
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -93,7 +96,7 @@ std::vector<EvaluationRecord> without_fits(std::vector<EvaluationRecord> rs) {
   return rs;
 }
 
-/// A journal as EvalJournal writes it: v4, every append, the epilogue.
+/// A journal as EvalJournal writes it: v5, every append, the epilogue.
 std::string written_journal(const std::vector<EvaluationRecord>& records,
                             const std::string& path) {
   {
@@ -104,21 +107,27 @@ std::string written_journal(const std::vector<EvaluationRecord>& records,
   return read_text(path);
 }
 
-/// Journals of every version: v4 with fits, v3 (v4 without fits), v2 (v3
-/// without its epilogue) and v1 (v2 without checksums).
+/// @p journal under a pre-v5 header: the same lines after it.
+std::string with_version(const std::string& journal, const std::string& v) {
+  return "hpjournal," + v + ",HW-IECI,42,4" + journal.substr(journal.find('\n'));
+}
+
+/// Journals of every version: v5 with fits, v4 (v5 with an unchecksummed
+/// header), v3 (v4 without fits), v2 (v3 without its epilogue) and v1 (v2
+/// without checksums).
 std::vector<std::string> seed_journals() {
   const std::string path = temp_path("seed.hpj");
-  const std::string v4 = written_journal(seed_records(), path);
-  std::string v3 = written_journal(without_fits(seed_records()), path);
+  const std::string v5 = written_journal(seed_records(), path);
+  const std::string v3 = with_version(
+      written_journal(without_fits(seed_records()), path), "v3");
   std::remove(path.c_str());
-  v3.replace(0, 12, "hpjournal,v3");
-  std::string v2 = v3.substr(0, v3.rfind("s,completed"));
-  v2.replace(0, 12, "hpjournal,v2");
+  const std::string v2 =
+      with_version(v3.substr(0, v3.rfind("s,completed")), "v2");
   std::string v1 = "hpjournal,v1,HW-IECI,42,4\n";
   for (const EvaluationRecord& r : seed_records()) {
     v1 += format_record_line(r) + "\n";
   }
-  return {v1, v2, v3, v4};
+  return {v1, v2, v3, with_version(v5, "v4"), v5};
 }
 
 /// Lines as load() reads them: split at '\n', empty ones skipped.
@@ -202,15 +211,19 @@ std::size_t fit_count(const std::vector<EvaluationRecord>& records) {
 
 /// Checks what load() accepted of @p mutant against the lines of the
 /// unmutated journals (@p known). Every line after the header is accounted
-/// for: a record, a fit, the epilogue or the one dropped final line. In a
-/// checksummed journal, every accepted line is a known one, and the
-/// accepted lines are exactly what rewrite() writes for the loaded records
-/// (then the epilogue), so nothing but the final line was dropped.
+/// for: a record, a fit, the epilogue or a dropped line of the tail. Before
+/// v5 that tail is the final line. In a checksummed journal, every accepted
+/// line is a known one, and the accepted lines are exactly what rewrite()
+/// writes for the loaded records (then the epilogue), so nothing but the
+/// tail was dropped.
 void check_accepted(const std::string& mutant, const JournalLoadResult& loaded,
                     const std::set<std::string>& known,
                     const std::string& scratch) {
   std::vector<std::string> lines = split_lines(mutant);
   const bool checksummed = lines.front().compare(0, 13, "hpjournal,v1,") != 0;
+  if (lines.front().compare(0, 13, "hpjournal,v5,") != 0) {
+    EXPECT_LE(loaded.dropped_lines, 1u);
+  }
   lines.erase(lines.begin());
   ASSERT_EQ(loaded.records.size() + fit_count(loaded.records) +
                 (loaded.complete() ? 1 : 0) + loaded.dropped_lines,
@@ -229,6 +242,93 @@ void check_accepted(const std::string& mutant, const JournalLoadResult& loaded,
   std::vector<std::string> rewritten = split_lines(read_text(scratch));
   rewritten.erase(rewritten.begin());
   EXPECT_EQ(rewritten, lines);
+}
+
+/// The body of a checksummed line, or nullopt when it does not verify.
+std::optional<std::string> verified_body(const std::string& line) {
+  const std::size_t hash = line.rfind(",#");
+  if (hash == std::string::npos || line.size() != hash + 10) {
+    return std::nullopt;
+  }
+  const std::string body = line.substr(0, hash);
+  if (line != with_checksum(body)) return std::nullopt;
+  return body;
+}
+
+/// The record a verified line holds, or nullopt when it holds none.
+std::optional<EvaluationRecord> record_of(const std::string& line) {
+  const std::optional<std::string> body = verified_body(line);
+  if (!body || body->compare(0, 2, "r,") != 0) return std::nullopt;
+  try {
+    return parse_record_line(*body, 0);
+  } catch (const std::runtime_error&) {
+    return std::nullopt;
+  }
+}
+
+/// What load() keeps of a v5 journal: the records, the dropped lines and
+/// whether the epilogue came through.
+struct V5Expectation {
+  std::size_t records = 0;
+  std::size_t dropped = 0;
+  bool complete = false;
+};
+
+/// Reference model of load() on the lines after a v5 header of batch size
+/// @p batch; nullopt when load() must throw. A line fails when it does not
+/// verify, or is out of place: an epilogue whose count is not the records
+/// before it, a `k` line with no record line before it or after another,
+/// a record whose index is not its position. Verified `k` lines are only
+/// known ones (@p known), whose fits are valid. Once a line fails, the
+/// rule decides: with m records kept, that line and every later one are
+/// dropped when there are at most 2 x batch of them, none verifies as an
+/// epilogue and every record among them has an index in m's round, at or
+/// after m. Nothing may follow an accepted epilogue.
+std::optional<V5Expectation> expected_v5_load(
+    const std::vector<std::string>& lines, std::uint64_t batch,
+    const std::set<std::string>& known) {
+  V5Expectation expect;
+  bool last_has_fit = true;  // no record yet: a `k` line has none to join
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (expect.complete) return std::nullopt;  // content after the epilogue
+    const std::optional<std::string> body = verified_body(lines[i]);
+    bool fails = !body;
+    if (!fails && body->compare(0, 2, "s,") == 0) {
+      const std::string count = body->substr(body->rfind(',') + 1);
+      std::uint64_t value = 0;
+      const auto [end, error] =
+          std::from_chars(count.data(), count.data() + count.size(), value);
+      fails = error != std::errc() || end != count.data() + count.size() ||
+              value != expect.records || known.count(lines[i]) == 0;
+      expect.complete = !fails;
+    } else if (!fails && body->compare(0, 2, "k,") == 0) {
+      fails = last_has_fit || known.count(lines[i]) == 0;
+      last_has_fit = true;
+    } else if (!fails) {
+      const std::optional<EvaluationRecord> record = record_of(lines[i]);
+      fails = !record || record->index != expect.records;
+      if (!fails) {
+        ++expect.records;
+        last_has_fit = false;
+      }
+    }
+    if (!fails) continue;
+    expect.dropped = lines.size() - i;
+    if (expect.dropped > 2 * batch) return std::nullopt;
+    const std::size_t m = expect.records;
+    for (std::size_t j = i; j < lines.size(); ++j) {
+      const std::optional<std::string> tail_body = verified_body(lines[j]);
+      if (tail_body && tail_body->compare(0, 2, "s,") == 0) {
+        return std::nullopt;
+      }
+      const std::optional<EvaluationRecord> record = record_of(lines[j]);
+      if (record && (record->index < m || record->index >= m - m % batch + batch)) {
+        return std::nullopt;
+      }
+    }
+    return expect;
+  }
+  return expect;
 }
 
 class Mutator {
@@ -319,21 +419,36 @@ TEST(JournalMutation, MutantsThrowOnlyRuntimeErrorAndAcceptOnlyKnownLines) {
   }
   const std::string path = temp_path("mutant.hpj");
   const std::string scratch = temp_path("rewritten.hpj");
+  const std::string v5_header = split_lines(journals.back()).front();
   Mutator mutator(20261019);
   std::size_t loaded_count = 0;
-  for (std::size_t round = 0; round < 6000; ++round) {
+  std::size_t v5_tails = 0;  // v5 mutants loaded with more than one line dropped
+  for (std::size_t round = 0; round < 7500; ++round) {
     const std::string& seed = journals[round % journals.size()];
     const std::string& donor = journals[mutator.below(journals.size())];
     const std::string mutant = mutator.mutate(seed, donor);
     const auto loaded = load_text(mutant, path);
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::vector<std::string> lines = split_lines(mutant);
+    if (!lines.empty() && lines.front() == v5_header) {
+      lines.erase(lines.begin());
+      const auto expected = expected_v5_load(lines, header().batch_size, known);
+      ASSERT_EQ(loaded.has_value(), expected.has_value()) << mutant;
+      if (expected) {
+        EXPECT_EQ(loaded->records.size(), expected->records) << mutant;
+        EXPECT_EQ(loaded->dropped_lines, expected->dropped) << mutant;
+        EXPECT_EQ(loaded->complete(), expected->complete) << mutant;
+        if (expected->dropped > 1) ++v5_tails;
+      }
+    }
     if (!loaded) continue;
     ++loaded_count;
-    SCOPED_TRACE("round " + std::to_string(round));
     check_accepted(mutant, *loaded, known, scratch);
   }
   // Cut tails, moved lines and dropped lines load; most mutants do not.
   EXPECT_GT(loaded_count, 0u);
-  EXPECT_LT(loaded_count, 6000u);
+  EXPECT_LT(loaded_count, 7500u);
+  EXPECT_GT(v5_tails, 0u);
   std::remove(path.c_str());
   std::remove(scratch.c_str());
 }
@@ -443,7 +558,8 @@ TEST(JournalMutation, RewriteThenLoadIsTheIdentity) {
   const std::string path = temp_path("identity.hpj");
   for (std::size_t round = 0; round < 300; ++round) {
     std::vector<EvaluationRecord> records(rng() % 6);
-    for (EvaluationRecord& r : records) {
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      EvaluationRecord& r = records[i];
       r.config.resize(rng() % 9);
       for (double& v : r.config) v = random_double();
       r.status = static_cast<EvaluationStatus>(rng() % 5);
@@ -454,7 +570,7 @@ TEST(JournalMutation, RewriteThenLoadIsTheIdentity) {
       r.violates_constraints = rng() % 2 == 0;
       r.cost_s = random_double();
       r.timestamp_s = random_double();
-      r.index = static_cast<std::size_t>(rng());
+      const auto index = static_cast<std::size_t>(rng());
       r.measured = rng() % 2 == 0;
       r.attempts = static_cast<std::size_t>(rng());
       if (rng() % 2 == 0) r.failure_kind = static_cast<FailureKind>(rng() % 4);
@@ -469,6 +585,11 @@ TEST(JournalMutation, RewriteThenLoadIsTheIdentity) {
         } while (!std::isfinite(fit.log_marginal_likelihood));
         r.kernel_fit = RecordedKernelFit(fit);
       }
+      // Any index survives the record line; a v5 journal holds its records
+      // in index order, so the journaled record carries its position.
+      r.index = index;
+      EXPECT_EQ(parse_record_line(format_record_line(r), 1).index, index);
+      r.index = i;
     }
     (void)EvalJournal::rewrite(path, header(), records);
     const JournalLoadResult loaded = EvalJournal::load(path);

@@ -11,18 +11,27 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/checksum.hpp"
+#include "core/framework.hpp"
+#include "core/optimizer.hpp"
 #include "core/trace_io.hpp"
+#include "fake_objective.hpp"
 #include "gp/kernel_fit.hpp"
+#include "obs/metrics.hpp"
 
 namespace hp::core {
 namespace {
 
+/// A scratch file named after the running test, so tests that ctest runs
+/// at the same time never share one.
 std::string temp_path(const std::string& name) {
-  return std::string(::testing::TempDir()) + "/" + name;
+  return std::string(::testing::TempDir()) + "/" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         "_" + name;
 }
 
 JournalHeader header() {
@@ -123,6 +132,18 @@ std::string read_text(const std::string& path) {
 void write_text(const std::string& path, const std::string& text) {
   std::ofstream out(path, std::ios::trunc | std::ios::binary);
   out << text;
+}
+
+std::string with_checksum(const std::string& body) {
+  char suffix[16];
+  std::snprintf(suffix, sizeof suffix, ",#%08x", crc32(body));
+  return body + suffix;
+}
+
+/// @p text with its first line (the header) replaced by @p header_line.
+std::string with_header_line(const std::string& text,
+                             const std::string& header_line) {
+  return header_line + text.substr(text.find('\n'));
 }
 
 void expect_record_eq(const EvaluationRecord& a, const EvaluationRecord& b) {
@@ -265,8 +286,8 @@ TEST(EvalJournal, RewriteReproducesCreatePlusAppends) {
   std::remove(rewritten_path.c_str());
 }
 
-TEST(EvalJournal, WritesV4HeaderAndChecksummedLines) {
-  const std::string path = temp_path("journal_v4_format.hpj");
+TEST(EvalJournal, WritesV5HeaderAndChecksummedLines) {
+  const std::string path = temp_path("journal_v5_format.hpj");
   {
     auto journal = EvalJournal::create(path, header());
     journal.append(records_with_fits()[0]);
@@ -274,7 +295,8 @@ TEST(EvalJournal, WritesV4HeaderAndChecksummedLines) {
   std::ifstream in(path, std::ios::binary);
   std::string line;
   ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line, "hpjournal,v4,Rand,42,4");
+  // Since v5 the header is checksummed like every other line.
+  EXPECT_EQ(line, with_checksum("hpjournal,v5,Rand,42,4"));
   ASSERT_TRUE(std::getline(in, line));
   // Every v2+ record line ends in ",#<8-hex crc32 of the body>".
   ASSERT_GT(line.size(), 10u);
@@ -285,11 +307,8 @@ TEST(EvalJournal, WritesV4HeaderAndChecksummedLines) {
   // The record's kernel fit follows it: signal variance, noise variance,
   // log marginal likelihood, then the length-scale count and values.
   ASSERT_TRUE(std::getline(in, line));
-  const std::string body =
-      "k,1.5,0.0001,-12.345678901234567,3,0.25,0.33333333333333331,3";
-  char checksum[16];
-  std::snprintf(checksum, sizeof checksum, ",#%08x", crc32(body));
-  EXPECT_EQ(line, body + checksum);
+  EXPECT_EQ(line, with_checksum("k,1.5,0.0001,-12.345678901234567,3,0.25,"
+                                 "0.33333333333333331,3"));
   EXPECT_FALSE(std::getline(in, line));
   std::remove(path.c_str());
 }
@@ -346,11 +365,9 @@ TEST(EvalJournal, LoadsLegacyV3JournalsWithoutFits) {
     for (const auto& record : records) journal.append(record);
     journal.finalize("completed", records.size());
   }
-  // Without fits, a v4 journal is a v3 one but for its header.
-  std::string text = read_text(path);
-  ASSERT_EQ(text.compare(0, 13, "hpjournal,v4,"), 0);
-  text[11] = '3';
-  write_text(path, text);
+  // Without fits, a v5 journal is a v3 one but for its header.
+  write_text(path,
+             with_header_line(read_text(path), "hpjournal,v3,Rand,42,4"));
   const JournalLoadResult loaded = EvalJournal::load(path);
   EXPECT_EQ(loaded.study_state, "completed");
   ASSERT_EQ(loaded.records.size(), records.size());
@@ -405,6 +422,36 @@ TEST(EvalJournal, FinalizeWritesStudyStateEpilogueAndClosesJournal) {
   ASSERT_EQ(loaded.records.size(), 2u);
   expect_record_eq(loaded.records[0], sample_records()[0]);
   expect_record_eq(loaded.records[1], sample_records()[1]);
+  std::remove(path.c_str());
+}
+
+// A journal fsyncs when a record's index completes a round of the header's
+// batch size, and, when the study cut its last round short, once more
+// before the epilogue: load() trusts whatever precedes an epilogue. A
+// batch of 1 fsyncs every record.
+TEST(EvalJournal, SyncsOncePerRoundAndBeforeTheEpilogue) {
+  const std::string path = temp_path("journal_syncs.hpj");
+  obs::metrics().set_enabled(true);
+  const obs::Counter& fsyncs = obs::metrics().counter("journal.fsyncs");
+  const auto fsyncs_of = [&](std::size_t batch, std::size_t records) {
+    const std::uint64_t before = fsyncs.value();
+    JournalHeader h = header();
+    h.batch_size = batch;
+    EvalJournal journal = EvalJournal::create(path, h);
+    EvaluationRecord record = sample_records()[0];
+    for (std::size_t i = 0; i < records; ++i) {
+      record.index = i;
+      journal.append(record);
+    }
+    journal.finalize("aborted", records);
+    return fsyncs.value() - before;
+  };
+  // The create, then the rounds, then the epilogue.
+  EXPECT_EQ(fsyncs_of(4, 0), 2u);
+  EXPECT_EQ(fsyncs_of(4, 8), 1u + 2u + 1u);
+  EXPECT_EQ(fsyncs_of(4, 6), 1u + 1u + 1u + 1u);
+  EXPECT_EQ(fsyncs_of(1, 3), 1u + 3u + 1u);
+  obs::metrics().set_enabled(false);
   std::remove(path.c_str());
 }
 
@@ -484,16 +531,15 @@ TEST(EvalJournal, EpilogueRecordCountMismatchLoadsAsIncomplete) {
     journal.append(sample_records()[1]);
     journal.finalize("completed", 2);
   }
-  // Delete the second record line wholesale. Every surviving line's
-  // checksum is intact, so only the epilogue's record count can expose
-  // the excision — and because the epilogue is the FINAL line, the
-  // mismatch resolves conservatively: drop it as a torn tail and hand
-  // resume an incomplete journal instead of trusting the "completed"
-  // marker of a journal that lost records.
-  std::ifstream in(path, std::ios::binary);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  in.close();
+  // A v4 journal (its writer synced every record). Delete the second
+  // record line wholesale. Every surviving line's checksum is intact, so
+  // only the epilogue's record count can expose the excision — and
+  // because the epilogue is the FINAL line, the mismatch resolves
+  // conservatively: drop it as a torn tail and hand resume an incomplete
+  // journal instead of trusting the "completed" marker of a journal that
+  // lost records. (A v5 journal rejects it: damage before an epilogue.)
+  std::string contents =
+      with_header_line(read_text(path), "hpjournal,v4,Rand,42,4");
   const std::size_t second = contents.find("\nr,", contents.find("\nr,") + 1);
   const std::size_t epilogue = contents.find("\ns,");
   ASSERT_NE(second, std::string::npos);
@@ -540,20 +586,11 @@ TEST(EvalJournal, LoadsLegacyV2JournalsWithoutEpilogue) {
     auto journal = EvalJournal::create(path, header());
     for (const auto& record : records) journal.append(record);
   }
-  // Record lines are identical from v2 to v4; only the header version, the
+  // Record lines are identical from v2 to v5; only the header, the
   // (absent) epilogue and the (absent) kernel fits differ. Rewriting the
   // header makes this an exact pre-epilogue journal.
-  std::ifstream in(path, std::ios::binary);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  in.close();
-  const std::size_t version = contents.find(",v4,");
-  ASSERT_NE(version, std::string::npos);
-  contents.replace(version, 4, ",v2,");
-  {
-    std::ofstream out(path, std::ios::trunc | std::ios::binary);
-    out << contents;
-  }
+  write_text(path,
+             with_header_line(read_text(path), "hpjournal,v2,Rand,42,4"));
   const JournalLoadResult loaded = EvalJournal::load(path);
   EXPECT_FALSE(loaded.complete());
   EXPECT_EQ(loaded.dropped_lines, 0u);
@@ -583,12 +620,16 @@ void tamper(const std::string& path, const std::string& from,
 TEST(EvalJournal, RejectsMidFileChecksumMismatchEvenWhenParseable) {
   const std::string path = temp_path("journal_v2_midflip.hpj");
   {
+    // A round of four records, then the first record of the next round.
     auto journal = EvalJournal::create(path, header());
-    journal.append(sample_records()[0]);
-    journal.append(sample_records()[1]);
+    for (const auto& record : sample_records()) journal.append(record);
+    EvaluationRecord next = sample_records()[1];
+    next.index = 4;
+    journal.append(next);
   }
   // Flip one digit of the FIRST record's test error. The line still parses
   // as a valid record — only the checksum knows it is not what was written.
+  // A record of a later round follows, so it is no damaged final round.
   tamper(path, "0.0625", "0.0635");
   EXPECT_THROW((void)EvalJournal::load(path), std::runtime_error);
   std::remove(path.c_str());
@@ -773,6 +814,222 @@ TEST(EvalJournal, RejectsMalformedHeaderCounts) {
     EXPECT_THROW((void)load_header("42", bad), std::runtime_error)
         << "batch size";
   }
+  std::remove(path.c_str());
+}
+
+
+// ---------------------------------------------------------------------------
+// The v5 tail rule on a study's own journal. A batched study syncs once per
+// round, so a power loss can damage any line of the round in flight, and
+// only those: a resume drops that round anyway.
+
+/// A batch-4 HW-IECI study of 20 evaluations (five rounds) on the fake
+/// objective, journaled to @p journal_path; resumed from @p records when
+/// given. Kernel ML fits ride on records 1, 6, 11 and 16.
+RunResult run_study(const std::string& journal_path,
+                    const std::vector<EvaluationRecord>* records = nullptr) {
+  const HyperParameterSpace space = testing::fake_space();
+  testing::FakeObjective objective(space);
+  OptimizerOptions options;
+  options.seed = 5;
+  options.batch_size = 4;
+  options.max_function_evaluations = 20;
+  options.journal_path = journal_path;
+  Optimizer optimizer(space, objective, ConstraintBudgets{}, nullptr,
+                      std::move(options), make_proposer(Method::HwIeci, space));
+  return records != nullptr ? optimizer.resume(*records) : optimizer.run();
+}
+
+std::string trace_csv(const RunTrace& trace) {
+  std::ostringstream os;
+  trace.write_csv(os);
+  return os.str();
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  return text;
+}
+
+/// The uninterrupted study's trace and journal, and the lines a power loss
+/// in its final round leaves: everything but the epilogue, the final
+/// round's lines from `final_round` on.
+struct StudyJournal {
+  std::string trace;
+  std::string journal;
+  std::vector<std::string> lines;  ///< header first, no epilogue
+  std::size_t previous_round = 0;  ///< line of record 12, round 3's first
+  std::size_t final_round = 0;     ///< line of record 16, round 4's first
+};
+
+const StudyJournal& study_journal() {
+  static const StudyJournal run = [] {
+    const std::string path = temp_path("journal_study_full.hpj");
+    StudyJournal j;
+    j.trace = trace_csv(run_study(path).trace);
+    j.journal = read_text(path);
+    std::remove(path.c_str());
+    j.lines = split_lines(j.journal);
+    j.lines.pop_back();  // the epilogue
+    for (std::size_t l = 0; l < j.lines.size(); ++l) {
+      if (j.lines[l].rfind("r,12,", 0) == 0) j.previous_round = l;
+      if (j.lines[l].rfind("r,16,", 0) == 0) j.final_round = l;
+    }
+    return j;
+  }();
+  return run;
+}
+
+/// Loads @p text as the journal a crash left, resumes the study from it,
+/// and requires the resumed trace and rebuilt journal to be the
+/// uninterrupted run's byte for byte. Returns what load() kept.
+JournalLoadResult expect_resume_matches(const std::string& text) {
+  const std::string path = temp_path("journal_study_crashed.hpj");
+  write_text(path, text);
+  const JournalLoadResult loaded = EvalJournal::load(path);
+  for (std::size_t i = 0; i < loaded.records.size(); ++i) {
+    EXPECT_EQ(loaded.records[i].index, i);
+  }
+  EXPECT_EQ(trace_csv(run_study(path, &loaded.records).trace),
+            study_journal().trace);
+  EXPECT_EQ(read_text(path), study_journal().journal);
+  std::remove(path.c_str());
+  return loaded;
+}
+
+/// @p line with its middle byte changed, so that it no longer verifies.
+std::string damaged(std::string line) {
+  line[line.size() / 2] = static_cast<char>(line[line.size() / 2] ^ 0x01);
+  return line;
+}
+
+TEST(EvalJournal, V5DropsDamageConfinedToTheFinalRound) {
+  const StudyJournal& run = study_journal();
+  const std::vector<std::string>& lines = run.lines;
+  const std::size_t end = lines.size();
+  ASSERT_GT(run.final_round, run.previous_round);
+  // Four record lines and at least one kernel-fit line.
+  ASSERT_GT(end - run.final_round, 4u);
+  ASSERT_LE(end - run.final_round, 8u);
+  for (std::size_t l = run.final_round; l < end; ++l) {
+    SCOPED_TRACE("line " + std::to_string(l) + ": " + lines[l]);
+    const std::vector<std::string> before(lines.begin(), lines.begin() + l);
+    {
+      SCOPED_TRACE("cut mid-line");
+      const JournalLoadResult loaded = expect_resume_matches(
+          join_lines(before) + lines[l].substr(0, lines[l].size() / 2));
+      EXPECT_EQ(loaded.dropped_lines, 1u);
+    }
+    {
+      SCOPED_TRACE("zero-filled from mid-line on");
+      std::string text = join_lines(lines);
+      const std::size_t at = join_lines(before).size() + lines[l].size() / 2;
+      const std::size_t count = std::min<std::size_t>(48, text.size() - at);
+      text.replace(at, count, count, '\0');
+      EXPECT_GE(expect_resume_matches(text).dropped_lines, 1u);
+    }
+    {
+      SCOPED_TRACE("one line damaged, the round's later lines intact");
+      std::vector<std::string> mutant = lines;
+      mutant[l] = damaged(mutant[l]);
+      EXPECT_EQ(expect_resume_matches(join_lines(mutant)).dropped_lines,
+                end - l);
+    }
+    if (l > run.final_round && l + 1 < end && lines[l].rfind("r,", 0) == 0) {
+      SCOPED_TRACE("a middle record line deleted");
+      std::vector<std::string> mutant = lines;
+      mutant.erase(mutant.begin() + static_cast<std::ptrdiff_t>(l));
+      EXPECT_GE(expect_resume_matches(join_lines(mutant)).dropped_lines, 1u);
+    }
+  }
+}
+
+TEST(EvalJournal, V5RejectsDamageBeyondTheFinalRound) {
+  const StudyJournal& run = study_journal();
+  const std::vector<std::string>& lines = run.lines;
+  const std::string path = temp_path("journal_study_rejected.hpj");
+  const auto load_lines = [&](const std::vector<std::string>& text) {
+    write_text(path, join_lines(text));
+    return EvalJournal::load(path);
+  };
+  // Damage followed by a record of a later round: the damaged line was
+  // synced when its round ended.
+  for (std::size_t l = run.previous_round; l < run.final_round; ++l) {
+    if (lines[l].rfind("r,", 0) != 0) continue;
+    std::vector<std::string> mutant = lines;
+    mutant[l] = damaged(mutant[l]);
+    EXPECT_THROW((void)load_lines(mutant), std::runtime_error) << lines[l];
+  }
+  // Damage followed by the epilogue, which finalize synced.
+  std::vector<std::string> finalized = split_lines(run.journal);
+  for (std::size_t l = run.final_round; l + 1 < finalized.size(); ++l) {
+    std::vector<std::string> mutant = finalized;
+    mutant[l] = damaged(mutant[l]);
+    EXPECT_THROW((void)load_lines(mutant), std::runtime_error) << lines[l];
+  }
+  // Damage spanning more than 2 x batch lines: two lines per record of a
+  // round at most.
+  std::vector<std::string> mutant(lines.begin(),
+                                  lines.begin() + run.final_round);
+  mutant.insert(mutant.end(), 8, "r,16,torn");
+  EXPECT_EQ(load_lines(mutant).dropped_lines, 8u);
+  mutant.push_back("r,16,torn");
+  EXPECT_THROW((void)load_lines(mutant), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(EvalJournal, V4KeepsTheOneLineTailRule) {
+  const StudyJournal& run = study_journal();
+  std::vector<std::string> v4 = run.lines;
+  v4.front() = "hpjournal,v4,HW-IECI,5,4";
+  const std::string path = temp_path("journal_study_v4.hpj");
+  const auto load_lines = [&](const std::vector<std::string>& text) {
+    write_text(path, join_lines(text));
+    return EvalJournal::load(path);
+  };
+  EXPECT_EQ(load_lines(v4).records.size(), 20u);
+  // A v4 writer synced every record: only its final line may be damaged.
+  for (std::size_t l = run.final_round; l < v4.size(); ++l) {
+    std::vector<std::string> mutant = v4;
+    mutant[l] = damaged(mutant[l]);
+    if (l + 1 < v4.size()) {
+      EXPECT_THROW((void)load_lines(mutant), std::runtime_error) << v4[l];
+    } else {
+      EXPECT_EQ(load_lines(mutant).dropped_lines, 1u);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(EvalJournal, RejectsEveryChangedByteOfAV5Header) {
+  const StudyJournal& run = study_journal();
+  const std::string path = temp_path("journal_study_header.hpj");
+  const std::string body = run.journal.substr(run.journal.find('\n'));
+  const std::string& header_line = run.lines.front();
+  ASSERT_EQ(header_line, with_checksum("hpjournal,v5,HW-IECI,5,4"));
+  for (std::size_t at = 0; at < header_line.size(); ++at) {
+    for (const int delta : {1, 2, 0x20, 0x80}) {
+      std::string changed = header_line;
+      changed[at] = static_cast<char>(changed[at] + delta);
+      write_text(path, changed + body);
+      EXPECT_THROW((void)EvalJournal::load(path), std::runtime_error)
+          << changed;
+    }
+  }
+  // The seed and batch size are checked: a v4 header, which has no
+  // checksum, still loads, and takes a changed digit at its word.
+  write_text(path, "hpjournal,v4,HW-IECI,5,4" + body);
+  EXPECT_EQ(EvalJournal::load(path).header.batch_size, 4u);
+  write_text(path, "hpjournal,v4,HW-IECI,5,5" + body);
+  EXPECT_EQ(EvalJournal::load(path).header.batch_size, 5u);
   std::remove(path.c_str());
 }
 

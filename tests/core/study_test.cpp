@@ -2,15 +2,19 @@
 // hand instead of by the Optimizer. The driver-level behavior (golden
 // traces, resume, fleet) is pinned elsewhere; this file covers the
 // contract of the interface itself — batch shortening on exhaustion,
-// lifecycle ordering, tail dropping, the config re-stamp, and the books
-// (counts, incumbent, clock, one definition of a measured violation).
+// lifecycle ordering, tail dropping, the config re-stamp, the books
+// (counts, incumbent, clock, one definition of a measured violation), and
+// random call sequences against a reference model of the lifecycle and of
+// when the journal syncs.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <deque>
 #include <map>
 #include <memory>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -402,6 +406,197 @@ TEST(Study, BatchedResumeProposesOnlyTheFinalKeptRound) {
     EXPECT_EQ(trials[j].config, fourth_round[j]);
   }
   EXPECT_EQ(proposer.batches, 2u);
+}
+
+/// Reference model of a Study run: which calls are legal, what they
+/// return, and when the journal syncs (begin's create, the tell whose
+/// record completes a round of `batch` records, and finish: once for the
+/// records of a round cut short, once for the epilogue).
+struct StudyModel {
+  struct Pending {
+    std::size_t sample = 0;
+    bool begun = false;
+  };
+  std::size_t batch = 1;
+  std::size_t max_evals = 0;
+  std::size_t max_samples = 0;
+  std::size_t abort_after = 0;
+  std::deque<Pending> pending;
+  std::size_t next = 0;
+  std::size_t records = 0;
+  std::size_t evals = 0;
+  std::size_t streak = 0;
+  bool stopped = false;
+  bool aborted = false;
+  bool unsynced = false;
+  std::uint64_t syncs = 0;
+
+  [[nodiscard]] bool finished() const {
+    return stopped || aborted || next >= max_samples || evals >= max_evals;
+  }
+  void begin() {
+    pending.clear();
+    next = records = evals = streak = 0;
+    stopped = aborted = unsynced = false;
+    ++syncs;  // create
+  }
+};
+
+TEST(Study, RandomSequencesMatchTheReferenceModel) {
+  enum class Op { Ask, Begin, Tell, Finish };
+  const HyperParameterSpace space = fake_space();
+  const std::string journal =
+      std::string(::testing::TempDir()) + "/study_random_sequences.hpj";
+  struct MetricsOn {
+    MetricsOn() { obs::metrics().set_enabled(true); }
+    ~MetricsOn() { obs::metrics().set_enabled(false); }
+  } metrics_on;
+  const obs::Counter& fsyncs = obs::metrics().counter("journal.fsyncs");
+  std::mt19937_64 rng(3141);
+  std::size_t legal[4] = {};
+  std::size_t illegal[3] = {};
+  std::size_t drops = 0;
+  std::size_t aborts = 0;
+  std::size_t aborted_mid_round = 0;
+  for (std::size_t sequence = 0; sequence < 120; ++sequence) {
+    StudyModel model;
+    model.batch = 1 + rng() % 3;
+    model.max_evals = 3 + rng() % 8;
+    model.max_samples = 4 + rng() % 11;
+    model.abort_after = 2 + rng() % 2;
+    OptimizerOptions options = batched_options(model.batch);
+    options.max_function_evaluations = model.max_evals;
+    options.max_samples = model.max_samples;
+    options.retry.max_consecutive_failed_samples = model.abort_after;
+    options.journal_path = journal;
+    RandomSearchProposer proposer(space);
+    Clock clock;
+    Study study(space, ConstraintBudgets{}, nullptr, options, proposer, clock);
+    const std::uint64_t fsyncs_before = fsyncs.value();
+    study.begin();
+    model.begin();
+    for (std::size_t step = 0; step < 60; ++step) {
+      const Op op = static_cast<Op>(rng() % 10 < 1 ? 3 : rng() % 3);
+      // The front trial's sample, or now and then another one.
+      std::size_t sample = model.pending.empty() ? model.next
+                                                 : model.pending.front().sample;
+      if (rng() % 5 == 0) sample += 1 + rng() % 2;
+      const bool front_ok = !model.pending.empty() &&
+                            model.pending.front().sample == sample;
+      SCOPED_TRACE("sequence " + std::to_string(sequence) + " step " +
+                   std::to_string(step) + " op " +
+                   std::to_string(static_cast<int>(op)) + " sample " +
+                   std::to_string(sample));
+      switch (op) {
+        case Op::Ask: {
+          const std::size_t k = rng() % 5;
+          if (!model.pending.empty()) {
+            EXPECT_THROW((void)study.ask(k), std::logic_error);
+            ++illegal[0];
+            break;
+          }
+          const std::vector<Trial> trials = study.ask(k);
+          std::size_t count = 0;
+          if (k > 0 && !model.finished()) {
+            count = std::min(model.batch > 1 ? k : std::size_t{1},
+                             model.max_samples - model.next);
+          }
+          ASSERT_EQ(trials.size(), count);
+          for (const Trial& trial : trials) {
+            EXPECT_EQ(trial.sample_index, model.next);
+            EXPECT_TRUE(trial.requires_evaluation);
+            model.pending.push_back({model.next++, false});
+          }
+          ++legal[0];
+          break;
+        }
+        case Op::Begin: {
+          if (!front_ok || model.pending.front().begun) {
+            EXPECT_THROW((void)study.begin_trial(sample), std::logic_error);
+            ++illegal[1];
+            break;
+          }
+          const bool admit = !model.stopped && !model.aborted &&
+                             model.evals < model.max_evals;
+          ASSERT_EQ(study.begin_trial(sample), admit);
+          if (admit) {
+            model.pending.front().begun = true;
+          } else {
+            model.pending.clear();
+            model.stopped = true;
+            ++drops;
+          }
+          ++legal[1];
+          break;
+        }
+        case Op::Tell: {
+          Trial trial;
+          trial.sample_index = sample;
+          const bool failed = rng() % 2 == 0;
+          EvaluationRecord record = completed_record(trial, 0.5);
+          if (failed) {
+            record.status = EvaluationStatus::Failed;
+            record.failure_kind = FailureKind::Transient;
+          }
+          if (!front_ok || !model.pending.front().begun) {
+            EXPECT_THROW(study.tell({sample, record, /*cost_on_clock=*/false}),
+                         std::logic_error);
+            ++illegal[2];
+            break;
+          }
+          study.tell({sample, std::move(record), /*cost_on_clock=*/false});
+          model.pending.pop_front();
+          ++model.records;
+          if (failed) {
+            ++model.streak;
+          } else {
+            ++model.evals;
+            model.streak = 0;
+          }
+          model.unsynced = model.records % model.batch != 0;
+          if (!model.unsynced) ++model.syncs;
+          if (model.streak >= model.abort_after && !model.aborted) {
+            model.aborted = true;
+            ++aborts;
+          }
+          ++legal[2];
+          break;
+        }
+        case Op::Finish: {
+          const RunResult result = study.finish();
+          if (model.unsynced) {
+            ++model.syncs;  // the round cut short, before the epilogue
+            if (model.aborted) ++aborted_mid_round;
+          }
+          ++model.syncs;  // the epilogue
+          EXPECT_EQ(result.trace.size(), model.records);
+          EXPECT_EQ(result.aborted, model.aborted);
+          const JournalLoadResult loaded = EvalJournal::load(journal);
+          EXPECT_EQ(loaded.records.size(), model.records);
+          EXPECT_EQ(loaded.study_state,
+                    model.aborted ? "aborted" : "completed");
+          study.begin();
+          model.begin();
+          ++legal[3];
+          break;
+        }
+      }
+      ASSERT_EQ(fsyncs.value() - fsyncs_before, model.syncs);
+      ASSERT_EQ(study.finished(), model.finished());
+      ASSERT_EQ(study.next_sample_index(), model.next);
+      ASSERT_EQ(study.aborted(), model.aborted);
+    }
+    (void)study.finish();
+  }
+  // Every operation took its legal edges, the illegal ones were tried, and
+  // rounds were dropped and runs aborted, some of them mid-round, along the
+  // way.
+  for (const std::size_t n : legal) EXPECT_GT(n, 0u);
+  for (const std::size_t n : illegal) EXPECT_GT(n, 0u);
+  EXPECT_GT(drops, 0u);
+  EXPECT_GT(aborts, 0u);
+  EXPECT_GT(aborted_mid_round, 0u);
+  std::remove(journal.c_str());
 }
 
 TEST(Study, JobsFromTrialsSkipsPreResolvedTrials) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "hw/sensor.hpp"
+
 namespace hp::hw {
 namespace {
 
@@ -51,6 +53,24 @@ TEST(InferenceProfiler, SimulatorLeftIdleAfterProfiling) {
   GpuSimulator sim(gtx1070(), 6);
   InferenceProfiler profiler(sim);
   (void)profiler.profile(make_spec(40));
+  EXPECT_FALSE(sim.model_loaded());
+}
+
+// The profiler never degrades: failed reads shrink the burst, and only a
+// burst in which every read failed throws, as the transient SensorError,
+// leaving the simulator idle.
+TEST(InferenceProfiler, SensorFailuresShrinkTheBurstUntilEveryReadFails) {
+  GpuSimulator sim(gtx1070(), 8);
+  InferenceProfiler profiler(sim);
+  SensorFaultSpec faults;
+  faults.failure_rate = 0.5;
+  sim.set_sensor_faults(faults);
+  const ProfileSample sample = profiler.profile(make_spec(40));
+  const double truth = sim.cost_model().evaluate(make_spec(40)).average_power_w;
+  EXPECT_NEAR(sample.power_w, truth, truth * 0.03);
+  faults.failure_rate = 1.0;
+  sim.set_sensor_faults(faults);
+  EXPECT_THROW((void)profiler.profile(make_spec(40)), SensorError);
   EXPECT_FALSE(sim.model_loaded());
 }
 
